@@ -1,0 +1,108 @@
+"""Golden outputs: every file `tiersim compare` and `tiersim sweep` write,
+pinned byte for byte.
+
+A change meant to keep behaviour must leave these files untouched.  After a
+change meant to alter behaviour, rewrite them with
+
+    python tests/test_golden.py
+
+and review the diff under tests/golden/expected/.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+GOLDEN = TESTS / "golden"
+CONFIGS = GOLDEN / "configs"
+EXPECTED = GOLDEN / "expected"
+ALL_SYSTEMS = "mtm,mtm-no-pebs,first-touch,autonuma,thermostat,damon"
+
+# case name -> (config file, lines appended to it, CLI arguments after -c)
+CASES = {
+    "small": ("small.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
+    "mid": ("mid.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
+    "half_read": ("half_read.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
+    "phase_change": ("phase_change.cfg", "",
+                     ["compare", "--systems", ALL_SYSTEMS]),
+    # MTM never plans on small (no counter nomination fires), so the sweeps
+    # run systems whose outputs move with the swept value.
+    "sweep-num_scans-damon": ("small.cfg", "system = damon\n",
+                              ["sweep", "--param", "num_scans", "--values", "2,3,6"]),
+    "sweep-num_scans-mtm-no-pebs": ("small.cfg", "system = mtm-no-pebs\n",
+                                    ["sweep", "--param", "num_scans",
+                                     "--values", "2,3,6"]),
+    "sweep-N-damon": ("small.cfg", "system = damon\n",
+                      ["sweep", "--param", "N", "--values", "4096,65536,1048576"]),
+}
+
+
+def argv_for(case: str, work: Path, out: Path) -> list[str]:
+    """CLI arguments for a case, its config written under `work`."""
+    config, extra, args = CASES[case]
+    cfg = work / f"{case}.cfg"
+    cfg.write_text((CONFIGS / config).read_text() + extra)
+    return [args[0], "-c", str(cfg), *args[1:], "--out", str(out)]
+
+
+def produce(case: str, work: Path, out: Path) -> None:
+    from tiersim.cli import main
+    work.mkdir(parents=True, exist_ok=True)
+    assert main(argv_for(case, work, out)) == 0
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_override(monkeypatch):
+    monkeypatch.delenv("TIERSIM_SEED", raising=False)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden(case, tmp_path):
+    produce(case, tmp_path, tmp_path / "out")
+    got = files_under(tmp_path / "out")
+    want = files_under(EXPECTED / case)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], f"{case}/{name} differs from its golden"
+
+
+def test_outputs_independent_of_hash_seed(tmp_path):
+    """Each PYTHONHASHSEED gets a fresh interpreter; all write the same bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "TIERSIM_SEED"}
+    env["PYTHONPATH"] = str(SRC)
+    outputs = []
+    for seed in ("0", "1", "2"):
+        out = tmp_path / f"hash{seed}"
+        env["PYTHONHASHSEED"] = seed
+        subprocess.run([sys.executable, "-m", "tiersim.cli",
+                        *argv_for("phase_change", tmp_path, out)],
+                       check=True, env=env, capture_output=True)
+        outputs.append(files_under(out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == files_under(EXPECTED / "phase_change")
+
+
+def regenerate() -> None:
+    import tempfile
+    os.environ.pop("TIERSIM_SEED", None)
+    with tempfile.TemporaryDirectory() as work:
+        for case in sorted(CASES):
+            shutil.rmtree(EXPECTED / case, ignore_errors=True)
+            produce(case, Path(work), EXPECTED / case)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
+    regenerate()

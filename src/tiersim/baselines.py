@@ -3,7 +3,7 @@ the same simulator contract (same traces, topologies, cost models, budget)."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .memmodel import BASE_PAGE_BYTES, CapacityError, MemoryState
 from .metrics import detect_hot_pages
@@ -33,8 +33,9 @@ def first_touch_alloc(space: MemoryState, vpage: int, node: int) -> str:
 
 def group_first_touch(group_pages: int):
     """First-touch at allocation-extent granularity: touching any page maps
-    its whole aligned group into one tier, like THP-backed faulting.  Falls
-    back to page-by-page placement when no tier can hold a full group."""
+    the unmapped pages of its aligned group into the first tier, in the
+    toucher's allocation order, that can hold them all, as base pages.
+    Falls back to page-by-page placement when no tier can."""
 
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
         g0 = (vpage // group_pages) * group_pages
@@ -53,17 +54,9 @@ def group_first_touch(group_pages: int):
     return alloc
 
 
-def mtm_no_pebs_variant(cfg: ProfilerConfig) -> ProfilerConfig:
-    """MTM with counter assistance off: the slowest tier is profiled like any
-    other (every region, one random sample)."""
-    out = ProfilerConfig(**{**cfg.__dict__})
-    out.pebs_assist = False
-    return out
-
-
 def replay_plain(space: MemoryState, slc: TraceSlice) -> None:
-    for ev in slc.events():
-        space.apply_access(ev.vpage, ev.is_write, ev.node)
+    for vpage, is_write, node in slc.events():
+        space.apply_access(vpage, is_write, node)
 
 
 def _interval_budget(cfg: ProfilerConfig) -> float:
@@ -111,7 +104,7 @@ class FirstTouchSystem:
 
 
 class MtmSystem:
-    """The adaptive profiler plus the EMA histogram planner."""
+    """The adaptive profiler plus the EMA planner."""
 
     name = "mtm"
     migrator_mode = "adaptive"
@@ -144,8 +137,7 @@ class MtmSystem:
 
     def plan(self):
         plan = plan_interval(self.profiler.regions, self.space.topology,
-                             self.policy, self.space.topology.views,
-                             self.cfg.num_scans)
+                             self.policy, self.space.topology.views)
         return plan, {r.id: r for r in self.profiler.regions}
 
     def struct_counts(self) -> tuple[int, int]:
@@ -188,9 +180,8 @@ class AutonumaSystem:
         fresh = {}
         for sub in slc.subwindows(cfg.num_scans):
             seen: set[int] = set()
-            for ev in sub.events():
-                space.apply_access(ev.vpage, ev.is_write, ev.node)
-                p = ev.vpage
+            for p, is_write, node in sub.events():
+                space.apply_access(p, is_write, node)
                 if w0 <= p < w1 and p not in seen and spent + space.cost_model.scan_cost <= budget:
                     seen.add(p)
                     spent += space.cost_model.scan_cost
@@ -275,9 +266,9 @@ class ThermostatSystem:
     def run_profiling(self, slc: TraceSlice, interval: int) -> None:
         space = self.space
         replay_counts: dict[int, int] = {}
-        for ev in slc.events():
-            space.apply_access(ev.vpage, ev.is_write, ev.node)
-            replay_counts[ev.vpage] = replay_counts.get(ev.vpage, 0) + 1
+        for vpage, is_write, node in slc.events():
+            space.apply_access(vpage, is_write, node)
+            replay_counts[vpage] = replay_counts.get(vpage, 0) + 1
         budget = _interval_budget(self.cfg)
         fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
         spent = 0.0
@@ -312,7 +303,7 @@ class ThermostatSystem:
             ln = min(self.region_pages, self.space.num_pages - w)
             regions.extend(_tier_runs_with_score(self.space, w, ln, score))
         plan = plan_interval(regions, self.space.topology, self.policy,
-                             self.space.topology.views, self.cfg.num_scans)
+                             self.space.topology.views)
         return plan, {r.id: r for r in regions}
 
     def struct_counts(self) -> tuple[int, int]:
@@ -376,8 +367,8 @@ class DamonSystem:
                 picks.append((reg, pages[self.rng.randrange(len(pages))]))
         hits = {id(reg): 0 for reg, _ in picks}
         for sub in slc.subwindows(cfg.num_scans):
-            for ev in sub.events():
-                space.apply_access(ev.vpage, ev.is_write, ev.node)
+            for vpage, is_write, node in sub.events():
+                space.apply_access(vpage, is_write, node)
             for reg, page in picks:
                 hits[id(reg)] += space.scan_pte(page)
         for reg, _ in picks:
@@ -430,7 +421,7 @@ class DamonSystem:
             regions.extend(_tier_runs_with_score(self.space, reg.start,
                                                  reg.length, score))
         plan = plan_interval(regions, self.space.topology, self.policy,
-                             self.space.topology.views, self.cfg.num_scans)
+                             self.space.topology.views)
         return plan, {r.id: r for r in regions}
 
     def struct_counts(self) -> tuple[int, int]:
@@ -446,7 +437,10 @@ def make_system(name: str, space: MemoryState, cfg: ProfilerConfig,
     if name == "mtm":
         return MtmSystem(space, cfg, policy, seed, detect_threshold)
     if name == "mtm-no-pebs":
-        sys = MtmSystem(space, mtm_no_pebs_variant(cfg), policy, seed, detect_threshold)
+        # counter assistance off: the slowest tier is profiled like any other
+        # (every region, one random sample)
+        sys = MtmSystem(space, replace(cfg, pebs_assist=False), policy, seed,
+                        detect_threshold)
         sys.name = "mtm-no-pebs"
         return sys
     if name == "first-touch":

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import baselines, metrics, migrator, policy, profiler, workload
 from .config import ConfigError, RunConfig
-from .memmodel import CostModel, MemoryState, TierTopology
+from .memmodel import MemoryState
 from .metrics import IntervalMetrics
 from .workload import AccessTrace, GupsPhase, HotOracle
 
@@ -119,28 +119,37 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
     return result
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_table(path: Path, rows: list[dict], text_columns: tuple[str, ...]) -> None:
+    """A CSV with the rows' keys as header; every column not in text_columns
+    holds a float written with 6 decimals."""
+    header = list(rows[0])
+    _write_csv(path, header, ([row[k] if k in text_columns else f"{row[k]:.6f}"
+                               for k in header] for row in rows))
+
+
 def write_run_outputs(result: RunResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(metrics.metrics_header(result.tier_ids))
-        for row in result.rows:
-            w.writerow(metrics.metrics_row(row, result.tier_ids))
-    with open(out / "plans.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["interval", "region_id", "src_tier", "dst_tier", "reason", "bytes"])
-        w.writerows(result.plan_rows)
-    with open(out / "profiler.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["interval", "region_id", "start_page", "len_pages", "tier",
-                    "quota", "hi", "whi"])
-        w.writerows(result.profiler_rows)
-    with open(out / "migrations.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["interval", "region_id", "src", "dst", "mechanism",
-                    "exposed_cost", "background_cost", "recopied_pages"])
-        w.writerows(result.migration_rows)
+    _write_csv(out / "metrics.csv", metrics.metrics_header(result.tier_ids),
+               (metrics.metrics_row(row, result.tier_ids) for row in result.rows))
+    _write_csv(out / "plans.csv",
+               ["interval", "region_id", "src_tier", "dst_tier", "reason", "bytes"],
+               result.plan_rows)
+    _write_csv(out / "profiler.csv",
+               ["interval", "region_id", "start_page", "len_pages", "tier",
+                "quota", "hi", "whi"],
+               result.profiler_rows)
+    _write_csv(out / "migrations.csv",
+               ["interval", "region_id", "src", "dst", "mechanism",
+                "exposed_cost", "background_cost", "recopied_pages"],
+               result.migration_rows)
     with open(out / "summary.txt", "w") as fh:
         fh.write(metrics.summary_text(result.system, result.rows, result.tier_ids))
 
@@ -155,7 +164,6 @@ def compare_systems(cfg: RunConfig, systems: list[str],
                     out_dir: str | Path | None = None) -> list[dict]:
     """Run several systems over one shared trace instance and emit app-cost
     figures normalized to the first-touch member."""
-    from dataclasses import replace
     if len(set(systems)) != len(systems):
         raise ConfigError("duplicate systems in compare")
     if len(systems) > 1 and "first-touch" not in systems:
@@ -182,52 +190,37 @@ def compare_systems(cfg: RunConfig, systems: list[str],
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "compare.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["system", "app_cost", "prof_cost", "mig_cost",
-                        "total_cost", "norm_app", "norm_total"])
-            for row in rows:
-                w.writerow([row["system"], f"{row['app_cost']:.6f}",
-                            f"{row['prof_cost']:.6f}", f"{row['mig_cost']:.6f}",
-                            f"{row['total_cost']:.6f}", f"{row['norm_app']:.6f}",
-                            f"{row['norm_total']:.6f}"])
+        _write_table(out / "compare.csv", rows, ("system",))
         for r in results:
             write_run_outputs(r, out / r.system)
     return rows
 
 
-SWEEP_PARAMS = ("overhead_constraint", "alpha", "tau1", "tau2", "num_scans",
-                "bucket_width", "N")
+# sweep name -> (RunConfig section, field, value type)
+SWEEP_PARAMS = {
+    "overhead_constraint": ("profiler", "overhead_constraint", float),
+    "alpha": ("policy", "alpha", float),
+    "tau1": ("profiler", "tau1", float),
+    "tau2": ("profiler", "tau2", float),
+    "num_scans": ("profiler", "num_scans", int),
+    "N": ("policy", "n_bytes", int),
+}
 
 
 def _with_param(cfg: RunConfig, param: str, value) -> RunConfig:
-    from dataclasses import replace
-    import copy
-    out = replace(cfg)
-    out.profiler = copy.deepcopy(cfg.profiler)
-    out.policy = copy.deepcopy(cfg.policy)
-    out.cost_model = copy.deepcopy(cfg.cost_model)
-    if param == "overhead_constraint":
-        out.profiler.overhead_constraint = float(value)
-    elif param == "alpha":
-        out.policy.alpha = float(value)
-    elif param == "tau1":
-        out.profiler.tau1 = float(value)
-    elif param == "tau2":
-        out.profiler.tau2 = float(value)
-    elif param == "num_scans":
-        out.profiler.num_scans = int(value)
-        out.profiler.tau1 = None
-        out.profiler.tau2 = None
-        out.profiler.__post_init__()
-    elif param == "bucket_width":
-        out.policy.bucket_width = float(value)
-    elif param == "N":
-        out.policy.n_bytes = int(value)
-    else:
+    """A copy of cfg with one swept field set and its section validated again."""
+    if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}; "
-                          f"expected one of {SWEEP_PARAMS}")
-    return out
+                          f"expected one of {tuple(SWEEP_PARAMS)}")
+    section, name, kind = SWEEP_PARAMS[param]
+    try:
+        changes = {name: kind(value)}
+        if name == "num_scans":  # derive the thresholds from num_scans again
+            changes.update(tau1=None, tau2=None)
+        updated = replace(getattr(cfg, section), **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc), f"sweep {param}={value}") from None
+    return replace(cfg, **{section: updated})
 
 
 def sweep_parameter(cfg: RunConfig, param: str, values: list,
@@ -250,13 +243,5 @@ def sweep_parameter(cfg: RunConfig, param: str, values: list,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["param", "value", "app_cost", "prof_cost", "mig_cost",
-                        "total_cost", "mean_recall", "mean_precision"])
-            for row in rows:
-                w.writerow([row["param"], row["value"], f"{row['app_cost']:.6f}",
-                            f"{row['prof_cost']:.6f}", f"{row['mig_cost']:.6f}",
-                            f"{row['total_cost']:.6f}", f"{row['mean_recall']:.6f}",
-                            f"{row['mean_precision']:.6f}"])
+        _write_table(out / "sweep.csv", rows, ("param", "value"))
     return rows

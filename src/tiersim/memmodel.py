@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 BASE_PAGE_BYTES = 4096
-HUGE_PAGE_PAGES = 512  # 2MB huge pages by default
 
 DEFAULT_RANK_COSTS = (1.0, 1.8, 3.0, 5.4)
 
@@ -131,14 +130,8 @@ class TierTopology:
     def access_cost(self, node: int, tier_id: str) -> float:
         return self._cost[node][tier_id]
 
-    def free_bytes(self, tier_id: str) -> int:
-        return self.tier(tier_id).free_bytes
-
     def total_capacity(self) -> int:
         return sum(t.capacity_bytes for t in self.tiers)
-
-    def view_for(self, node: int) -> list[str]:
-        return self.views[node]
 
     def alloc_order(self, node: int) -> list[str]:
         """First-touch placement order for a node (local-first by default)."""
@@ -181,11 +174,8 @@ class CostLedger:
 
 
 class MemoryState:
-    """Page placements, access/dirty bits, per-tier counters, and cost ledgers.
-
-    Huge pages occupy HUGE_PAGE_PAGES consecutive slots sharing one tier;
-    their access/dirty bits live on the head slot.
-    """
+    """Page placements, per-page access/dirty bits, per-tier counters, and
+    cost ledgers.  Every page is a base page of BASE_PAGE_BYTES."""
 
     def __init__(self, topology: TierTopology, cost_model: CostModel,
                  num_pages: int, allocator=None):
@@ -195,7 +185,6 @@ class MemoryState:
         self.page_tier: list[str | None] = [None] * num_pages
         self.access_bit = bytearray(num_pages)
         self.dirty_bit = bytearray(num_pages)
-        self.huge_head: list[int] = [-1] * num_pages  # head slot index, -1 = base page
         self.tier_access_counts = {t.id: 0 for t in topology.tiers}
         self.ledger = CostLedger()
         self.clock = 0.0  # application-time clock, drives migration windows
@@ -214,24 +203,6 @@ class MemoryState:
             raise CapacityError(f"tier {tier_id} full")
         tier.free_bytes -= BASE_PAGE_BYTES
         self.page_tier[vpage] = tier_id
-
-    def map_huge_page(self, head: int, tier_id: str) -> None:
-        n = HUGE_PAGE_PAGES
-        if head % n != 0:
-            raise TiersimError(f"huge page head {head} not {n}-page aligned")
-        if any(self.is_mapped(p) for p in range(head, head + n)):
-            raise TiersimError("huge page range partially mapped")
-        tier = self.topology.tier(tier_id)
-        if tier.free_bytes < n * BASE_PAGE_BYTES:
-            raise CapacityError(f"tier {tier_id} cannot hold a huge page")
-        tier.free_bytes -= n * BASE_PAGE_BYTES
-        for p in range(head, head + n):
-            self.page_tier[p] = tier_id
-            self.huge_head[p] = head
-
-    def bit_slot(self, vpage: int) -> int:
-        head = self.huge_head[vpage]
-        return vpage if head < 0 else head
 
     def move_pages(self, pages: range, dst: str) -> None:
         """Remap a contiguous run to dst, updating free-space ledgers and
@@ -252,10 +223,6 @@ class MemoryState:
         for p in pages:
             self.access_bit[p] = 0
             self.dirty_bit[p] = 0
-            head = self.huge_head[p]
-            if head >= 0:
-                self.access_bit[head] = 0
-                self.dirty_bit[head] = 0
 
     def placed_bytes(self) -> dict[str, int]:
         out = {t.id: 0 for t in self.topology.tiers}
@@ -271,10 +238,9 @@ class MemoryState:
             if self.allocator is None:
                 raise UnmappedPageError(f"page {vpage} unmapped")
             self.allocator(self, vpage, node)
-        slot = self.bit_slot(vpage)
-        self.access_bit[slot] = 1
+        self.access_bit[vpage] = 1
         if is_write:
-            self.dirty_bit[slot] = 1
+            self.dirty_bit[vpage] = 1
         tier_id = self.page_tier[vpage]
         cost = self.topology.access_cost(node, tier_id)
         self.ledger.app += cost
@@ -285,14 +251,12 @@ class MemoryState:
     def scan_pte(self, vpage: int, cost: float | None = None) -> int:
         """Read and reset the page's access bit, charging the profiling ledger.
 
-        A huge page has a single bit: scanning any of its slots observes and
-        clears the head bit.  ``cost`` overrides the plain scan cost so the
-        profiler can fold in amortized hint-fault overhead.
+        ``cost`` overrides the plain scan cost so the profiler can fold in
+        amortized hint-fault overhead.
         """
         if not self.is_mapped(vpage):
             raise UnmappedPageError(f"page {vpage} unmapped")
-        slot = self.bit_slot(vpage)
-        observed = self.access_bit[slot]
-        self.access_bit[slot] = 0
+        observed = self.access_bit[vpage]
+        self.access_bit[vpage] = 0
         self.ledger.profiling += self.cost_model.scan_cost if cost is None else cost
         return observed

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .memmodel import BASE_PAGE_BYTES, HUGE_PAGE_PAGES, MemoryState, TiersimError
+from .memmodel import MemoryState, TiersimError
 from .policy import MigrationPlan
 from .profiler import Region
 
@@ -59,11 +59,11 @@ def project_write_times(space: MemoryState, slc, start_time: float) -> list[Time
     current placements (unmapped pages count at unit cost)."""
     t = start_time
     out = []
-    for ev in slc.events():
-        tier = space.page_tier[ev.vpage] if 0 <= ev.vpage < space.num_pages else None
-        t += space.topology.access_cost(ev.node, tier) if tier is not None else 1.0
-        if ev.is_write:
-            out.append(TimedWrite(t, ev.vpage))
+    for vpage, is_write, node in slc.events():
+        tier = space.page_tier[vpage] if 0 <= vpage < space.num_pages else None
+        t += space.topology.access_cost(node, tier) if tier is not None else 1.0
+        if is_write:
+            out.append(TimedWrite(t, vpage))
     return out
 
 
@@ -78,8 +78,7 @@ def migrate_region_sync(space: MemoryState, region: Region, dst: str) -> float:
 
 
 def migrate_region_async(space: MemoryState, region: Region, dst: str,
-                         concurrent: list[TimedWrite], start_time: float,
-                         commit: bool = True):
+                         concurrent: list[TimedWrite], start_time: float):
     """Background alloc+copy, exposed unmap+map.  Returns (exposed,
     background) or the first in-window write (the fallback signal)."""
     cm = space.cost_model
@@ -92,11 +91,10 @@ def migrate_region_async(space: MemoryState, region: Region, dst: str,
         if start_time <= w.t and region.contains(w.vpage):
             return w
     exposed = region.len_pages * (cm.step_unmap + cm.step_map)
-    if commit:
-        space.move_pages(range(region.start_page, region.end_page), dst)
-        space.ledger.migration_exposed += exposed
-        space.ledger.migration_background += bg
-        region.tier = dst
+    space.move_pages(range(region.start_page, region.end_page), dst)
+    space.ledger.migration_exposed += exposed
+    space.ledger.migration_background += bg
+    region.tier = dst
     return exposed, bg
 
 
@@ -127,18 +125,6 @@ def migrate_region_adaptive(space: MemoryState, region: Region, dst: str,
     space.ledger.migration_exposed += exposed
     region.tier = dst
     return MoveReport(region.id, src, dst, "async_fallback", exposed, 0.0, len(dirty))
-
-
-def migrate_huge_page(space: MemoryState, region: Region, dst: str,
-                      concurrent: list[TimedWrite] | None = None,
-                      start_time: float = 0.0, mode: str = "sync") -> MoveReport:
-    """Move a whole huge page as one unit, straight to any tier."""
-    if region.start_page % HUGE_PAGE_PAGES != 0 or region.len_pages != HUGE_PAGE_PAGES:
-        raise TiersimError("not a whole huge page")
-    if any(space.huge_head[p] != region.start_page
-           for p in range(region.start_page, region.end_page)):
-        raise TiersimError("range is not mapped as a single huge page")
-    return _dispatch(space, region, dst, mode, concurrent or [], start_time)
 
 
 def _dispatch(space, region, dst, mode, concurrent, start_time) -> MoveReport:
@@ -192,7 +178,3 @@ def report_rows(interval: int, report: MigrationReport) -> list[list]:
     return [[interval, e.region_id, e.src, e.dst, e.mechanism,
              f"{e.exposed_cost:.6f}", f"{e.background_cost:.6f}", e.recopied_pages]
             for e in report.entries]
-
-
-def region_bytes(pages: int) -> int:
-    return pages * BASE_PAGE_BYTES

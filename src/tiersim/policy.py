@@ -1,17 +1,15 @@
-"""EMA-driven migration planning: histogram, fast promotion, slow demotion."""
+"""EMA-driven migration planning: hottest-first promotion, coldest-first demotion."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .memmodel import BASE_PAGE_BYTES, CapacityError, TierTopology
+from .memmodel import CapacityError, TierTopology
 from .profiler import Region
 
 
 @dataclass
 class PolicyConfig:
     alpha: float = 0.5
-    bucket_width: float = 0.1
     # Per-interval promotion budget: fraction of total capacity, or absolute
     # bytes when n_bytes is set.
     n_fraction: float = 0.05
@@ -33,64 +31,6 @@ def update_ema(region: Region, hi: float, alpha: float) -> float:
     else:
         region.whi = alpha * hi + (1 - alpha) * region.whi
     return region.whi
-
-
-class HotnessHistogram:
-    """Buckets regions by smoothed hotness; bucket = floor(whi / width),
-    top edge inclusive in the last bucket."""
-
-    def __init__(self, bucket_width: float, num_scans: int = 3):
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be > 0")
-        self.bucket_width = bucket_width
-        self.num_buckets = max(1, math.ceil(num_scans / bucket_width))
-        self.buckets: list[dict[int, Region]] = [{} for _ in range(self.num_buckets)]
-        self._where: dict[int, int] = {}
-
-    def bucket_index(self, whi: float) -> int:
-        return min(self.num_buckets - 1, int(whi // self.bucket_width))
-
-    def insert(self, region: Region) -> None:
-        b = self.bucket_index(region.whi or 0.0)
-        self.buckets[b][region.id] = region
-        self._where[region.id] = b
-
-    def remove(self, region_id: int) -> None:
-        b = self._where.pop(region_id)
-        del self.buckets[b][region_id]
-
-    def update(self, region: Region) -> None:
-        """Incremental move after a whi change; equivalent to a rebuild."""
-        if region.id in self._where:
-            self.remove(region.id)
-        self.insert(region)
-
-    def bucket_members(self, index: int) -> list[Region]:
-        return sorted(self.buckets[index].values(), key=lambda r: r.id)
-
-    def bucket_bytes(self, index: int) -> int:
-        return sum(r.bytes for r in self.buckets[index].values())
-
-    def hottest_first(self):
-        """Regions from the hottest bucket down; ties by higher whi, lower id."""
-        for b in range(self.num_buckets - 1, -1, -1):
-            members = sorted(self.buckets[b].values(),
-                             key=lambda r: (-(r.whi or 0.0), r.id))
-            yield from members
-
-    def coldest_first(self):
-        for b in range(self.num_buckets):
-            members = sorted(self.buckets[b].values(),
-                             key=lambda r: ((r.whi or 0.0), r.id))
-            yield from members
-
-
-def build_histogram(regions: list[Region], bucket_width: float,
-                    num_scans: int = 3) -> HotnessHistogram:
-    hist = HotnessHistogram(bucket_width, num_scans)
-    for r in regions:
-        hist.insert(r)
-    return hist
 
 
 @dataclass
@@ -127,56 +67,14 @@ def resolve_destination(region: Region, views: dict[int, list[str]]) -> list[str
     return views[nodes[0]]
 
 
-def plan_promotions(hist: HotnessHistogram, topology: TierTopology,
-                    n_bytes: int, views: dict[int, list[str]],
-                    exclude: set[int] | None = None,
-                    free_override: dict[str, int] | None = None) -> MigrationPlan:
-    """Select regions hottest-first until n_bytes are promoted.
-
-    Each region targets the fastest tier of its dominant accessor's view;
-    when that tier's space runs out the walk keeps selecting for the next
-    tier in the view.  Regions already at their best attainable tier are
-    skipped.  Candidates larger than the remaining byte budget are skipped
-    (not blocking), so one oversized region cannot stall promotion.
-    """
-    if n_bytes <= 0:
-        return MigrationPlan()
-    free = dict(free_override) if free_override is not None else \
-        {t.id: t.free_bytes for t in topology.tiers}
-    plan = MigrationPlan()
-    planned = set(exclude or ())
-    budget = n_bytes
-    for region in hist.hottest_first():
-        if budget <= 0:
-            break
-        if (region.whi or 0.0) <= 0.0:
-            break  # never-warm regions are not promotion candidates
-        if region.id in planned or region.bytes > budget:
-            continue
-        order = resolve_destination(region, views)
-        rank_now = order.index(region.tier)
-        dst = None
-        for cand in order[:rank_now]:  # only tiers the region's view ranks faster
-            if free.get(cand, 0) >= region.bytes:
-                dst = cand
-                break
-        if dst is None:
-            continue
-        plan.moves.append(Move(region.id, region.tier, dst, "promote", region.bytes))
-        free[dst] -= region.bytes
-        free[region.tier] = free.get(region.tier, 0) + region.bytes
-        planned.add(region.id)
-        budget -= region.bytes
-    return plan
-
-
 def plan_demotions(topology: TierTopology, tier: str, need_bytes: int,
-                   hist: HotnessHistogram, views: dict[int, list[str]],
+                   coldest: list[Region], views: dict[int, list[str]],
                    exclude: set[int] | None = None,
                    free_override: dict[str, int] | None = None,
                    colder_than: float | None = None) -> MigrationPlan:
     """Free need_bytes in `tier` by demoting its coldest regions one level
     down their dominant view, cascading when the next tier is also full.
+    `coldest` lists the candidate regions coldest first.
     With colder_than set, only regions strictly below that hotness are
     eligible (room-making never evicts something hotter than the arrival)."""
     plan = MigrationPlan()
@@ -185,17 +83,17 @@ def plan_demotions(topology: TierTopology, tier: str, need_bytes: int,
     free = dict(free_override) if free_override is not None else \
         {t.id: t.free_bytes for t in topology.tiers}
     planned = set(exclude or ())
-    _demote_into(topology, tier, need_bytes, hist, views, plan, planned, free,
+    _demote_into(topology, tier, need_bytes, coldest, views, plan, planned, free,
                  depth=0, colder_than=colder_than)
     return plan
 
 
-def _demote_into(topology, tier, need_bytes, hist, views, plan, planned, free,
+def _demote_into(topology, tier, need_bytes, coldest, views, plan, planned, free,
                  depth, colder_than=None):
     if depth > len(topology.tiers):
         raise CapacityError("memory exhausted: demotion cascade found no space")
     freed = 0
-    for region in hist.coldest_first():
+    for region in coldest:
         if freed >= need_bytes:
             break
         if region.id in planned or region.tier != tier:
@@ -215,7 +113,7 @@ def _demote_into(topology, tier, need_bytes, hist, views, plan, planned, free,
             before_planned = set(planned)
             try:
                 _demote_into(topology, lower, region.bytes - free.get(lower, 0),
-                             hist, views, plan, planned, free, depth + 1,
+                             coldest, views, plan, planned, free, depth + 1,
                              colder_than=colder_than)
             except CapacityError:
                 del plan.moves[before_moves:]
@@ -241,20 +139,20 @@ def _demote_into(topology, tier, need_bytes, hist, views, plan, planned, free,
 
 
 def plan_interval(regions: list[Region], topology: TierTopology,
-                  policy: PolicyConfig, views: dict[int, list[str]],
-                  num_scans: int = 3) -> MigrationPlan:
+                  policy: PolicyConfig, views: dict[int, list[str]]) -> MigrationPlan:
     """One planning pass, hottest candidate first.  Each candidate aims at
     the fastest tier of its view; if that tier is full of strictly colder
     regions, those are demoted (cascading) to make room, otherwise the
     candidate settles for the next tier in its view.  Demoted bytes do not
-    consume the promotion budget N."""
-    hist = build_histogram(regions, policy.bucket_width, num_scans)
+    consume the promotion budget N.  Ties in hotness go to the lower id."""
+    hottest = sorted(regions, key=lambda r: (-(r.whi or 0.0), r.id))
+    coldest = sorted(regions, key=lambda r: (r.whi or 0.0, r.id))
     budget = policy.promotion_budget(topology)
     free = {t.id: t.free_bytes for t in topology.tiers}
     planned: set[int] = set()
     moves: list[Move] = []
 
-    for cand in hist.hottest_first():
+    for cand in hottest:
         if budget <= 0:
             break
         if (cand.whi or 0.0) <= 0.0:
@@ -267,7 +165,7 @@ def plan_interval(regions: list[Region], topology: TierTopology,
             if free.get(dst, 0) < cand.bytes:
                 try:
                     part = plan_demotions(
-                        topology, dst, cand.bytes - free.get(dst, 0), hist,
+                        topology, dst, cand.bytes - free.get(dst, 0), coldest,
                         views, exclude=planned, free_override=free,
                         colder_than=cand.whi)
                 except CapacityError:

@@ -164,25 +164,6 @@ def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], int,
     return out, saved, changed
 
 
-def _huge_aligned_midpoint(space: MemoryState | None, start: int, end: int) -> int | None:
-    """Midpoint of [start, end), nudged to a huge-page boundary when it would
-    bisect a huge page.  None when no interior split point exists."""
-    mid = start + (end - start) // 2
-    if space is not None and 0 <= mid < space.num_pages:
-        head = space.huge_head[mid]
-        if head >= 0 and head != mid:
-            lo, hi = head, head + _huge_len(space)
-            mid = lo if mid - lo <= hi - mid else hi
-    if start < mid < end:
-        return mid
-    return None
-
-
-def _huge_len(space: MemoryState) -> int:
-    from .memmodel import HUGE_PAGE_PAGES
-    return HUGE_PAGE_PAGES
-
-
 def _top_up_samples(reg: Region, rng: random.Random) -> None:
     """Grow reg.samples to reg.quota with fresh random pages (capped at size)."""
     reg.quota = min(reg.quota, reg.len_pages)
@@ -196,10 +177,10 @@ def _top_up_samples(reg: Region, rng: random.Random) -> None:
         del reg.sample_counts[reg.quota:]
 
 
-def split_pass(regions: list[Region], tau2: float, space: MemoryState | None,
-               rng: random.Random, pool: int) -> tuple[list[Region], int, int]:
+def split_pass(regions: list[Region], tau2: float, rng: random.Random,
+               pool: int) -> tuple[list[Region], int, int]:
     """Split regions whose per-sample counts spread beyond tau2 at their
-    (huge-page aligned) midpoint.  Returns (regions, leftover pool, splits)."""
+    midpoint.  Returns (regions, leftover pool, splits)."""
     out: list[Region] = []
     splits = 0
     for reg in sorted(regions, key=lambda r: r.start_page):
@@ -210,10 +191,7 @@ def split_pass(regions: list[Region], tau2: float, space: MemoryState | None,
         if max(counts) - min(counts) <= tau2:
             out.append(reg)
             continue
-        mid = _huge_aligned_midpoint(space, reg.start_page, reg.end_page)
-        if mid is None:
-            out.append(reg)
-            continue
+        mid = reg.start_page + reg.len_pages // 2
         if reg.quota == 1:
             if pool < 1:
                 out.append(reg)
@@ -333,11 +311,11 @@ def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
     slowest = space.topology.slowest_tier
     hits = 0
     pages = []
-    for ev in slc.head_fraction(cfg.pebs_window_fraction).events():
-        if space.page_tier[ev.vpage] == slowest:
+    for vpage, _, _ in slc.head_fraction(cfg.pebs_window_fraction).events():
+        if space.page_tier[vpage] == slowest:
             hits += 1
             if hits % period == 0:
-                pages.append(ev.vpage)
+                pages.append(vpage)
     return pages
 
 
@@ -391,7 +369,8 @@ class Profiler:
                 _top_up_samples(reg, self.rng)
                 regions.append(reg)
         if cfg.pebs_assist:
-            regions.extend(self._pebs_regions(first_slice, regions))
+            regions.extend(self._pebs_regions(
+                _pebs_sampled_pages(space, first_slice, cfg), regions))
         else:
             for start, ln in _mapped_runs(space, slowest, self.slowest_region_pages):
                 reg = Region(start, ln, slowest, quota=1)
@@ -419,14 +398,15 @@ class Profiler:
         self.active_ids = {r.id for r in self.regions}
         self.initialized = True
 
-    def _pebs_regions(self, slc: TraceSlice, existing: list[Region]) -> list[Region]:
-        """Regions for counter-sampled slowest-tier windows not yet covered."""
+    def _pebs_regions(self, pages: list[int], covered: list[Region]) -> list[Region]:
+        """One region per slowest-tier window run holding a counter-sampled
+        page that neither `covered` nor an earlier page's region contains;
+        the page is the region's first sample."""
         space = self.space
         slowest = space.topology.slowest_tier
         window = self.slowest_region_pages
-        covered = existing + self.regions
         new: dict[int, Region] = {}
-        for page in _pebs_sampled_pages(space, slc, self.cfg):
+        for page in pages:
             if any(r.contains(page) for r in covered) or \
                     any(r.contains(page) for r in new.values()):
                 continue
@@ -490,7 +470,7 @@ class Profiler:
             else:
                 fresh_pages.append(page)
         if fresh_pages:
-            new = self._pebs_regions_for_pages(fresh_pages)
+            new = self._pebs_regions(fresh_pages, self.regions)
             self.regions.extend(new)
             self.regions.sort(key=lambda r: r.start_page)
             active.update(r.id for r in new)
@@ -504,22 +484,6 @@ class Profiler:
                     if r.sample_counts:
                         r.sample_counts[0] = 0
         self.active_ids = active
-
-    def _pebs_regions_for_pages(self, pages: list[int]) -> list[Region]:
-        space = self.space
-        slowest = space.topology.slowest_tier
-        window = self.slowest_region_pages
-        new: dict[int, Region] = {}
-        for page in pages:
-            if any(r.contains(page) for r in new.values()):
-                continue
-            for start, ln in _mapped_runs(space, slowest, window,
-                                          lo=(page // window) * window,
-                                          hi=(page // window + 1) * window):
-                if start <= page < start + ln:
-                    new[start] = Region(start, ln, slowest, quota=1, samples=[page])
-                    break
-        return list(new.values())
 
     # -- per-interval profiling ----------------------------------------------
 
@@ -544,8 +508,8 @@ class Profiler:
         counts = {r.id: [0] * len(samples) for r, samples in scheduled}
         scans = 0
         for sub in slc.subwindows(cfg.num_scans):
-            for ev in sub.events():
-                space.apply_access(ev.vpage, ev.is_write, ev.node)
+            for vpage, is_write, node in sub.events():
+                space.apply_access(vpage, is_write, node)
             for r, samples in scheduled:
                 row = counts[r.id]
                 for i, page in enumerate(samples):
@@ -567,8 +531,7 @@ class Profiler:
         regions, saved = merge_pass(self.regions, cfg.tau1)
         if saved or len(regions) != len(self.regions):
             self.merges += len(self.regions) - len(regions)
-        regions, saved, splits = split_pass(regions, cfg.tau2, self.space,
-                                            self.rng, saved)
+        regions, saved, splits = split_pass(regions, cfg.tau2, self.rng, saved)
         self.splits += splits
         leftover = self.num_ps - total_quota(regions)
         if leftover > 0:
@@ -602,10 +565,10 @@ def sample_origin(regions: list[Region], active_ids: set[int], slc: TraceSlice,
             lookup.append(r)
     if not want:
         return
-    for ev in slc.events():
+    for vpage, _, node in slc.events():
         for r in lookup:
-            if r.contains(ev.vpage) and want.get(r.id, 0) > 0:
-                r.origin_counts[ev.node] = r.origin_counts.get(ev.node, 0) + 1
+            if r.contains(vpage) and want.get(r.id, 0) > 0:
+                r.origin_counts[node] = r.origin_counts.get(node, 0) + 1
                 want[r.id] -= 1
                 break
         if all(v == 0 for v in want.values()):

@@ -13,14 +13,6 @@ class WorkloadError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AccessEvent:
-    seq: int
-    vpage: int
-    is_write: bool
-    node: int
-
-
 class AccessTrace:
     """Time-ordered access stream, stored column-wise for cheap replay."""
 
@@ -55,8 +47,8 @@ class AccessTrace:
         return TraceSlice(self, lo, hi)
 
     def events(self):
-        for i, (p, w, n) in enumerate(zip(self.vpages, self.writes, self.nodes)):
-            yield AccessEvent(i, p, w, n)
+        """(vpage, is_write, node) for every access, in trace order."""
+        return zip(self.vpages, self.writes, self.nodes)
 
     def footprint(self) -> int:
         return max(self.vpages) + 1 if self.vpages else 0
@@ -67,8 +59,8 @@ class AccessTrace:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["seq", "vpage", "rw", "node"])
-            for ev in self.events():
-                w.writerow([ev.seq, ev.vpage, "W" if ev.is_write else "R", ev.node])
+            for seq, (vpage, is_write, node) in enumerate(self.events()):
+                w.writerow([seq, vpage, "W" if is_write else "R", node])
 
     @classmethod
     def from_csv(cls, path, accesses_per_interval: int) -> "AccessTrace":
@@ -97,9 +89,9 @@ class TraceSlice:
         return self.hi - self.lo
 
     def events(self):
-        t = self.trace
-        for i in range(self.lo, self.hi):
-            yield AccessEvent(i, t.vpages[i], t.writes[i], t.nodes[i])
+        """(vpage, is_write, node) for every access in the window, in order."""
+        t, lo, hi = self.trace, self.lo, self.hi
+        return zip(t.vpages[lo:hi], t.writes[lo:hi], t.nodes[lo:hi])
 
     def subwindows(self, count: int) -> list["TraceSlice"]:
         """Split into `count` near-equal consecutive sub-windows."""
@@ -138,10 +130,6 @@ class HotOracle:
         if not 0 <= interval_index < len(self.hot_sets):
             raise IndexError(f"oracle interval {interval_index} out of range")
         return self.hot_sets[interval_index]
-
-
-def oracle_hot_pages(oracle: HotOracle, interval_index: int) -> set[int]:
-    return oracle.hot_pages(interval_index)
 
 
 def _emit_gups_block(rng: random.Random, vpages, writes, nodes,

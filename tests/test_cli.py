@@ -26,11 +26,14 @@ def small_config(tmp_path, extra: str = "") -> str:
 @pytest.mark.parametrize("extra, code, message", [
     ("", EXIT_OK, None),
     ("policy.bogus = 1\n", EXIT_CONFIG, "'bogus'"),
+    # the hotness histogram and its bucket width are gone
+    ("policy.bucket_width = 0.1\n", EXIT_CONFIG, "'bucket_width'"),
     ("profiler.overhead_constraint = 0.000001\n", EXIT_BUDGET,
      "constraint infeasible"),
     # 4 096 pages cannot fit 1 MiB + 8 MiB of tiers
     ("workload.footprint_pages = 4096\n", EXIT_MEMORY, "all tiers full"),
-], ids=["ok", "unknown-field", "infeasible-budget", "memory-exhausted"])
+], ids=["ok", "unknown-field", "retired-field", "infeasible-budget",
+        "memory-exhausted"])
 def test_run_exit_codes(tmp_path, capsys, extra, code, message):
     argv = ["run", "-c", small_config(tmp_path, extra), "--out", str(tmp_path / "out")]
     assert main(argv) == code
@@ -38,3 +41,18 @@ def test_run_exit_codes(tmp_path, capsys, extra, code, message):
         assert message in capsys.readouterr().err
     else:
         assert (tmp_path / "out" / "summary.txt").is_file()
+
+
+@pytest.mark.parametrize("param, value, message", [
+    ("tau1", "5", "tau1 < tau2"),
+    ("overhead_constraint", "2", "overhead_constraint must be in (0, 1)"),
+    ("num_scans", "0", "num_scans must be >= 1"),
+    ("N", "abc", "sweep N=abc"),
+])
+def test_sweep_rejects_values_its_section_rejects(tmp_path, capsys, param, value,
+                                                  message):
+    argv = ["sweep", "-c", small_config(tmp_path), "--param", param,
+            "--values", value, "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tiersim.memmodel import (
-    BASE_PAGE_BYTES, HUGE_PAGE_PAGES, CapacityError, CostModel, MemoryState,
+    BASE_PAGE_BYTES, CapacityError, CostModel, MemoryState,
     TierSpec, TierTopology, TopologyError, UnmappedPageError, build_topology,
 )
 
@@ -137,39 +137,25 @@ class TestAccessAndScan:
         with pytest.raises(UnmappedPageError):
             st.apply_access(7, False, 0)
 
-    def test_huge_page_single_bit(self):
-        st = MemoryState(build_topology({
-            "tiers": [
-                {"id": "a", "capacity_bytes": 1024 * BASE_PAGE_BYTES, "access_cost": 1.0},
-                {"id": "b", "capacity_bytes": 1024 * BASE_PAGE_BYTES, "access_cost": 2.0},
-            ],
-            "nodes": [0],
-        }), CostModel(), 2 * HUGE_PAGE_PAGES)
-        st.map_huge_page(0, "a")
-        st.apply_access(17, False, 0)  # any slot raises the shared bit
-        assert st.scan_pte(400) == 1   # one scan covers the whole huge page
-        assert st.scan_pte(17) == 0
-
-
 class TestFreeBytes:
     def test_empty_tier_reports_capacity(self):
         st = small_state()
-        assert st.topology.free_bytes("t1") == 16 * BASE_PAGE_BYTES
+        assert st.topology.tier("t1").free_bytes == 16 * BASE_PAGE_BYTES
 
     def test_after_placing_ten_pages(self):
         st = small_state()
         for p in range(10):
             st.map_page(p, "t1")
-        assert st.topology.free_bytes("t1") == 6 * BASE_PAGE_BYTES
+        assert st.topology.tier("t1").free_bytes == 6 * BASE_PAGE_BYTES
 
     def test_migrating_region_out_frees_its_bytes(self):
         st = small_state()
         for p in range(8):
             st.map_page(p, "t1")
-        before = st.topology.free_bytes("t1")
+        before = st.topology.tier("t1").free_bytes
         st.move_pages(range(0, 8), "t3")
-        assert st.topology.free_bytes("t1") == before + 8 * BASE_PAGE_BYTES
-        assert st.topology.free_bytes("t3") == (16 - 8) * BASE_PAGE_BYTES
+        assert st.topology.tier("t1").free_bytes == before + 8 * BASE_PAGE_BYTES
+        assert st.topology.tier("t3").free_bytes == (16 - 8) * BASE_PAGE_BYTES
 
 
 class TestInvariants:
@@ -211,15 +197,3 @@ class TestInvariants:
             else:
                 ones += st.scan_pte(0)
         assert ones <= accesses
-
-    def test_huge_page_slots_share_tier_after_move(self):
-        st = MemoryState(build_topology({
-            "tiers": [
-                {"id": "a", "capacity_bytes": 2048 * BASE_PAGE_BYTES, "access_cost": 1.0},
-                {"id": "b", "capacity_bytes": 2048 * BASE_PAGE_BYTES, "access_cost": 2.0},
-            ],
-            "nodes": [0],
-        }), CostModel(), 2 * HUGE_PAGE_PAGES)
-        st.map_huge_page(512, "a")
-        st.move_pages(range(512, 1024), "b")
-        assert {st.page_tier[p] for p in range(512, 1024)} == {"b"}

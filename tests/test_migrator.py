@@ -3,12 +3,12 @@ import random
 import pytest
 
 from tiersim.memmodel import (
-    BASE_PAGE_BYTES, HUGE_PAGE_PAGES, CostModel, MemoryState, TiersimError,
+    BASE_PAGE_BYTES, CostModel, MemoryState, TiersimError,
     build_topology,
 )
 from tiersim.migrator import (
     MigrationReport, PlanExecutionError, TimedWrite, execute_plan,
-    migrate_huge_page, migrate_region_adaptive, migrate_region_async,
+    migrate_region_adaptive, migrate_region_async,
     migrate_region_sync, project_write_times,
 )
 from tiersim.policy import MigrationPlan, Move
@@ -147,32 +147,6 @@ class TestAdaptive:
             assert entry.exposed_cost <= sync_equiv + dirtied_prefix_bound
             if not writes:
                 assert entry.exposed_cost < sync_equiv
-
-
-class TestHugePage:
-    def make_huge_space(self):
-        space = make_space(num_pages=2 * HUGE_PAGE_PAGES, map_to=None)
-        space.map_huge_page(0, "a")
-        space.map_huge_page(HUGE_PAGE_PAGES, "a")
-        return space
-
-    def test_single_move_entry_512_pages_cost(self):
-        space = self.make_huge_space()
-        entry = migrate_huge_page(space, reg(0, HUGE_PAGE_PAGES), "b")
-        assert entry.exposed_cost == 512 * 5.0
-        assert {space.page_tier[p] for p in range(512)} == {"b"}
-
-    def test_direct_to_slowest_allowed(self):
-        space = self.make_huge_space()
-        entry = migrate_huge_page(space, reg(0, HUGE_PAGE_PAGES), "c")
-        assert entry.dst == "c" == space.topology.slowest_tier
-
-    def test_misaligned_range_rejected(self):
-        space = self.make_huge_space()
-        with pytest.raises(TiersimError):
-            migrate_huge_page(space, reg(3, HUGE_PAGE_PAGES), "b")
-        with pytest.raises(TiersimError):
-            migrate_huge_page(space, reg(0, 100), "b")
 
 
 class TestExecutePlan:

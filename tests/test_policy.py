@@ -4,8 +4,7 @@ import pytest
 
 from tiersim.memmodel import BASE_PAGE_BYTES, CapacityError, build_topology
 from tiersim.policy import (
-    HotnessHistogram, PolicyConfig, build_histogram, plan_demotions,
-    plan_interval, plan_promotions, resolve_destination, update_ema,
+    PolicyConfig, plan_demotions, plan_interval, resolve_destination, update_ema,
 )
 from tiersim.profiler import Region
 
@@ -35,6 +34,17 @@ def occupy(topo, regions):
     """Charge each region's bytes against its tier so free space is honest."""
     for r in regions:
         topo.tier(r.tier).free_bytes -= r.bytes
+
+
+def coldest_first(regions):
+    return sorted(regions, key=lambda r: (r.whi or 0.0, r.id))
+
+
+def promotions(regions, topology, n_bytes):
+    """plan_interval's moves as (region_id, dst) under promotion budget n_bytes."""
+    plan = plan_interval(regions, topology, PolicyConfig(n_bytes=n_bytes),
+                         topology.views)
+    return [(m.region_id, m.dst) for m in plan.moves]
 
 
 class TestUpdateEma:
@@ -74,36 +84,6 @@ class TestUpdateEma:
             assert r.whi == pytest.approx(expect, abs=1e-9)
 
 
-class TestHistogram:
-    def test_bucket_floor_arithmetic(self):
-        regs = [region(0, 8, "t1", 0.05), region(8, 8, "t1", 1.55),
-                region(16, 8, "t1", 2.95)]
-        hist = build_histogram(regs, 0.1, num_scans=3)
-        assert hist.bucket_index(0.05) == 0
-        assert hist.bucket_index(1.55) == 15
-        assert hist.bucket_index(2.95) == 29
-        assert hist.bucket_index(3.0) == 29  # top edge inclusive
-
-    def test_equal_whi_single_bucket(self):
-        regs = [region(i * 8, 8, "t1", 1.23) for i in range(5)]
-        hist = build_histogram(regs, 0.1)
-        occupied = [i for i, b in enumerate(hist.buckets) if b]
-        assert occupied == [hist.bucket_index(1.23)]
-
-    def test_incremental_update_equals_rebuild(self):
-        rng = random.Random(4)
-        regs = [region(i * 8, 8, "t1", rng.uniform(0, 3)) for i in range(40)]
-        hist = build_histogram(regs, 0.1)
-        for _ in range(100):
-            r = rng.choice(regs)
-            r.whi = rng.uniform(0, 3)
-            hist.update(r)
-        rebuilt = build_histogram(regs, 0.1)
-        got = [{rid for rid in b} for b in hist.buckets]
-        want = [{rid for rid in b} for b in rebuilt.buckets]
-        assert got == want
-
-
 def brute_force_promotion_ids(regions, topology, n_bytes, views):
     """Independent oracle: hottest-first by (whi desc, id asc), skip regions
     already best-placed or oversized for the remaining budget."""
@@ -126,42 +106,40 @@ def brute_force_promotion_ids(regions, topology, n_bytes, views):
 
 
 class TestPlanPromotions:
+    """plan_interval in scenarios where no resident of a target tier is
+    strictly colder than the candidate, so nothing can be demoted and the
+    plan must equal the promotion-only oracle."""
+
     def test_hottest_already_fastest_is_skipped(self):
         topo = topo_pages((64, 64, 64, 64))
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t3", 2.5)]
         occupy(topo, regs)
-        hist = build_histogram(regs, 0.01)
-        plan = plan_promotions(hist, topo, 8 * BASE_PAGE_BYTES, topo.views)
-        assert [(m.region_id, m.dst) for m in plan.moves] == [(8, "t1")]
+        assert promotions(regs, topo, 8 * BASE_PAGE_BYTES) == [(8, "t1")]
 
     def test_top_k_matches_brute_force(self):
         topo = topo_pages((64, 64, 64, 64))
         regs = [region(0, 8, "t3", 2.9), region(8, 8, "t3", 2.5),
                 region(16, 8, "t4", 2.7)]
         occupy(topo, regs)
-        hist = build_histogram(regs, 0.01)
         n = 16 * BASE_PAGE_BYTES  # room for exactly two regions
-        plan = plan_promotions(hist, topo, n, topo.views)
-        want = brute_force_promotion_ids(regs, topo, n, topo.views)
-        assert [(m.region_id, m.dst) for m in plan.moves] == want
-        assert {m.region_id for m in plan.moves} == {0, 16}
+        got = promotions(regs, topo, n)
+        assert got == brute_force_promotion_ids(regs, topo, n, topo.views)
+        assert {rid for rid, _ in got} == {0, 16}
 
     def test_all_optimally_placed_empty_plan(self):
         topo = topo_pages((64, 64, 64, 64))
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t1", 2.0)]
         occupy(topo, regs)
-        hist = build_histogram(regs, 0.1)
-        plan = plan_promotions(hist, topo, 4 * BASE_PAGE_BYTES, topo.views)
-        assert plan.moves == []
+        assert promotions(regs, topo, 4 * BASE_PAGE_BYTES) == []
 
     def test_overflow_to_second_fastest_when_fastest_full(self):
         topo = topo_pages((8, 64, 64, 64))
-        regs = [region(0, 8, "t1", 1.0), region(8, 8, "t4", 3.0),
+        # t1 is full with a region as hot as the hottest candidate: not
+        # strictly colder, so it cannot be demoted to make room
+        regs = [region(0, 8, "t1", 3.0), region(8, 8, "t4", 3.0),
                 region(16, 8, "t4", 2.8)]
-        occupy(topo, regs)  # t1 completely full
-        hist = build_histogram(regs, 0.1)
-        plan = plan_promotions(hist, topo, 16 * BASE_PAGE_BYTES, topo.views)
-        assert [(m.region_id, m.dst) for m in plan.moves] == \
+        occupy(topo, regs)
+        assert promotions(regs, topo, 16 * BASE_PAGE_BYTES) == \
             [(8, "t2"), (16, "t2")]
 
     def test_oracle_equivalence_randomized(self):
@@ -169,26 +147,27 @@ class TestPlanPromotions:
         for _ in range(60):
             caps = [rng.randrange(16, 128) for _ in range(4)]
             topo = topo_pages(caps)
-            regs = []
-            start = 0
-            whis = set()
+            spans, start = [], 0
             for _ in range(rng.randrange(2, 24)):
                 ln = rng.randrange(1, 6)
-                whi = round(rng.uniform(0, 3), 3)
-                while whi in whis:  # unique whi keeps the ordering unambiguous
-                    whi = round(rng.uniform(0, 3), 3)
-                whis.add(whi)
-                tier = rng.choice(topo.tier_ids)
+                spans.append((start, ln))
+                start += ln
+            # unique whi keeps the ordering unambiguous
+            whis = [w / 1000 for w in rng.sample(range(1, 3000), len(spans))]
+            # Placed hottest first, a region never sits in a faster tier than
+            # a hotter one: every resident of a candidate's target tier is
+            # hotter than the candidate.
+            regs, rank = [], 0
+            for (start, ln), whi in sorted(zip(spans, whis), key=lambda x: -x[1]):
+                rank = min(3, rank + (rng.random() < 0.3))
+                tier = topo.tier_ids[rank]
                 if topo.tier(tier).free_bytes >= ln * BASE_PAGE_BYTES:
                     r = region(start, ln, tier, whi)
                     regs.append(r)
                     topo.tier(tier).free_bytes -= r.bytes
-                start += ln
             n_bytes = rng.randrange(1, 64) * BASE_PAGE_BYTES
-            hist = build_histogram(regs, 0.0001)
-            plan = plan_promotions(hist, topo, n_bytes, topo.views)
-            want = brute_force_promotion_ids(regs, topo, n_bytes, topo.views)
-            assert [(m.region_id, m.dst) for m in plan.moves] == want
+            assert promotions(regs, topo, n_bytes) == \
+                brute_force_promotion_ids(regs, topo, n_bytes, topo.views)
 
 
 class TestPlanDemotions:
@@ -196,8 +175,8 @@ class TestPlanDemotions:
         topo = topo_pages((16, 64, 64, 64))
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t1", 0.2)]
         occupy(topo, regs)
-        hist = build_histogram(regs, 0.1)
-        plan = plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES, hist, topo.views)
+        plan = plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES,
+                              coldest_first(regs), topo.views)
         assert [(m.region_id, m.src, m.dst) for m in plan.moves] == \
             [(8, "t1", "t2")]
 
@@ -206,8 +185,8 @@ class TestPlanDemotions:
         topo = topo_pages((8, 8, 64, 64))
         regs = [region(0, 8, "t1", 2.0), region(8, 8, "t2", 0.5)]
         occupy(topo, regs)
-        hist = build_histogram(regs, 0.1)
-        plan = plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES, hist, topo.views)
+        plan = plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES,
+                              coldest_first(regs), topo.views)
         moves = [(m.region_id, m.src, m.dst) for m in plan.moves]
         assert moves == [(8, "t2", "t3"), (0, "t1", "t2")]
         # space accounting: replay the plan against the ledgers
@@ -219,17 +198,16 @@ class TestPlanDemotions:
 
     def test_zero_need_empty(self):
         topo = topo_pages((16, 16, 16, 16))
-        hist = build_histogram([], 0.1)
-        assert plan_demotions(topo, "t1", 0, hist, topo.views).moves == []
+        assert plan_demotions(topo, "t1", 0, [], topo.views).moves == []
 
     def test_memory_exhausted(self):
         topo = topo_pages((8, 8, 8, 8))
         regs = [region(0, 8, "t1", 1.0), region(8, 8, "t2", 0.9),
                 region(16, 8, "t3", 0.8), region(24, 8, "t4", 0.7)]
         occupy(topo, regs)  # every tier full
-        hist = build_histogram(regs, 0.1)
         with pytest.raises(CapacityError):
-            plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES, hist, topo.views)
+            plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
+                           topo.views)
 
 
 class TestResolveDestination:
@@ -269,7 +247,7 @@ class TestPlanInterval:
         regs = [region(0, 16, "t1", 0.3), region(16, 8, "t4", 3.0),
                 region(24, 8, "t3", 2.5)]
         occupy(topo, regs)
-        policy = PolicyConfig(bucket_width=0.1, n_bytes=16 * BASE_PAGE_BYTES)
+        policy = PolicyConfig(n_bytes=16 * BASE_PAGE_BYTES)
         plan = plan_interval(regs, topo, policy, topo.views)
         reasons = [m.reason for m in plan.moves]
         assert "demote" in reasons and "promote" in reasons

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tiersim.memmodel import (
-    BASE_PAGE_BYTES, HUGE_PAGE_PAGES, BudgetError, CostModel, MemoryState,
+    BASE_PAGE_BYTES, BudgetError, CostModel, MemoryState,
     build_topology,
 )
 from tiersim.profiler import (
@@ -131,7 +131,7 @@ class TestMergePass:
 class TestSplitPass:
     def test_splits_on_count_spread(self):
         regs = [region(0, 16, quota=2, samples=[1, 9], counts=[0, 3])]
-        out, pool, splits = split_pass(regs, tau2=2.0, space=None,
+        out, pool, splits = split_pass(regs, tau2=2.0,
                                        rng=random.Random(1), pool=0)
         assert splits == 1
         assert [r.start_page for r in out] == [0, 8]
@@ -140,31 +140,14 @@ class TestSplitPass:
 
     def test_no_split_when_spread_at_threshold(self):
         regs = [region(0, 16, quota=2, samples=[1, 9], counts=[2, 2])]
-        out, _, splits = split_pass(regs, tau2=2.0, space=None,
+        out, _, splits = split_pass(regs, tau2=2.0,
                                     rng=random.Random(1), pool=0)
         assert splits == 0
         assert len(out) == 1
 
-    def test_midpoint_moved_off_huge_page(self):
-        space = two_tier_space(num_pages=4 * HUGE_PAGE_PAGES,
-                               cap_pages=(4096, 4096))
-        space.map_huge_page(0, "fast")
-        space.map_huge_page(HUGE_PAGE_PAGES, "fast")
-        space.map_huge_page(2 * HUGE_PAGE_PAGES, "fast")
-        # region [0, 1536): naive midpoint 768 bisects the second huge page
-        regs = [region(0, 3 * HUGE_PAGE_PAGES, quota=2, samples=[0, 600],
-                       counts=[0, 3])]
-        out, _, splits = split_pass(regs, tau2=2.0, space=space,
-                                    rng=random.Random(1), pool=0)
-        assert splits == 1
-        cut = out[1].start_page
-        assert cut % HUGE_PAGE_PAGES == 0
-        assert cut in (HUGE_PAGE_PAGES, 2 * HUGE_PAGE_PAGES)
-        assert abs(cut - 768) == min(abs(512 - 768), abs(1024 - 768))
-
     def test_quota_one_split_charges_pool(self):
         regs = [region(0, 16, quota=1, samples=[3], counts=[0, 3])]
-        out, pool, splits = split_pass(regs, tau2=2.0, space=None,
+        out, pool, splits = split_pass(regs, tau2=2.0,
                                        rng=random.Random(1), pool=2)
         assert splits == 1
         assert pool == 1
@@ -172,14 +155,14 @@ class TestSplitPass:
 
     def test_quota_one_split_skipped_without_pool(self):
         regs = [region(0, 16, quota=1, samples=[3], counts=[0, 3])]
-        out, pool, splits = split_pass(regs, tau2=2.0, space=None,
+        out, pool, splits = split_pass(regs, tau2=2.0,
                                        rng=random.Random(1), pool=0)
         assert splits == 0
         assert len(out) == 1
 
     def test_whi_copied_to_both_halves(self):
         regs = [region(0, 16, quota=2, samples=[1, 9], counts=[0, 3], whi=1.7)]
-        out, _, _ = split_pass(regs, tau2=2.0, space=None,
+        out, _, _ = split_pass(regs, tau2=2.0,
                                rng=random.Random(1), pool=0)
         assert [r.whi for r in out] == [1.7, 1.7]
 

@@ -4,7 +4,7 @@ import pytest
 
 from tiersim.workload import (
     AccessTrace, GupsPhase, HotOracle, WorkloadError, gen_gups,
-    gen_phase_change, gen_seq_microbench, oracle_hot_pages,
+    gen_phase_change, gen_seq_microbench,
 )
 
 
@@ -62,7 +62,7 @@ class TestOracle:
         trace, oracle = gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
                                  accesses_per_interval=500)
         for i in range(trace.num_intervals):
-            assert oracle_hot_pages(oracle, i) == brute_force_hot(trace, i)
+            assert oracle.hot_pages(i) == brute_force_hot(trace, i)
 
     def test_out_of_range_interval(self):
         trace, oracle = gen_gups(64, 0.2, 0.8, 100, [0], seed=1,

@@ -11,6 +11,7 @@ from .profiler import Profiler, ProfilerConfig, Region, compute_budget
 from .policy import Move, MigrationPlan, PolicyConfig, plan_interval, update_ema
 from .workload import TraceSlice
 
+# every system a config can name (RunConfig.system takes its Literal)
 BASELINE_KINDS = ("mtm", "mtm-no-pebs", "first-touch", "autonuma", "thermostat", "damon")
 
 # paper-scale window the tiered-AutoNUMA profiler inspects per interval
@@ -335,8 +336,7 @@ class DamonSystem:
         self.cfg = cfg
         self.policy = policy
         self.rng = random.Random(seed)
-        self.max_regions = max(2, compute_budget(cfg, space.cost_model.scan_cost,
-                                                 space.cost_model.hint_fault_multiplier))
+        self.max_regions = max(2, compute_budget(cfg, space.cost_model))
         self.regions: list[_DamonRegion] = []
         self.merges = 0
         self.splits = 0

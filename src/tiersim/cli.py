@@ -8,8 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import BASELINE_KINDS
-from .config import ConfigError, load_run_config
+from .config import ConfigError, build_run_config, load_config_file
 from .engine import SWEEP_PARAMS, compare_systems, run_to_dir, sweep_parameter
 from .memmodel import BudgetError, CapacityError
 from .migrator import PlanExecutionError
@@ -40,7 +39,9 @@ def _parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run one config across parameter values")
     swp.add_argument("-c", "--config", required=True)
-    swp.add_argument("--param", required=True, choices=SWEEP_PARAMS)
+    swp.add_argument("--param", required=True,
+                     help=f"a dotted config key, or one of the short names "
+                          f"{', '.join(SWEEP_PARAMS)}")
     swp.add_argument("--values", required=True,
                      help="comma-separated parameter values")
     swp.add_argument("--out", default="out")
@@ -50,20 +51,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config)
+        tree = load_config_file(args.config)
         if args.command == "run":
-            if args.system:
-                from dataclasses import replace
-                if args.system not in BASELINE_KINDS:
-                    raise ConfigError(f"unknown system {args.system!r}")
-                cfg = replace(cfg, system=args.system)
+            cfg = build_run_config(tree, args.config,
+                                   {"system": args.system} if args.system else None)
             result = run_to_dir(cfg, args.out)
             app, prof, mig = result.totals()
             print(f"{cfg.system}: {len(result.rows)} intervals, "
                   f"app={app:.1f} prof={prof:.1f} mig={mig:.1f} -> {args.out}")
         elif args.command == "compare":
             systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-            rows = compare_systems(cfg, systems, out_dir=args.out)
+            rows = compare_systems(tree, args.config, systems, out_dir=args.out)
             width = max(len(r["system"]) for r in rows)
             print(f"{'system'.ljust(width)}  norm_app  norm_total")
             for r in rows:
@@ -71,9 +69,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"{r['norm_total']:10.4f}")
         elif args.command == "sweep":
             values = [v.strip() for v in args.values.split(",") if v.strip()]
-            if not values:
-                raise ConfigError("sweep needs at least one value")
-            rows = sweep_parameter(cfg, args.param, values, out_dir=args.out)
+            rows = sweep_parameter(tree, args.config, args.param, values,
+                                   out_dir=args.out)
             for r in rows:
                 print(f"{r['param']}={r['value']}: total={r['total_cost']:.1f} "
                       f"recall={r['mean_recall']:.3f}")

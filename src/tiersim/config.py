@@ -1,70 +1,72 @@
-"""Run configuration: flat dotted key=value files or JSON, validated into
-typed config objects."""
+"""Run configuration: one typed schema, one override path.
+
+Format.  A config file holds one `dotted.key = value` per line; `#` starts a
+comment.  A list value is comma-separated (`topology.nodes = 0, 1`) and a
+boolean is `true` or `false`, in any case.  A file whose first non-blank
+character is `{` is JSON and gives the same nested tree
+(`{"policy": {"alpha": 0.5}}` is `policy.alpha = 0.5`), with JSON lists,
+numbers, booleans and `null`.
+
+Schema.  The tree is walked over the dataclasses `RunConfig`,
+`WorkloadConfig`, `ProfilerConfig`, `PolicyConfig` and `CostModel`: every
+key must name a field, every value is coerced by the field's annotation
+(`Literal` fields take one of their listed names), and each dataclass checks
+its ranges in `__post_init__`.  The topology takes `tierN` sections (in key
+order; `id` defaults to the key) or a JSON `tiers` list, plus `nodes`,
+`views.<node>` and `alloc_order.<node>`.  Every failure is a ConfigError
+naming the dotted field.
+
+Overrides.  Each is `set_key` on the parsed tree before that one
+validation, in this order: the file's own lines, then `run --system`, a
+`sweep` value or a `compare` member, then the `TIERSIM_SEED` environment
+variable.
+"""
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .baselines import BASELINE_KINDS
-from .memmodel import CostModel, TierTopology, build_topology
+from .memmodel import ConfigError, CostModel, TopologyError, build_topology, require
 from .policy import PolicyConfig
 from .profiler import ProfilerConfig
 
 
-class ConfigError(Exception):
-    def __init__(self, message: str, location: str | None = None):
-        super().__init__(f"{location}: {message}" if location else message)
-        self.location = location
-
-
-def _coerce(raw: str):
-    s = raw.strip()
-    if "," in s:
-        return [_coerce(part) for part in s.split(",") if part.strip()]
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    return s
+def set_key(tree: dict, key: str, value, where: str | None = None) -> None:
+    """Set a dotted key in a nested config tree, making sections on the way."""
+    *sections, last = key.split(".")
+    node = tree
+    for part in sections:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"key {key!r} conflicts with a scalar", where or key)
+    node[last] = value
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
-    """`a.b.c = value` lines into a nested dict; '#' starts a comment."""
+    """`a.b.c = value` lines into a nested tree of raw strings."""
     tree: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
+        key, eq, raw = body.partition("=")
+        if not eq or not key.strip():
             raise ConfigError("expected key = value", f"{origin}:{lineno}")
-        key, _, raw = body.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError("empty key", f"{origin}:{lineno}")
-        node = tree
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"key {key!r} conflicts with a scalar",
-                                  f"{origin}:{lineno}")
-        node[parts[-1]] = _coerce(raw)
+        set_key(tree, key.strip(), raw.strip(), f"{origin}:{lineno}")
     return tree
 
 
 def load_config_file(path: str) -> dict:
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
@@ -74,133 +76,166 @@ def load_config_file(path: str) -> dict:
 
 @dataclass
 class WorkloadConfig:
-    kind: str = "gups"
+    kind: Literal["gups", "phase_change", "microbench"] = "gups"
     footprint_pages: int = 1024
     hotset_fraction: float = 0.2
     hot_access_fraction: float = 0.8
     accesses: int = 20480
     accesses_per_interval: int = 1024
-    hotset_layout: str = "contiguous"
+    hotset_layout: Literal["contiguous", "scattered"] = "contiguous"
     init_pass: bool = False
     rehash_hotset_every_n_passes: int = 0
     phases: int = 4
-    bench: str = "read_only"
+    bench: Literal["read_only", "half_read", "write_only"] = "read_only"
     array_pages: int = 2048
     passes: int = 4
     node: int = 0
 
 
 @dataclass
+class TierConfig:
+    id: str
+    capacity_bytes: int
+    access_cost: float | None = None  # default: by rank, see build_topology
+
+
+@dataclass
+class TopologyConfig:
+    tiers: list[TierConfig]
+    nodes: list[int] = field(default_factory=lambda: [0])
+    views: dict[int, list[str]] = field(default_factory=dict)
+    alloc_order: dict[int, list[str]] = field(default_factory=dict)
+
+
+_TIER_SECTION = re.compile(r"tier\d+")
+
+
+def _topology_spec(topo) -> dict:
+    """The topology section typed, in the form build_topology takes."""
+    if not isinstance(topo, dict) or not topo:
+        raise ConfigError("topology section is mandatory", "topology")
+    if "tiers" not in topo:  # tierN sections, in key order; ids default to the key
+        names = sorted(k for k in topo if _TIER_SECTION.fullmatch(k))
+        sections = [{"id": n, **topo[n]} if isinstance(topo[n], dict) else topo[n]
+                    for n in names]
+        tiers = [asdict(_walk(TierConfig, section, f"topology.{n}"))
+                 for n, section in zip(names, sections)]
+        topo = {k: v for k, v in topo.items() if k not in names} | {"tiers": tiers}
+    return asdict(_walk(TopologyConfig, topo, "topology"))
+
+
+@dataclass
 class RunConfig:
     seed: int
-    system: str = "mtm"
+    topology: dict  # build_topology's spec; __post_init__ normalizes the section
+    system: Literal[BASELINE_KINDS] = "mtm"
     intervals: int = 20
     detect_threshold: float = 2.0
-    migrator_mode: str | None = None  # default: the system's native mechanism
+    # default: the system's native mechanism
+    migrator_mode: Literal["sync", "async", "adaptive"] | None = None
     autonuma_window_fraction: float | None = None
     alloc_group_pages: int | None = None  # default: the profiler window size
-    topology_spec: dict = field(default_factory=dict)
-    cost_model: CostModel = field(default_factory=CostModel)
+    cost: CostModel = field(default_factory=CostModel)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     profiler: ProfilerConfig = field(default_factory=ProfilerConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
 
-    def topology(self) -> TierTopology:
-        return build_topology(self.topology_spec)
+    def __post_init__(self):
+        require(self.intervals >= 1, "intervals", "must be >= 1")
+        require(self.alloc_group_pages is None or self.alloc_group_pages >= 1,
+                "alloc_group_pages", "must be >= 1")
+        self.topology = _topology_spec(self.topology)
+        require(self.workload.kind != "microbench"
+                or self.workload.node in self.topology["nodes"],
+                "workload.node", "must be one of topology.nodes")
+        try:
+            build_topology(self.topology)
+        except TopologyError as exc:
+            raise ConfigError(str(exc), "topology") from None
 
 
-_PROFILER_KEYS = {f for f in ProfilerConfig.__dataclass_fields__}
-_POLICY_KEYS = {f for f in PolicyConfig.__dataclass_fields__}
-_WORKLOAD_KEYS = {f for f in WorkloadConfig.__dataclass_fields__}
-_COST_KEYS = {f for f in CostModel.__dataclass_fields__} - {"inter_tier_factor"}
+def _join(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
 
 
-def _section_kwargs(section: dict, known: set[str], where: str) -> dict:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown field {key!r}", where)
-    return dict(section)
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
+             str: "a string", list: "a list", dict: "a section"}
+# the JSON value types each scalar annotation takes, matched exactly: a JSON
+# boolean is no number, and a JSON 2.5 no integer
+_JSON_SCALARS = {bool: (bool,), int: (int,), float: (int, float)}
 
 
-def build_run_config(tree: dict, origin: str = "<config>") -> RunConfig:
-    """Validate a parsed config tree; errors name the offending field."""
-    if "seed" not in tree:
-        raise ConfigError("seed is mandatory", origin)
+def _value(value, tp, where: str):
+    """`value`, a raw string from a dotted file or a JSON value, coerced to
+    the annotation `tp`."""
+    if get_origin(tp) in (Union, UnionType):  # `X | None`: None only from JSON null
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    kind, args = get_origin(tp) or tp, get_args(tp)
+    if is_dataclass(tp):
+        return _walk(tp, value, where)
+    if kind is list and isinstance(value, str):
+        value = [part.strip() for part in value.split(",") if part.strip()]
+    if kind is list and isinstance(value, list):
+        return [_value(v, args[0], f"{where}.{i}") for i, v in enumerate(value)]
+    if kind is dict and isinstance(value, dict):
+        return {_value(k, args[0], _join(where, k)): _value(v, args[1], _join(where, k))
+                for k, v in value.items()} if args else value
+    if kind is Literal and value in args:
+        return value
+    if type(value) in _JSON_SCALARS.get(kind, ()):
+        return kind(value)
+    if kind in (bool, int, float, str) and isinstance(value, str):
+        text = value.strip()
+        if kind is bool and text.lower() in ("true", "false"):
+            return text.lower() == "true"
+        if kind is not bool:
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+    expected = "one of " + ", ".join(args) if kind is Literal else _EXPECTED[kind]
+    raise ConfigError(f"expected {expected}, got {value!r}", where)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def _walk(cls, tree, where: str):
+    """Dataclass `cls` built from a config section: every key must name a
+    field, and every value is coerced by its field's annotation."""
+    if not isinstance(tree, dict):
+        raise ConfigError(f"expected a section, got {tree!r}", where)
+    hints = _field_types(cls)
+    kwargs = {}
+    for key, value in tree.items():
+        if key not in hints:
+            raise ConfigError(f"unknown field {key!r}", _join(where, key))
+        kwargs[key] = _value(value, hints[key], _join(where, key))
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{f.name} is mandatory", _join(where, f.name))
     try:
-        seed = int(tree["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError("seed must be an integer", f"{origin}:seed") from None
+        return cls(**kwargs)
+    except ConfigError as exc:  # a range check of cls.__post_init__
+        raise ConfigError(exc.message, _join(where, exc.location)) from None
 
-    cfg = RunConfig(seed=seed)
-    cfg.system = str(tree.get("system", cfg.system))
-    if cfg.system not in BASELINE_KINDS:
-        raise ConfigError(f"system must be one of {BASELINE_KINDS}", f"{origin}:system")
-    cfg.intervals = int(tree.get("intervals", cfg.intervals))
-    if cfg.intervals < 1:
-        raise ConfigError("intervals must be >= 1", f"{origin}:intervals")
-    cfg.detect_threshold = float(tree.get("detect_threshold", cfg.detect_threshold))
-    if "migrator_mode" in tree:
-        mode = str(tree["migrator_mode"])
-        if mode not in ("sync", "async", "adaptive"):
-            raise ConfigError("migrator_mode must be sync|async|adaptive",
-                              f"{origin}:migrator_mode")
-        cfg.migrator_mode = mode
-    if "autonuma_window_fraction" in tree:
-        cfg.autonuma_window_fraction = float(tree["autonuma_window_fraction"])
-    if "alloc_group_pages" in tree:
-        cfg.alloc_group_pages = int(tree["alloc_group_pages"])
 
-    topo = tree.get("topology")
-    if not topo:
-        raise ConfigError("topology section is mandatory", origin)
-    cfg.topology_spec = _normalize_topology(topo, origin)
-
-    from .memmodel import TopologyError
-    try:
-        cfg.workload = WorkloadConfig(**_section_kwargs(
-            tree.get("workload", {}), _WORKLOAD_KEYS, f"{origin}:workload"))
-        cfg.profiler = ProfilerConfig(**_section_kwargs(
-            tree.get("profiler", {}), _PROFILER_KEYS, f"{origin}:profiler"))
-        cfg.policy = PolicyConfig(**_section_kwargs(
-            tree.get("policy", {}), _POLICY_KEYS, f"{origin}:policy"))
-        cfg.cost_model = CostModel(**_section_kwargs(
-            tree.get("cost", {}), _COST_KEYS, f"{origin}:cost"))
-    except (ValueError, TopologyError) as exc:
-        raise ConfigError(str(exc), origin) from None
-    if cfg.workload.kind not in ("gups", "phase_change", "microbench"):
-        raise ConfigError("workload.kind must be gups|phase_change|microbench",
-                          f"{origin}:workload.kind")
+def build_run_config(tree: dict, origin: str = "<config>",
+                     overrides: dict | None = None) -> RunConfig:
+    """Validate a parsed config tree after applying `overrides` ({dotted key:
+    value}) and TIERSIM_SEED to a copy of it; errors name the field."""
+    tree = copy.deepcopy(tree)
+    overrides = dict(overrides or {})
     env_seed = os.environ.get("TIERSIM_SEED")
     if env_seed:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError("TIERSIM_SEED must be an integer", "env") from None
-    return cfg
-
-
-def _normalize_topology(topo: dict, origin: str) -> dict:
-    """Accept either an explicit tiers list (JSON) or dotted tierN sections."""
-    if "tiers" in topo and isinstance(topo["tiers"], list):
-        return topo
-    tiers = []
-    for key in sorted(k for k in topo if k.startswith("tier")):
-        section = topo[key]
-        if not isinstance(section, dict) or "capacity_bytes" not in section:
-            raise ConfigError(f"topology.{key} needs capacity_bytes", origin)
-        tiers.append({"id": section.get("id", key), **section})
-    if not tiers:
-        raise ConfigError("topology needs tier sections or a tiers list", origin)
-    out = {"tiers": tiers}
-    if "nodes" in topo:
-        nodes = topo["nodes"]
-        out["nodes"] = nodes if isinstance(nodes, list) else [nodes]
-    for section in ("views", "alloc_order"):
-        if section in topo:
-            out[section] = {k: v if isinstance(v, list) else [v]
-                            for k, v in topo[section].items()}
-    return out
-
-
-def load_run_config(path: str) -> RunConfig:
-    return build_run_config(load_config_file(path), origin=path)
+        overrides["seed"] = _value(env_seed, int, "TIERSIM_SEED")
+    try:
+        for key, value in overrides.items():
+            set_key(tree, key, value)
+        return _walk(RunConfig, tree, "")
+    except ConfigError as exc:
+        raise ConfigError(exc.message, f"{origin}:{exc.location}") from None

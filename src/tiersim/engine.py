@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import baselines, metrics, migrator, policy, profiler, workload
-from .config import ConfigError, RunConfig
-from .memmodel import MemoryState
+from .config import ConfigError, RunConfig, build_run_config
+from .memmodel import MemoryState, build_topology
 from .metrics import IntervalMetrics
-from .workload import AccessTrace, GupsPhase, HotOracle
+from .workload import AccessTrace, GupsPhase, HotOracle, WorkloadError
 
 
 def _derive_seed(master: int, label: str) -> int:
@@ -18,31 +18,34 @@ def _derive_seed(master: int, label: str) -> int:
 
 
 def build_trace(cfg: RunConfig) -> tuple[AccessTrace, HotOracle]:
+    """The workload's trace and oracle.  The generators check the workload's
+    ranges, so a value they reject is a ConfigError."""
     w = cfg.workload
     seed = _derive_seed(cfg.seed, "trace")
-    topo_nodes = cfg.topology_spec.get("nodes", [0])
-    if w.kind == "gups":
-        return workload.gen_gups(
-            w.footprint_pages, w.hotset_fraction, w.hot_access_fraction,
-            w.accesses, topo_nodes, seed,
-            accesses_per_interval=w.accesses_per_interval,
-            hotset_layout=w.hotset_layout, init_pass=w.init_pass,
-            rehash_hotset_every_n_passes=w.rehash_hotset_every_n_passes)
-    if w.kind == "phase_change":
-        phases = [GupsPhase(w.footprint_pages, w.hotset_fraction,
-                            w.hot_access_fraction, w.accesses,
-                            init_pass=(w.init_pass and i == 0))
-                  for i in range(w.phases)]
-        return workload.gen_phase_change(
-            phases, seed, topo_nodes,
-            accesses_per_interval=w.accesses_per_interval,
-            hotset_layout=w.hotset_layout)
-    if w.kind == "microbench":
+    nodes = cfg.topology["nodes"]
+    try:
+        if w.kind == "gups":
+            return workload.gen_gups(
+                w.footprint_pages, w.hotset_fraction, w.hot_access_fraction,
+                w.accesses, nodes, seed,
+                accesses_per_interval=w.accesses_per_interval,
+                hotset_layout=w.hotset_layout, init_pass=w.init_pass,
+                rehash_hotset_every_n_passes=w.rehash_hotset_every_n_passes)
+        if w.kind == "phase_change":
+            phases = [GupsPhase(w.footprint_pages, w.hotset_fraction,
+                                w.hot_access_fraction, w.accesses,
+                                init_pass=(w.init_pass and i == 0))
+                      for i in range(w.phases)]
+            return workload.gen_phase_change(
+                phases, seed, nodes,
+                accesses_per_interval=w.accesses_per_interval,
+                hotset_layout=w.hotset_layout)
         trace = workload.gen_seq_microbench(w.bench, w.array_pages, w.passes,
                                             node=w.node,
                                             accesses_per_interval=w.accesses_per_interval)
-        return trace, HotOracle.from_trace(trace)
-    raise ConfigError(f"unknown workload kind {w.kind!r}")
+    except WorkloadError as exc:
+        raise ConfigError(str(exc), "workload") from None
+    return trace, HotOracle.from_trace(trace)
 
 
 @dataclass
@@ -65,11 +68,13 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
                    oracle: HotOracle | None = None) -> RunResult:
     """Execute the interval loop: replay+profile, restructure regions, EMA,
     plan, migrate, measure.  Fully deterministic in (config, seed)."""
-    topology = cfg.topology()
+    topology = build_topology(cfg.topology)
     if trace is None:
         trace, oracle = build_trace(cfg)
-    group = cfg.alloc_group_pages or cfg.profiler.default_region_pages
-    space = MemoryState(topology, cfg.cost_model, trace.footprint(),
+    group = cfg.alloc_group_pages
+    if group is None:
+        group = cfg.profiler.default_region_pages
+    space = MemoryState(topology, cfg.cost, trace.footprint(),
                         allocator=baselines.group_first_touch(group))
     system = baselines.make_system(
         cfg.system, space, cfg.profiler, cfg.policy,
@@ -160,19 +165,21 @@ def run_to_dir(cfg: RunConfig, out_dir: str | Path) -> RunResult:
     return result
 
 
-def compare_systems(cfg: RunConfig, systems: list[str],
+def compare_systems(tree: dict, origin: str, systems: list[str],
                     out_dir: str | Path | None = None) -> list[dict]:
-    """Run several systems over one shared trace instance and emit app-cost
-    figures normalized to the first-touch member."""
+    """Run several systems, each the config `tree` with `system` overridden,
+    over one shared trace instance and emit app-cost figures normalized to
+    the first-touch member.  Every member's config is built before any runs."""
+    if not systems:
+        raise ConfigError("compare needs at least one system")
     if len(set(systems)) != len(systems):
         raise ConfigError("duplicate systems in compare")
     if len(systems) > 1 and "first-touch" not in systems:
         raise ConfigError("compare needs the first-touch member for normalization")
-    trace, oracle = build_trace(cfg)
-    results = []
-    for name in systems:
-        sub = replace(cfg, system=name)
-        results.append(run_simulation(sub, trace=trace, oracle=oracle))
+    cfgs = [build_run_config(tree, f"{origin} (system {name})", {"system": name})
+            for name in systems]
+    trace, oracle = build_trace(cfgs[0])
+    results = [run_simulation(cfg, trace=trace, oracle=oracle) for cfg in cfgs]
     by_name = {r.system: r for r in results}
     base = by_name.get("first-touch", results[0])
     base_app, _, _ = base.totals()
@@ -196,41 +203,29 @@ def compare_systems(cfg: RunConfig, systems: list[str],
     return rows
 
 
-# sweep name -> (RunConfig section, field, value type)
+# sweep short name -> the dotted key it sets; `--param` takes any dotted key
 SWEEP_PARAMS = {
-    "overhead_constraint": ("profiler", "overhead_constraint", float),
-    "alpha": ("policy", "alpha", float),
-    "tau1": ("profiler", "tau1", float),
-    "tau2": ("profiler", "tau2", float),
-    "num_scans": ("profiler", "num_scans", int),
-    "N": ("policy", "n_bytes", int),
+    "overhead_constraint": "profiler.overhead_constraint",
+    "alpha": "policy.alpha",
+    "tau1": "profiler.tau1",
+    "tau2": "profiler.tau2",
+    "num_scans": "profiler.num_scans",
+    "N": "policy.n_bytes",
 }
 
 
-def _with_param(cfg: RunConfig, param: str, value) -> RunConfig:
-    """A copy of cfg with one swept field set and its section validated again."""
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}; "
-                          f"expected one of {tuple(SWEEP_PARAMS)}")
-    section, name, kind = SWEEP_PARAMS[param]
-    try:
-        changes = {name: kind(value)}
-        if name == "num_scans":  # derive the thresholds from num_scans again
-            changes.update(tau1=None, tau2=None)
-        updated = replace(getattr(cfg, section), **changes)
-    except ValueError as exc:
-        raise ConfigError(str(exc), f"sweep {param}={value}") from None
-    return replace(cfg, **{section: updated})
-
-
-def sweep_parameter(cfg: RunConfig, param: str, values: list,
+def sweep_parameter(tree: dict, origin: str, param: str, values: list[str],
                     out_dir: str | Path | None = None) -> list[dict]:
+    """Run the config `tree` once per value of `param` (a SWEEP_PARAMS short
+    name or a dotted key).  Every value's config is built before any runs."""
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
+    key = SWEEP_PARAMS.get(param, param)
+    cfgs = [build_run_config(tree, f"{origin} (sweep {param}={value})", {key: value})
+            for value in values]
     rows = []
-    for value in values:
-        sub = _with_param(cfg, param, value)
-        result = run_simulation(sub)
+    for value, cfg in zip(values, cfgs):
+        result = run_simulation(cfg)
         app, prof, mig = result.totals()
         n = len(result.rows)
         rows.append({

@@ -1,7 +1,7 @@
 """Tier topology, page placement, and the simulated access/dirty bits."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BASE_PAGE_BYTES = 4096
 
@@ -28,6 +28,23 @@ class BudgetError(TiersimError):
     """Raised when the overhead constraint admits no samples ("constraint infeasible")."""
 
 
+class ConfigError(ValueError):
+    """A config value that is ill-typed or out of range.  `location` names
+    where it came from: a file line, or the dotted field."""
+
+    def __init__(self, message: str, location: str | None = None):
+        super().__init__(f"{location}: {message}" if location else message)
+        self.message = message
+        self.location = location
+
+
+def require(ok: bool, field: str, rule: str) -> None:
+    """The range check of a config dataclass: unless `ok`, a ConfigError
+    naming `field` of the dataclass being built."""
+    if not ok:
+        raise ConfigError(f"{field} {rule}", field)
+
+
 @dataclass
 class TierSpec:
     id: str
@@ -52,27 +69,16 @@ class CostModel:
     step_unmap: float = 1.0
     step_copy: float = 2.0
     step_map: float = 1.0
-    inter_tier_factor: dict[tuple[str, str], float] = field(default_factory=dict)
     pebs_sample_period: int = 200
 
     def __post_init__(self):
         for name in ("scan_cost", "step_alloc", "step_unmap", "step_copy", "step_map"):
-            if getattr(self, name) <= 0:
-                raise TopologyError(f"cost model: {name} must be > 0")
-        for (a, b), f in self.inter_tier_factor.items():
-            if f < 1.0:
-                raise TopologyError(f"inter_tier_factor[{a},{b}] must be >= 1")
-            if self.inter_tier_factor.get((b, a), f) != f:
-                raise TopologyError("inter_tier_factor must be symmetric")
+            require(getattr(self, name) > 0, name, "must be > 0")
+        require(self.hint_fault_multiplier >= 0, "hint_fault_multiplier", "must be >= 0")
+        require(self.pebs_sample_period >= 1, "pebs_sample_period", "must be >= 1")
 
-    def copy_factor(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 1.0
-        return self.inter_tier_factor.get((src, dst), 1.0)
-
-    def sync_page_cost(self, src: str, dst: str) -> float:
-        return (self.step_alloc + self.step_unmap +
-                self.step_copy * self.copy_factor(src, dst) + self.step_map)
+    def sync_page_cost(self) -> float:
+        return self.step_alloc + self.step_unmap + self.step_copy + self.step_map
 
 
 class TierTopology:

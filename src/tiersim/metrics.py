@@ -21,14 +21,13 @@ class IntervalMetrics:
     splits: int = 0
 
 
-def detect_hot_pages(regions: list[Region], threshold: float = DEFAULT_HOT_THRESHOLD,
-                     score=None) -> set[int]:
-    """All pages of regions whose (smoothed) hotness reaches the threshold."""
-    if score is None:
-        score = lambda r: r.whi if r.whi is not None else 0.0
+def detect_hot_pages(regions: list[Region],
+                     threshold: float = DEFAULT_HOT_THRESHOLD) -> set[int]:
+    """All pages of regions whose smoothed hotness (0.0 before the first
+    observation) reaches the threshold."""
     hot: set[int] = set()
     for r in regions:
-        if score(r) >= threshold:
+        if (r.whi if r.whi is not None else 0.0) >= threshold:
             hot.update(range(r.start_page, r.end_page))
     return hot
 

@@ -40,12 +40,6 @@ class MigrationReport:
     def exposed_total(self) -> float:
         return sum(e.exposed_cost for e in self.entries)
 
-    def background_total(self) -> float:
-        return sum(e.background_cost for e in self.entries)
-
-    def recopied_total(self) -> int:
-        return sum(e.recopied_pages for e in self.entries)
-
 
 class PlanExecutionError(TiersimError):
     def __init__(self, message: str, report: MigrationReport, cause: Exception):
@@ -70,7 +64,7 @@ def project_write_times(space: MemoryState, slc, start_time: float) -> list[Time
 def migrate_region_sync(space: MemoryState, region: Region, dst: str) -> float:
     """Move every page on the critical path; returns the exposed cost."""
     cm = space.cost_model
-    cost = region.len_pages * cm.sync_page_cost(region.tier, dst)
+    cost = region.len_pages * cm.sync_page_cost()
     space.move_pages(range(region.start_page, region.end_page), dst)
     space.ledger.migration_exposed += cost
     region.tier = dst
@@ -82,7 +76,7 @@ def migrate_region_async(space: MemoryState, region: Region, dst: str,
     """Background alloc+copy, exposed unmap+map.  Returns (exposed,
     background) or the first in-window write (the fallback signal)."""
     cm = space.cost_model
-    per_page_bg = cm.step_alloc + cm.step_copy * cm.copy_factor(region.tier, dst)
+    per_page_bg = cm.step_alloc + cm.step_copy
     bg = region.len_pages * per_page_bg
     window_end = start_time + bg
     for w in concurrent:
@@ -111,16 +105,15 @@ def migrate_region_adaptive(space: MemoryState, region: Region, dst: str,
         exposed, bg = result
         return MoveReport(region.id, src, dst, "async", exposed, bg, 0)
     first_write: TimedWrite = result
-    per_page_bg = cm.step_alloc + cm.step_copy * cm.copy_factor(src, dst)
+    per_page_bg = cm.step_alloc + cm.step_copy
     copied = min(region.len_pages,
                  int(math.floor((first_write.t - start_time) / per_page_bg)))
     # every page written inside the (truncated) window is recopied; only the
     # ones whose background copy had finished cost an extra copy step
     dirty = {w.vpage for w in concurrent
              if start_time <= w.t <= first_write.t and region.contains(w.vpage)}
-    recopy_cost = sum(cm.step_copy * cm.copy_factor(src, dst)
-                      for p in dirty if p < region.start_page + copied)
-    exposed = (region.len_pages * cm.sync_page_cost(src, dst)) + recopy_cost
+    recopy_cost = sum(cm.step_copy for p in dirty if p < region.start_page + copied)
+    exposed = (region.len_pages * cm.sync_page_cost()) + recopy_cost
     space.move_pages(range(region.start_page, region.end_page), dst)
     space.ledger.migration_exposed += exposed
     region.tier = dst
@@ -167,8 +160,7 @@ def execute_plan(space: MemoryState, plan: MigrationPlan, regions: dict[int, Reg
                 f"move of region {mv.region_id} to {mv.dst} failed: {exc}",
                 report, exc) from exc
         report.entries.append(entry)
-        t += region.len_pages * (cm.step_alloc +
-                                 cm.step_copy * cm.copy_factor(entry.src, mv.dst))
+        t += region.len_pages * (cm.step_alloc + cm.step_copy)
     return report
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .memmodel import CapacityError, TierTopology
+from .memmodel import CapacityError, TierTopology, require
 from .profiler import Region
 
 
@@ -14,6 +14,9 @@ class PolicyConfig:
     # bytes when n_bytes is set.
     n_fraction: float = 0.05
     n_bytes: int | None = None
+
+    def __post_init__(self):
+        require(0 < self.alpha <= 1, "alpha", "must be in (0, 1]")
 
     def promotion_budget(self, topology: TierTopology) -> int:
         if self.n_bytes is not None:
@@ -45,12 +48,6 @@ class Move:
 @dataclass
 class MigrationPlan:
     moves: list[Move] = field(default_factory=list)
-
-    def promoted_bytes(self) -> int:
-        return sum(m.bytes for m in self.moves if m.reason == "promote")
-
-    def demoted_bytes(self) -> int:
-        return sum(m.bytes for m in self.moves if m.reason == "demote")
 
     def __len__(self) -> int:
         return len(self.moves)

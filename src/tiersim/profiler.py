@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .memmodel import BASE_PAGE_BYTES, BudgetError, MemoryState
+from .memmodel import BASE_PAGE_BYTES, BudgetError, CostModel, MemoryState, require
 from .workload import TraceSlice
 
 log = logging.getLogger(__name__)
@@ -27,33 +27,32 @@ class ProfilerConfig:
     top_k_variance: int = 5
 
     def __post_init__(self):
-        if not 0 < self.overhead_constraint < 1:
-            raise ValueError("overhead_constraint must be in (0, 1)")
-        if self.num_scans < 1:
-            raise ValueError("num_scans must be >= 1")
+        require(0 < self.overhead_constraint < 1, "overhead_constraint",
+                "must be in (0, 1)")
+        require(self.num_scans >= 1, "num_scans", "must be >= 1")
         if self.tau1 is None:
             self.tau1 = self.num_scans / 3
         if self.tau2 is None:
             self.tau2 = 2 * self.num_scans / 3
-        if not 0 <= self.tau1 < self.tau2 <= self.num_scans:
-            raise ValueError("need 0 <= tau1 < tau2 <= num_scans")
+        require(0 <= self.tau1 < self.tau2 <= self.num_scans, "tau1",
+                "must satisfy 0 <= tau1 < tau2 <= num_scans")
+        require(self.default_region_pages >= 1, "default_region_pages", "must be >= 1")
+        require(self.hint_fault_period >= 1 or not self.origin_sampling,
+                "hint_fault_period", "must be >= 1 with origin_sampling")
+        require(self.top_k_variance >= 1, "top_k_variance", "must be >= 1")
 
 
-def effective_scan_cost(cfg: ProfilerConfig, scan_cost: float,
-                        hint_fault_multiplier: float = 12.0) -> float:
+def effective_scan_cost(cfg: ProfilerConfig, cost: CostModel) -> float:
     """Per-scan cost including the amortized hint fault (one per
     hint_fault_period scans) when origin sampling is on."""
     if cfg.origin_sampling:
-        return scan_cost * (1.0 + hint_fault_multiplier / cfg.hint_fault_period)
-    return scan_cost
+        return cost.scan_cost * (1.0 + cost.hint_fault_multiplier / cfg.hint_fault_period)
+    return cost.scan_cost
 
 
-def compute_budget(cfg: ProfilerConfig, scan_cost: float,
-                   hint_fault_multiplier: float = 12.0) -> int:
+def compute_budget(cfg: ProfilerConfig, cost: CostModel) -> int:
     """Page samples affordable per interval under the overhead constraint."""
-    if scan_cost <= 0:
-        raise ValueError("scan_cost must be > 0")
-    eff = effective_scan_cost(cfg, scan_cost, hint_fault_multiplier)
+    eff = effective_scan_cost(cfg, cost)
     num_ps = math.floor(cfg.interval_cost * cfg.overhead_constraint /
                         (eff * cfg.num_scans))
     if num_ps < 1:
@@ -344,8 +343,7 @@ class Profiler:
         self.cfg = cfg
         self.space = space
         self.rng = random.Random(seed)
-        self.num_ps = compute_budget(cfg, space.cost_model.scan_cost,
-                                     space.cost_model.hint_fault_multiplier)
+        self.num_ps = compute_budget(cfg, space.cost_model)
         self.regions: list[Region] = []
         self.active_ids: set[int] = set()
         self.slowest_region_pages = cfg.default_region_pages
@@ -491,8 +489,7 @@ class Profiler:
         """Replay the slice in num_scans sub-windows, scanning the sampled
         pages of active regions after each.  Returns scans performed."""
         space, cfg = self.space, self.cfg
-        eff = effective_scan_cost(cfg, space.cost_model.scan_cost,
-                                  space.cost_model.hint_fault_multiplier)
+        eff = effective_scan_cost(cfg, space.cost_model)
         actives = [r for r in sorted(self.regions, key=lambda r: r.start_page)
                    if r.id in self.active_ids]
         budget_left = self.num_ps

@@ -1,7 +1,6 @@
 """Synthetic access traces with ground-truth per-interval hot-page oracles."""
 from __future__ import annotations
 
-import csv
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,35 +45,8 @@ class AccessTrace:
         lo, hi = self.interval_bounds(index)
         return TraceSlice(self, lo, hi)
 
-    def events(self):
-        """(vpage, is_write, node) for every access, in trace order."""
-        return zip(self.vpages, self.writes, self.nodes)
-
     def footprint(self) -> int:
         return max(self.vpages) + 1 if self.vpages else 0
-
-    # -- CSV interchange: header `seq,vpage,rw,node`, rw in {R,W} ----------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["seq", "vpage", "rw", "node"])
-            for seq, (vpage, is_write, node) in enumerate(self.events()):
-                w.writerow([seq, vpage, "W" if is_write else "R", node])
-
-    @classmethod
-    def from_csv(cls, path, accesses_per_interval: int) -> "AccessTrace":
-        vpages, writes, nodes = [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["seq", "vpage", "rw", "node"]:
-                raise WorkloadError(f"unexpected trace header {header}")
-            for row in reader:
-                vpages.append(int(row[1]))
-                writes.append(row[2] == "W")
-                nodes.append(int(row[3]))
-        return cls(vpages, writes, nodes, accesses_per_interval)
 
 
 class TraceSlice:
@@ -207,8 +179,6 @@ class GupsPhase:
     hotset_fraction: float
     hot_access_fraction: float
     accesses: int
-    seed: int | None = None   # default: derived from the master seed and index
-    node: int | None = None   # pin every access of the phase to one node
     init_pass: bool = False
 
 
@@ -220,12 +190,10 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
         raise WorkloadError("need at least 2 phases")
     vpages, writes, node_col = [], [], []
     for i, ph in enumerate(phases):
-        phase_seed = ph.seed if ph.seed is not None else (seed * 1000003 + i)
-        rng = random.Random(phase_seed)
-        phase_nodes = [ph.node] if ph.node is not None else (list(nodes) or [0])
+        rng = random.Random(seed * 1000003 + i)
         _emit_gups_block(rng, vpages, writes, node_col, ph.footprint_pages,
                          ph.hotset_fraction, ph.hot_access_fraction, ph.accesses,
-                         phase_nodes, 0, hotset_layout, ph.init_pass, 0)
+                         list(nodes) or [0], 0, hotset_layout, ph.init_pass, 0)
     trace = AccessTrace(vpages, writes, node_col, accesses_per_interval)
     return trace, HotOracle.from_trace(trace)
 
@@ -247,5 +215,5 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
                 vpages.append(p); writes.append(True)
             else:
                 raise WorkloadError(f"unknown microbench kind {kind!r}")
-    api = accesses_per_interval or max(1, len(vpages))
+    api = max(1, len(vpages)) if accesses_per_interval is None else accesses_per_interval
     return AccessTrace(vpages, writes, [node] * len(vpages), api)

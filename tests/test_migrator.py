@@ -16,7 +16,7 @@ from tiersim.profiler import Region
 from tiersim.workload import gen_seq_microbench
 
 
-def make_space(num_pages=2048, caps=(4096, 4096, 4096), factor=None, map_to="a"):
+def make_space(num_pages=2048, caps=(4096, 4096, 4096), map_to="a"):
     ids = ["a", "b", "c"][:len(caps)]
     topo = build_topology({
         "tiers": [{"id": t, "capacity_bytes": c * BASE_PAGE_BYTES,
@@ -24,8 +24,7 @@ def make_space(num_pages=2048, caps=(4096, 4096, 4096), factor=None, map_to="a")
                   for i, (t, c) in enumerate(zip(ids, caps))],
         "nodes": [0],
     })
-    cm = CostModel(inter_tier_factor=factor or {})
-    space = MemoryState(topo, cm, num_pages)
+    space = MemoryState(topo, CostModel(), num_pages)
     if map_to:
         for p in range(num_pages):
             space.map_page(p, map_to)
@@ -46,13 +45,6 @@ class TestSync:
         cm = CostModel()
         total = cm.step_alloc + cm.step_unmap + cm.step_copy + cm.step_map
         assert cm.step_copy / total == pytest.approx(0.40)
-
-    def test_huge_region_with_factor(self):
-        space = make_space(num_pages=512,
-                           factor={("a", "b"): 1.5, ("b", "a"): 1.5})
-        cost = migrate_region_sync(space, reg(0, 512), "b")
-        assert cost == 512 * (1 + 1 + 3 + 1)
-        assert cost == 3072
 
     def test_moves_pages_and_clears_bits(self):
         space = make_space(num_pages=8)

@@ -257,4 +257,4 @@ class TestPlanInterval:
             free[m.dst] -= m.bytes
             free[m.src] += m.bytes
             assert min(free.values()) >= 0
-        assert plan.promoted_bytes() <= policy.n_bytes
+        assert sum(m.bytes for m in plan.moves if m.reason == "promote") <= policy.n_bytes

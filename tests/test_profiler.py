@@ -49,21 +49,22 @@ def trace_of(pages, writes=None, node=0, api=None):
 class TestComputeBudget:
     def test_direct_substitution(self):
         cfg = ProfilerConfig(interval_cost=1e6, overhead_constraint=0.05, num_scans=3)
-        assert compute_budget(cfg, scan_cost=2.0) == 8333
+        assert compute_budget(cfg, CostModel(scan_cost=2.0)) == 8333
 
     def test_origin_sampling_doubles_scan_cost(self):
         cfg = ProfilerConfig(interval_cost=1e6, overhead_constraint=0.05,
                              num_scans=3, origin_sampling=True,
                              hint_fault_period=12)
         # amortized hint fault: 2.0 * (1 + 12/12) = 4.0 per scan
-        assert effective_scan_cost(cfg, 2.0, 12.0) == 4.0
-        assert compute_budget(cfg, 2.0, 12.0) == 4166
+        cost = CostModel(scan_cost=2.0, hint_fault_multiplier=12.0)
+        assert effective_scan_cost(cfg, cost) == 4.0
+        assert compute_budget(cfg, cost) == 4166
 
     def test_infeasible_constraint(self):
         cfg = ProfilerConfig(interval_cost=10.0, overhead_constraint=0.01,
                              num_scans=3)
         with pytest.raises(BudgetError):
-            compute_budget(cfg, scan_cost=1.0)
+            compute_budget(cfg, CostModel(scan_cost=1.0))
 
     def test_matches_arithmetic_oracle_randomized(self):
         rng = random.Random(202)
@@ -81,7 +82,8 @@ class TestComputeBudget:
             expect = int(cfg.interval_cost * cfg.overhead_constraint
                          // (eff * cfg.num_scans))
             try:
-                got = compute_budget(cfg, scan_cost, mult)
+                got = compute_budget(cfg, CostModel(scan_cost=scan_cost,
+                                                    hint_fault_multiplier=mult))
             except BudgetError:
                 assert expect < 1
                 continue

@@ -98,8 +98,10 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         if plan.moves:
             concurrent = []
             if mode in ("async", "adaptive") and i + 1 < trace.num_intervals:
+                copy_end = migrator.copy_windows(plan, regions, space.cost_model,
+                                                 space.clock)[-1]
                 concurrent = migrator.project_write_times(
-                    space, trace.interval_slice(i + 1), space.clock)
+                    space, trace.interval_slice(i + 1), space.clock, copy_end)
             report = migrator.execute_plan(space, plan, regions, mode=mode,
                                            concurrent=concurrent,
                                            start_time=space.clock)

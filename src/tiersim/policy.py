@@ -17,6 +17,8 @@ class PolicyConfig:
 
     def __post_init__(self):
         require(0 < self.alpha <= 1, "alpha", "must be in (0, 1]")
+        require(self.n_fraction >= 0, "n_fraction", "must be >= 0")
+        require(self.n_bytes is None or self.n_bytes >= 0, "n_bytes", "must be >= 0")
 
     def promotion_budget(self, topology: TierTopology) -> int:
         if self.n_bytes is not None:

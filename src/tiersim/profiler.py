@@ -36,6 +36,8 @@ class ProfilerConfig:
             self.tau2 = 2 * self.num_scans / 3
         require(0 <= self.tau1 < self.tau2 <= self.num_scans, "tau1",
                 "must satisfy 0 <= tau1 < tau2 <= num_scans")
+        require(0 <= self.pebs_window_fraction <= 1, "pebs_window_fraction",
+                "must be in [0, 1]")
         require(self.default_region_pages >= 1, "default_region_pages", "must be >= 1")
         require(self.hint_fault_period >= 1 or not self.origin_sampling,
                 "hint_fault_period", "must be >= 1 with origin_sampling")
@@ -163,11 +165,23 @@ def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], int,
     return out, saved, changed
 
 
-def _top_up_samples(reg: Region, rng: random.Random) -> None:
-    """Grow reg.samples to reg.quota with fresh random pages (capped at size)."""
-    reg.quota = min(reg.quota, reg.len_pages)
+def _unsampled_pages(reg: Region) -> list[int]:
     have = set(reg.samples)
-    pool = [p for p in range(reg.start_page, reg.end_page) if p not in have]
+    return [p for p in range(reg.start_page, reg.end_page) if p not in have]
+
+
+def _top_up_samples(reg: Region, rng: random.Random,
+                    pool: list[int] | None = None) -> None:
+    """Grow reg.samples to reg.quota with fresh random pages (capped at size).
+
+    Picks are drawn from `pool`, the region's unsampled pages in page order,
+    and popped from it.  Without a pool a fresh one is built.  A caller that
+    tops the same region up repeatedly may pass the same list each time, as
+    long as nothing else changes reg.samples in between: the draws are then
+    exactly those of fresh calls."""
+    reg.quota = min(reg.quota, reg.len_pages)
+    if pool is None:
+        pool = _unsampled_pages(reg)
     while len(reg.samples) < reg.quota and pool:
         pick = pool.pop(rng.randrange(len(pool)))
         reg.samples.append(pick)
@@ -376,12 +390,16 @@ class Profiler:
                 regions.append(reg)
         regions.sort(key=lambda r: r.start_page)
         surplus = self.num_ps - total_quota(regions)
+        pools: list[list[int] | None] = [None] * len(regions)
         i = 0
         while surplus > 0 and regions:
-            reg = regions[i % len(regions)]
+            k = i % len(regions)
+            reg = regions[k]
             if reg.quota < reg.len_pages:
                 reg.quota += 1
-                _top_up_samples(reg, self.rng)
+                if pools[k] is None:
+                    pools[k] = _unsampled_pages(reg)
+                _top_up_samples(reg, self.rng, pools[k])
                 surplus -= 1
             i += 1
             if i >= len(regions) and all(r.quota >= r.len_pages for r in regions):

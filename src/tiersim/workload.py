@@ -78,7 +78,7 @@ class TraceSlice:
 
     def head_fraction(self, fraction: float) -> "TraceSlice":
         cut = self.lo + int(len(self) * fraction)
-        return TraceSlice(self.trace, self.lo, max(self.lo, cut))
+        return TraceSlice(self.trace, self.lo, min(max(self.lo, cut), self.hi))
 
 
 @dataclass

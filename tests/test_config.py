@@ -55,6 +55,11 @@ REJECTED = {
                          "profiler.hint_fault_period"),
     "alloc-group-zero": (SMALL + "alloc_group_pages = 0\n", RUN, {},
                          "alloc_group_pages"),
+    "pebs-window-above-one": (SMALL + "profiler.pebs_window_fraction = 3\n", RUN, {},
+                              "profiler.pebs_window_fraction"),
+    "negative-n-bytes": (SMALL + "policy.n_bytes = -1\n", RUN, {}, "policy.n_bytes"),
+    "negative-n-fraction": (SMALL + "policy.n_fraction = -0.05\n", RUN, {},
+                            "policy.n_fraction"),
     "top-k-zero": (SMALL + "profiler.top_k_variance = 0\n", RUN, {},
                    "profiler.top_k_variance"),
     "negative-hint-cost": (SMALL + "cost.hint_fault_multiplier = -12\n", RUN, {},

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,13 +8,13 @@ from tiersim.memmodel import (
     build_topology,
 )
 from tiersim.migrator import (
-    MigrationReport, PlanExecutionError, TimedWrite, execute_plan,
-    migrate_region_adaptive, migrate_region_async,
+    MigrationReport, MoveReport, PlanExecutionError, TimedWrite, copy_windows,
+    execute_plan, migrate_region_adaptive, migrate_region_async,
     migrate_region_sync, project_write_times,
 )
 from tiersim.policy import MigrationPlan, Move
 from tiersim.profiler import Region
-from tiersim.workload import gen_seq_microbench
+from tiersim.workload import AccessTrace, gen_seq_microbench
 
 
 def make_space(num_pages=2048, caps=(4096, 4096, 4096), map_to="a"):
@@ -232,3 +233,123 @@ class TestProjectWriteTimes:
         writes = project_write_times(space, trace.interval_slice(0), 100.0)
         # events R0 W0 R1 W1 at cost 1 each: writes at t=102 and t=104
         assert [(w.t, w.vpage) for w in writes] == [(102.0, 0), (104.0, 1)]
+
+    def test_bound_excludes_writes_at_or_after_it(self):
+        space = make_space(num_pages=4)
+        slc = gen_seq_microbench("half_read", 2, passes=1).interval_slice(0)
+        assert list(project_write_times(space, slc, 100.0, 104.0)) == \
+            [TimedWrite(102.0, 0)]
+        assert len(project_write_times(space, slc, 100.0, 102.0)) == 0
+
+    def test_projection_reads_as_a_sequence(self):
+        space = make_space(num_pages=8)
+        slc = gen_seq_microbench("write_only", 8, passes=2).interval_slice(0)
+        writes = project_write_times(space, slc, 0.0)
+        items = [writes[k] for k in range(len(writes))]
+        assert list(writes) == items and len(items) == 16
+        assert writes[-1] == TimedWrite(16.0, 7)
+
+
+def linear_adaptive(cm, region, dst, concurrent, start_time):
+    """Reference for an adaptive move by linear scans over every write:
+    (first in-window write or None, the MoveReport)."""
+    per_page_bg = cm.step_alloc + cm.step_copy
+    window_end = start_time + region.len_pages * per_page_bg
+    first = next((w for w in concurrent if start_time <= w.t < window_end
+                  and region.contains(w.vpage)), None)
+    if first is None:
+        return None, MoveReport(region.id, region.tier, dst, "async",
+                                region.len_pages * (cm.step_unmap + cm.step_map),
+                                region.len_pages * per_page_bg, 0)
+    copied = min(region.len_pages,
+                 int(math.floor((first.t - start_time) / per_page_bg)))
+    dirty = {w.vpage for w in concurrent
+             if start_time <= w.t <= first.t and region.contains(w.vpage)}
+    recopy = sum(cm.step_copy for p in dirty if p < region.start_page + copied)
+    return first, MoveReport(region.id, region.tier, dst, "async_fallback",
+                             region.len_pages * cm.sync_page_cost() + recopy,
+                             0.0, len(dirty))
+
+
+def random_window_case(rng):
+    """A region, a start time and ascending writes on an integer grid, so
+    times repeat and land before, at and after the window's edges."""
+    start = rng.randrange(0, 60)
+    region = reg(start, rng.randrange(1, 64 - start + 1))
+    start_time = float(rng.randrange(0, 50))
+    window_end = start_time + region.len_pages * 3.0
+    times = [float(rng.randrange(0, int(window_end) + 20))
+             for _ in range(rng.choice([0, 1, 3, 10, 40]))]
+    if rng.random() < 0.5:  # its start, the last float inside it, its end
+        times += [start_time, math.nextafter(window_end, 0.0), window_end]
+    pages = range(max(0, start - 4), min(64, region.end_page + 4))
+    writes = [TimedWrite(t, rng.choice(pages)) for t in sorted(times)]
+    return region, start_time, writes
+
+
+class TestBisectedWindows:
+    def test_async_and_adaptive_match_linear_scans(self):
+        rng = random.Random(7)
+        fallbacks = 0
+        for _ in range(400):
+            region, start_time, writes = random_window_case(rng)
+            cm = CostModel()
+            first, expected = linear_adaptive(cm, region, "b", writes, start_time)
+            fallbacks += first is not None
+
+            space = make_space(num_pages=64)
+            region_a = reg(region.start_page, region.len_pages)
+            result = migrate_region_async(space, region_a, "b", writes, start_time)
+            if first is None:
+                assert result == (expected.exposed_cost, expected.background_cost)
+                assert space.ledger.migration_exposed == expected.exposed_cost
+                assert space.ledger.migration_background == expected.background_cost
+            else:
+                assert result == first
+                assert space.ledger.migration_exposed == 0.0
+                assert space.ledger.migration_background == 0.0
+
+            space = make_space(num_pages=64)
+            entry = migrate_region_adaptive(space, region, "b", writes, start_time)
+            assert entry == expected
+            assert space.ledger.migration_exposed == expected.exposed_cost
+            assert space.ledger.migration_background == expected.background_cost
+            assert region.tier == "b"
+        assert 50 < fallbacks < 350
+
+    def test_bounded_projection_gives_the_same_report(self):
+        rng = random.Random(11)
+        mechanisms = set()
+        for case in range(60):
+            n = 64
+            vpages = [rng.randrange(n) for _ in range(2000)]
+            writes = [rng.random() < 0.3 for _ in vpages]
+            slc = AccessTrace(vpages, writes, [0] * len(vpages), 2000).interval_slice(0)
+            mode = ("sync", "async", "adaptive")[case % 3]
+            start_time = float(rng.randrange(0, 100))
+            reports = []
+            for bounded in (False, True):
+                space = make_space(num_pages=n, caps=(128, 128, 128))
+                local = random.Random(case)
+                regions, moves, start = {}, [], 0
+                while start < n:
+                    r = reg(start, min(local.randrange(1, 9), n - start))
+                    regions[r.id] = r
+                    moves.append(Move(r.id, "a", local.choice(["b", "c"]),
+                                      "demote", r.bytes))
+                    start = r.end_page
+                plan = MigrationPlan(moves=local.sample(moves, local.randrange(1, 6)))
+                until = copy_windows(plan, regions, space.cost_model, start_time)[-1]
+                full = project_write_times(space, slc, start_time)
+                concurrent = (project_write_times(space, slc, start_time, until)
+                              if bounded else full)
+                if bounded:
+                    assert list(concurrent) == list(full)[:len(concurrent)]
+                    assert full[len(concurrent)].t >= until > concurrent[-1].t
+                report = execute_plan(space, plan, regions, mode=mode,
+                                      concurrent=concurrent, start_time=start_time)
+                reports.append((report, space.ledger.migration_exposed,
+                                space.ledger.migration_background))
+            assert reports[0] == reports[1]
+            mechanisms |= {e.mechanism for e in reports[0][0].entries}
+        assert mechanisms == {"sync", "async", "async_fallback"}

@@ -9,9 +9,9 @@ from tiersim.memmodel import (
     build_topology,
 )
 from tiersim.profiler import (
-    Profiler, ProfilerConfig, Region, compute_budget, effective_scan_cost,
-    enforce_budget, merge_pass, redistribute_quota, sample_origin, split_pass,
-    total_quota,
+    Profiler, ProfilerConfig, Region, _top_up_samples, _unsampled_pages,
+    compute_budget, effective_scan_cost, enforce_budget, merge_pass,
+    redistribute_quota, sample_origin, split_pass, total_quota,
 )
 from tiersim.workload import AccessTrace
 
@@ -355,6 +355,27 @@ class TestInitRegions:
         slow_regions = [r for r in prof.regions if r.tier == "slow"]
         assert len(slow_regions) == 1
         assert 20 in slow_regions[0].samples
+
+
+class TestTopUpSamples:
+    @pytest.mark.parametrize("start, length, samples", [
+        (0, 16, []), (32, 512, [40]), (100, 7, [103, 100]), (8, 1, [8])])
+    def test_reused_pool_draws_like_fresh_pools(self, start, length, samples):
+        rngs = random.Random(start), random.Random(start)
+        fresh, cached = (Region(start, length, "slow", quota=1, samples=list(samples))
+                         for _ in rngs)
+        _top_up_samples(fresh, rngs[0])
+        _top_up_samples(cached, rngs[1])
+        pool = _unsampled_pages(cached)
+        for _ in range(length + 2):  # runs past the page count
+            fresh.quota += 1
+            cached.quota += 1
+            _top_up_samples(fresh, rngs[0])
+            _top_up_samples(cached, rngs[1], pool)
+            assert cached.samples == fresh.samples
+            assert cached.quota == fresh.quota
+        assert sorted(fresh.samples) == list(range(start, start + length))
+        assert rngs[0].random() == rngs[1].random()
 
 
 class TestPebsAssist:

@@ -122,3 +122,12 @@ class TestMicrobench:
     def test_unknown_kind(self):
         with pytest.raises(WorkloadError):
             gen_seq_microbench("mixed", 4, passes=1)
+
+
+class TestSlice:
+    def test_head_fraction_stays_inside_the_slice(self):
+        t = gen_seq_microbench("read_only", 12, passes=1, accesses_per_interval=4)
+        second = t.interval_slice(1)
+        assert [v for v, _, _ in second.head_fraction(0.5).events()] == [4, 5]
+        assert [v for v, _, _ in second.head_fraction(3.0).events()] == [4, 5, 6, 7]
+        assert len(second.head_fraction(-1.0)) == 0

@@ -56,29 +56,11 @@ def group_first_touch(group_pages: int):
 
 
 def replay_plain(space: MemoryState, slc: TraceSlice) -> None:
-    for vpage, is_write, node in slc.events():
-        space.apply_access(vpage, is_write, node)
+    space.replay(slc)
 
 
 def _interval_budget(cfg: ProfilerConfig) -> float:
     return cfg.interval_cost * cfg.overhead_constraint
-
-
-def _tier_runs_with_score(space: MemoryState, start: int, length: int,
-                          score: float) -> list[Region]:
-    """Split a window into per-tier runs so the shared planner can use it."""
-    out = []
-    run_start, run_tier = None, None
-    for p in range(start, start + length + 1):
-        tier = space.page_tier[p] if p < start + length else None
-        if tier != run_tier:
-            if run_tier is not None:
-                reg = Region(run_start, p - run_start, run_tier, quota=1)
-                reg.hi = score
-                reg.whi = score
-                out.append(reg)
-            run_start, run_tier = p, tier
-    return out
 
 
 class FirstTouchSystem:
@@ -177,15 +159,16 @@ class AutonumaSystem:
         w0 = self.rng.randrange(max(1, space.num_pages - window + 1))
         w1 = w0 + window
         budget = _interval_budget(cfg)
+        scan_cost = space.cost_model.scan_cost
         spent = 0.0
         fresh = {}
         for sub in slc.subwindows(cfg.num_scans):
-            seen: set[int] = set()
-            for p, is_write, node in sub.events():
-                space.apply_access(p, is_write, node)
-                if w0 <= p < w1 and p not in seen and spent + space.cost_model.scan_cost <= budget:
-                    seen.add(p)
-                    spent += space.cost_model.scan_cost
+            replay_plain(space, sub)
+            # one fault per page the sub-window touched in the window, taken
+            # in first-access order until the budget runs dry
+            for p in sub.page_counts():
+                if w0 <= p < w1 and spent + scan_cost <= budget:
+                    spent += scan_cost
                     fresh[p] = fresh.get(p, 0) + 1
         space.ledger.profiling += spent
         for p in range(w0, w1):
@@ -246,7 +229,9 @@ class AutonumaSystem:
 
 class ThermostatSystem:
     """One random base page per fixed-size region, every access to it counted
-    at a protection-fault premium; stops sampling when the budget runs dry."""
+    at a protection-fault premium; stops sampling when the budget runs dry.
+    The counts are the interval's `page_counts()`, taken after its replay.
+    Planning scores each per-tier run of a region with the region's count."""
 
     name = "thermostat"
     migrator_mode = "sync"
@@ -260,20 +245,14 @@ class ThermostatSystem:
         self.region_pages = cfg.default_region_pages
         self.hotness: dict[int, int] = {}  # window start -> retained count
 
-    def _windows(self) -> list[int]:
-        n = self.space.num_pages
-        return list(range(0, n, self.region_pages))
-
     def run_profiling(self, slc: TraceSlice, interval: int) -> None:
         space = self.space
-        replay_counts: dict[int, int] = {}
-        for vpage, is_write, node in slc.events():
-            space.apply_access(vpage, is_write, node)
-            replay_counts[vpage] = replay_counts.get(vpage, 0) + 1
+        replay_plain(space, slc)
+        replay_counts = slc.page_counts()
         budget = _interval_budget(self.cfg)
         fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
         spent = 0.0
-        windows = self._windows()
+        windows = list(range(0, space.num_pages, self.region_pages))
         self.rng.shuffle(windows)
         for w in windows:
             pages = [p for p in range(w, min(w + self.region_pages, space.num_pages))
@@ -299,10 +278,10 @@ class ThermostatSystem:
     def plan(self):
         """Thermostat is profiling-only: migration reuses the shared planner."""
         regions: list[Region] = []
-        for w in self._windows():
+        for start, ln, tier in self.space.tier_runs(window=self.region_pages):
+            w = start - start % self.region_pages
             score = min(float(self.hotness.get(w, 0)), float(self.cfg.num_scans))
-            ln = min(self.region_pages, self.space.num_pages - w)
-            regions.extend(_tier_runs_with_score(self.space, w, ln, score))
+            regions.append(Region(start, ln, tier, quota=1, hi=score, whi=score))
         plan = plan_interval(regions, self.space.topology, self.policy,
                              self.space.topology.views)
         return plan, {r.id: r for r in regions}
@@ -343,15 +322,11 @@ class DamonSystem:
 
     def _init_regions(self) -> None:
         # one region per contiguous mapped run in the footprint
-        space = self.space
-        start = None
-        for p in range(space.num_pages + 1):
-            mapped = p < space.num_pages and space.is_mapped(p)
-            if mapped and start is None:
-                start = p
-            elif not mapped and start is not None:
-                self.regions.append(_DamonRegion(start, p - start))
-                start = None
+        for start, ln, _ in self.space.tier_runs():
+            if self.regions and self.regions[-1].end == start:
+                self.regions[-1].length += ln
+            else:
+                self.regions.append(_DamonRegion(start, ln))
 
     def run_profiling(self, slc: TraceSlice, interval: int) -> None:
         space, cfg = self.space, self.cfg
@@ -367,8 +342,7 @@ class DamonSystem:
                 picks.append((reg, pages[self.rng.randrange(len(pages))]))
         hits = {id(reg): 0 for reg, _ in picks}
         for sub in slc.subwindows(cfg.num_scans):
-            for vpage, is_write, node in sub.events():
-                space.apply_access(vpage, is_write, node)
+            replay_plain(space, sub)
             for reg, page in picks:
                 hits[id(reg)] += space.scan_pte(page)
         for reg, _ in picks:
@@ -418,8 +392,8 @@ class DamonSystem:
         regions: list[Region] = []
         for reg in self.regions:
             score = min(reg.result, float(self.cfg.num_scans))
-            regions.extend(_tier_runs_with_score(self.space, reg.start,
-                                                 reg.length, score))
+            regions.extend(Region(start, ln, tier, quota=1, hi=score, whi=score)
+                           for start, ln, tier in self.space.tier_runs(reg.start, reg.end))
         plan = plan_interval(regions, self.space.topology, self.policy,
                              self.space.topology.views)
         return plan, {r.id: r for r in regions}

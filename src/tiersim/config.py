@@ -111,17 +111,28 @@ _TIER_SECTION = re.compile(r"tier\d+")
 
 
 def _topology_spec(topo) -> dict:
-    """The topology section typed, in the form build_topology takes."""
+    """The topology section typed and checked, in the form build_topology
+    takes.  Canonical tier order is fastest first: a tier's access cost,
+    given or by rank, may not fall below the tier before it."""
     if not isinstance(topo, dict) or not topo:
         raise ConfigError("topology section is mandatory", "topology")
+    names = sorted(k for k in topo if _TIER_SECTION.fullmatch(k))
     if "tiers" not in topo:  # tierN sections, in key order; ids default to the key
-        names = sorted(k for k in topo if _TIER_SECTION.fullmatch(k))
         sections = [{"id": n, **topo[n]} if isinstance(topo[n], dict) else topo[n]
                     for n in names]
         tiers = [asdict(_walk(TierConfig, section, f"topology.{n}"))
                  for n, section in zip(names, sections)]
         topo = {k: v for k, v in topo.items() if k not in names} | {"tiers": tiers}
-    return asdict(_walk(TopologyConfig, topo, "topology"))
+    spec = asdict(_walk(TopologyConfig, topo, "topology"))
+    try:
+        tiers = build_topology(spec).tiers
+    except TopologyError as exc:
+        raise ConfigError(str(exc), "topology") from None
+    names = names or [f"tiers.{i}" for i in range(len(tiers))]
+    for name, faster, tier in zip(names[1:], tiers, tiers[1:]):
+        require(tier.access_cost >= faster.access_cost, f"topology.{name}.access_cost",
+                f"must be >= {faster.access_cost}, the cost of tier {faster.id}")
+    return spec
 
 
 @dataclass
@@ -148,10 +159,6 @@ class RunConfig:
         require(self.workload.kind != "microbench"
                 or self.workload.node in self.topology["nodes"],
                 "workload.node", "must be one of topology.nodes")
-        try:
-            build_topology(self.topology)
-        except TopologyError as exc:
-            raise ConfigError(str(exc), "topology") from None
 
 
 def _join(where: str, key) -> str:

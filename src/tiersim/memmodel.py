@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+
+from .workload import TraceSlice
 
 BASE_PAGE_BYTES = 4096
 
@@ -237,6 +240,25 @@ class MemoryState:
                 out[tid] += BASE_PAGE_BYTES
         return out
 
+    def tier_runs(self, lo: int = 0, hi: int | None = None,
+                  window: int | None = None) -> list[tuple[int, int, str]]:
+        """Maximal (start, length, tier) runs of mapped pages in [lo, hi),
+        in page order and cut at every multiple of `window`.  `hi` is
+        clamped to the footprint."""
+        hi = self.num_pages if hi is None else min(hi, self.num_pages)
+        runs = []
+        cut = lo
+        while cut < hi:
+            end = hi if window is None else min((cut // window + 1) * window, hi)
+            start = cut
+            for tier, group in groupby(self.page_tier[cut:end]):
+                length = sum(1 for _ in group)
+                if tier is not None:
+                    runs.append((start, length, tier))
+                start += length
+            cut = end
+        return runs
+
     # -- access & scanning -------------------------------------------------
 
     def apply_access(self, vpage: int, is_write: bool, node: int) -> float:
@@ -253,6 +275,12 @@ class MemoryState:
         self.clock += cost
         self.tier_access_counts[tier_id] += 1
         return cost
+
+    def replay(self, slc: TraceSlice) -> None:
+        """Apply every access of the slice, in order.  Systems that need
+        per-page counts take them from `slc.page_counts()`."""
+        for vpage, is_write, node in slc.events():
+            self.apply_access(vpage, is_write, node)
 
     def scan_pte(self, vpage: int, cost: float | None = None) -> int:
         """Read and reset the page's access bit, charging the profiling ledger.

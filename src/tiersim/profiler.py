@@ -332,24 +332,6 @@ def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
     return pages
 
 
-def _mapped_runs(space: MemoryState, tier: str, window_pages: int,
-                 lo: int = 0, hi: int | None = None):
-    """Maximal runs of pages mapped to `tier`, broken at window boundaries."""
-    hi = space.num_pages if hi is None else hi
-    start = None
-    for p in range(lo, hi + 1):
-        boundary = (p == hi or space.page_tier[p] != tier
-                    or (start is not None and p % window_pages == 0))
-        if boundary:
-            if start is not None:
-                yield start, p - start
-                start = None
-            if p < hi and space.page_tier[p] == tier and p % window_pages == 0:
-                start = p
-        elif start is None and p < hi and space.page_tier[p] == tier:
-            start = p
-
-
 class Profiler:
     """Owns the region set and runs the per-interval profiling pipeline."""
 
@@ -373,21 +355,24 @@ class Profiler:
         space, cfg = self.space, self.cfg
         slowest = space.topology.slowest_tier
         regions: list[Region] = []
+        runs = space.tier_runs(window=cfg.default_region_pages)
         for tier in space.topology.tier_ids:
             if tier == slowest:
                 continue
-            for start, ln in _mapped_runs(space, tier, cfg.default_region_pages):
-                reg = Region(start, ln, tier, quota=1)
-                _top_up_samples(reg, self.rng)
-                regions.append(reg)
+            for start, ln, run_tier in runs:
+                if run_tier == tier:
+                    reg = Region(start, ln, tier, quota=1)
+                    _top_up_samples(reg, self.rng)
+                    regions.append(reg)
         if cfg.pebs_assist:
             regions.extend(self._pebs_regions(
                 _pebs_sampled_pages(space, first_slice, cfg), regions))
         else:
-            for start, ln in _mapped_runs(space, slowest, self.slowest_region_pages):
-                reg = Region(start, ln, slowest, quota=1)
-                _top_up_samples(reg, self.rng)
-                regions.append(reg)
+            for start, ln, tier in space.tier_runs(window=self.slowest_region_pages):
+                if tier == slowest:
+                    reg = Region(start, ln, slowest, quota=1)
+                    _top_up_samples(reg, self.rng)
+                    regions.append(reg)
         regions.sort(key=lambda r: r.start_page)
         surplus = self.num_ps - total_quota(regions)
         pools: list[list[int] | None] = [None] * len(regions)
@@ -426,10 +411,9 @@ class Profiler:
             if any(r.contains(page) for r in covered) or \
                     any(r.contains(page) for r in new.values()):
                 continue
-            for start, ln in _mapped_runs(space, slowest, window,
-                                          lo=(page // window) * window,
-                                          hi=(page // window + 1) * window):
-                if start <= page < start + ln:
+            w0 = page - page % window
+            for start, ln, tier in space.tier_runs(w0, w0 + window):
+                if tier == slowest and start <= page < start + ln:
                     reg = Region(start, ln, slowest, quota=1, samples=[page])
                     new[reg.id] = reg
                     break
@@ -442,10 +426,13 @@ class Profiler:
         slowest = space.topology.slowest_tier
         covered = sorted(self.regions, key=lambda r: r.start_page)
         added = []
+        runs = space.tier_runs(window=cfg.default_region_pages)
         for tier in space.topology.tier_ids:
             if tier == slowest:
                 continue
-            for start, ln in _mapped_runs(space, tier, cfg.default_region_pages):
+            for start, ln, run_tier in runs:
+                if run_tier != tier:
+                    continue
                 run_lo, run_hi = start, start + ln
                 for r in covered:
                     if r.end_page <= run_lo or r.start_page >= run_hi:
@@ -504,8 +491,10 @@ class Profiler:
     # -- per-interval profiling ----------------------------------------------
 
     def profile_interval(self, slc: TraceSlice) -> int:
-        """Replay the slice in num_scans sub-windows, scanning the sampled
-        pages of active regions after each.  Returns scans performed."""
+        """Replay the slice in num_scans sub-windows through
+        `MemoryState.replay`, scanning the sampled pages of active regions
+        after each, so a page's count is the number of sub-windows that
+        touched it.  Returns scans performed."""
         space, cfg = self.space, self.cfg
         eff = effective_scan_cost(cfg, space.cost_model)
         actives = [r for r in sorted(self.regions, key=lambda r: r.start_page)
@@ -523,8 +512,7 @@ class Profiler:
         counts = {r.id: [0] * len(samples) for r, samples in scheduled}
         scans = 0
         for sub in slc.subwindows(cfg.num_scans):
-            for vpage, is_write, node in sub.events():
-                space.apply_access(vpage, is_write, node)
+            space.replay(sub)
             for r, samples in scheduled:
                 row = counts[r.id]
                 for i, page in enumerate(samples):
@@ -578,16 +566,16 @@ def sample_origin(regions: list[Region], active_ids: set[int], slc: TraceSlice,
         if captures > 0:
             want[r.id] = captures
             lookup.append(r)
-    if not want:
-        return
+    pending = sum(want.values())
     for vpage, _, node in slc.events():
+        if not pending:
+            break
         for r in lookup:
-            if r.contains(vpage) and want.get(r.id, 0) > 0:
+            if r.contains(vpage) and want[r.id] > 0:
                 r.origin_counts[node] = r.origin_counts.get(node, 0) + 1
                 want[r.id] -= 1
+                pending -= 1
                 break
-        if all(v == 0 for v in want.values()):
-            break
 
 
 def snapshot_rows(interval: int, regions: list[Region]) -> list[list]:

@@ -65,6 +65,10 @@ class TraceSlice:
         t, lo, hi = self.trace, self.lo, self.hi
         return zip(t.vpages[lo:hi], t.writes[lo:hi], t.nodes[lo:hi])
 
+    def page_counts(self) -> Counter:
+        """Accesses per page in the window, keyed in first-access order."""
+        return Counter(self.trace.vpages[self.lo:self.hi])
+
     def subwindows(self, count: int) -> list["TraceSlice"]:
         """Split into `count` near-equal consecutive sub-windows."""
         n = len(self)
@@ -89,14 +93,9 @@ class HotOracle:
 
     @classmethod
     def from_trace(cls, trace: AccessTrace) -> "HotOracle":
-        sets = []
-        for i in range(trace.num_intervals):
-            counts = Counter()
-            lo, hi = trace.interval_bounds(i)
-            for p in trace.vpages[lo:hi]:
-                counts[p] += 1
-            sets.append({p for p, c in counts.items() if c >= HOT_THRESHOLD_ACCESSES})
-        return cls(sets)
+        return cls([{p for p, c in trace.interval_slice(i).page_counts().items()
+                     if c >= HOT_THRESHOLD_ACCESSES}
+                    for i in range(trace.num_intervals)])
 
     def hot_pages(self, interval_index: int) -> set[int]:
         if not 0 <= interval_index < len(self.hot_sets):

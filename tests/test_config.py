@@ -98,6 +98,13 @@ REJECTED = {
     "tier-capacity": (SMALL + "topology.tier0.capacity_bytes = 100\n", RUN, {},
                       "topology"),
     "scalar-section": (SMALL + "topology.views = dram\n", RUN, {}, "topology.views"),
+    # pmem below dram's cost would make dram the "slowest tier"
+    "cost-ladder-falls": (SMALL + "topology.tier1.access_cost = 0.5\n", RUN, {},
+                          "topology.tier1.access_cost"),
+    "json-cost-ladder-falls": (json.dumps({"seed": 1, "topology": {"tiers": [
+        {"id": "a", "capacity_bytes": 1048576, "access_cost": 6},
+        {"id": "b", "capacity_bytes": 8388608}]}}), RUN, {},
+        "topology.tiers.1.access_cost"),
 }
 
 

@@ -1,0 +1,64 @@
+"""Invariants of the interval loop that hold for every system: each replayed
+access is counted in exactly one tier, every planned move is executed and
+reported, first-touch never profiles or migrates, and a (config, seed) always
+gives the same run."""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from tiersim import engine
+from tiersim.baselines import BASELINE_KINDS
+from tiersim.config import build_run_config, parse_config_text
+
+SMALL = Path(__file__).resolve().parent / "golden" / "configs" / "small.cfg"
+# small with a 2 MiB tier between dram and pmem, and a second node whose view
+# ranks that tier first
+THREE_TIERS_TWO_NODES = """
+topology.tier1.id = cxl
+topology.tier1.capacity_bytes = 2097152
+topology.tier2.id = pmem
+topology.tier2.capacity_bytes = 8388608
+topology.nodes = 0, 1
+topology.views.1 = cxl, dram, pmem
+"""
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_override(monkeypatch):
+    monkeypatch.delenv("TIERSIM_SEED", raising=False)
+
+
+@pytest.fixture(scope="module")
+def runs():
+    tree = parse_config_text(SMALL.read_text() + THREE_TIERS_TWO_NODES)
+    cfgs = {name: build_run_config(tree, overrides={"system": name})
+            for name in BASELINE_KINDS}
+    trace, oracle = engine.build_trace(cfgs["first-touch"])
+    return trace, {name: (cfg, engine.run_simulation(cfg, trace=trace, oracle=oracle))
+                   for name, cfg in cfgs.items()}
+
+
+@pytest.mark.parametrize("system", BASELINE_KINDS)
+def test_interval_invariants(runs, system):
+    trace, by_system = runs
+    cfg, result = by_system[system]
+    assert result.tier_ids == ["dram", "cxl", "pmem"]
+    assert len(result.rows) == min(cfg.intervals, trace.num_intervals)
+    for row in result.rows:
+        assert sum(row.tier_access_counts.values()) == \
+            len(trace.interval_slice(row.interval))
+    assert len(result.plan_rows) == len(result.migration_rows)
+    assert [row[:4] for row in result.plan_rows] == \
+        [row[:4] for row in result.migration_rows]
+    if system == "first-touch":
+        assert all(row.profiling_cost == 0 and row.migration_exposed_cost == 0
+                   for row in result.rows)
+    # a fresh trace from the same (config, seed) gives the same run
+    assert engine.run_simulation(cfg) == result
+
+
+def test_some_system_migrates(runs):
+    _, by_system = runs
+    assert any(result.migration_rows for _, result in by_system.values())

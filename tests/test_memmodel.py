@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from tiersim.baselines import group_first_touch
 from tiersim.memmodel import (
     BASE_PAGE_BYTES, CapacityError, CostModel, MemoryState,
     TierSpec, TierTopology, TopologyError, UnmappedPageError, build_topology,
 )
+from tiersim.workload import AccessTrace, TraceSlice, gen_gups
 
 MB = 1024 * 1024
 
@@ -197,3 +199,78 @@ class TestInvariants:
             else:
                 ones += st.scan_pte(0)
         assert ones <= accesses
+
+
+def reference_runs(page_tier, lo, hi, window):
+    """Per-page reference for MemoryState.tier_runs."""
+    runs = []
+    for p in range(lo, min(hi, len(page_tier))):
+        tier = page_tier[p]
+        if tier is None:
+            continue
+        last = runs[-1] if runs else None
+        if (last and last[2] == tier and last[0] + last[1] == p
+                and (window is None or p % window)):
+            last[1] += 1
+        else:
+            runs.append([p, 1, tier])
+    return [tuple(run) for run in runs]
+
+
+class TestTierRuns:
+    def test_matches_per_page_reference(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            num_tiers = rng.randint(2, 4)
+            st = small_state(num_pages=rng.randint(1, 300),
+                             tier_pages=(512,) * num_tiers)
+            tiers = [None] + st.topology.tier_ids
+            page_tier = []
+            while len(page_tier) < st.num_pages:  # runs of random length
+                page_tier += [rng.choice(tiers)] * rng.randint(1, 40)
+            st.page_tier = page_tier[:st.num_pages]
+            window = rng.choice([None, *range(1, 65)])
+            lo = rng.randint(0, st.num_pages)
+            hi = rng.choice([None, rng.randint(lo, st.num_pages + 70)])
+            expected = reference_runs(st.page_tier, lo,
+                                      st.num_pages if hi is None else hi, window)
+            assert st.tier_runs(lo, hi, window) == expected
+
+    def test_runs_cut_at_windows_and_holes(self):
+        st = small_state(num_pages=10, tier_pages=(16, 16))
+        st.page_tier = ["t1"] * 6 + [None, "t2", "t2", "t1"]
+        assert st.tier_runs(window=4) == [(0, 4, "t1"), (4, 2, "t1"), (7, 1, "t2"),
+                                          (8, 1, "t2"), (9, 1, "t1")]
+        assert st.tier_runs(2, 8) == [(2, 4, "t1"), (7, 1, "t2")]
+        # a window past the footprint is clamped to it
+        assert st.tier_runs(8, 12, window=4) == [(8, 1, "t2"), (9, 1, "t1")]
+
+
+class TestReplay:
+    def test_matches_per_access_loop(self):
+        trace, _ = gen_gups(96, 0.2, 0.8, 3000, [0, 1], seed=5,
+                            accesses_per_interval=1000)
+        twins = [small_state(num_pages=trace.footprint(), tier_pages=(16, 24, 32, 64),
+                             nodes=(0, 1)) for _ in range(2)]
+        for st in twins:
+            st.allocator = group_first_touch(8)
+        bulk, loop = twins
+        for i in range(trace.num_intervals):
+            slc = trace.interval_slice(i)
+            bulk.replay(slc)
+            for vpage, is_write, node in slc.events():
+                loop.apply_access(vpage, is_write, node)
+            assert bulk.ledger == loop.ledger
+            assert bulk.clock == loop.clock
+            assert bulk.access_bit == loop.access_bit
+            assert bulk.dirty_bit == loop.dirty_bit
+            assert bulk.tier_access_counts == loop.tier_access_counts
+            assert bulk.page_tier == loop.page_tier
+            assert bulk.placed_bytes() == loop.placed_bytes()
+        assert sum(bulk.tier_access_counts.values()) == len(trace)
+
+
+def test_page_counts_keyed_in_first_access_order():
+    trace = AccessTrace([9, 5, 3, 5, 7, 3, 5, 2], [False] * 8, [0] * 8, 8)
+    counts = TraceSlice(trace, 1, 7).page_counts()
+    assert list(counts.items()) == [(5, 3), (3, 2), (7, 1)]

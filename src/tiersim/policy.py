@@ -82,18 +82,20 @@ def plan_demotions(topology: TierTopology, tier: str, need_bytes: int,
     free = dict(free_override) if free_override is not None else \
         {t.id: t.free_bytes for t in topology.tiers}
     planned = set(exclude or ())
-    _demote_into(topology, tier, need_bytes, coldest, views, plan, planned, free,
-                 depth=0, colder_than=colder_than)
+    _demote_into(tier, need_bytes, coldest, views, plan, planned, free, (),
+                 colder_than)
     return plan
 
 
-def _demote_into(topology, tier, need_bytes, coldest, views, plan, planned, free,
-                 depth, colder_than=None):
-    if depth > len(topology.tiers):
-        raise CapacityError("memory exhausted: demotion cascade found no space")
-    freed = 0
+def _demote_into(tier, need_bytes, coldest, views, plan, planned, free, stack,
+                 colder_than):
+    """Demote from `tier` until its free bytes have grown by need_bytes.
+    `stack` holds the tiers the callers are freeing: nothing cascades into
+    them, since views may disagree on which of two tiers is lower."""
+    stack = (*stack, tier)
+    start = free.get(tier, 0)
     for region in coldest:
-        if freed >= need_bytes:
+        if free.get(tier, 0) - start >= need_bytes:
             break
         if region.id in planned or region.tier != tier:
             continue
@@ -103,6 +105,8 @@ def _demote_into(topology, tier, need_bytes, coldest, views, plan, planned, free
         rank = order.index(tier)
         dst = None
         for lower in order[rank + 1:]:
+            if lower in stack:
+                continue
             if free.get(lower, 0) >= region.bytes:
                 dst = lower
                 break
@@ -111,9 +115,8 @@ def _demote_into(topology, tier, need_bytes, coldest, views, plan, planned, free
             before_free = dict(free)
             before_planned = set(planned)
             try:
-                _demote_into(topology, lower, region.bytes - free.get(lower, 0),
-                             coldest, views, plan, planned, free, depth + 1,
-                             colder_than=colder_than)
+                _demote_into(lower, region.bytes - free.get(lower, 0), coldest,
+                             views, plan, planned, free, stack, colder_than)
             except CapacityError:
                 del plan.moves[before_moves:]
                 free.clear(); free.update(before_free)
@@ -131,7 +134,7 @@ def _demote_into(topology, tier, need_bytes, coldest, views, plan, planned, free
         free[dst] -= region.bytes
         free[tier] = free.get(tier, 0) + region.bytes
         planned.add(region.id)
-        freed += region.bytes
+    freed = free.get(tier, 0) - start
     if freed < need_bytes:
         raise CapacityError(
             f"memory exhausted: could free only {freed} of {need_bytes} bytes in {tier}")

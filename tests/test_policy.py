@@ -258,3 +258,63 @@ class TestPlanInterval:
             free[m.src] += m.bytes
             assert min(free.values()) >= 0
         assert sum(m.bytes for m in plan.moves if m.reason == "promote") <= policy.n_bytes
+
+
+# plan_interval's input at the interval where mtm's plan stopped being
+# executable: four tiers t0-t3 of 4/4/16/16 MiB, three nodes whose views
+# disagree on the order of t0 and t1, GUPS on 2 048 pages in 8 intervals of
+# 512 accesses, seed 31, origin sampling on, 16-page regions.  Each region is
+# (start, pages, tier, whi, origin counts).
+CASCADE_VIEWS = {0: ["t1", "t0", "t2", "t3"], 1: ["t0", "t1", "t3", "t2"],
+                 2: ["t1", "t0", "t2", "t3"]}
+CASCADE_FREE = {"t0": 131072, "t1": 790528, "t2": 16056320, "t3": 16580608}
+CASCADE_REGIONS = [
+    (0, 48, "t1", 0.049479166666666664, {0: 5, 1: 2, 2: 2}),
+    (48, 48, "t3", 0.07291666666666667, {0: 1, 2: 1, 1: 2}),
+    (96, 48, "t1", 0.12760416666666666, {1: 4, 0: 5, 2: 6}),
+    (144, 144, "t0", 0.08246527777777778, {2: 9, 1: 15, 0: 8}),
+    (288, 48, "t1", 0.078125, {2: 3, 0: 2, 1: 3}),
+    (336, 176, "t0", 0.07954545454545454, {2: 11, 0: 6, 1: 21}),
+    (512, 48, "t1", 0.08333333333333333, {2: 1, 1: 3, 0: 9}),
+    (560, 80, "t0", 0.0765625, {1: 10, 0: 3, 2: 3}),
+    (640, 160, "t1", 0.1015625, {1: 11, 2: 18, 0: 19}),
+    (800, 96, "t0", 0.06380208333333333, {2: 6, 1: 7, 0: 5}),
+    (896, 16, "t1", 0.0078125, {}),
+    (912, 32, "t0", 0.046875, {0: 2, 1: 3, 2: 2}),
+    (960, 208, "t0", 0.07872596153846154, {2: 12, 1: 17, 0: 18}),
+    (1168, 16, "t2", 0.0625, {0: 1}),
+    (1184, 64, "t0", 0.078125, {2: 3, 0: 5, 1: 6}),
+    (1248, 48, "t1", 0.0625, {2: 1, 1: 4, 0: 2}),
+    (1296, 32, "t0", 0.7890625, {0: 24, 1: 35, 2: 21}),
+    (1328, 32, "t0", 0.7890625, {0: 24, 1: 35, 2: 21}),
+    (1360, 32, "t1", 0.92578125, {0: 40, 2: 47, 1: 33}),
+    (1392, 24, "t0", 0.9010416666666666, {2: 48, 1: 85, 0: 47}),
+    (1416, 24, "t0", 0.9010416666666666, {2: 48, 1: 85, 0: 47}),
+    (1440, 128, "t1", 0.9106445312500001, {2: 278, 1: 223, 0: 303}),
+    (1568, 128, "t1", 0.9106445312500001, {2: 278, 1: 223, 0: 303}),
+    (1696, 64, "t0", 0.314453125, {1: 19, 0: 15, 2: 17}),
+    (1760, 64, "t1", 0.1015625, {2: 7, 0: 4, 1: 2}),
+    (1824, 48, "t2", 0.07552083333333334, {2: 4, 0: 5, 1: 2}),
+    (1872, 16, "t0", 0.1875, {}),
+    (1888, 112, "t2", 0.09933035714285715, {2: 14, 1: 9, 0: 7}),
+    (2000, 47, "t1", 0.08776595744680851, {2: 5, 0: 7, 1: 3}),
+]
+
+
+def test_cascade_never_overdraws_a_tier_it_frees():
+    """Making room in t1 demotes a t1 region into t0; t0 must then not make
+    its own room by cascading a region back into t1."""
+    topo = build_topology({
+        "tiers": [{"id": t, "capacity_bytes": mib << 20}
+                  for t, mib in (("t0", 4), ("t1", 4), ("t2", 16), ("t3", 16))],
+        "nodes": [0, 1, 2], "views": CASCADE_VIEWS})
+    for t, free in CASCADE_FREE.items():
+        topo.tier(t).free_bytes = free
+    regs = [region(s, ln, t, whi, origin) for s, ln, t, whi, origin in CASCADE_REGIONS]
+    plan = plan_interval(regs, topo, PolicyConfig(), topo.views)
+    assert any(m.reason == "promote" for m in plan.moves)
+    free = dict(CASCADE_FREE)
+    for m in plan.moves:
+        free[m.dst] -= m.bytes
+        free[m.src] += m.bytes
+        assert free[m.dst] >= 0, f"{m} overdraws {m.dst}"

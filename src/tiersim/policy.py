@@ -29,8 +29,6 @@ class PolicyConfig:
 def update_ema(region: Region, hi: float, alpha: float) -> float:
     """Fold the interval's hotness into the region's running average.
     The first observation seeds the average directly."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
     if region.whi is None:
         region.whi = hi
     else:

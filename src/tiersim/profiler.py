@@ -389,8 +389,6 @@ class Profiler:
             i += 1
             if i >= len(regions) and all(r.quota >= r.len_pages for r in regions):
                 break
-        self.regions = regions
-        self.active_ids = {r.id for r in regions}
         regions, extra, coarsen = enforce_budget(regions, self.num_ps, cfg, self.rng)
         self.merges += extra
         if coarsen:
@@ -501,14 +499,16 @@ class Profiler:
                    if r.id in self.active_ids]
         budget_left = self.num_ps
         scheduled = []
+        clamped = 0
         for r in actives:
             take = min(r.quota, budget_left)
-            if take < r.quota:
-                log.warning("scan budget clamp: region %d gets %d of %d samples",
-                            r.id, take, r.quota)
+            clamped += take < r.quota
             if take > 0:
                 scheduled.append((r, r.samples[:take]))
                 budget_left -= take
+        if clamped:
+            log.warning("scan budget clamp: %d of %d active regions get fewer "
+                        "samples than their quota", clamped, len(actives))
         counts = {r.id: [0] * len(samples) for r, samples in scheduled}
         scans = 0
         for sub in slc.subwindows(cfg.num_scans):
@@ -532,8 +532,7 @@ class Profiler:
         """Merge, split, redistribute, and enforce the budget."""
         cfg = self.cfg
         regions, saved = merge_pass(self.regions, cfg.tau1)
-        if saved or len(regions) != len(self.regions):
-            self.merges += len(self.regions) - len(regions)
+        self.merges += len(self.regions) - len(regions)
         regions, saved, splits = split_pass(regions, cfg.tau2, self.rng, saved)
         self.splits += splits
         leftover = self.num_ps - total_quota(regions)

@@ -299,6 +299,20 @@ class TestProfileInterval:
         assert spent == pytest.approx(scans * space.cost_model.scan_cost)
         assert spent <= prof.cfg.interval_cost * prof.cfg.overhead_constraint
 
+    def test_clamped_regions_warn_once_per_interval(self, caplog):
+        space = two_tier_space(num_pages=64)
+        prof = self.make_profiler(space, 64, budget_pages=2)
+        prof.regions = [region(0, 16, quota=2), region(16, 16, quota=2),
+                        region(32, 16, quota=2)]
+        prof.active_ids = {0, 16, 32}
+        prof.initialized = True
+        with caplog.at_level(logging.WARNING):
+            prof.profile_interval(trace_of(list(range(48))).interval_slice(0))
+        clamps = [rec.getMessage() for rec in caplog.records
+                  if "scan budget clamp" in rec.getMessage()]
+        assert clamps == ["scan budget clamp: 2 of 3 active regions get fewer "
+                          "samples than their quota"]
+
     def test_hi_prev_rotates(self):
         space = two_tier_space(num_pages=16)
         prof = self.make_profiler(space, 16, budget_pages=1)

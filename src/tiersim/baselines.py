@@ -2,12 +2,13 @@
 the same simulator contract (same traces, topologies, cost models, budget)."""
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
 from .memmodel import BASE_PAGE_BYTES, CapacityError, MemoryState
 from .metrics import detect_hot_pages
-from .profiler import Profiler, ProfilerConfig, Region, compute_budget
+from .profiler import Profiler, ProfilerConfig, Region
 from .policy import Move, MigrationPlan, PolicyConfig, plan_interval, update_ema
 from .workload import TraceSlice
 
@@ -59,10 +60,6 @@ def replay_plain(space: MemoryState, slc: TraceSlice) -> None:
     space.replay(slc)
 
 
-def _interval_budget(cfg: ProfilerConfig) -> float:
-    return cfg.interval_cost * cfg.overhead_constraint
-
-
 class FirstTouchSystem:
     """Allocation-only baseline: no profiling, no migration."""
 
@@ -73,7 +70,7 @@ class FirstTouchSystem:
                  policy: PolicyConfig, seed: int):
         self.space = space
 
-    def run_profiling(self, slc: TraceSlice, interval: int) -> None:
+    def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         replay_plain(self.space, slc)
 
     def detected_pages(self) -> set[int]:
@@ -101,12 +98,14 @@ class MtmSystem:
         self.profiler = Profiler(cfg, space, seed)
         self.detect_threshold = detect_threshold
 
-    def run_profiling(self, slc: TraceSlice, interval: int) -> None:
+    def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         prof = self.profiler
         if not prof.initialized:
+            app0 = self.space.ledger.app
             replay_plain(self.space, slc)
-            prof.init_regions(slc)
+            prof.init_regions(slc, self.space.ledger.app - app0)
             return
+        prof.set_budget(app_prev)
         prof.adopt_new_pages()
         prof.select_active(slc)
         prof.profile_interval(slc)
@@ -144,21 +143,21 @@ class AutonumaSystem:
         self.window_fraction = window_fraction
         self.counts: dict[int, int] = {}  # retained per-page fault counts
 
-    def _window_pages(self) -> int:
+    def _window_pages(self, budget: float) -> int:
         footprint = self.space.num_pages
         frac = self.window_fraction if self.window_fraction is not None \
             else AUTONUMA_WINDOW_BYTES / PAPER_SYSTEM_MEMORY_BYTES
         scaled = max(1, int(footprint * frac))
-        by_budget = max(1, int(_interval_budget(self.cfg) /
+        by_budget = max(1, int(budget /
                                (self.space.cost_model.scan_cost * self.cfg.num_scans)))
         return min(footprint, scaled, by_budget)
 
-    def run_profiling(self, slc: TraceSlice, interval: int) -> None:
+    def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space, cfg = self.space, self.cfg
-        window = self._window_pages()
+        budget = cfg.overhead_constraint * app_prev
+        window = self._window_pages(budget)
         w0 = self.rng.randrange(max(1, space.num_pages - window + 1))
         w1 = w0 + window
-        budget = _interval_budget(cfg)
         scan_cost = space.cost_model.scan_cost
         spent = 0.0
         fresh = {}
@@ -245,11 +244,11 @@ class ThermostatSystem:
         self.region_pages = cfg.default_region_pages
         self.hotness: dict[int, int] = {}  # window start -> retained count
 
-    def run_profiling(self, slc: TraceSlice, interval: int) -> None:
+    def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space = self.space
         replay_plain(space, slc)
         replay_counts = slc.page_counts()
-        budget = _interval_budget(self.cfg)
+        budget = self.cfg.overhead_constraint * app_prev
         fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
         spent = 0.0
         windows = list(range(0, space.num_pages, self.region_pages))
@@ -302,9 +301,9 @@ class _DamonRegion:
 
 
 class DamonSystem:
-    """Region monitor: one random sample per region, merge near-equal
-    neighbours, split every region randomly when the count falls below half
-    the maximum."""
+    """Region monitor: one random sample per region, as many as the budget
+    buys at the plain scan cost; merge near-equal neighbours, split every
+    region randomly when the count falls below half the maximum."""
 
     name = "damon"
     migrator_mode = "sync"
@@ -315,7 +314,6 @@ class DamonSystem:
         self.cfg = cfg
         self.policy = policy
         self.rng = random.Random(seed)
-        self.max_regions = max(2, compute_budget(cfg, space.cost_model))
         self.regions: list[_DamonRegion] = []
         self.merges = 0
         self.splits = 0
@@ -328,15 +326,16 @@ class DamonSystem:
             else:
                 self.regions.append(_DamonRegion(start, ln))
 
-    def run_profiling(self, slc: TraceSlice, interval: int) -> None:
+    def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space, cfg = self.space, self.cfg
         if not self.regions:
             replay_plain(space, slc)
             self._init_regions()
             return
-        budget_samples = self.max_regions
+        max_samples = math.floor(cfg.overhead_constraint * app_prev /
+                                 (space.cost_model.scan_cost * cfg.num_scans))
         picks: list[tuple[_DamonRegion, int]] = []
-        for reg in self.regions[:budget_samples]:
+        for reg in self.regions[:max_samples]:
             pages = [p for p in range(reg.start, reg.end) if space.is_mapped(p)]
             if pages:
                 picks.append((reg, pages[self.rng.randrange(len(pages))]))
@@ -348,7 +347,7 @@ class DamonSystem:
         for reg, _ in picks:
             reg.result = float(hits[id(reg)])
         self._merge()
-        self._split()
+        self._split(max(2, max_samples))
 
     def _merge(self) -> None:
         threshold = DAMON_MERGE_FRACTION * self.cfg.num_scans
@@ -367,8 +366,8 @@ class DamonSystem:
                 out.append(reg)
         self.regions = out
 
-    def _split(self) -> None:
-        if len(self.regions) >= self.max_regions / 2:
+    def _split(self, max_regions: int) -> None:
+        if len(self.regions) >= max_regions / 2:
             return
         out: list[_DamonRegion] = []
         for reg in self.regions:

@@ -67,7 +67,8 @@ class RunResult:
 def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
                    oracle: HotOracle | None = None) -> RunResult:
     """Execute the interval loop: replay+profile, restructure regions, EMA,
-    plan, migrate, measure.  Fully deterministic in (config, seed)."""
+    plan, migrate, measure.  Profiling in interval i may cost overhead_constraint
+    x interval i-1's app cost (none in interval 0).  Deterministic in (config, seed)."""
     topology = build_topology(cfg.topology)
     if trace is None:
         trace, oracle = build_trace(cfg)
@@ -84,6 +85,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
     mode = cfg.migrator_mode or system.migrator_mode
     result = RunResult(system=cfg.system, tier_ids=list(topology.tier_ids))
     intervals = min(cfg.intervals, trace.num_intervals)
+    app_prev = 0.0
     for i in range(intervals):
         slc = trace.interval_slice(i)
         app0 = space.ledger.app
@@ -91,7 +93,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         mig0 = space.ledger.migration_exposed
         acc0 = dict(space.tier_access_counts)
 
-        system.run_profiling(slc, i)
+        system.run_profiling(slc, app_prev)
         detected = system.detected_pages()
         plan, regions = system.plan()
 
@@ -120,6 +122,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
                                 for t in topology.tier_ids},
             merges=merges, splits=splits)
         result.rows.append(row)
+        app_prev = row.app_cost
         if isinstance(system, baselines.MtmSystem):
             result.profiler_rows.extend(
                 profiler.snapshot_rows(i, system.profiler.regions))

@@ -14,7 +14,7 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ProfilerConfig:
-    interval_cost: float = 1_000_000.0      # simulated length of one interval (t_mi)
+    """Every system's profiling in interval i may cost overhead_constraint x app(i-1)."""
     overhead_constraint: float = 0.05
     num_scans: int = 3
     tau1: float | None = None                # merge threshold, default num_scans/3
@@ -52,11 +52,11 @@ def effective_scan_cost(cfg: ProfilerConfig, cost: CostModel) -> float:
     return cost.scan_cost
 
 
-def compute_budget(cfg: ProfilerConfig, cost: CostModel) -> int:
-    """Page samples affordable per interval under the overhead constraint."""
+def compute_budget(cfg: ProfilerConfig, cost: CostModel, app_time: float) -> int:
+    """Page samples, each scanned num_scans times, that fit in
+    overhead_constraint x app_time."""
     eff = effective_scan_cost(cfg, cost)
-    num_ps = math.floor(cfg.interval_cost * cfg.overhead_constraint /
-                        (eff * cfg.num_scans))
+    num_ps = math.floor(cfg.overhead_constraint * app_time / (eff * cfg.num_scans))
     if num_ps < 1:
         raise BudgetError("constraint infeasible")
     return num_ps
@@ -339,7 +339,7 @@ class Profiler:
         self.cfg = cfg
         self.space = space
         self.rng = random.Random(seed)
-        self.num_ps = compute_budget(cfg, space.cost_model)
+        self.num_ps = 0  # samples per scan round; set from measured app time
         self.regions: list[Region] = []
         self.active_ids: set[int] = set()
         self.slowest_region_pages = cfg.default_region_pages
@@ -349,10 +349,11 @@ class Profiler:
 
     # -- region formation ----------------------------------------------------
 
-    def init_regions(self, first_slice: TraceSlice) -> None:
-        """First-interval formation: every window on the faster tiers, only
-        counter-nominated windows on the slowest tier."""
+    def init_regions(self, first_slice: TraceSlice, app_time: float) -> None:
+        """First-interval formation from the slice's app time: every window on the
+        faster tiers, only counter-nominated windows on the slowest tier."""
         space, cfg = self.space, self.cfg
+        self.num_ps = compute_budget(cfg, space.cost_model, app_time)
         slowest = space.topology.slowest_tier
         regions: list[Region] = []
         runs = space.tier_runs(window=cfg.default_region_pages)
@@ -416,6 +417,11 @@ class Profiler:
                     new[reg.id] = reg
                     break
         return list(new.values())
+
+    def set_budget(self, app_time: float) -> None:
+        """Resize the quotas to the samples `app_time` affords."""
+        self.num_ps = compute_budget(self.cfg, self.space.cost_model, app_time)
+        rebalance_to_budget(self.regions, self.num_ps, self.rng, self.cfg.top_k_variance)
 
     def adopt_new_pages(self) -> None:
         """Fold pages mapped since the last interval into fresh regions

@@ -90,6 +90,9 @@ REJECTED = {
     "misspelt-topology-key": (SMALL + "topology.nodez = 1\n", RUN, {}, "topology.nodez"),
     "retired-cost-field": (SMALL + "cost.inter_tier_factor = 2\n", RUN, {},
                            "cost.inter_tier_factor"),
+    # the budget is measured from app time, not a nominal interval length
+    "retired-interval-cost": (SMALL + "profiler.interval_cost = 1e6\n", RUN, {},
+                              "profiler.interval_cost"),
     "env-seed": (SMALL, RUN, {"TIERSIM_SEED": "x"}, "TIERSIM_SEED"),
     "json-bool-seed": (json.dumps({"seed": True, "topology": {
         "tier0": {"capacity_bytes": 1048576}, "tier1": {"capacity_bytes": 8388608}}}),

@@ -1,9 +1,11 @@
 """Invariants of the interval loop that hold for every system: each replayed
 access is counted in exactly one tier, every planned move is executed and
-reported, first-touch never profiles or migrates, and a (config, seed) always
+reported, first-touch never profiles or migrates, profiling stays within the
+budget the previous interval's app cost sets, and a (config, seed) always
 gives the same run."""
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from tiersim import engine
 from tiersim.baselines import BASELINE_KINDS
 from tiersim.config import build_run_config, parse_config_text
 
-SMALL = Path(__file__).resolve().parent / "golden" / "configs" / "small.cfg"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
+SMALL = GOLDEN / "small.cfg"
 # small with a 2 MiB tier between dram and pmem, and a second node whose view
 # ranks that tier first
 THREE_TIERS_TWO_NODES = """
@@ -30,14 +33,28 @@ def _no_seed_override(monkeypatch):
     monkeypatch.delenv("TIERSIM_SEED", raising=False)
 
 
-@pytest.fixture(scope="module")
-def runs():
-    tree = parse_config_text(SMALL.read_text() + THREE_TIERS_TWO_NODES)
+CONFIGS = {"three-tiers": SMALL.read_text() + THREE_TIERS_TWO_NODES,
+           **{p.stem: p.read_text() for p in sorted(GOLDEN.glob("*.cfg"))}}
+
+
+def run_every_system(text: str):
+    """The trace of config `text` and, per system, its config and run."""
+    tree = parse_config_text(text)
     cfgs = {name: build_run_config(tree, overrides={"system": name})
             for name in BASELINE_KINDS}
     trace, oracle = engine.build_trace(cfgs["first-touch"])
     return trace, {name: (cfg, engine.run_simulation(cfg, trace=trace, oracle=oracle))
                    for name, cfg in cfgs.items()}
+
+
+@pytest.fixture(scope="module")
+def runs_of():
+    return functools.cache(run_every_system)
+
+
+@pytest.fixture(scope="module")
+def runs(runs_of):
+    return runs_of(CONFIGS["three-tiers"])
 
 
 @pytest.mark.parametrize("system", BASELINE_KINDS)
@@ -62,3 +79,14 @@ def test_interval_invariants(runs, system):
 def test_some_system_migrates(runs):
     _, by_system = runs
     assert any(result.migration_rows for _, result in by_system.values())
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("system", BASELINE_KINDS)
+def test_profiling_within_previous_app_budget(runs_of, config, system):
+    _, by_system = runs_of(CONFIGS[config])
+    cfg, result = by_system[system]
+    c = cfg.profiler.overhead_constraint
+    assert result.rows[0].profiling_cost == 0
+    for prev, row in zip(result.rows, result.rows[1:]):
+        assert row.profiling_cost <= c * prev.app_cost * (1 + 1e-9), row.interval

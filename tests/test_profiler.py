@@ -48,29 +48,28 @@ def trace_of(pages, writes=None, node=0, api=None):
 
 class TestComputeBudget:
     def test_direct_substitution(self):
-        cfg = ProfilerConfig(interval_cost=1e6, overhead_constraint=0.05, num_scans=3)
-        assert compute_budget(cfg, CostModel(scan_cost=2.0)) == 8333
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3)
+        assert compute_budget(cfg, CostModel(scan_cost=2.0), app_time=1e6) == 8333
 
     def test_origin_sampling_doubles_scan_cost(self):
-        cfg = ProfilerConfig(interval_cost=1e6, overhead_constraint=0.05,
+        cfg = ProfilerConfig(overhead_constraint=0.05,
                              num_scans=3, origin_sampling=True,
                              hint_fault_period=12)
         # amortized hint fault: 2.0 * (1 + 12/12) = 4.0 per scan
         cost = CostModel(scan_cost=2.0, hint_fault_multiplier=12.0)
         assert effective_scan_cost(cfg, cost) == 4.0
-        assert compute_budget(cfg, cost) == 4166
+        assert compute_budget(cfg, cost, app_time=1e6) == 4166
 
     def test_infeasible_constraint(self):
-        cfg = ProfilerConfig(interval_cost=10.0, overhead_constraint=0.01,
-                             num_scans=3)
+        cfg = ProfilerConfig(overhead_constraint=0.01, num_scans=3)
         with pytest.raises(BudgetError):
-            compute_budget(cfg, CostModel(scan_cost=1.0))
+            compute_budget(cfg, CostModel(scan_cost=1.0), app_time=10.0)
 
     def test_matches_arithmetic_oracle_randomized(self):
         rng = random.Random(202)
         for _ in range(100):
+            app_time = rng.uniform(1e3, 1e7)
             cfg = ProfilerConfig(
-                interval_cost=rng.uniform(1e3, 1e7),
                 overhead_constraint=rng.uniform(0.01, 0.3),
                 num_scans=rng.randrange(1, 8),
                 origin_sampling=rng.random() < 0.5,
@@ -79,11 +78,12 @@ class TestComputeBudget:
             mult = rng.uniform(1.0, 20.0)
             eff = scan_cost * (1 + mult / cfg.hint_fault_period) \
                 if cfg.origin_sampling else scan_cost
-            expect = int(cfg.interval_cost * cfg.overhead_constraint
+            expect = int(app_time * cfg.overhead_constraint
                          // (eff * cfg.num_scans))
             try:
                 got = compute_budget(cfg, CostModel(scan_cost=scan_cost,
-                                                    hint_fault_multiplier=mult))
+                                                    hint_fault_multiplier=mult),
+                                     app_time)
             except BudgetError:
                 assert expect < 1
                 continue
@@ -209,8 +209,8 @@ class TestRedistribute:
 
 class TestEnforceBudget:
     def cfg(self, **kw):
-        return ProfilerConfig(interval_cost=1e5, overhead_constraint=0.05,
-                              num_scans=6, **kw)  # tau1=2, tau2=4 -> cap=3
+        return ProfilerConfig(overhead_constraint=0.05, num_scans=6,
+                              **kw)  # tau1=2, tau2=4 -> cap=3
 
     def test_under_budget_untouched(self):
         cfg = self.cfg()
@@ -256,12 +256,15 @@ class TestProfileInterval:
     def make_profiler(self, space, num_pages_mapped, budget_pages=32, **cfg_kw):
         for p in range(num_pages_mapped):
             space.map_page(p, "fast")
-        defaults = dict(interval_cost=budget_pages * 3.0 / 0.05,
-                        overhead_constraint=0.05, num_scans=3,
+        defaults = dict(overhead_constraint=0.05, num_scans=3,
                         default_region_pages=16, pebs_assist=False)
         defaults.update(cfg_kw)
         cfg = ProfilerConfig(**defaults)
-        return Profiler(cfg, space, seed=9)
+        prof = Profiler(cfg, space, seed=9)
+        # the app time whose 5% buys budget_pages samples of 3 scans each
+        self.app_time = budget_pages * 3.0 / 0.05
+        prof.set_budget(self.app_time)
+        return prof
 
     def test_sample_hit_every_subwindow_gives_hi_3(self):
         space = two_tier_space(num_pages=16)
@@ -297,7 +300,7 @@ class TestProfileInterval:
         spent = space.ledger.profiling - before
         assert scans == 8 * 3
         assert spent == pytest.approx(scans * space.cost_model.scan_cost)
-        assert spent <= prof.cfg.interval_cost * prof.cfg.overhead_constraint
+        assert spent <= self.app_time * prof.cfg.overhead_constraint
 
     def test_clamped_regions_warn_once_per_interval(self, caplog):
         space = two_tier_space(num_pages=64)
@@ -330,10 +333,10 @@ class TestInitRegions:
         space = two_tier_space(num_pages=64)
         for p in range(64):
             space.map_page(p, "fast")
-        cfg = ProfilerConfig(interval_cost=3000, overhead_constraint=0.05,
-                             num_scans=3, default_region_pages=16)
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=16)
         prof = Profiler(cfg, space, seed=1)
-        prof.init_regions(trace_of([0, 1]).interval_slice(0))
+        prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=3000)
         fast = [r for r in prof.regions if r.tier == "fast"]
         assert [(r.start_page, r.len_pages) for r in fast] == \
             [(0, 16), (16, 16), (32, 16), (48, 16)]
@@ -346,11 +349,12 @@ class TestInitRegions:
             space.map_page(p, "fast")
         for p in range(32, 64):
             space.map_page(p, "slow")
-        cfg = ProfilerConfig(interval_cost=6000, overhead_constraint=0.05,
-                             num_scans=3, default_region_pages=16)
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=16)
         prof = Profiler(cfg, space, seed=1)
         # trace touches only fast pages: the counters see nothing in `slow`
-        prof.init_regions(trace_of(list(range(32)) * 4).interval_slice(0))
+        prof.init_regions(trace_of(list(range(32)) * 4).interval_slice(0),
+                          app_time=6000)
         assert all(r.tier != "slow" for r in prof.regions)
 
     def test_counter_identified_page_is_the_sample(self):
@@ -359,13 +363,12 @@ class TestInitRegions:
             space.map_page(p, "fast")
         for p in range(16, 64):
             space.map_page(p, "slow")
-        cfg = ProfilerConfig(interval_cost=6000, overhead_constraint=0.05,
-                             num_scans=3, default_region_pages=16,
-                             pebs_window_fraction=1.0)
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=16, pebs_window_fraction=1.0)
         prof = Profiler(cfg, space, seed=1)
         # every 3rd slow access is sampled: page 20 is the 3rd
         slc = trace_of([18, 19, 20, 18, 19, 18]).interval_slice(0)
-        prof.init_regions(slc)
+        prof.init_regions(slc, app_time=6000)
         slow_regions = [r for r in prof.regions if r.tier == "slow"]
         assert len(slow_regions) == 1
         assert 20 in slow_regions[0].samples
@@ -399,11 +402,11 @@ class TestPebsAssist:
             space.map_page(p, "fast")
         for p in range(32, 96):
             space.map_page(p, "slow")
-        cfg = ProfilerConfig(interval_cost=6000, overhead_constraint=0.05,
-                             num_scans=3, default_region_pages=32,
-                             pebs_window_fraction=1.0)
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=32, pebs_window_fraction=1.0)
         prof = Profiler(cfg, space, seed=1)
-        prof.init_regions(trace_of([33, 34, 33, 34] * 2).interval_slice(0))
+        prof.init_regions(trace_of([33, 34, 33, 34] * 2).interval_slice(0),
+                          app_time=6000)
         prof.initialized = True
         return prof
 

@@ -353,7 +353,7 @@ class Profiler:
         """First-interval formation from the slice's app time: every window on the
         faster tiers, only counter-nominated windows on the slowest tier."""
         space, cfg = self.space, self.cfg
-        self.num_ps = compute_budget(cfg, space.cost_model, app_time)
+        self.set_budget(app_time)  # no regions yet: only sets num_ps
         slowest = space.topology.slowest_tier
         regions: list[Region] = []
         runs = space.tier_runs(window=cfg.default_region_pages)

@@ -98,14 +98,14 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         plan, regions = system.plan()
 
         if plan.moves:
-            concurrent = []
+            writes = None
             if mode in ("async", "adaptive") and i + 1 < trace.num_intervals:
                 copy_end = migrator.copy_windows(plan, regions, space.cost_model,
                                                  space.clock)[-1]
-                concurrent = migrator.project_write_times(
+                writes = migrator.project_write_times(
                     space, trace.interval_slice(i + 1), space.clock, copy_end)
             report = migrator.execute_plan(space, plan, regions, mode=mode,
-                                           concurrent=concurrent,
+                                           writes=writes,
                                            start_time=space.clock)
             result.migration_rows.extend(migrator.report_rows(i, report))
             result.plan_rows.extend(policy.plan_rows(i, plan))

@@ -1,15 +1,16 @@
 """Plan execution under the four-step migration cost model.
 
-Synchronous moves expose alloc+unmap+copy+map per page.  Asynchronous moves
-expose only unmap+map while helper agents handle alloc+copy off the critical
-path; a write landing inside the copy window forces a fallback to the
-synchronous path for the remaining and dirtied pages.
+A sync move exposes alloc+unmap+copy+map per page.  An async move exposes
+only unmap+map per page; helper agents do alloc+copy in a copy window off
+the critical path.  A write to the region inside that window ends the async
+attempt: mode `async` then moves synchronously, and mode `adaptive` falls
+back, exposing len_pages x sync_page_cost plus step_copy for each dirtied
+page whose background copy had already finished.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .memmodel import CostModel, MemoryState, TiersimError
@@ -17,17 +18,10 @@ from .policy import MigrationPlan
 from .profiler import Region
 
 
-@dataclass(frozen=True)
-class TimedWrite:
-    t: float
-    vpage: int
-
-
-class ProjectedWrites(Sequence):
-    """Writes held as two columns: item k is TimedWrite(times[k], pages[k]),
-    built only when read.  Floats and ints are not tracked by the garbage
-    collector, so a long projection costs no collections, and the copy
-    windows scan the columns without building an object per write."""
+class ProjectedWrites:
+    """Writes as two columns, ascending in time: write k lands on page
+    pages[k] at times[k].  Floats and ints are not tracked by the garbage
+    collector, so a long projection costs no collections."""
 
     __slots__ = ("times", "pages")
 
@@ -35,21 +29,8 @@ class ProjectedWrites(Sequence):
         self.times = times
         self.pages = pages
 
-    @classmethod
-    def of(cls, writes: Sequence[TimedWrite]) -> ProjectedWrites:
-        """`writes` itself when it is a ProjectedWrites, else its columns."""
-        if isinstance(writes, cls):
-            return writes
-        return cls([w.t for w in writes], [w.vpage for w in writes])
-
     def __len__(self) -> int:
         return len(self.times)
-
-    def __getitem__(self, k: int) -> TimedWrite:
-        return TimedWrite(self.times[k], self.pages[k])
-
-    def __iter__(self):
-        return map(TimedWrite, self.times, self.pages)
 
 
 @dataclass
@@ -67,10 +48,6 @@ class MoveReport:
 class MigrationReport:
     entries: list[MoveReport] = field(default_factory=list)
     completed: bool = True
-
-    def exposed_total(self) -> float:
-        return sum(e.exposed_cost for e in self.entries)
-
 
 class PlanExecutionError(TiersimError):
     def __init__(self, message: str, report: MigrationReport, cause: Exception):
@@ -98,7 +75,7 @@ def project_write_times(space: MemoryState, slc, start_time: float,
                         until: float = math.inf) -> ProjectedWrites:
     """Timestamps for a slice's writes, projecting application cost against
     current placements (unmapped pages count at unit cost).  The result is
-    ascending in `t` and holds only writes before `until` (pass the end of
+    ascending in time and holds only writes before `until` (pass the end of
     the plan's last copy window: no later write can land in any window)."""
     page_tier, num_pages = space.page_tier, space.num_pages
     access_cost = space.topology.access_cost
@@ -115,106 +92,67 @@ def project_write_times(space: MemoryState, slc, start_time: float,
     return ProjectedWrites(times, pages)
 
 
-def migrate_region_sync(space: MemoryState, region: Region, dst: str) -> float:
-    """Move every page on the critical path; returns the exposed cost."""
-    cm = space.cost_model
-    cost = region.len_pages * cm.sync_page_cost()
-    space.move_pages(range(region.start_page, region.end_page), dst)
-    space.ledger.migration_exposed += cost
-    region.tier = dst
-    return cost
+def migrate_region(space: MemoryState, region: Region, dst: str, mode: str,
+                   writes: ProjectedWrites | None, start_time: float) -> MoveReport:
+    """Move a region to `dst`, its copy window opening at `start_time`.
 
-
-def migrate_region_async(space: MemoryState, region: Region, dst: str,
-                         concurrent: Sequence[TimedWrite], start_time: float):
-    """Background alloc+copy, exposed unmap+map.  Returns (exposed,
-    background) or the first in-window write (the fallback signal).
-    `concurrent` must be ascending in `t`."""
+    `sync` never looks at the writes.  Otherwise the first write to the
+    region inside the window decides: with none the move is async; with one,
+    `async` moves synchronously and `adaptive` truncates the window there,
+    exposing len_pages x sync_page_cost plus step_copy for each dirtied page
+    already copied, and counting every page dirtied so far as recopied.
+    """
+    if mode not in ("sync", "async", "adaptive"):
+        raise TiersimError(f"unknown migration mode {mode!r}")
     cm = space.cost_model
     per_page_bg = cm.step_alloc + cm.step_copy
-    bg = region.len_pages * per_page_bg
-    window_end = start_time + bg
-    writes = ProjectedWrites.of(concurrent)
-    times, pages = writes.times, writes.pages
-    lo = bisect_left(times, start_time)
-    for k in range(lo, bisect_left(times, window_end, lo)):
-        if start_time <= times[k] < window_end and region.contains(pages[k]):
-            return TimedWrite(times[k], pages[k])
-    exposed = region.len_pages * (cm.step_unmap + cm.step_map)
+    background = region.len_pages * per_page_bg
+    first = None  # when the first write to the region lands in the window
+    if mode != "sync" and writes:
+        times, pages = writes.times, writes.pages
+        lo = bisect_left(times, start_time)
+        for k in range(lo, bisect_left(times, start_time + background, lo)):
+            if region.contains(pages[k]):
+                first = times[k]
+                break
+    mechanism, recopied = "async", 0
+    if mode == "sync" or (mode == "async" and first is not None):
+        mechanism, background = "sync", 0.0
+        exposed = region.len_pages * cm.sync_page_cost()
+    elif first is None:
+        exposed = region.len_pages * (cm.step_unmap + cm.step_map)
+    else:
+        copied_end = region.start_page + min(
+            region.len_pages, int(math.floor((first - start_time) / per_page_bg)))
+        dirty = {pages[k] for k in range(lo, bisect_right(times, first, lo))
+                 if region.contains(pages[k])}
+        recopy_cost = sum(cm.step_copy for p in dirty if p < copied_end)
+        mechanism, background, recopied = "async_fallback", 0.0, len(dirty)
+        exposed = (region.len_pages * cm.sync_page_cost()) + recopy_cost
+    src = region.tier
     space.move_pages(range(region.start_page, region.end_page), dst)
     space.ledger.migration_exposed += exposed
-    space.ledger.migration_background += bg
+    space.ledger.migration_background += background
     region.tier = dst
-    return exposed, bg
-
-
-def migrate_region_adaptive(space: MemoryState, region: Region, dst: str,
-                            concurrent: Sequence[TimedWrite],
-                            start_time: float) -> MoveReport:
-    """Try the async copy; on a concurrent write, truncate the window there,
-    charge the spent background work plus a synchronous pass over the
-    remaining and dirtied pages on the exposed ledger."""
-    cm = space.cost_model
-    src = region.tier
-    writes = ProjectedWrites.of(concurrent)
-    result = migrate_region_async(space, region, dst, writes, start_time)
-    if isinstance(result, tuple):
-        exposed, bg = result
-        return MoveReport(region.id, src, dst, "async", exposed, bg, 0)
-    first_write: TimedWrite = result
-    per_page_bg = cm.step_alloc + cm.step_copy
-    copied = min(region.len_pages,
-                 int(math.floor((first_write.t - start_time) / per_page_bg)))
-    # every page written inside the (truncated) window is recopied; only the
-    # ones whose background copy had finished cost an extra copy step
-    times, pages = writes.times, writes.pages
-    lo = bisect_left(times, start_time)
-    dirty = {pages[k] for k in range(lo, bisect_right(times, first_write.t, lo))
-             if start_time <= times[k] <= first_write.t and region.contains(pages[k])}
-    recopy_cost = sum(cm.step_copy for p in dirty if p < region.start_page + copied)
-    exposed = (region.len_pages * cm.sync_page_cost()) + recopy_cost
-    space.move_pages(range(region.start_page, region.end_page), dst)
-    space.ledger.migration_exposed += exposed
-    region.tier = dst
-    return MoveReport(region.id, src, dst, "async_fallback", exposed, 0.0, len(dirty))
-
-
-def _dispatch(space, region, dst, mode, concurrent, start_time) -> MoveReport:
-    src = region.tier
-    if mode == "sync":
-        exposed = migrate_region_sync(space, region, dst)
-        return MoveReport(region.id, src, dst, "sync", exposed, 0.0, 0)
-    if mode == "async":
-        result = migrate_region_async(space, region, dst, concurrent, start_time)
-        if isinstance(result, tuple):
-            return MoveReport(region.id, src, dst, "async", result[0], result[1], 0)
-        # pure-async callers treat a fallback signal as a sync move
-        exposed = migrate_region_sync(space, region, dst)
-        return MoveReport(region.id, src, dst, "sync", exposed, 0.0, 0)
-    if mode == "adaptive":
-        return migrate_region_adaptive(space, region, dst, concurrent, start_time)
-    raise TiersimError(f"unknown migration mode {mode!r}")
+    return MoveReport(region.id, src, dst, mechanism, exposed, background, recopied)
 
 
 def execute_plan(space: MemoryState, plan: MigrationPlan, regions: dict[int, Region],
-                 mode: str = "sync",
-                 concurrent: Sequence[TimedWrite] | None = None,
+                 mode: str = "sync", writes: ProjectedWrites | None = None,
                  start_time: float | None = None) -> MigrationReport:
     """Run a plan's moves in order (demotions come first by construction).
 
     Copy windows are laid back to back (see `copy_windows`): each move's
     window starts where the previous one ended, whether or not it fell back
-    early.  `concurrent` must be ascending in `t` and hold every write that
-    lands before the last window's end, as `project_write_times` gives it.
-    A failing move aborts the rest and surfaces the partial report.
+    early.  `writes` must hold every write that lands before the last
+    window's end, as `project_write_times` gives it.  A failing move aborts
+    the rest and surfaces the partial report.
     """
     report = MigrationReport()
-    concurrent = ProjectedWrites.of(concurrent or [])
     t0 = space.clock if start_time is None else start_time
     for mv, t in zip(plan.moves, copy_windows(plan, regions, space.cost_model, t0)):
-        region = regions[mv.region_id]
         try:
-            entry = _dispatch(space, region, mv.dst, mode, concurrent, t)
+            entry = migrate_region(space, regions[mv.region_id], mv.dst, mode, writes, t)
         except TiersimError as exc:
             report.completed = False
             raise PlanExecutionError(

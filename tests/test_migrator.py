@@ -8,9 +8,8 @@ from tiersim.memmodel import (
     build_topology,
 )
 from tiersim.migrator import (
-    MigrationReport, MoveReport, PlanExecutionError, TimedWrite, copy_windows,
-    execute_plan, migrate_region_adaptive, migrate_region_async,
-    migrate_region_sync, project_write_times,
+    MoveReport, PlanExecutionError, ProjectedWrites, copy_windows,
+    execute_plan, migrate_region, project_write_times,
 )
 from tiersim.policy import MigrationPlan, Move
 from tiersim.profiler import Region
@@ -36,11 +35,20 @@ def reg(start, length, tier="a"):
     return Region(start, length, tier, quota=1)
 
 
+def cols(*writes):
+    """ProjectedWrites from (time, page) pairs given in ascending time."""
+    return ProjectedWrites([t for t, _ in writes], [p for _, p in writes])
+
+
+NO_WRITES = cols()
+
+
 class TestSync:
     def test_one_page_default_costs(self):
         space = make_space(num_pages=1)
-        cost = migrate_region_sync(space, reg(0, 1), "b")
-        assert cost == 5.0  # alloc 1 + unmap 1 + copy 2 + map 1
+        entry = migrate_region(space, reg(0, 1), "b", "sync", None, 0.0)
+        assert entry.exposed_cost == 5.0  # alloc 1 + unmap 1 + copy 2 + map 1
+        assert (entry.mechanism, entry.background_cost) == ("sync", 0.0)
 
     def test_copy_is_40_percent_of_total(self):
         cm = CostModel()
@@ -50,49 +58,62 @@ class TestSync:
     def test_moves_pages_and_clears_bits(self):
         space = make_space(num_pages=8)
         space.apply_access(3, True, 0)
-        migrate_region_sync(space, reg(0, 8), "b")
+        migrate_region(space, reg(0, 8), "b", "sync", None, 0.0)
         assert all(space.page_tier[p] == "b" for p in range(8))
         assert space.access_bit[3] == 0 and space.dirty_bit[3] == 0
+
+    def test_ignores_writes_in_the_window(self):
+        space = make_space(num_pages=8)
+        entry = migrate_region(space, reg(0, 8), "b", "sync", cols((1.0, 3)), 0.0)
+        assert (entry.mechanism, entry.exposed_cost) == ("sync", 8 * 5.0)
 
     def test_insufficient_space_is_error(self):
         space = make_space(num_pages=16, caps=(32, 8, 32))
         with pytest.raises(TiersimError):
-            migrate_region_sync(space, reg(0, 16), "b")
+            migrate_region(space, reg(0, 16), "b", "sync", None, 0.0)
+
+    def test_unknown_mode_is_error(self):
+        space = make_space(num_pages=8)
+        with pytest.raises(TiersimError, match="unknown migration mode"):
+            migrate_region(space, reg(0, 8), "b", "eager", None, 0.0)
+        assert space.page_tier[0] == "a"
 
 
 class TestAsync:
     def test_read_only_exposed_2_per_page(self):
         space = make_space(num_pages=8)
-        result = migrate_region_async(space, reg(0, 8), "b", [], start_time=0.0)
-        exposed, background = result
-        assert exposed == 8 * 2.0
-        assert background == 8 * 3.0
+        entry = migrate_region(space, reg(0, 8), "b", "async", NO_WRITES, 0.0)
+        assert entry.mechanism == "async"
+        assert entry.exposed_cost == 8 * 2.0
+        assert entry.background_cost == 8 * 3.0
         assert space.ledger.migration_background == 8 * 3.0
 
-    def test_write_mid_window_signals_fallback(self):
+    def test_write_mid_window_moves_synchronously(self):
         space = make_space(num_pages=8)
         # window is [0, 24); a write to page 3 at t=10 lands inside it
-        writes = [TimedWrite(10.0, 3)]
-        result = migrate_region_async(space, reg(0, 8), "b", writes, 0.0)
-        assert isinstance(result, TimedWrite)
-        assert space.page_tier[0] == "a"  # nothing moved on a signal
+        entry = migrate_region(space, reg(0, 8), "b", "async", cols((10.0, 3)), 0.0)
+        assert (entry.mechanism, entry.exposed_cost) == ("sync", 8 * 5.0)
+        assert (entry.background_cost, entry.recopied_pages) == (0.0, 0)
+        assert space.ledger.migration_background == 0.0
+        assert space.page_tier[0] == "b"
 
     def test_write_outside_window_or_region_ignored(self):
         space = make_space(num_pages=64)
-        writes = [TimedWrite(25.0, 3), TimedWrite(5.0, 60)]
-        result = migrate_region_async(space, reg(0, 8), "b", writes, 0.0)
-        assert isinstance(result, tuple)
+        writes = cols((5.0, 60), (25.0, 3))
+        entry = migrate_region(space, reg(0, 8), "b", "async", writes, 0.0)
+        assert entry.mechanism == "async"
 
     def test_empty_slice_never_falls_back(self):
         space = make_space(num_pages=8)
-        assert isinstance(
-            migrate_region_async(space, reg(0, 8), "b", [], 0.0), tuple)
+        for writes in (NO_WRITES, None):
+            entry = migrate_region(space, reg(0, 8), "b", "async", writes, 0.0)
+            assert entry.mechanism == "async"
 
 
 class TestAdaptive:
     def test_read_only_records_async(self):
         space = make_space(num_pages=8)
-        entry = migrate_region_adaptive(space, reg(0, 8), "b", [], 0.0)
+        entry = migrate_region(space, reg(0, 8), "b", "adaptive", NO_WRITES, 0.0)
         assert entry.mechanism == "async"
         assert entry.recopied_pages == 0
         assert entry.exposed_cost == 16.0
@@ -100,8 +121,8 @@ class TestAdaptive:
     def test_single_mid_window_write_recopies_one(self):
         space = make_space(num_pages=8)
         # per-page background cost 3: page 4 has been copied by t=15
-        writes = [TimedWrite(13.0, 2)]
-        entry = migrate_region_adaptive(space, reg(0, 8), "b", writes, 0.0)
+        writes = cols((13.0, 2))
+        entry = migrate_region(space, reg(0, 8), "b", "adaptive", writes, 0.0)
         assert entry.mechanism == "async_fallback"
         assert entry.recopied_pages == 1
         # page 2 was already copied (4 pages done by t=13) -> one extra copy
@@ -109,8 +130,8 @@ class TestAdaptive:
 
     def test_uncopied_dirty_page_costs_nothing_extra(self):
         space = make_space(num_pages=8)
-        writes = [TimedWrite(1.0, 6)]  # page 6 not yet copied at t=1
-        entry = migrate_region_adaptive(space, reg(0, 8), "b", writes, 0.0)
+        writes = cols((1.0, 6))  # page 6 not yet copied at t=1
+        entry = migrate_region(space, reg(0, 8), "b", "adaptive", writes, 0.0)
         assert entry.mechanism == "async_fallback"
         assert entry.recopied_pages == 1
         assert entry.exposed_cost == 8 * 5.0
@@ -119,7 +140,7 @@ class TestAdaptive:
         space = make_space(num_pages=64)
         trace = gen_seq_microbench("write_only", 64, passes=4)
         writes = project_write_times(space, trace.interval_slice(0), 0.0)
-        entry = migrate_region_adaptive(space, reg(0, 64), "b", writes, 0.0)
+        entry = migrate_region(space, reg(0, 64), "b", "adaptive", writes, 0.0)
         sync_cost = 64 * 5.0
         assert entry.mechanism == "async_fallback"
         assert abs(entry.exposed_cost - sync_cost) / sync_cost <= 0.10
@@ -129,11 +150,10 @@ class TestAdaptive:
         for _ in range(50):
             pages = rng.randrange(2, 40)
             space = make_space(num_pages=pages)
-            writes = sorted(
-                (TimedWrite(rng.uniform(0, pages * 3.5), rng.randrange(pages))
-                 for _ in range(rng.randrange(0, 6))), key=lambda w: w.t)
-            entry = migrate_region_adaptive(space, reg(0, pages), "b",
-                                            writes, 0.0)
+            writes = sorted((rng.uniform(0, pages * 3.5), rng.randrange(pages))
+                            for _ in range(rng.randrange(0, 6)))
+            entry = migrate_region(space, reg(0, pages), "b", "adaptive",
+                                   cols(*writes), 0.0)
             sync_equiv = pages * 5.0
             cm = space.cost_model
             dirtied_prefix_bound = entry.recopied_pages * (cm.step_alloc + cm.step_copy)
@@ -147,7 +167,6 @@ class TestExecutePlan:
         space = make_space(num_pages=8)
         report = execute_plan(space, MigrationPlan(), {}, mode="sync")
         assert report.entries == []
-        assert report.exposed_total() == 0.0
 
     def test_demote_then_promote_keeps_free_nonnegative(self):
         space = make_space(num_pages=16, caps=(8, 16, 32), map_to=None)
@@ -175,9 +194,8 @@ class TestExecutePlan:
             Move(16, "a", "b", "promote", 16 * BASE_PAGE_BYTES),
         ])
         # first region sees a write in its window, second does not
-        writes = [TimedWrite(20.0, 4)]
         report = execute_plan(space, plan, regions, mode="adaptive",
-                              concurrent=writes, start_time=0.0)
+                              writes=cols((20.0, 4)), start_time=0.0)
         assert [e.mechanism for e in report.entries] == \
             ["async_fallback", "async"]
 
@@ -218,11 +236,10 @@ class TestExecutePlan:
                 moves.append(Move(r.id, "a", dst, "demote", r.bytes))
                 start += ln
             mode = rng.choice(["sync", "async", "adaptive"])
-            writes = [TimedWrite(rng.uniform(0, 300), rng.randrange(64))
-                      for _ in range(4)]
-            writes.sort(key=lambda w: w.t)
+            writes = sorted((rng.uniform(0, 300), rng.randrange(64))
+                            for _ in range(4))
             execute_plan(space, MigrationPlan(moves=moves), regions, mode=mode,
-                         concurrent=writes, start_time=0.0)
+                         writes=cols(*writes), start_time=0.0)
             assert sum(space.placed_bytes().values()) == total
 
 
@@ -232,39 +249,43 @@ class TestProjectWriteTimes:
         trace = gen_seq_microbench("half_read", 2, passes=1)
         writes = project_write_times(space, trace.interval_slice(0), 100.0)
         # events R0 W0 R1 W1 at cost 1 each: writes at t=102 and t=104
-        assert [(w.t, w.vpage) for w in writes] == [(102.0, 0), (104.0, 1)]
+        assert (writes.times, writes.pages) == ([102.0, 104.0], [0, 1])
 
     def test_bound_excludes_writes_at_or_after_it(self):
         space = make_space(num_pages=4)
         slc = gen_seq_microbench("half_read", 2, passes=1).interval_slice(0)
-        assert list(project_write_times(space, slc, 100.0, 104.0)) == \
-            [TimedWrite(102.0, 0)]
+        writes = project_write_times(space, slc, 100.0, 104.0)
+        assert (writes.times, writes.pages) == ([102.0], [0])
         assert len(project_write_times(space, slc, 100.0, 102.0)) == 0
 
-    def test_projection_reads_as_a_sequence(self):
+    def test_projection_is_two_columns_with_a_length(self):
         space = make_space(num_pages=8)
         slc = gen_seq_microbench("write_only", 8, passes=2).interval_slice(0)
         writes = project_write_times(space, slc, 0.0)
-        items = [writes[k] for k in range(len(writes))]
-        assert list(writes) == items and len(items) == 16
-        assert writes[-1] == TimedWrite(16.0, 7)
+        assert len(writes) == len(writes.times) == len(writes.pages) == 16
+        assert writes.times == [float(t) for t in range(1, 17)]
+        assert writes.pages == list(range(8)) * 2
 
 
-def linear_adaptive(cm, region, dst, concurrent, start_time):
-    """Reference for an adaptive move by linear scans over every write:
-    (first in-window write or None, the MoveReport)."""
+def linear_reference(cm, region, dst, mode, writes, start_time):
+    """Reference for an async or adaptive move by linear scans over every
+    (time, page) write: (first in-window write or None, the MoveReport)."""
     per_page_bg = cm.step_alloc + cm.step_copy
     window_end = start_time + region.len_pages * per_page_bg
-    first = next((w for w in concurrent if start_time <= w.t < window_end
-                  and region.contains(w.vpage)), None)
+    first = next(((t, p) for t, p in writes if start_time <= t < window_end
+                  and region.contains(p)), None)
     if first is None:
         return None, MoveReport(region.id, region.tier, dst, "async",
                                 region.len_pages * (cm.step_unmap + cm.step_map),
                                 region.len_pages * per_page_bg, 0)
+    if mode == "async":
+        return first, MoveReport(region.id, region.tier, dst, "sync",
+                                 region.len_pages * cm.sync_page_cost(), 0.0, 0)
+    first_t = first[0]
     copied = min(region.len_pages,
-                 int(math.floor((first.t - start_time) / per_page_bg)))
-    dirty = {w.vpage for w in concurrent
-             if start_time <= w.t <= first.t and region.contains(w.vpage)}
+                 int(math.floor((first_t - start_time) / per_page_bg)))
+    dirty = {p for t, p in writes
+             if start_time <= t <= first_t and region.contains(p)}
     recopy = sum(cm.step_copy for p in dirty if p < region.start_page + copied)
     return first, MoveReport(region.id, region.tier, dst, "async_fallback",
                              region.len_pages * cm.sync_page_cost() + recopy,
@@ -272,8 +293,8 @@ def linear_adaptive(cm, region, dst, concurrent, start_time):
 
 
 def random_window_case(rng):
-    """A region, a start time and ascending writes on an integer grid, so
-    times repeat and land before, at and after the window's edges."""
+    """A region, a start time and ascending (time, page) writes on an integer
+    grid, so times repeat and land before, at and after the window's edges."""
     start = rng.randrange(0, 60)
     region = reg(start, rng.randrange(1, 64 - start + 1))
     start_time = float(rng.randrange(0, 50))
@@ -283,7 +304,7 @@ def random_window_case(rng):
     if rng.random() < 0.5:  # its start, the last float inside it, its end
         times += [start_time, math.nextafter(window_end, 0.0), window_end]
     pages = range(max(0, start - 4), min(64, region.end_page + 4))
-    writes = [TimedWrite(t, rng.choice(pages)) for t in sorted(times)]
+    writes = [(t, rng.choice(pages)) for t in sorted(times)]
     return region, start_time, writes
 
 
@@ -294,27 +315,20 @@ class TestBisectedWindows:
         for _ in range(400):
             region, start_time, writes = random_window_case(rng)
             cm = CostModel()
-            first, expected = linear_adaptive(cm, region, "b", writes, start_time)
-            fallbacks += first is not None
-
-            space = make_space(num_pages=64)
-            region_a = reg(region.start_page, region.len_pages)
-            result = migrate_region_async(space, region_a, "b", writes, start_time)
-            if first is None:
-                assert result == (expected.exposed_cost, expected.background_cost)
+            for mode in ("async", "adaptive"):
+                moved = reg(region.start_page, region.len_pages)
+                first, expected = linear_reference(cm, moved, "b", mode, writes,
+                                                   start_time)
+                space = make_space(num_pages=64)
+                entry = migrate_region(space, moved, "b", mode, cols(*writes),
+                                       start_time)
+                assert entry == expected
                 assert space.ledger.migration_exposed == expected.exposed_cost
                 assert space.ledger.migration_background == expected.background_cost
-            else:
-                assert result == first
-                assert space.ledger.migration_exposed == 0.0
-                assert space.ledger.migration_background == 0.0
-
-            space = make_space(num_pages=64)
-            entry = migrate_region_adaptive(space, region, "b", writes, start_time)
-            assert entry == expected
-            assert space.ledger.migration_exposed == expected.exposed_cost
-            assert space.ledger.migration_background == expected.background_cost
-            assert region.tier == "b"
+                assert moved.tier == "b"
+                assert all(space.page_tier[p] == "b"
+                           for p in range(moved.start_page, moved.end_page))
+            fallbacks += first is not None
         assert 50 < fallbacks < 350
 
     def test_bounded_projection_gives_the_same_report(self):
@@ -341,13 +355,15 @@ class TestBisectedWindows:
                 plan = MigrationPlan(moves=local.sample(moves, local.randrange(1, 6)))
                 until = copy_windows(plan, regions, space.cost_model, start_time)[-1]
                 full = project_write_times(space, slc, start_time)
-                concurrent = (project_write_times(space, slc, start_time, until)
-                              if bounded else full)
+                projected = (project_write_times(space, slc, start_time, until)
+                             if bounded else full)
                 if bounded:
-                    assert list(concurrent) == list(full)[:len(concurrent)]
-                    assert full[len(concurrent)].t >= until > concurrent[-1].t
+                    k = len(projected)
+                    assert projected.times == full.times[:k]
+                    assert projected.pages == full.pages[:k]
+                    assert full.times[k] >= until > projected.times[-1]
                 report = execute_plan(space, plan, regions, mode=mode,
-                                      concurrent=concurrent, start_time=start_time)
+                                      writes=projected, start_time=start_time)
                 reports.append((report, space.ledger.migration_exposed,
                                 space.ledger.migration_background))
             assert reports[0] == reports[1]

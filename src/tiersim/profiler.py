@@ -351,29 +351,14 @@ class Profiler:
 
     def init_regions(self, first_slice: TraceSlice, app_time: float) -> None:
         """First-interval formation from the slice's app time: every window on the
-        faster tiers, only counter-nominated windows on the slowest tier."""
+        faster tiers; on the slowest tier, only counter-nominated windows with
+        pebs_assist and every window without."""
         space, cfg = self.space, self.cfg
         self.set_budget(app_time)  # no regions yet: only sets num_ps
-        slowest = space.topology.slowest_tier
-        regions: list[Region] = []
-        runs = space.tier_runs(window=cfg.default_region_pages)
-        for tier in space.topology.tier_ids:
-            if tier == slowest:
-                continue
-            for start, ln, run_tier in runs:
-                if run_tier == tier:
-                    reg = Region(start, ln, tier, quota=1)
-                    _top_up_samples(reg, self.rng)
-                    regions.append(reg)
+        regions = self._uncovered_regions()
         if cfg.pebs_assist:
             regions.extend(self._pebs_regions(
                 _pebs_sampled_pages(space, first_slice, cfg), regions))
-        else:
-            for start, ln, tier in space.tier_runs(window=self.slowest_region_pages):
-                if tier == slowest:
-                    reg = Region(start, ln, slowest, quota=1)
-                    _top_up_samples(reg, self.rng)
-                    regions.append(reg)
         regions.sort(key=lambda r: r.start_page)
         surplus = self.num_ps - total_quota(regions)
         pools: list[list[int] | None] = [None] * len(regions)
@@ -423,17 +408,19 @@ class Profiler:
         self.num_ps = compute_budget(self.cfg, self.space.cost_model, app_time)
         rebalance_to_budget(self.regions, self.num_ps, self.rng, self.cfg.top_k_variance)
 
-    def adopt_new_pages(self) -> None:
-        """Fold pages mapped since the last interval into fresh regions
-        (slowest tier stays counter-driven)."""
-        space, cfg = self.space, self.cfg
+    def _uncovered_regions(self) -> list[Region]:
+        """Fresh quota-1 regions over the mapped window runs no region covers:
+        the faster tiers in tier order, then the slowest tier unless
+        pebs_assist leaves it to counter nominations."""
+        space = self.space
         slowest = space.topology.slowest_tier
+        tiers = [t for t in space.topology.tier_ids if t != slowest]
+        if not self.cfg.pebs_assist:
+            tiers.append(slowest)
         covered = sorted(self.regions, key=lambda r: r.start_page)
-        added = []
-        runs = space.tier_runs(window=cfg.default_region_pages)
-        for tier in space.topology.tier_ids:
-            if tier == slowest:
-                continue
+        runs = space.tier_runs(window=self.cfg.default_region_pages)
+        fresh = []
+        for tier in tiers:
             for start, ln, run_tier in runs:
                 if run_tier != tier:
                     continue
@@ -442,17 +429,21 @@ class Profiler:
                     if r.end_page <= run_lo or r.start_page >= run_hi:
                         continue
                     if r.start_page > run_lo:
-                        added.append((run_lo, r.start_page - run_lo, tier))
+                        fresh.append(Region(run_lo, r.start_page - run_lo, tier, quota=1))
                     run_lo = max(run_lo, r.end_page)
                     if run_lo >= run_hi:
                         break
                 if run_lo < run_hi:
-                    added.append((run_lo, run_hi - run_lo, tier))
-        for start, ln, tier in added:
-            reg = Region(start, ln, tier, quota=1)
+                    fresh.append(Region(run_lo, run_hi - run_lo, tier, quota=1))
+        for reg in fresh:
             _top_up_samples(reg, self.rng)
-            self.regions.append(reg)
-        if added:
+        return fresh
+
+    def adopt_new_pages(self) -> None:
+        """Fold pages mapped since the last interval into fresh regions."""
+        fresh = self._uncovered_regions()
+        if fresh:
+            self.regions.extend(fresh)
             self.regions.sort(key=lambda r: r.start_page)
             rebalance_to_budget(self.regions, self.num_ps, self.rng,
                                 self.cfg.top_k_variance)

@@ -374,6 +374,30 @@ class TestInitRegions:
         assert 20 in slow_regions[0].samples
 
 
+class TestAdoptNewPages:
+    @pytest.mark.parametrize("pebs_assist", [False, True])
+    def test_mapped_pages_lie_in_one_region(self, pebs_assist):
+        space = two_tier_space(num_pages=96)
+        for p in range(16):
+            space.map_page(p, "fast")
+        for p in range(16, 32):
+            space.map_page(p, "slow")
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=16, pebs_assist=pebs_assist)
+        prof = Profiler(cfg, space, seed=1)
+        prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=600)
+        for p in range(32, 64):
+            space.map_page(p, "fast")
+        for p in range(64, 96):
+            space.map_page(p, "slow")
+        prof.adopt_new_pages()
+        owners = [sum(r.contains(p) for r in prof.regions) for p in range(96)]
+        # with counter assistance the slowest tier waits for a nomination
+        slow_owners = 0 if pebs_assist else 1
+        assert owners == [1] * 16 + [slow_owners] * 16 + [1] * 32 + [slow_owners] * 32
+        assert total_quota(prof.regions) == prof.num_ps
+
+
 class TestTopUpSamples:
     @pytest.mark.parametrize("start, length, samples", [
         (0, 16, []), (32, 512, [40]), (100, 7, [103, 100]), (8, 1, [8])])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .memmodel import BASE_PAGE_BYTES, CapacityError, MemoryState
 from .metrics import detect_hot_pages
@@ -15,9 +15,9 @@ from .workload import TraceSlice
 # every system a config can name (RunConfig.system takes its Literal)
 BASELINE_KINDS = ("mtm", "mtm-no-pebs", "first-touch", "autonuma", "thermostat", "damon")
 
-# paper-scale window the tiered-AutoNUMA profiler inspects per interval
-AUTONUMA_WINDOW_BYTES = 256 * 1024 * 1024
-PAPER_SYSTEM_MEMORY_BYTES = 1536 * 1024 ** 3
+# share of memory the tiered-AutoNUMA profiler inspects per interval: the
+# paper's 256 MiB window over its 1.5 TiB system
+AUTONUMA_WINDOW_FRACTION = (256 * 1024 * 1024) / (1536 * 1024 ** 3)
 THERMOSTAT_COST_MULTIPLIER = 2.5
 DAMON_MERGE_FRACTION = 0.10
 
@@ -91,11 +91,11 @@ class MtmSystem:
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int,
-                 detect_threshold: float = 2.0):
+                 detect_threshold: float = 2.0, pebs_assist: bool = True):
         self.space = space
         self.cfg = cfg
         self.policy = policy
-        self.profiler = Profiler(cfg, space, seed)
+        self.profiler = Profiler(cfg, space, seed, pebs_assist)
         self.detect_threshold = detect_threshold
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
@@ -134,20 +134,16 @@ class AutonumaSystem:
     migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
-                 policy: PolicyConfig, seed: int,
-                 window_fraction: float | None = None):
+                 policy: PolicyConfig, seed: int):
         self.space = space
         self.cfg = cfg
         self.policy = policy
         self.rng = random.Random(seed)
-        self.window_fraction = window_fraction
         self.counts: dict[int, int] = {}  # retained per-page fault counts
 
     def _window_pages(self, budget: float) -> int:
         footprint = self.space.num_pages
-        frac = self.window_fraction if self.window_fraction is not None \
-            else AUTONUMA_WINDOW_BYTES / PAPER_SYSTEM_MEMORY_BYTES
-        scaled = max(1, int(footprint * frac))
+        scaled = max(1, int(footprint * AUTONUMA_WINDOW_FRACTION))
         by_budget = max(1, int(budget /
                                (self.space.cost_model.scan_cost * self.cfg.num_scans)))
         return min(footprint, scaled, by_budget)
@@ -405,21 +401,18 @@ class DamonSystem:
 
 
 def make_system(name: str, space: MemoryState, cfg: ProfilerConfig,
-                policy: PolicyConfig, seed: int, detect_threshold: float = 2.0,
-                autonuma_window_fraction: float | None = None):
-    if name == "mtm":
-        return MtmSystem(space, cfg, policy, seed, detect_threshold)
-    if name == "mtm-no-pebs":
+                policy: PolicyConfig, seed: int, detect_threshold: float = 2.0):
+    if name in ("mtm", "mtm-no-pebs"):
         # counter assistance off: the slowest tier is profiled like any other
         # (every region, one random sample)
-        sys = MtmSystem(space, replace(cfg, pebs_assist=False), policy, seed,
-                        detect_threshold)
-        sys.name = "mtm-no-pebs"
+        sys = MtmSystem(space, cfg, policy, seed, detect_threshold,
+                        pebs_assist=name == "mtm")
+        sys.name = name
         return sys
     if name == "first-touch":
         return FirstTouchSystem(space, cfg, policy, seed)
     if name == "autonuma":
-        return AutonumaSystem(space, cfg, policy, seed, autonuma_window_fraction)
+        return AutonumaSystem(space, cfg, policy, seed)
     if name == "thermostat":
         return ThermostatSystem(space, cfg, policy, seed)
     if name == "damon":

@@ -144,7 +144,6 @@ class RunConfig:
     detect_threshold: float = 2.0
     # default: the system's native mechanism
     migrator_mode: Literal["sync", "async", "adaptive"] | None = None
-    autonuma_window_fraction: float | None = None
     alloc_group_pages: int | None = None  # default: the profiler window size
     cost: CostModel = field(default_factory=CostModel)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)

@@ -80,8 +80,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
     system = baselines.make_system(
         cfg.system, space, cfg.profiler, cfg.policy,
         _derive_seed(cfg.seed, f"system:{cfg.system}"),
-        detect_threshold=cfg.detect_threshold,
-        autonuma_window_fraction=cfg.autonuma_window_fraction)
+        detect_threshold=cfg.detect_threshold)
     mode = cfg.migrator_mode or system.migrator_mode
     result = RunResult(system=cfg.system, tier_ids=list(topology.tier_ids))
     intervals = min(cfg.intervals, trace.num_intervals)

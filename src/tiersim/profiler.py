@@ -23,7 +23,6 @@ class ProfilerConfig:
     hint_fault_period: int = 12
     default_region_pages: int = 512
     origin_sampling: bool = False
-    pebs_assist: bool = True
     top_k_variance: int = 5
 
     def __post_init__(self):
@@ -335,9 +334,11 @@ def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
 class Profiler:
     """Owns the region set and runs the per-interval profiling pipeline."""
 
-    def __init__(self, cfg: ProfilerConfig, space: MemoryState, seed: int):
+    def __init__(self, cfg: ProfilerConfig, space: MemoryState, seed: int,
+                 pebs_assist: bool = True):
         self.cfg = cfg
         self.space = space
+        self.pebs_assist = pebs_assist  # counter nominations drive the slowest tier
         self.rng = random.Random(seed)
         self.num_ps = 0  # samples per scan round; set from measured app time
         self.regions: list[Region] = []
@@ -356,7 +357,7 @@ class Profiler:
         space, cfg = self.space, self.cfg
         self.set_budget(app_time)  # no regions yet: only sets num_ps
         regions = self._uncovered_regions()
-        if cfg.pebs_assist:
+        if self.pebs_assist:
             regions.extend(self._pebs_regions(
                 _pebs_sampled_pages(space, first_slice, cfg), regions))
         regions.sort(key=lambda r: r.start_page)
@@ -415,7 +416,7 @@ class Profiler:
         space = self.space
         slowest = space.topology.slowest_tier
         tiers = [t for t in space.topology.tier_ids if t != slowest]
-        if not self.cfg.pebs_assist:
+        if not self.pebs_assist:
             tiers.append(slowest)
         covered = sorted(self.regions, key=lambda r: r.start_page)
         runs = space.tier_runs(window=self.cfg.default_region_pages)
@@ -453,7 +454,7 @@ class Profiler:
         regions always are; slowest-tier regions need a counter nomination."""
         space = self.space
         slowest = space.topology.slowest_tier
-        if not self.cfg.pebs_assist:
+        if not self.pebs_assist:
             self.active_ids = {r.id for r in self.regions}
             return
         sampled = _pebs_sampled_pages(space, slc, self.cfg)

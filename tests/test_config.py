@@ -93,6 +93,12 @@ REJECTED = {
     # the budget is measured from app time, not a nominal interval length
     "retired-interval-cost": (SMALL + "profiler.interval_cost = 1e6\n", RUN, {},
                               "profiler.interval_cost"),
+    # system = mtm-no-pebs is the one way to turn counter assistance off
+    "retired-pebs-assist": (SMALL + "profiler.pebs_assist = false\n", RUN, {},
+                            "profiler.pebs_assist"),
+    # the AutoNUMA window is the paper's 256 MiB of 1.5 TiB, not a knob
+    "retired-autonuma-window": (SMALL + "autonuma_window_fraction = 0.5\n", RUN, {},
+                                "autonuma_window_fraction"),
     "env-seed": (SMALL, RUN, {"TIERSIM_SEED": "x"}, "TIERSIM_SEED"),
     "json-bool-seed": (json.dumps({"seed": True, "topology": {
         "tier0": {"capacity_bytes": 1048576}, "tier1": {"capacity_bytes": 8388608}}}),

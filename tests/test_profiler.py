@@ -257,10 +257,10 @@ class TestProfileInterval:
         for p in range(num_pages_mapped):
             space.map_page(p, "fast")
         defaults = dict(overhead_constraint=0.05, num_scans=3,
-                        default_region_pages=16, pebs_assist=False)
+                        default_region_pages=16)
         defaults.update(cfg_kw)
         cfg = ProfilerConfig(**defaults)
-        prof = Profiler(cfg, space, seed=9)
+        prof = Profiler(cfg, space, seed=9, pebs_assist=False)
         # the app time whose 5% buys budget_pages samples of 3 scans each
         self.app_time = budget_pages * 3.0 / 0.05
         prof.set_budget(self.app_time)
@@ -383,8 +383,8 @@ class TestAdoptNewPages:
         for p in range(16, 32):
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
-                             default_region_pages=16, pebs_assist=pebs_assist)
-        prof = Profiler(cfg, space, seed=1)
+                             default_region_pages=16)
+        prof = Profiler(cfg, space, seed=1, pebs_assist=pebs_assist)
         prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=600)
         for p in range(32, 64):
             space.map_page(p, "fast")

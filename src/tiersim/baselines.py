@@ -403,8 +403,8 @@ class DamonSystem:
 def make_system(name: str, space: MemoryState, cfg: ProfilerConfig,
                 policy: PolicyConfig, seed: int, detect_threshold: float = 2.0):
     if name in ("mtm", "mtm-no-pebs"):
-        # counter assistance off: the slowest tier is profiled like any other
-        # (every region, one random sample)
+        # mtm-no-pebs turns counter assistance off: the slowest tier is
+        # profiled like any other (every region, one random sample)
         sys = MtmSystem(space, cfg, policy, seed, detect_threshold,
                         pebs_assist=name == "mtm")
         sys.name = name

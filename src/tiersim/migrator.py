@@ -1,11 +1,10 @@
 """Plan execution under the four-step migration cost model.
 
-A sync move exposes alloc+unmap+copy+map per page.  An async move exposes
-only unmap+map per page; helper agents do alloc+copy in a copy window off
-the critical path.  A write to the region inside that window ends the async
-attempt: mode `async` then moves synchronously, and mode `adaptive` falls
-back, exposing len_pages x sync_page_cost plus step_copy for each dirtied
-page whose background copy had already finished.
+A sync move exposes alloc+unmap+copy+map per page, an async move unmap+map
+while alloc+copy run off the critical path in a copy window.  A write to the
+region inside the window makes mode `async` move synchronously and mode
+`adaptive` fall back, exposing len_pages x sync_page_cost plus step_copy for
+each dirtied page whose background copy had already finished.
 """
 from __future__ import annotations
 
@@ -48,6 +47,7 @@ class MoveReport:
 class MigrationReport:
     entries: list[MoveReport] = field(default_factory=list)
     completed: bool = True
+
 
 class PlanExecutionError(TiersimError):
     def __init__(self, message: str, report: MigrationReport, cause: Exception):

@@ -25,9 +25,8 @@ DAMON_MERGE_FRACTION = 0.10
 def first_touch_alloc(space: MemoryState, vpage: int, node: int) -> str:
     """Place an untouched page in the first tier with room along the toucher
     node's distance order.  Never migrates."""
-    topo = space.topology
-    for tier_id in topo.alloc_order(node):
-        if topo.tier(tier_id).free_bytes >= BASE_PAGE_BYTES:
+    for tier_id in space.topology.alloc_order(node):
+        if space.free[tier_id] >= BASE_PAGE_BYTES:
             space.map_page(vpage, tier_id)
             return tier_id
     raise CapacityError("all tiers full")
@@ -44,9 +43,8 @@ def group_first_touch(group_pages: int):
         pages = [p for p in range(g0, min(g0 + group_pages, space.num_pages))
                  if not space.is_mapped(p)]
         need = len(pages) * BASE_PAGE_BYTES
-        topo = space.topology
-        for tier_id in topo.alloc_order(node):
-            if topo.tier(tier_id).free_bytes >= need:
+        for tier_id in space.topology.alloc_order(node):
+            if space.free[tier_id] >= need:
                 for p in pages:
                     space.map_page(p, tier_id)
                 return
@@ -67,7 +65,7 @@ class FirstTouchSystem:
     migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
-                 policy: PolicyConfig, seed: int):
+                 policy: PolicyConfig, seed: int, detect_threshold: float):
         self.space = space
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
@@ -90,8 +88,8 @@ class MtmSystem:
     migrator_mode = "adaptive"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
-                 policy: PolicyConfig, seed: int,
-                 detect_threshold: float = 2.0, pebs_assist: bool = True):
+                 policy: PolicyConfig, seed: int, detect_threshold: float,
+                 pebs_assist: bool = True):
         self.space = space
         self.cfg = cfg
         self.policy = policy
@@ -118,8 +116,7 @@ class MtmSystem:
         return detect_hot_pages(self.profiler.regions, self.detect_threshold)
 
     def plan(self):
-        plan = plan_interval(self.profiler.regions, self.space.topology,
-                             self.policy, self.space.topology.views)
+        plan = plan_interval(self.profiler.regions, self.space, self.policy)
         return plan, {r.id: r for r in self.profiler.regions}
 
     def struct_counts(self) -> tuple[int, int]:
@@ -134,11 +131,12 @@ class AutonumaSystem:
     migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
-                 policy: PolicyConfig, seed: int):
+                 policy: PolicyConfig, seed: int, detect_threshold: float):
         self.space = space
         self.cfg = cfg
         self.policy = policy
         self.rng = random.Random(seed)
+        self.detect_threshold = detect_threshold
         self.counts: dict[int, int] = {}  # retained per-page fault counts
 
     def _window_pages(self, budget: float) -> int:
@@ -170,14 +168,14 @@ class AutonumaSystem:
             self.counts[p] = fresh.get(p, 0)
 
     def detected_pages(self) -> set[int]:
-        return {p for p, c in self.counts.items() if c >= 2}
+        return {p for p, c in self.counts.items() if c >= self.detect_threshold}
 
     def plan(self):
         """Promote hot pages one level toward the fastest tier; the coldest
         residents drop one level when the target lacks room."""
         space, topo = self.space, self.space.topology
         order = topo.tier_ids  # fixed global hierarchy
-        free = {t.id: t.free_bytes for t in topo.tiers}
+        free = dict(space.free)
         budget = self.policy.promotion_budget(topo)
         page = BASE_PAGE_BYTES
         moves: list[Move] = []
@@ -201,20 +199,19 @@ class AutonumaSystem:
             if rank == 0:
                 continue
             dst = order[rank - 1]
-            if free.get(dst, 0) < page:
-                below = order[rank] if rank < len(order) else None
-                if below is None or free.get(below, 0) < page or not victims[dst]:
+            if free[dst] < page:
+                # swap: the coldest resident of dst drops into p's tier
+                if free[tier] < page or not victims[dst]:
                     continue
                 v = victims[dst].pop(0)
-                vreg = Region(v, 1, dst, quota=1)
-                regions[v] = vreg
-                moves.append(Move(v, dst, below, "demote", page))
-                free[below] -= page
+                regions[v] = Region(v, 1, dst, quota=1)
+                moves.append(Move(v, dst, tier, "demote", page))
+                free[tier] -= page
                 free[dst] += page
             regions[p] = Region(p, 1, tier, quota=1)
             moves.append(Move(p, tier, dst, "promote", page))
             free[dst] -= page
-            free[tier] = free.get(tier, 0) + page
+            free[tier] += page
             budget -= page
         return MigrationPlan(moves=moves), regions
 
@@ -232,11 +229,12 @@ class ThermostatSystem:
     migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
-                 policy: PolicyConfig, seed: int):
+                 policy: PolicyConfig, seed: int, detect_threshold: float):
         self.space = space
         self.cfg = cfg
         self.policy = policy
         self.rng = random.Random(seed)
+        self.detect_threshold = detect_threshold
         self.region_pages = cfg.default_region_pages
         self.hotness: dict[int, int] = {}  # window start -> retained count
 
@@ -266,7 +264,7 @@ class ThermostatSystem:
     def detected_pages(self) -> set[int]:
         hot: set[int] = set()
         for w, c in self.hotness.items():
-            if c >= 2:
+            if c >= self.detect_threshold:
                 hot.update(range(w, min(w + self.region_pages, self.space.num_pages)))
         return hot
 
@@ -277,8 +275,7 @@ class ThermostatSystem:
             w = start - start % self.region_pages
             score = min(float(self.hotness.get(w, 0)), float(self.cfg.num_scans))
             regions.append(Region(start, ln, tier, quota=1, hi=score, whi=score))
-        plan = plan_interval(regions, self.space.topology, self.policy,
-                             self.space.topology.views)
+        plan = plan_interval(regions, self.space, self.policy)
         return plan, {r.id: r for r in regions}
 
     def struct_counts(self) -> tuple[int, int]:
@@ -305,11 +302,12 @@ class DamonSystem:
     migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
-                 policy: PolicyConfig, seed: int):
+                 policy: PolicyConfig, seed: int, detect_threshold: float):
         self.space = space
         self.cfg = cfg
         self.policy = policy
         self.rng = random.Random(seed)
+        self.detect_threshold = detect_threshold
         self.regions: list[_DamonRegion] = []
         self.merges = 0
         self.splits = 0
@@ -379,7 +377,7 @@ class DamonSystem:
     def detected_pages(self) -> set[int]:
         hot: set[int] = set()
         for reg in self.regions:
-            if reg.result >= 2.0:
+            if reg.result >= self.detect_threshold:
                 hot.update(range(reg.start, reg.end))
         return hot
 
@@ -389,8 +387,7 @@ class DamonSystem:
             score = min(reg.result, float(self.cfg.num_scans))
             regions.extend(Region(start, ln, tier, quota=1, hi=score, whi=score)
                            for start, ln, tier in self.space.tier_runs(reg.start, reg.end))
-        plan = plan_interval(regions, self.space.topology, self.policy,
-                             self.space.topology.views)
+        plan = plan_interval(regions, self.space, self.policy)
         return plan, {r.id: r for r in regions}
 
     def struct_counts(self) -> tuple[int, int]:
@@ -401,7 +398,9 @@ class DamonSystem:
 
 
 def make_system(name: str, space: MemoryState, cfg: ProfilerConfig,
-                policy: PolicyConfig, seed: int, detect_threshold: float = 2.0):
+                policy: PolicyConfig, seed: int, detect_threshold: float):
+    """The system `name`; every system reports the pages whose hotness
+    reaches detect_threshold as hot."""
     if name in ("mtm", "mtm-no-pebs"):
         # mtm-no-pebs turns counter assistance off: the slowest tier is
         # profiled like any other (every region, one random sample)
@@ -409,12 +408,7 @@ def make_system(name: str, space: MemoryState, cfg: ProfilerConfig,
                         pebs_assist=name == "mtm")
         sys.name = name
         return sys
-    if name == "first-touch":
-        return FirstTouchSystem(space, cfg, policy, seed)
-    if name == "autonuma":
-        return AutonumaSystem(space, cfg, policy, seed)
-    if name == "thermostat":
-        return ThermostatSystem(space, cfg, policy, seed)
-    if name == "damon":
-        return DamonSystem(space, cfg, policy, seed)
+    for cls in (FirstTouchSystem, AutonumaSystem, ThermostatSystem, DamonSystem):
+        if cls.name == name:
+            return cls(space, cfg, policy, seed, detect_threshold)
     raise ValueError(f"unknown system {name!r}")

@@ -48,12 +48,11 @@ def require(ok: bool, field: str, rule: str) -> None:
         raise ConfigError(f"{field} {rule}", field)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TierSpec:
     id: str
     capacity_bytes: int
     access_cost: float
-    free_bytes: int = 0
 
     def __post_init__(self):
         if self.capacity_bytes <= 0 or self.capacity_bytes % BASE_PAGE_BYTES != 0:
@@ -86,6 +85,9 @@ class CostModel:
 
 class TierTopology:
     """Ordered tiers plus per-accessor-node fastest-to-slowest views.
+    Immutable: it describes the machine and is never written after
+    construction.  A run's free space lives in its MemoryState, so any
+    number of states can share one topology.
 
     The canonical tier order defines a cost ladder: the cost a node pays for
     a tier is the access_cost at the position that tier occupies in the
@@ -117,9 +119,6 @@ class TierTopology:
             if sorted(order) != sorted(ids):
                 raise TopologyError(f"node {n}: alloc order must be a permutation")
             self.alloc_orders[n] = list(order)
-        self._by_id = {t.id: t for t in tiers}
-        for t in tiers:
-            t.free_bytes = t.capacity_bytes
         rank_costs = [t.access_cost for t in tiers]
         # cost[node][tier] from the node's view rank
         self._cost = {
@@ -129,12 +128,6 @@ class TierTopology:
         avg = {tid: sum(self._cost[n][tid] for n in accessor_nodes) / len(accessor_nodes)
                for tid in ids}
         self.slowest_tier = max(ids, key=lambda tid: (avg[tid], ids.index(tid)))
-
-    def tier(self, tier_id: str) -> TierSpec:
-        try:
-            return self._by_id[tier_id]
-        except KeyError:
-            raise TopologyError(f"unknown tier {tier_id!r}") from None
 
     def access_cost(self, node: int, tier_id: str) -> float:
         return self._cost[node][tier_id]
@@ -184,7 +177,11 @@ class CostLedger:
 
 class MemoryState:
     """Page placements, per-page access/dirty bits, per-tier counters, and
-    cost ledgers.  Every page is a base page of BASE_PAGE_BYTES."""
+    cost ledgers.  Every page is a base page of BASE_PAGE_BYTES.
+
+    The state is the only owner of free space: `free[tier]` starts at the
+    tier's capacity, and only `map_page` and `move_pages` change it, so
+    `free[t] + placed_bytes()[t]` is always t's capacity."""
 
     def __init__(self, topology: TierTopology, cost_model: CostModel,
                  num_pages: int, allocator=None):
@@ -192,6 +189,7 @@ class MemoryState:
         self.cost_model = cost_model
         self.num_pages = num_pages
         self.page_tier: list[str | None] = [None] * num_pages
+        self.free = {t.id: t.capacity_bytes for t in topology.tiers}
         self.access_bit = bytearray(num_pages)
         self.dirty_bit = bytearray(num_pages)
         self.tier_access_counts = {t.id: 0 for t in topology.tiers}
@@ -207,18 +205,17 @@ class MemoryState:
     def map_page(self, vpage: int, tier_id: str) -> None:
         if self.is_mapped(vpage):
             raise TiersimError(f"page {vpage} already mapped")
-        tier = self.topology.tier(tier_id)
-        if tier.free_bytes < BASE_PAGE_BYTES:
+        if self.free[tier_id] < BASE_PAGE_BYTES:
             raise CapacityError(f"tier {tier_id} full")
-        tier.free_bytes -= BASE_PAGE_BYTES
+        self.free[tier_id] -= BASE_PAGE_BYTES
         self.page_tier[vpage] = tier_id
 
     def move_pages(self, pages: range, dst: str) -> None:
-        """Remap a contiguous run to dst, updating free-space ledgers and
-        clearing access/dirty bits.  Cost accounting is the migrator's job."""
-        dst_tier = self.topology.tier(dst)
+        """Remap a contiguous run to dst, updating `free` and clearing
+        access/dirty bits.  Cost accounting is the migrator's job."""
+        free = self.free
         need = sum(BASE_PAGE_BYTES for p in pages if self.page_tier[p] != dst)
-        if dst_tier.free_bytes < need:
+        if free[dst] < need:
             raise CapacityError(f"tier {dst} lacks space for {need} bytes")
         for p in pages:
             src = self.page_tier[p]
@@ -226,8 +223,8 @@ class MemoryState:
                 raise UnmappedPageError(f"page {p} unmapped")
             if src == dst:
                 continue
-            self.topology.tier(src).free_bytes += BASE_PAGE_BYTES
-            dst_tier.free_bytes -= BASE_PAGE_BYTES
+            free[src] += BASE_PAGE_BYTES
+            free[dst] -= BASE_PAGE_BYTES
             self.page_tier[p] = dst
         for p in pages:
             self.access_bit[p] = 0

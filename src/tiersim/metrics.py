@@ -5,8 +5,6 @@ from dataclasses import dataclass, field
 
 from .profiler import Region
 
-DEFAULT_HOT_THRESHOLD = 2.0
-
 
 @dataclass
 class IntervalMetrics:
@@ -21,8 +19,7 @@ class IntervalMetrics:
     splits: int = 0
 
 
-def detect_hot_pages(regions: list[Region],
-                     threshold: float = DEFAULT_HOT_THRESHOLD) -> set[int]:
+def detect_hot_pages(regions: list[Region], threshold: float) -> set[int]:
     """All pages of regions whose smoothed hotness (0.0 before the first
     observation) reaches the threshold."""
     hot: set[int] = set()

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .memmodel import CapacityError, TierTopology, require
+from .memmodel import CapacityError, MemoryState, TierTopology, require
 from .profiler import Region
 
 
@@ -64,120 +64,89 @@ def resolve_destination(region: Region, views: dict[int, list[str]]) -> list[str
     return views[nodes[0]]
 
 
-def plan_demotions(topology: TierTopology, tier: str, need_bytes: int,
-                   coldest: list[Region], views: dict[int, list[str]],
-                   exclude: set[int] | None = None,
-                   free_override: dict[str, int] | None = None,
-                   colder_than: float | None = None) -> MigrationPlan:
+def plan_demotions(tier: str, need_bytes: int, coldest: list[Region],
+                   views: dict[int, list[str]], free: dict[str, int],
+                   planned: set[int], colder_than: float | None = None,
+                   stack: tuple[str, ...] = ()) -> list[Move]:
     """Free need_bytes in `tier` by demoting its coldest regions one level
     down their dominant view, cascading when the next tier is also full.
-    `coldest` lists the candidate regions coldest first.
-    With colder_than set, only regions strictly below that hotness are
-    eligible (room-making never evicts something hotter than the arrival)."""
-    plan = MigrationPlan()
+    `coldest` lists the candidate regions coldest first; regions in
+    `planned` are already moving.  With colder_than set, only regions
+    strictly below that hotness are eligible (room-making never evicts
+    something hotter than the arrival).  `stack` holds the tiers the
+    callers are freeing: nothing cascades into them, since views may
+    disagree on which of two tiers is lower.
+
+    Works in place: on success the returned moves are already applied to
+    `free` and `planned`; on CapacityError both are as they were."""
     if need_bytes <= 0:
-        return plan
-    free = dict(free_override) if free_override is not None else \
-        {t.id: t.free_bytes for t in topology.tiers}
-    planned = set(exclude or ())
-    _demote_into(tier, need_bytes, coldest, views, plan, planned, free, (),
-                 colder_than)
-    return plan
-
-
-def _demote_into(tier, need_bytes, coldest, views, plan, planned, free, stack,
-                 colder_than):
-    """Demote from `tier` until its free bytes have grown by need_bytes.
-    `stack` holds the tiers the callers are freeing: nothing cascades into
-    them, since views may disagree on which of two tiers is lower."""
+        return []
+    snapshot = dict(free), set(planned)
     stack = (*stack, tier)
-    start = free.get(tier, 0)
+    start = free[tier]
+    moves: list[Move] = []
     for region in coldest:
-        if free.get(tier, 0) - start >= need_bytes:
+        if free[tier] - start >= need_bytes:
             break
         if region.id in planned or region.tier != tier:
             continue
         if colder_than is not None and (region.whi or 0.0) >= colder_than:
             continue
         order = resolve_destination(region, views)
-        rank = order.index(tier)
-        dst = None
-        for lower in order[rank + 1:]:
+        for lower in order[order.index(tier) + 1:]:
             if lower in stack:
                 continue
-            if free.get(lower, 0) >= region.bytes:
-                dst = lower
-                break
-            # next lower tier is full: try to cascade space out of it
-            before_moves = len(plan.moves)
-            before_free = dict(free)
-            before_planned = set(planned)
-            try:
-                _demote_into(lower, region.bytes - free.get(lower, 0), coldest,
-                             views, plan, planned, free, stack, colder_than)
+            try:  # cascade space out of a full lower tier
+                moves += plan_demotions(lower, region.bytes - free[lower], coldest,
+                                        views, free, planned, colder_than, stack)
             except CapacityError:
-                del plan.moves[before_moves:]
-                free.clear(); free.update(before_free)
-                planned.clear(); planned.update(before_planned)
                 continue
-            if free.get(lower, 0) >= region.bytes:
-                dst = lower
-                break
-            del plan.moves[before_moves:]
-            free.clear(); free.update(before_free)
-            planned.clear(); planned.update(before_planned)
-        if dst is None:
-            continue
-        plan.moves.append(Move(region.id, region.tier, dst, "demote", region.bytes))
-        free[dst] -= region.bytes
-        free[tier] = free.get(tier, 0) + region.bytes
-        planned.add(region.id)
-    freed = free.get(tier, 0) - start
+            moves.append(Move(region.id, tier, lower, "demote", region.bytes))
+            free[lower] -= region.bytes
+            free[tier] += region.bytes
+            planned.add(region.id)
+            break
+    freed = free[tier] - start
     if freed < need_bytes:
+        free.clear(); free.update(snapshot[0])
+        planned.clear(); planned.update(snapshot[1])
         raise CapacityError(
             f"memory exhausted: could free only {freed} of {need_bytes} bytes in {tier}")
+    return moves
 
 
-def plan_interval(regions: list[Region], topology: TierTopology,
-                  policy: PolicyConfig, views: dict[int, list[str]]) -> MigrationPlan:
-    """One planning pass, hottest candidate first.  Each candidate aims at
-    the fastest tier of its view; if that tier is full of strictly colder
-    regions, those are demoted (cascading) to make room, otherwise the
-    candidate settles for the next tier in its view.  Demoted bytes do not
-    consume the promotion budget N.  Ties in hotness go to the lower id."""
+def plan_interval(regions: list[Region], space: MemoryState,
+                  policy: PolicyConfig) -> MigrationPlan:
+    """One planning pass, hottest candidate first, against a copy of the
+    state's free bytes that every planned move updates in place.  Each
+    candidate aims at the fastest tier of its view; if that tier is full
+    of strictly colder regions, those are demoted (cascading) to make room,
+    otherwise the candidate settles for the next tier in its view.  Demoted
+    bytes do not consume the promotion budget N.  Ties in hotness go to the
+    lower id."""
+    views = space.topology.views
     hottest = sorted(regions, key=lambda r: (-(r.whi or 0.0), r.id))
     coldest = sorted(regions, key=lambda r: (r.whi or 0.0, r.id))
-    budget = policy.promotion_budget(topology)
-    free = {t.id: t.free_bytes for t in topology.tiers}
+    budget = policy.promotion_budget(space.topology)
+    free = dict(space.free)
     planned: set[int] = set()
     moves: list[Move] = []
 
     for cand in hottest:
-        if budget <= 0:
-            break
-        if (cand.whi or 0.0) <= 0.0:
+        if budget <= 0 or (cand.whi or 0.0) <= 0.0:
             break
         if cand.id in planned or cand.bytes > budget:
             continue
         order = resolve_destination(cand, views)
-        rank_now = order.index(cand.tier)
-        for dst in order[:rank_now]:
-            if free.get(dst, 0) < cand.bytes:
-                try:
-                    part = plan_demotions(
-                        topology, dst, cand.bytes - free.get(dst, 0), coldest,
-                        views, exclude=planned, free_override=free,
-                        colder_than=cand.whi)
-                except CapacityError:
-                    continue
-                for m in part.moves:
-                    free[m.dst] -= m.bytes
-                    free[m.src] = free.get(m.src, 0) + m.bytes
-                    planned.add(m.region_id)
-                moves.extend(part.moves)
+        for dst in order[:order.index(cand.tier)]:
+            try:
+                moves += plan_demotions(dst, cand.bytes - free[dst], coldest, views,
+                                        free, planned, colder_than=cand.whi)
+            except CapacityError:
+                continue
             moves.append(Move(cand.id, cand.tier, dst, "promote", cand.bytes))
             free[dst] -= cand.bytes
-            free[cand.tier] = free.get(cand.tier, 0) + cand.bytes
+            free[cand.tier] += cand.bytes
             planned.add(cand.id)
             budget -= cand.bytes
             break

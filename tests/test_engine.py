@@ -90,3 +90,20 @@ def test_profiling_within_previous_app_budget(runs_of, config, system):
     assert result.rows[0].profiling_cost == 0
     for prev, row in zip(result.rows, result.rows[1:]):
         assert row.profiling_cost <= c * prev.app_cost * (1 + 1e-9), row.interval
+
+
+@pytest.mark.parametrize("system", ["autonuma", "thermostat", "damon"])
+def test_detection_uses_the_configured_threshold(runs_of, system):
+    """Above num_scans and above any one page's accesses in an interval (the
+    count thermostat keeps), detect_threshold leaves nothing detected: every
+    interval then has precision 1 and recall 0 against a non-empty oracle."""
+    text = CONFIGS["small"]
+    cfg, result = runs_of(text)[1][system]
+    assert any(row.recall > 0 for row in result.rows[1:])
+    unreachable = cfg.workload.accesses_per_interval + 1
+    cfg = build_run_config(parse_config_text(text), overrides={
+        "system": system, "detect_threshold": unreachable})
+    trace, oracle = engine.build_trace(cfg)
+    rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
+    assert all(oracle.hot_pages(row.interval) for row in rows)
+    assert all(row.precision == 1.0 and row.recall == 0.0 for row in rows)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -41,8 +42,9 @@ class TestBuildTopology:
     def test_four_tiers_two_nodes_slowest_is_largest_cost(self):
         topo = build_topology(four_tier_spec())
         assert topo.slowest_tier == "t4"
+        st = MemoryState(topo, CostModel(), 8)
         for t in topo.tiers:
-            assert t.free_bytes == t.capacity_bytes
+            assert st.free[t.id] == t.capacity_bytes
 
     def test_single_tier_rejected(self):
         with pytest.raises(TopologyError):
@@ -142,22 +144,39 @@ class TestAccessAndScan:
 class TestFreeBytes:
     def test_empty_tier_reports_capacity(self):
         st = small_state()
-        assert st.topology.tier("t1").free_bytes == 16 * BASE_PAGE_BYTES
+        assert st.free["t1"] == 16 * BASE_PAGE_BYTES
 
     def test_after_placing_ten_pages(self):
         st = small_state()
         for p in range(10):
             st.map_page(p, "t1")
-        assert st.topology.tier("t1").free_bytes == 6 * BASE_PAGE_BYTES
+        assert st.free["t1"] == 6 * BASE_PAGE_BYTES
 
     def test_migrating_region_out_frees_its_bytes(self):
         st = small_state()
         for p in range(8):
             st.map_page(p, "t1")
-        before = st.topology.tier("t1").free_bytes
+        before = st.free["t1"]
         st.move_pages(range(0, 8), "t3")
-        assert st.topology.tier("t1").free_bytes == before + 8 * BASE_PAGE_BYTES
-        assert st.topology.tier("t3").free_bytes == (16 - 8) * BASE_PAGE_BYTES
+        assert st.free["t1"] == before + 8 * BASE_PAGE_BYTES
+        assert st.free["t3"] == (16 - 8) * BASE_PAGE_BYTES
+
+    def test_states_on_one_topology_keep_independent_ledgers(self):
+        topo = build_topology({"tiers": [
+            {"id": "a", "capacity_bytes": 4 * BASE_PAGE_BYTES},
+            {"id": "b", "capacity_bytes": 8 * BASE_PAGE_BYTES}]})
+        first = MemoryState(topo, CostModel(), 4)
+        second = MemoryState(topo, CostModel(), 4)
+        for p in range(4):
+            first.map_page(p, "a")
+        assert first.free["a"] == 0
+        second.map_page(0, "a")
+        assert second.free["a"] == 3 * BASE_PAGE_BYTES
+
+    def test_tier_spec_is_frozen(self):
+        tier = build_topology(four_tier_spec()).tiers[0]
+        with pytest.raises(FrozenInstanceError):
+            tier.capacity_bytes = 0
 
 
 class TestInvariants:
@@ -175,9 +194,11 @@ class TestInvariants:
                 st.move_pages(range(a, b), dst)
             except CapacityError:
                 continue
-            assert sum(st.placed_bytes().values()) == total_before
+            placed = st.placed_bytes()
+            assert sum(placed.values()) == total_before
             for t in st.topology.tiers:
-                assert 0 <= t.free_bytes <= t.capacity_bytes
+                assert 0 <= st.free[t.id] <= t.capacity_bytes
+                assert st.free[t.id] + placed[t.id] == t.capacity_bytes
 
     def test_every_mapped_page_has_exactly_one_tier(self):
         st = small_state()

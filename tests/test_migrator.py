@@ -181,9 +181,11 @@ class TestExecutePlan:
         ])
         before = sum(space.placed_bytes().values())
         execute_plan(space, plan, regions, mode="sync")
-        assert sum(space.placed_bytes().values()) == before
+        placed = space.placed_bytes()
+        assert sum(placed.values()) == before
         for t in space.topology.tiers:
-            assert 0 <= t.free_bytes <= t.capacity_bytes
+            assert 0 <= space.free[t.id] <= t.capacity_bytes
+            assert space.free[t.id] + placed[t.id] == t.capacity_bytes
         assert regions[0].tier == "b" and regions[8].tier == "a"
 
     def test_adaptive_mixed_mechanisms_recorded(self):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from tiersim.memmodel import BASE_PAGE_BYTES, CapacityError, build_topology
+from tiersim.memmodel import (
+    BASE_PAGE_BYTES, CapacityError, CostModel, MemoryState, build_topology,
+)
 from tiersim.policy import (
     PolicyConfig, plan_demotions, plan_interval, resolve_destination, update_ema,
 )
@@ -18,7 +20,9 @@ def region(start, length, tier, whi, origin=None):
     return r
 
 
-def topo_pages(caps, nodes=(0,), views=None):
+def space_pages(caps, nodes=(0,), views=None):
+    """A state with no pages on tiers t1.. of `caps` pages; planning reads
+    only its topology and free bytes."""
     spec = {
         "tiers": [{"id": f"t{i+1}", "capacity_bytes": c * BASE_PAGE_BYTES,
                    "access_cost": cost}
@@ -27,23 +31,22 @@ def topo_pages(caps, nodes=(0,), views=None):
     }
     if views:
         spec["views"] = views
-    return build_topology(spec)
+    return MemoryState(build_topology(spec), CostModel(), 0)
 
 
-def occupy(topo, regions):
+def occupy(space, regions):
     """Charge each region's bytes against its tier so free space is honest."""
     for r in regions:
-        topo.tier(r.tier).free_bytes -= r.bytes
+        space.free[r.tier] -= r.bytes
 
 
 def coldest_first(regions):
     return sorted(regions, key=lambda r: (r.whi or 0.0, r.id))
 
 
-def promotions(regions, topology, n_bytes):
+def promotions(regions, space, n_bytes):
     """plan_interval's moves as (region_id, dst) under promotion budget n_bytes."""
-    plan = plan_interval(regions, topology, PolicyConfig(n_bytes=n_bytes),
-                         topology.views)
+    plan = plan_interval(regions, space, PolicyConfig(n_bytes=n_bytes))
     return [(m.region_id, m.dst) for m in plan.moves]
 
 
@@ -84,10 +87,10 @@ class TestUpdateEma:
             assert r.whi == pytest.approx(expect, abs=1e-9)
 
 
-def brute_force_promotion_ids(regions, topology, n_bytes, views):
+def brute_force_promotion_ids(regions, space, n_bytes, views):
     """Independent oracle: hottest-first by (whi desc, id asc), skip regions
     already best-placed or oversized for the remaining budget."""
-    free = {t.id: t.free_bytes for t in topology.tiers}
+    free = dict(space.free)
     budget = n_bytes
     picked = []
     for r in sorted(regions, key=lambda r: (-(r.whi or 0.0), r.id)):
@@ -111,42 +114,42 @@ class TestPlanPromotions:
     plan must equal the promotion-only oracle."""
 
     def test_hottest_already_fastest_is_skipped(self):
-        topo = topo_pages((64, 64, 64, 64))
+        space = space_pages((64, 64, 64, 64))
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t3", 2.5)]
-        occupy(topo, regs)
-        assert promotions(regs, topo, 8 * BASE_PAGE_BYTES) == [(8, "t1")]
+        occupy(space, regs)
+        assert promotions(regs, space, 8 * BASE_PAGE_BYTES) == [(8, "t1")]
 
     def test_top_k_matches_brute_force(self):
-        topo = topo_pages((64, 64, 64, 64))
+        space = space_pages((64, 64, 64, 64))
         regs = [region(0, 8, "t3", 2.9), region(8, 8, "t3", 2.5),
                 region(16, 8, "t4", 2.7)]
-        occupy(topo, regs)
+        occupy(space, regs)
         n = 16 * BASE_PAGE_BYTES  # room for exactly two regions
-        got = promotions(regs, topo, n)
-        assert got == brute_force_promotion_ids(regs, topo, n, topo.views)
+        got = promotions(regs, space, n)
+        assert got == brute_force_promotion_ids(regs, space, n, space.topology.views)
         assert {rid for rid, _ in got} == {0, 16}
 
     def test_all_optimally_placed_empty_plan(self):
-        topo = topo_pages((64, 64, 64, 64))
+        space = space_pages((64, 64, 64, 64))
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t1", 2.0)]
-        occupy(topo, regs)
-        assert promotions(regs, topo, 4 * BASE_PAGE_BYTES) == []
+        occupy(space, regs)
+        assert promotions(regs, space, 4 * BASE_PAGE_BYTES) == []
 
     def test_overflow_to_second_fastest_when_fastest_full(self):
-        topo = topo_pages((8, 64, 64, 64))
+        space = space_pages((8, 64, 64, 64))
         # t1 is full with a region as hot as the hottest candidate: not
         # strictly colder, so it cannot be demoted to make room
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t4", 3.0),
                 region(16, 8, "t4", 2.8)]
-        occupy(topo, regs)
-        assert promotions(regs, topo, 16 * BASE_PAGE_BYTES) == \
+        occupy(space, regs)
+        assert promotions(regs, space, 16 * BASE_PAGE_BYTES) == \
             [(8, "t2"), (16, "t2")]
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(99)
         for _ in range(60):
             caps = [rng.randrange(16, 128) for _ in range(4)]
-            topo = topo_pages(caps)
+            space = space_pages(caps)
             spans, start = [], 0
             for _ in range(rng.randrange(2, 24)):
                 ln = rng.randrange(1, 6)
@@ -160,54 +163,77 @@ class TestPlanPromotions:
             regs, rank = [], 0
             for (start, ln), whi in sorted(zip(spans, whis), key=lambda x: -x[1]):
                 rank = min(3, rank + (rng.random() < 0.3))
-                tier = topo.tier_ids[rank]
-                if topo.tier(tier).free_bytes >= ln * BASE_PAGE_BYTES:
+                tier = space.topology.tier_ids[rank]
+                if space.free[tier] >= ln * BASE_PAGE_BYTES:
                     r = region(start, ln, tier, whi)
                     regs.append(r)
-                    topo.tier(tier).free_bytes -= r.bytes
+                    space.free[tier] -= r.bytes
             n_bytes = rng.randrange(1, 64) * BASE_PAGE_BYTES
-            assert promotions(regs, topo, n_bytes) == \
-                brute_force_promotion_ids(regs, topo, n_bytes, topo.views)
+            assert promotions(regs, space, n_bytes) == \
+                brute_force_promotion_ids(regs, space, n_bytes, space.topology.views)
 
 
 class TestPlanDemotions:
     def test_coldest_demoted_one_level(self):
-        topo = topo_pages((16, 64, 64, 64))
+        space = space_pages((16, 64, 64, 64))
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t1", 0.2)]
-        occupy(topo, regs)
-        plan = plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES,
-                              coldest_first(regs), topo.views)
-        assert [(m.region_id, m.src, m.dst) for m in plan.moves] == \
+        occupy(space, regs)
+        moves = plan_demotions("t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
+                               space.topology.views, dict(space.free), set())
+        assert [(m.region_id, m.src, m.dst) for m in moves] == \
             [(8, "t1", "t2")]
 
     def test_cascade_two_levels(self):
         # t2 is full as well: making room in t1 demotes t2's coldest into t3
-        topo = topo_pages((8, 8, 64, 64))
+        space = space_pages((8, 8, 64, 64))
         regs = [region(0, 8, "t1", 2.0), region(8, 8, "t2", 0.5)]
-        occupy(topo, regs)
-        plan = plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES,
-                              coldest_first(regs), topo.views)
-        moves = [(m.region_id, m.src, m.dst) for m in plan.moves]
+        occupy(space, regs)
+        planned_free, planned = dict(space.free), set()
+        plan = plan_demotions("t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
+                              space.topology.views, planned_free, planned)
+        moves = [(m.region_id, m.src, m.dst) for m in plan]
         assert moves == [(8, "t2", "t3"), (0, "t1", "t2")]
         # space accounting: replay the plan against the ledgers
-        free = {t.id: t.free_bytes for t in topo.tiers}
-        for m in plan.moves:
+        free = dict(space.free)
+        for m in plan:
             free[m.dst] -= m.bytes
             free[m.src] += m.bytes
             assert all(v >= 0 for v in free.values())
+        # the planner applied the same moves to the ledger it was given
+        assert planned_free == free
+        assert planned == {0, 8}
 
     def test_zero_need_empty(self):
-        topo = topo_pages((16, 16, 16, 16))
-        assert plan_demotions(topo, "t1", 0, [], topo.views).moves == []
+        space = space_pages((16, 16, 16, 16))
+        assert plan_demotions("t1", 0, [], space.topology.views,
+                              dict(space.free), set()) == []
 
     def test_memory_exhausted(self):
-        topo = topo_pages((8, 8, 8, 8))
+        space = space_pages((8, 8, 8, 8))
         regs = [region(0, 8, "t1", 1.0), region(8, 8, "t2", 0.9),
                 region(16, 8, "t3", 0.8), region(24, 8, "t4", 0.7)]
-        occupy(topo, regs)  # every tier full
+        occupy(space, regs)  # every tier full
+        free, planned = dict(space.free), {99}
         with pytest.raises(CapacityError):
-            plan_demotions(topo, "t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
-                           topo.views)
+            plan_demotions("t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
+                           space.topology.views, free, planned)
+        assert free == space.free
+        assert planned == {99}
+
+    def test_partial_progress_is_rolled_back(self):
+        # the first t1 region fits in t2, the second finds every lower tier
+        # full: t1 gains 8 of the 16 pages asked for, and the planner hands
+        # back the ledger and planned set it was given
+        space = space_pages((16, 8, 8, 8))
+        regs = [region(0, 8, "t1", 0.1), region(8, 8, "t1", 0.2),
+                region(16, 8, "t3", 0.8), region(24, 8, "t4", 0.7)]
+        occupy(space, regs)
+        free, planned = dict(space.free), set()
+        with pytest.raises(CapacityError, match="could free only 32768 of 65536"):
+            plan_demotions("t1", 16 * BASE_PAGE_BYTES, coldest_first(regs),
+                           space.topology.views, free, planned)
+        assert free == space.free
+        assert planned == set()
 
 
 class TestResolveDestination:
@@ -243,16 +269,18 @@ class TestResolveDestination:
 
 class TestPlanInterval:
     def test_demotions_precede_promotions_and_fit(self):
-        topo = topo_pages((16, 16, 64, 64))
+        space = space_pages((16, 16, 64, 64))
         regs = [region(0, 16, "t1", 0.3), region(16, 8, "t4", 3.0),
                 region(24, 8, "t3", 2.5)]
-        occupy(topo, regs)
+        occupy(space, regs)
+        before = dict(space.free)
         policy = PolicyConfig(n_bytes=16 * BASE_PAGE_BYTES)
-        plan = plan_interval(regs, topo, policy, topo.views)
+        plan = plan_interval(regs, space, policy)
+        assert space.free == before  # planning changes only its own copy
         reasons = [m.reason for m in plan.moves]
         assert "demote" in reasons and "promote" in reasons
         assert reasons.index("demote") < reasons.index("promote")
-        free = {t.id: t.free_bytes for t in topo.tiers}
+        free = dict(space.free)
         for m in plan.moves:
             free[m.dst] -= m.bytes
             free[m.src] += m.bytes
@@ -304,14 +332,13 @@ CASCADE_REGIONS = [
 def test_cascade_never_overdraws_a_tier_it_frees():
     """Making room in t1 demotes a t1 region into t0; t0 must then not make
     its own room by cascading a region back into t1."""
-    topo = build_topology({
+    space = MemoryState(build_topology({
         "tiers": [{"id": t, "capacity_bytes": mib << 20}
                   for t, mib in (("t0", 4), ("t1", 4), ("t2", 16), ("t3", 16))],
-        "nodes": [0, 1, 2], "views": CASCADE_VIEWS})
-    for t, free in CASCADE_FREE.items():
-        topo.tier(t).free_bytes = free
+        "nodes": [0, 1, 2], "views": CASCADE_VIEWS}), CostModel(), 0)
+    space.free.update(CASCADE_FREE)
     regs = [region(s, ln, t, whi, origin) for s, ln, t, whi, origin in CASCADE_REGIONS]
-    plan = plan_interval(regs, topo, PolicyConfig(), topo.views)
+    plan = plan_interval(regs, space, PolicyConfig())
     assert any(m.reason == "promote" for m in plan.moves)
     free = dict(CASCADE_FREE)
     for m in plan.moves:

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -131,3 +133,59 @@ class TestSlice:
         assert [v for v, _, _ in second.head_fraction(0.5).events()] == [4, 5]
         assert [v for v, _, _ in second.head_fraction(3.0).events()] == [4, 5, 6, 7]
         assert len(second.head_fraction(-1.0)) == 0
+
+
+def trace_digest(cases) -> str:
+    """sha256 over each (trace, oracle) case: the trace's columns and interval
+    length, then the oracle's hot sets when there is an oracle."""
+    h = hashlib.sha256()
+    for trace, oracle in cases:
+        h.update(repr((trace.vpages, trace.writes, trace.nodes,
+                       trace.accesses_per_interval)).encode())
+        if oracle is not None:
+            h.update(repr([sorted(s) for s in oracle.hot_sets]).encode())
+    return h.hexdigest()
+
+
+def gups_grid(layout):
+    for footprint, hot_fraction, init_pass, rehash, nodes in itertools.product(
+            (2, 97, 300), (0.7, 1.0), (False, True), (0, 1),
+            ([0], [0, 1], [2, 0, 1])):
+        yield gen_gups(footprint, 0.2, hot_fraction, 1000, nodes,
+                       seed=footprint + len(nodes), accesses_per_interval=128,
+                       hotset_layout=layout, init_pass=init_pass,
+                       rehash_hotset_every_n_passes=rehash)
+
+
+def phase_change_grid():
+    yield gen_phase_change([GupsPhase(128, 0.1, 0.9, 700, init_pass=True),
+                            GupsPhase(64, 0.25, 0.6, 500),
+                            GupsPhase(200, 0.05, 1.0, 333)],
+                           seed=4, nodes=[0, 1], accesses_per_interval=256)
+    yield gen_phase_change([GupsPhase(50, 0.3, 0.8, 401),
+                            GupsPhase(50, 0.3, 0.8, 399, init_pass=True)],
+                           seed=9, nodes=[1, 0, 2], accesses_per_interval=100,
+                           hotset_layout="scattered")
+
+
+def microbench_grid():
+    for kind, passes, api in itertools.product(
+            ("read_only", "half_read", "write_only"), (1, 3), (None, 4)):
+        yield gen_seq_microbench(kind, 5, passes, node=1,
+                                 accesses_per_interval=api), None
+
+
+# Recorded from the generators as first written: any change to a generated
+# trace or oracle, however small, changes a digest.
+@pytest.mark.parametrize("grid, digest", [
+    (lambda: gups_grid("contiguous"),
+     "be88725ca3aa33aed0c501573529b4f619c37dc4b70e5278fa834ba511c280ae"),
+    (lambda: gups_grid("scattered"),
+     "d11b9fccb70d789773e6d409e378e5651059adfa9f7b9d216f027e3eea89f049"),
+    (phase_change_grid,
+     "c3d9d9942f350fee250122a61f61de48f45865c422630af92d7c0815f65b9207"),
+    (microbench_grid,
+     "82e3d54aa4dca7025e34f371930fe1d9a811f556a5bec7191fef04af5a3e19ed"),
+], ids=["gups-contiguous", "gups-scattered", "phase_change", "microbench"])
+def test_generated_traces_are_pinned(grid, digest):
+    assert trace_digest(grid()) == digest

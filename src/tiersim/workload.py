@@ -21,6 +21,8 @@ class AccessTrace:
             raise WorkloadError("trace columns must have equal length")
         if accesses_per_interval < 1:
             raise WorkloadError("accesses_per_interval must be >= 1")
+        if vpages and min(vpages) < 0:
+            raise WorkloadError("trace pages must be >= 0")
         self.vpages = vpages
         self.writes = writes
         self.nodes = nodes
@@ -103,51 +105,46 @@ class HotOracle:
         return self.hot_sets[interval_index]
 
 
+def _round_robin(node_ids: list[int], start: int, count: int) -> list[int]:
+    """The nodes of accesses start..start+count-1, taken round-robin."""
+    k = start % len(node_ids)
+    turn = node_ids[k:] + node_ids[:k]
+    return (turn * (count // len(turn) + 1))[:count]
+
+
 def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
                      footprint_pages: int, hotset_fraction: float,
                      hot_access_fraction: float, accesses: int,
-                     node_ids: list[int], base_page: int,
-                     hotset_layout: str, init_pass: bool,
+                     node_ids: list[int], hotset_layout: str, init_pass: bool,
                      rehash_every: int) -> None:
+    """Append one GUPS block.  Each access draws `random()` and, below
+    hot_access_fraction, a uniform hot page, else a uniform cold page; the
+    hot set is redrawn every `rehash_every` passes over the footprint."""
+    if footprint_pages < 2:
+        raise WorkloadError("a GUPS footprint needs a hot and a cold page")
+    if rehash_every < 0:
+        raise WorkloadError("rehash_hotset_every_n_passes must be >= 0")
     hot_count = min(footprint_pages - 1, max(1, round(footprint_pages * hotset_fraction)))
-
-    def draw_hotset():
-        if hotset_layout == "scattered":
-            return sorted(rng.sample(range(footprint_pages), hot_count))
-        offset = rng.randrange(footprint_pages - hot_count + 1)
-        return list(range(offset, offset + hot_count))
-
-    hotset = draw_hotset()
-    cold = None  # lazily built complement for scattered mode
-    idx = len(vpages)
     if init_pass:
-        for p in range(footprint_pages):
-            vpages.append(base_page + p)
-            writes.append(True)
-            nodes.append(node_ids[idx % len(node_ids)])
-            idx += 1
-    emitted = 0
-    for _ in range(accesses):
-        if rehash_every and emitted and emitted % (rehash_every * footprint_pages) == 0:
-            hotset = draw_hotset()
-            cold = None
-        if rng.random() < hot_access_fraction:
-            p = hotset[rng.randrange(len(hotset))]
-        elif hotset_layout == "scattered":
-            if cold is None:
-                hs = set(hotset)
-                cold = [q for q in range(footprint_pages) if q not in hs]
-            p = cold[rng.randrange(len(cold))]
+        nodes += _round_robin(node_ids, len(vpages), footprint_pages)
+        vpages += range(footprint_pages)
+        writes += [True] * footprint_pages
+    chunk = rehash_every * footprint_pages if rehash_every else max(accesses, 1)
+    random, choice = rng.random, rng.choice
+    for done in range(0, accesses, chunk):
+        if hotset_layout == "scattered":
+            hot = sorted(rng.sample(range(footprint_pages), hot_count))
+            hs = set(hot)
+            cold = [q for q in range(footprint_pages) if q not in hs]
         else:
-            lo, hi = hotset[0], hotset[-1] + 1
-            span = footprint_pages - (hi - lo)
-            r = rng.randrange(span)
-            p = r if r < lo else r + (hi - lo)
-        vpages.append(base_page + p)
-        writes.append(True)  # GUPS performs updates
-        nodes.append(node_ids[idx % len(node_ids)])
-        idx += 1
-        emitted += 1
+            lo = rng.randrange(footprint_pages - hot_count + 1)
+            hot = list(range(lo, lo + hot_count))
+            cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
+        n = min(chunk, accesses - done)
+        nodes += _round_robin(node_ids, len(vpages), n)
+        vpages += [choice(hot) if random() < hot_access_fraction else choice(cold)
+                   for _ in range(n)]
+        writes += [True] * n  # GUPS performs updates
 
 
 def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: float,
@@ -166,7 +163,7 @@ def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: 
     rng = random.Random(seed)
     vpages, writes, node_col = [], [], []
     _emit_gups_block(rng, vpages, writes, node_col, footprint_pages, hotset_fraction,
-                     hot_access_fraction, accesses, list(nodes) or [0], 0,
+                     hot_access_fraction, accesses, list(nodes) or [0],
                      hotset_layout, init_pass, rehash_hotset_every_n_passes)
     trace = AccessTrace(vpages, writes, node_col, accesses_per_interval)
     return trace, HotOracle.from_trace(trace)
@@ -192,7 +189,7 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
         rng = random.Random(seed * 1000003 + i)
         _emit_gups_block(rng, vpages, writes, node_col, ph.footprint_pages,
                          ph.hotset_fraction, ph.hot_access_fraction, ph.accesses,
-                         list(nodes) or [0], 0, hotset_layout, ph.init_pass, 0)
+                         list(nodes) or [0], hotset_layout, ph.init_pass, 0)
     trace = AccessTrace(vpages, writes, node_col, accesses_per_interval)
     return trace, HotOracle.from_trace(trace)
 
@@ -202,17 +199,15 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
     """Sequential microbenchmarks used to exercise migration mechanisms."""
     if array_pages < 1:
         raise WorkloadError("array_pages must be >= 1")
-    vpages, writes = [], []
-    for _ in range(passes):
-        for p in range(array_pages):
-            if kind == "read_only":
-                vpages.append(p); writes.append(False)
-            elif kind == "half_read":
-                vpages.append(p); writes.append(False)
-                vpages.append(p); writes.append(True)
-            elif kind == "write_only":
-                vpages.append(p); writes.append(True)
-            else:
-                raise WorkloadError(f"unknown microbench kind {kind!r}")
+    if kind == "read_only":
+        vpages, writes = list(range(array_pages)), [False] * array_pages
+    elif kind == "half_read":
+        vpages = [p for p in range(array_pages) for _ in (0, 1)]
+        writes = [False, True] * array_pages
+    elif kind == "write_only":
+        vpages, writes = list(range(array_pages)), [True] * array_pages
+    else:
+        raise WorkloadError(f"unknown microbench kind {kind!r}")
+    vpages, writes = vpages * passes, writes * passes
     api = max(1, len(vpages)) if accesses_per_interval is None else accesses_per_interval
     return AccessTrace(vpages, writes, [node] * len(vpages), api)

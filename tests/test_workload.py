@@ -44,6 +44,10 @@ class TestGups:
     def test_rejects_bad_params(self):
         with pytest.raises(WorkloadError):
             gen_gups(0, 0.2, 0.8, 100, [0], seed=1)
+        with pytest.raises(WorkloadError):  # no room for a cold page
+            gen_gups(1, 0.2, 0.8, 100, [0], seed=1)
+        with pytest.raises(WorkloadError):
+            gen_gups(16, 0.2, 0.8, 100, [0], seed=1, rehash_hotset_every_n_passes=-1)
         with pytest.raises(WorkloadError):
             gen_gups(16, 0.2, 0.8, 0, [0], seed=1)
         with pytest.raises(WorkloadError):
@@ -76,6 +80,10 @@ class TestOracle:
         trace = AccessTrace([1, 2, 2], [False] * 3, [0] * 3, accesses_per_interval=3)
         oracle = HotOracle.from_trace(trace)
         assert oracle.hot_pages(0) == {2}
+
+    def test_negative_page_rejected(self):
+        with pytest.raises(WorkloadError):
+            AccessTrace([0, -1], [False] * 2, [0] * 2, accesses_per_interval=2)
 
     def test_empty_interval_empty_set(self):
         trace = AccessTrace([], [], [], accesses_per_interval=4)

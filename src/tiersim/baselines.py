@@ -39,14 +39,14 @@ def group_first_touch(group_pages: int):
     Falls back to page-by-page placement when no tier can."""
 
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
-        g0 = (vpage // group_pages) * group_pages
-        pages = [p for p in range(g0, min(g0 + group_pages, space.num_pages))
-                 if not space.is_mapped(p)]
+        g0 = vpage - vpage % group_pages
+        g1 = min(g0 + group_pages, space.num_pages)
+        mapped = set(space.mapped_pages(g0, g1))
+        pages = [p for p in range(g0, g1) if p not in mapped]
         need = len(pages) * BASE_PAGE_BYTES
         for tier_id in space.topology.alloc_order(node):
             if space.free[tier_id] >= need:
-                for p in pages:
-                    space.map_page(p, tier_id)
+                space.map_pages(pages, tier_id)
                 return
         for p in pages:  # spill across tiers at the capacity boundary
             first_touch_alloc(space, p, node)
@@ -248,8 +248,7 @@ class ThermostatSystem:
         windows = list(range(0, space.num_pages, self.region_pages))
         self.rng.shuffle(windows)
         for w in windows:
-            pages = [p for p in range(w, min(w + self.region_pages, space.num_pages))
-                     if space.is_mapped(p)]
+            pages = space.mapped_pages(w, w + self.region_pages)
             if not pages:
                 continue
             sample = pages[self.rng.randrange(len(pages))]
@@ -330,7 +329,7 @@ class DamonSystem:
                                  (space.cost_model.scan_cost * cfg.num_scans))
         picks: list[tuple[_DamonRegion, int]] = []
         for reg in self.regions[:max_samples]:
-            pages = [p for p in range(reg.start, reg.end) if space.is_mapped(p)]
+            pages = space.mapped_pages(reg.start, reg.end)
             if pages:
                 picks.append((reg, pages[self.rng.randrange(len(pages))]))
         hits = {id(reg): 0 for reg, _ in picks}

@@ -90,9 +90,9 @@ class TierTopology:
     number of states can share one topology.
 
     The canonical tier order defines a cost ladder: the cost a node pays for
-    a tier is the access_cost at the position that tier occupies in the
-    node's view.  A remote node therefore sees its neighbour's local DRAM at
-    the remote-DRAM rank cost.
+    a tier, `cost[node][tier]`, is the access_cost at the position that tier
+    occupies in the node's view.  A remote node therefore sees its
+    neighbour's local DRAM at the remote-DRAM rank cost.
     """
 
     def __init__(self, tiers: list[TierSpec], accessor_nodes: list[int],
@@ -120,17 +120,13 @@ class TierTopology:
                 raise TopologyError(f"node {n}: alloc order must be a permutation")
             self.alloc_orders[n] = list(order)
         rank_costs = [t.access_cost for t in tiers]
-        # cost[node][tier] from the node's view rank
-        self._cost = {
+        self.cost = {
             n: {tid: rank_costs[rank] for rank, tid in enumerate(self.views[n])}
             for n in accessor_nodes
         }
-        avg = {tid: sum(self._cost[n][tid] for n in accessor_nodes) / len(accessor_nodes)
+        avg = {tid: sum(self.cost[n][tid] for n in accessor_nodes) / len(accessor_nodes)
                for tid in ids}
         self.slowest_tier = max(ids, key=lambda tid: (avg[tid], ids.index(tid)))
-
-    def access_cost(self, node: int, tier_id: str) -> float:
-        return self._cost[node][tier_id]
 
     def total_capacity(self) -> int:
         return sum(t.capacity_bytes for t in self.tiers)
@@ -180,8 +176,11 @@ class MemoryState:
     cost ledgers.  Every page is a base page of BASE_PAGE_BYTES.
 
     The state is the only owner of free space: `free[tier]` starts at the
-    tier's capacity, and only `map_page` and `move_pages` change it, so
-    `free[t] + placed_bytes()[t]` is always t's capacity."""
+    tier's capacity, and only `map_pages` and `move_pages` change it, so
+    `free[t] + placed_bytes()[t]` is always t's capacity.
+
+    `clock`, the application time that places migration copy windows, is
+    `ledger.app` itself: every access adds its cost to both, in one order."""
 
     def __init__(self, topology: TierTopology, cost_model: CostModel,
                  num_pages: int, allocator=None):
@@ -194,21 +193,38 @@ class MemoryState:
         self.dirty_bit = bytearray(num_pages)
         self.tier_access_counts = {t.id: 0 for t in topology.tiers}
         self.ledger = CostLedger()
-        self.clock = 0.0  # application-time clock, drives migration windows
         self.allocator = allocator  # callable(state, vpage, node) -> None
+
+    @property
+    def clock(self) -> float:
+        return self.ledger.app
 
     # -- placement ---------------------------------------------------------
 
     def is_mapped(self, vpage: int) -> bool:
         return 0 <= vpage < self.num_pages and self.page_tier[vpage] is not None
 
+    def mapped_pages(self, lo: int, hi: int) -> list[int]:
+        """The mapped pages in [lo, hi), ascending; `hi` is clamped to the
+        footprint."""
+        return [p for p, tier in enumerate(self.page_tier[lo:hi], lo) if tier is not None]
+
+    def map_pages(self, pages, tier_id: str) -> None:
+        """Map unmapped pages of [0, num_pages) to one tier, checking its
+        room once for all of them."""
+        page_tier = self.page_tier
+        mapped = [p for p in pages if page_tier[p] is not None]
+        if mapped:
+            raise TiersimError(f"page {mapped[0]} already mapped")
+        need = BASE_PAGE_BYTES * len(pages)
+        if self.free[tier_id] < need:
+            raise CapacityError(f"tier {tier_id} lacks space for {need} bytes")
+        self.free[tier_id] -= need
+        for p in pages:
+            page_tier[p] = tier_id
+
     def map_page(self, vpage: int, tier_id: str) -> None:
-        if self.is_mapped(vpage):
-            raise TiersimError(f"page {vpage} already mapped")
-        if self.free[tier_id] < BASE_PAGE_BYTES:
-            raise CapacityError(f"tier {tier_id} full")
-        self.free[tier_id] -= BASE_PAGE_BYTES
-        self.page_tier[vpage] = tier_id
+        self.map_pages((vpage,), tier_id)
 
     def move_pages(self, pages: range, dst: str) -> None:
         """Remap a contiguous run to dst, updating `free` and clearing
@@ -259,25 +275,37 @@ class MemoryState:
     # -- access & scanning -------------------------------------------------
 
     def apply_access(self, vpage: int, is_write: bool, node: int) -> float:
-        if not self.is_mapped(vpage):
+        """Touch a page from `node`, mapping it through the allocator on its
+        first touch, and charge the access to the app ledger.  A page past
+        the footprint misses and is refused where misses are handled, so a
+        hit pays for no range check; traces hold no page below 0."""
+        try:
+            tier = self.page_tier[vpage]
+        except IndexError:
+            tier = None
+        if tier is None:
+            if not 0 <= vpage < self.num_pages:
+                raise UnmappedPageError(
+                    f"page {vpage} is outside the {self.num_pages}-page footprint")
             if self.allocator is None:
                 raise UnmappedPageError(f"page {vpage} unmapped")
             self.allocator(self, vpage, node)
+            tier = self.page_tier[vpage]
         self.access_bit[vpage] = 1
         if is_write:
             self.dirty_bit[vpage] = 1
-        tier_id = self.page_tier[vpage]
-        cost = self.topology.access_cost(node, tier_id)
+        cost = self.topology.cost[node][tier]
         self.ledger.app += cost
-        self.clock += cost
-        self.tier_access_counts[tier_id] += 1
+        self.tier_access_counts[tier] += 1
         return cost
 
     def replay(self, slc: TraceSlice) -> None:
-        """Apply every access of the slice, in order.  Systems that need
-        per-page counts take them from `slc.page_counts()`."""
+        """Apply every access of the slice, in order, one `apply_access`
+        call each.  Systems that need per-page counts take them from
+        `slc.page_counts()`."""
+        apply_access = self.apply_access
         for vpage, is_write, node in slc.events():
-            self.apply_access(vpage, is_write, node)
+            apply_access(vpage, is_write, node)
 
     def scan_pte(self, vpage: int, cost: float | None = None) -> int:
         """Read and reset the page's access bit, charging the profiling ledger.

@@ -78,12 +78,12 @@ def project_write_times(space: MemoryState, slc, start_time: float,
     ascending in time and holds only writes before `until` (pass the end of
     the plan's last copy window: no later write can land in any window)."""
     page_tier, num_pages = space.page_tier, space.num_pages
-    access_cost = space.topology.access_cost
+    cost = space.topology.cost
     t = start_time
     times, pages = [], []
     for vpage, is_write, node in slc.events():
         tier = page_tier[vpage] if 0 <= vpage < num_pages else None
-        t += access_cost(node, tier) if tier is not None else 1.0
+        t += cost[node][tier] if tier is not None else 1.0
         if t >= until:
             break
         if is_write:

@@ -6,7 +6,8 @@ import pytest
 from tiersim.baselines import group_first_touch
 from tiersim.memmodel import (
     BASE_PAGE_BYTES, CapacityError, CostModel, MemoryState,
-    TierSpec, TierTopology, TopologyError, UnmappedPageError, build_topology,
+    TierSpec, TierTopology, TiersimError, TopologyError, UnmappedPageError,
+    build_topology,
 )
 from tiersim.workload import AccessTrace, TraceSlice, gen_gups
 
@@ -66,9 +67,9 @@ class TestBuildTopology:
         }
         topo = build_topology(spec)
         # both views are permutations and rank costs apply per view position
-        assert topo.access_cost(0, "dram0") == 1.0
-        assert topo.access_cost(1, "dram0") == 1.8
-        assert topo.access_cost(1, "dram1") == 1.0
+        assert topo.cost[0]["dram0"] == 1.0
+        assert topo.cost[1]["dram0"] == 1.8
+        assert topo.cost[1]["dram1"] == 1.0
 
     def test_duplicate_ids_rejected(self):
         spec = four_tier_spec()
@@ -140,6 +141,45 @@ class TestAccessAndScan:
             st.scan_pte(7)
         with pytest.raises(UnmappedPageError):
             st.apply_access(7, False, 0)
+
+    @pytest.mark.parametrize("vpage", [-1, 16])
+    def test_page_outside_the_footprint_is_refused(self, vpage):
+        st = small_state(num_pages=16)
+        st.allocator = group_first_touch(8)
+        with pytest.raises(UnmappedPageError, match=f"page {vpage} "):
+            st.apply_access(vpage, False, 0)
+        assert st.page_tier == [None] * 16
+        assert st.ledger.app == 0.0
+        assert sum(st.tier_access_counts.values()) == 0
+
+
+class TestMapping:
+    def test_map_pages_checks_room_once_for_the_group(self):
+        st = small_state()
+        with pytest.raises(CapacityError):
+            st.map_pages(range(0, 17), "t1")  # t1 holds 16 pages
+        assert st.mapped_pages(0, 64) == []
+        assert st.free["t1"] == 16 * BASE_PAGE_BYTES
+        st.map_pages(range(0, 16), "t1")
+        assert st.free["t1"] == 0
+        assert st.page_tier[:17] == ["t1"] * 16 + [None]
+
+    def test_map_pages_refuses_a_mapped_page(self):
+        st = small_state()
+        st.map_page(5, "t2")
+        with pytest.raises(TiersimError, match="page 5 already mapped"):
+            st.map_pages([4, 5, 6], "t1")
+        assert st.mapped_pages(0, 64) == [5]
+        assert st.free["t1"] == 16 * BASE_PAGE_BYTES
+
+    def test_mapped_pages_lists_a_range_clamped_to_the_footprint(self):
+        st = small_state(num_pages=10)
+        st.map_pages([1, 2, 7, 9], "t1")
+        assert st.mapped_pages(0, 10) == [1, 2, 7, 9]
+        assert st.mapped_pages(2, 8) == [2, 7]
+        assert st.mapped_pages(8, 20) == [9]
+        assert st.mapped_pages(3, 7) == []
+
 
 class TestFreeBytes:
     def test_empty_tier_reports_capacity(self):

@@ -223,7 +223,8 @@ class ThermostatSystem:
     """One random base page per fixed-size region, every access to it counted
     at a protection-fault premium; stops sampling when the budget runs dry.
     The counts are the interval's `page_counts()`, taken after its replay.
-    Planning scores each per-tier run of a region with the region's count."""
+    A region's hotness is its count clipped to `num_scans`, the scale every
+    system's hotness has; detection and planning both read it."""
 
     name = "thermostat"
     migrator_mode = "sync"
@@ -236,7 +237,7 @@ class ThermostatSystem:
         self.rng = random.Random(seed)
         self.detect_threshold = detect_threshold
         self.region_pages = cfg.default_region_pages
-        self.hotness: dict[int, int] = {}  # window start -> retained count
+        self.hotness: dict[int, int] = {}  # window start -> retained clipped count
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space = self.space
@@ -257,7 +258,7 @@ class ThermostatSystem:
             if spent + cost > budget:
                 break  # out of budget: remaining regions go unprofiled
             spent += cost
-            self.hotness[w] = count
+            self.hotness[w] = min(count, self.cfg.num_scans)
         space.ledger.profiling += spent
 
     def detected_pages(self) -> set[int]:
@@ -272,7 +273,7 @@ class ThermostatSystem:
         regions: list[Region] = []
         for start, ln, tier in self.space.tier_runs(window=self.region_pages):
             w = start - start % self.region_pages
-            score = min(float(self.hotness.get(w, 0)), float(self.cfg.num_scans))
+            score = float(self.hotness.get(w, 0))
             regions.append(Region(start, ln, tier, quota=1, hi=score, whi=score))
         plan = plan_interval(regions, self.space, self.policy)
         return plan, {r.id: r for r in regions}

@@ -107,3 +107,17 @@ def test_detection_uses_the_configured_threshold(runs_of, system):
     rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
     assert all(oracle.hot_pages(row.interval) for row in rows)
     assert all(row.precision == 1.0 and row.recall == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("system", ["autonuma", "thermostat", "damon", "mtm", "mtm-no-pebs"])
+def test_hotness_is_on_one_scale(system):
+    """Every system counts at most num_scans observations per page or region,
+    so a detect_threshold above num_scans detects nothing on small."""
+    tree = parse_config_text(CONFIGS["small"])
+    num_scans = build_run_config(tree).profiler.num_scans
+    cfg = build_run_config(tree, overrides={
+        "system": system, "detect_threshold": num_scans + 1})
+    trace, oracle = engine.build_trace(cfg)
+    rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
+    assert all(oracle.hot_pages(row.interval) for row in rows)
+    assert all(row.precision == 1.0 and row.recall == 0.0 for row in rows)

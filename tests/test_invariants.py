@@ -1,11 +1,12 @@
 """Ledger and plan invariants of every system over random machines.
 
-Hypothesis draws a topology of 2-4 tiers seen by 1-3 nodes, and a small
-GUPS run on it.  The last tier holds at least twice the footprint and is the
-slowest in every view; each view orders the faster tiers at random, so first
-touch fills them and demotions cascade through them.  Each of the six
-systems then runs the interval loop of `engine.run_simulation`, and after
-every interval:
+Hypothesis draws a topology of 2-4 tiers seen by 1-3 nodes, a small GUPS,
+phase-change or sequential microbench run on it, and a migrator mode.  The
+last tier holds at least twice the footprint and is the slowest in every
+view; each view orders the faster tiers at random, so first touch fills them
+and demotions cascade through them.  Each of the six systems then runs the
+interval loop of `engine.run_simulation` under that mode, and after every
+interval:
 
 - each tier's free bytes equal its capacity less 4 KiB per page on it, and
   are never negative;
@@ -28,6 +29,8 @@ from tiersim.memmodel import BASE_PAGE_BYTES, MemoryState, build_topology
 
 INTERVALS = 6
 ACCESSES_PER_INTERVAL = 384
+MICROBENCHES = ["read_only", "half_read", "write_only"]
+LAYOUTS = ["contiguous", "scattered"]
 
 
 @st.composite
@@ -37,15 +40,29 @@ def configs(draw) -> str:
     pages = [draw(st.integers(1, footprint)) for _ in ids[:-1]]
     pages.append(draw(st.integers(2 * footprint, 3 * footprint)))
     nodes = list(range(draw(st.integers(1, 3))))
+    kind = draw(st.sampled_from(["gups", "phase_change", "microbench"]))
     lines = [f"seed = {draw(st.integers(1, 1000))}",
              f"intervals = {INTERVALS}",
+             f"migrator_mode = {draw(st.sampled_from(['sync', 'async', 'adaptive']))}",
              f"topology.nodes = {', '.join(map(str, nodes))}",
-             "workload.kind = gups",
-             f"workload.footprint_pages = {footprint}",
-             f"workload.accesses = {INTERVALS * ACCESSES_PER_INTERVAL}",
+             f"workload.kind = {kind}",
              f"workload.accesses_per_interval = {ACCESSES_PER_INTERVAL}",
              f"profiler.default_region_pages = {draw(st.sampled_from([16, 64]))}",
              f"profiler.origin_sampling = {draw(st.booleans())}".lower()]
+    if kind == "microbench":  # enough passes to fill every interval
+        bench = draw(st.sampled_from(MICROBENCHES))
+        per_pass = footprint * (2 if bench == "half_read" else 1)
+        lines += [f"workload.bench = {bench}",
+                  f"workload.array_pages = {footprint}",
+                  f"workload.passes = {-(-INTERVALS * ACCESSES_PER_INTERVAL // per_pass)}",
+                  f"workload.node = {draw(st.sampled_from(nodes))}"]
+    else:
+        phases = draw(st.integers(2, 3)) if kind == "phase_change" else 1
+        lines += [f"workload.footprint_pages = {footprint}",
+                  f"workload.accesses = {INTERVALS * ACCESSES_PER_INTERVAL // phases}",
+                  f"workload.phases = {phases}",
+                  f"workload.hotset_layout = {draw(st.sampled_from(LAYOUTS))}",
+                  f"workload.init_pass = {draw(st.booleans())}".lower()]
     for i, (tid, n) in enumerate(zip(ids, pages)):
         lines += [f"topology.tier{i}.id = {tid}",
                   f"topology.tier{i}.capacity_bytes = {n * BASE_PAGE_BYTES}"]
@@ -113,7 +130,7 @@ def run_checked(cfg, trace) -> list[tuple]:
     return rows
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(configs())
 def test_every_system_keeps_the_ledgers(text):
     tree = parse_config_text(text)

@@ -265,7 +265,7 @@ class MemoryState:
             end = hi if window is None else min((cut // window + 1) * window, hi)
             start = cut
             for tier, group in groupby(self.page_tier[cut:end]):
-                length = sum(1 for _ in group)
+                length = len(list(group))
                 if tier is not None:
                     runs.append((start, length, tier))
                 start += length

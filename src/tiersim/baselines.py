@@ -182,13 +182,7 @@ class AutonumaSystem:
         regions: dict[int, Region] = {}
         hot = sorted(self.detected_pages())
         hot_set = set(hot)
-        # coldest-first victim queues per tier, built once per plan
-        victims: dict[str, list[int]] = {t.id: [] for t in topo.tiers}
-        for p, t in enumerate(space.page_tier):
-            if t is not None and p not in hot_set:
-                victims[t].append(p)
-        for t in victims:
-            victims[t].sort(key=lambda p: (self.counts.get(p, 0), p))
+        victims: dict[str, list[int]] = {}  # per tier, built when first needed
         for p in hot:
             if budget < page:
                 break
@@ -201,7 +195,11 @@ class AutonumaSystem:
             dst = order[rank - 1]
             if free[dst] < page:
                 # swap: the coldest resident of dst drops into p's tier
-                if free[tier] < page or not victims[dst]:
+                if free[tier] < page:
+                    continue
+                if dst not in victims:
+                    victims[dst] = self._coldest_first(dst, hot_set)
+                if not victims[dst]:
                     continue
                 v = victims[dst].pop(0)
                 regions[v] = Region(v, 1, dst, quota=1)
@@ -214,6 +212,14 @@ class AutonumaSystem:
             free[tier] += page
             budget -= page
         return MigrationPlan(moves=moves), regions
+
+    def _coldest_first(self, tier: str, hot: set[int]) -> list[int]:
+        """The tier's pages outside `hot`, by (retained count, page).  Counts
+        are never negative, so the uncounted pages lead in page order."""
+        pages = [p for p, t in enumerate(self.space.page_tier) if t == tier and p not in hot]
+        counted = {p: c for p, c in self.counts.items() if c}
+        return ([p for p in pages if p not in counted]
+                + sorted((p for p in pages if p in counted), key=lambda p: (counted[p], p)))
 
     def struct_counts(self) -> tuple[int, int]:
         return (0, 0)

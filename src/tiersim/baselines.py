@@ -39,7 +39,7 @@ def group_first_touch(group_pages: int):
     Falls back to page-by-page placement when no tier can."""
 
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
-        g0 = vpage - vpage % group_pages
+        g0 = (vpage // group_pages) * group_pages
         g1 = min(g0 + group_pages, space.num_pages)
         mapped = set(space.mapped_pages(g0, g1))
         pages = [p for p in range(g0, g1) if p not in mapped]

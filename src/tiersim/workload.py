@@ -130,7 +130,7 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
         vpages += range(footprint_pages)
         writes += [True] * footprint_pages
     chunk = rehash_every * footprint_pages if rehash_every else max(accesses, 1)
-    random, choice = rng.random, rng.choice
+    uniform, choice = rng.random, rng.choice
     for done in range(0, accesses, chunk):
         if hotset_layout == "scattered":
             hot = sorted(rng.sample(range(footprint_pages), hot_count))
@@ -142,7 +142,7 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
             cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
         n = min(chunk, accesses - done)
         nodes += _round_robin(node_ids, len(vpages), n)
-        vpages += [choice(hot) if random() < hot_access_fraction else choice(cold)
+        vpages += [choice(hot) if uniform() < hot_access_fraction else choice(cold)
                    for _ in range(n)]
         writes += [True] * n  # GUPS performs updates
 

@@ -94,29 +94,14 @@ def test_profiling_within_previous_app_budget(runs_of, config, system):
 
 @pytest.mark.parametrize("system", ["autonuma", "thermostat", "damon"])
 def test_detection_uses_the_configured_threshold(runs_of, system):
-    """Above num_scans and above any one page's accesses in an interval (the
-    count thermostat keeps), detect_threshold leaves nothing detected: every
+    """Every system keeps at most num_scans observations per page or region,
+    so a detect_threshold above num_scans leaves nothing detected: every
     interval then has precision 1 and recall 0 against a non-empty oracle."""
     text = CONFIGS["small"]
     cfg, result = runs_of(text)[1][system]
     assert any(row.recall > 0 for row in result.rows[1:])
-    unreachable = cfg.workload.accesses_per_interval + 1
     cfg = build_run_config(parse_config_text(text), overrides={
-        "system": system, "detect_threshold": unreachable})
-    trace, oracle = engine.build_trace(cfg)
-    rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
-    assert all(oracle.hot_pages(row.interval) for row in rows)
-    assert all(row.precision == 1.0 and row.recall == 0.0 for row in rows)
-
-
-@pytest.mark.parametrize("system", ["autonuma", "thermostat", "damon", "mtm", "mtm-no-pebs"])
-def test_hotness_is_on_one_scale(system):
-    """Every system counts at most num_scans observations per page or region,
-    so a detect_threshold above num_scans detects nothing on small."""
-    tree = parse_config_text(CONFIGS["small"])
-    num_scans = build_run_config(tree).profiler.num_scans
-    cfg = build_run_config(tree, overrides={
-        "system": system, "detect_threshold": num_scans + 1})
+        "system": system, "detect_threshold": cfg.profiler.num_scans + 1})
     trace, oracle = engine.build_trace(cfg)
     rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
     assert all(oracle.hot_pages(row.interval) for row in rows)

@@ -1,6 +1,7 @@
 """Tier topology, page placement, and the simulated access/dirty bits."""
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -209,7 +210,7 @@ class MemoryState:
         footprint."""
         return [p for p, tier in enumerate(self.page_tier[lo:hi], lo) if tier is not None]
 
-    def map_pages(self, pages, tier_id: str) -> None:
+    def map_pages(self, pages: Sequence[int], tier_id: str) -> None:
         """Map unmapped pages of [0, num_pages) to one tier, checking its
         room once for all of them."""
         page_tier = self.page_tier

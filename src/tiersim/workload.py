@@ -112,6 +112,26 @@ def _round_robin(node_ids: list[int], start: int, count: int) -> list[int]:
     return (turn * (count // len(turn) + 1))[:count]
 
 
+def _append_gups_draws(rng: random.Random, vpages: list[int], hot: list[int],
+                       cold: list[int], hot_access_fraction: float, count: int) -> None:
+    """Append `count` GUPS accesses over `hot` and `cold` to `vpages`, drawn
+    as `_emit_gups_block` describes."""
+    uniform, getrandbits, append = rng.random, rng.getrandbits, vpages.append
+    n_hot, n_cold = len(hot), len(cold)
+    k_hot, k_cold = n_hot.bit_length(), n_cold.bit_length()
+    for _ in range(count):
+        if uniform() < hot_access_fraction:
+            r = getrandbits(k_hot)
+            while r >= n_hot:
+                r = getrandbits(k_hot)
+            append(hot[r])
+        else:
+            r = getrandbits(k_cold)
+            while r >= n_cold:
+                r = getrandbits(k_cold)
+            append(cold[r])
+
+
 def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
                      footprint_pages: int, hotset_fraction: float,
                      hot_access_fraction: float, accesses: int,
@@ -119,7 +139,15 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
                      rehash_every: int) -> None:
     """Append one GUPS block.  Each access draws `random()` and, below
     hot_access_fraction, a uniform hot page, else a uniform cold page; the
-    hot set is redrawn every `rehash_every` passes over the footprint."""
+    hot set is redrawn every `rehash_every` passes over the footprint.
+
+    The uniform page is `Random.choice`'s rejection sampling, inlined in
+    `_append_gups_draws` to save two Python calls per access: with `n` pages
+    and `k = n.bit_length()`, draw `r = getrandbits(k)` and redraw while
+    `r >= n`.  This consumes the Mersenne Twister word for word as
+    `choice(hot)` / `choice(cold)` does on CPython >= 3.10, so traces are
+    unchanged.  `tests/test_workload.py`'s pinned trace digests and its
+    differential test against `Random.choice` guard this."""
     if footprint_pages < 2:
         raise WorkloadError("a GUPS footprint needs a hot and a cold page")
     if rehash_every < 0:
@@ -130,7 +158,6 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
         vpages += range(footprint_pages)
         writes += [True] * footprint_pages
     chunk = rehash_every * footprint_pages if rehash_every else max(accesses, 1)
-    uniform, choice = rng.random, rng.choice
     for done in range(0, accesses, chunk):
         if hotset_layout == "scattered":
             hot = sorted(rng.sample(range(footprint_pages), hot_count))
@@ -142,8 +169,7 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
             cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
         n = min(chunk, accesses - done)
         nodes += _round_robin(node_ids, len(vpages), n)
-        vpages += [choice(hot) if uniform() < hot_access_fraction else choice(cold)
-                   for _ in range(n)]
+        _append_gups_draws(rng, vpages, hot, cold, hot_access_fraction, n)
         writes += [True] * n  # GUPS performs updates
 
 

@@ -2,10 +2,13 @@
 3 infeasible overhead constraint, 4 memory exhausted."""
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tiersim
 from tiersim.baselines import BASELINE_KINDS
 from tiersim.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_MEMORY, EXIT_OK, main
 
@@ -22,6 +25,15 @@ def small_config(tmp_path, extra: str = "") -> str:
     path = tmp_path / "small.cfg"
     path.write_text(SMALL.read_text() + extra)
     return str(path)
+
+
+def test_module_entry_point_runs():
+    """`python -m tiersim` reaches the same front end as the script."""
+    src = Path(tiersim.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "tiersim", "--help"], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "usage: tiersim" in done.stdout
 
 
 @pytest.mark.parametrize("extra, code, message", [

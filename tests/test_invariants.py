@@ -15,7 +15,12 @@ interval:
   never overdraws a tier.
 
 The loop's per-interval costs and tier counts must equal the engine's rows,
-so it cannot drift from the loop it stands in for.
+so it cannot drift from the loop it stands in for.  On the engine's result:
+
+- profiling in interval i costs at most `profiler.overhead_constraint` times
+  interval i-1's app cost, and nothing in interval 0;
+- every planned move has one migration row;
+- first-touch never profiles or migrates.
 """
 from __future__ import annotations
 
@@ -90,6 +95,13 @@ def check_plan_fits(plan, free: dict[str, int]) -> None:
         assert free[m.dst] >= 0, f"{m} overdraws {m.dst}"
 
 
+def check_budget(rows, overhead_constraint: float) -> None:
+    assert rows[0].profiling_cost == 0
+    for prev, row in zip(rows, rows[1:]):
+        assert row.profiling_cost <= overhead_constraint * prev.app_cost * (1 + 1e-9), \
+            row.interval
+
+
 def run_checked(cfg, trace) -> list[tuple]:
     """engine.run_simulation's interval loop with the invariants checked
     after every interval; returns each interval's costs and tier counts."""
@@ -141,3 +153,8 @@ def test_every_system_keeps_the_ledgers(text):
         result = engine.run_simulation(cfg, trace=trace, oracle=oracle)
         assert rows == [(r.app_cost, r.profiling_cost, r.migration_exposed_cost,
                          r.tier_access_counts) for r in result.rows]
+        check_budget(result.rows, cfg.profiler.overhead_constraint)
+        assert len(result.plan_rows) == len(result.migration_rows)
+        if name == "first-touch":
+            assert all(r.profiling_cost == 0 and r.migration_exposed_cost == 0
+                       for r in result.rows)

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from tiersim.workload import (
-    AccessTrace, GupsPhase, HotOracle, WorkloadError, gen_gups,
-    gen_phase_change, gen_seq_microbench,
+    AccessTrace, GupsPhase, HotOracle, WorkloadError, _append_gups_draws,
+    gen_gups, gen_phase_change, gen_seq_microbench,
 )
 
 
@@ -14,6 +15,17 @@ def brute_force_hot(trace, interval):
     lo, hi = trace.interval_bounds(interval)
     counts = Counter(trace.vpages[lo:hi])
     return {p for p, c in counts.items() if c >= 2}
+
+
+# `choice` draws `n.bit_length()` bits, so 1 and powers of two reject half
+# their draws; their neighbours sit on either side of a change in bit count.
+DRAW_LENGTHS = (1, 2, 3, 4, 63, 64, 65, 1024, 1025)
+
+
+def choice_reference(rng, hot, cold, hot_access_fraction, count):
+    """The GUPS draw as first written, with `Random.choice`."""
+    return [rng.choice(hot) if rng.random() < hot_access_fraction else rng.choice(cold)
+            for _ in range(count)]
 
 
 class TestGups:
@@ -52,6 +64,18 @@ class TestGups:
             gen_gups(16, 0.2, 0.8, 0, [0], seed=1)
         with pytest.raises(WorkloadError):
             gen_gups(16, 1.2, 0.8, 100, [0], seed=1)
+
+    @pytest.mark.parametrize("n_hot", DRAW_LENGTHS)
+    def test_draw_matches_random_choice(self, n_hot):
+        """The inlined draw picks the pages `Random.choice` picks and leaves
+        the generator where `Random.choice` leaves it."""
+        for n_cold in DRAW_LENGTHS:
+            hot, cold = list(range(n_hot)), list(range(5000, 5000 + n_cold))
+            got, ref = random.Random(17), random.Random(17)
+            pages = []
+            _append_gups_draws(got, pages, hot, cold, 0.5, 600)
+            assert pages == choice_reference(ref, hot, cold, 0.5, 600), n_cold
+            assert got.random() == ref.random(), n_cold
 
     def test_round_robin_node_assignment(self):
         trace, _ = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)

@@ -1,19 +1,35 @@
 """Reference profiling/policy behaviour of the comparison systems, run under
-the same simulator contract (same traces, topologies, cost models, budget)."""
+the same simulator contract (same traces, topologies, cost models, budget).
+
+Every system is a `System`, built from the memory state, the profiler and
+policy configs, a seed and the detection threshold.  In each interval the
+engine calls, in this order:
+
+1. `run_profiling(slc, app_prev)` replays the interval's slice and profiles
+   it.  Profiling may cost `profiling_budget(cfg, app_prev)`, where app_prev
+   is the previous interval's application time (0 in interval 0).
+2. `detected_pages()` gives the pages the system now takes as hot.
+3. `plan()` gives a migration plan and the regions its moves name.  The
+   engine executes it with `migrator_mode`, unless the config names a mode.
+4. `struct_counts()` gives the running totals of region merges and splits.
+   The engine records each interval's difference, as it does for the cost
+   ledgers, so reading the totals never resets them.
+
+The base class holds only what every system shares.  `run_profiling`,
+`plan` and `detected_pages` stay on each system class: the benchmark's
+tracer (bench/tracing.py) times them by patching each class's own methods.
+"""
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .memmodel import BASE_PAGE_BYTES, CapacityError, MemoryState
 from .metrics import detect_hot_pages
-from .profiler import Profiler, ProfilerConfig, Region
+from .profiler import (Profiler, ProfilerConfig, Region, affordable_samples,
+                       profiling_budget)
 from .policy import Move, MigrationPlan, PolicyConfig, plan_interval, update_ema
 from .workload import TraceSlice
-
-# every system a config can name (RunConfig.system takes its Literal)
-BASELINE_KINDS = ("mtm", "mtm-no-pebs", "first-touch", "autonuma", "thermostat", "damon")
 
 # share of memory the tiered-AutoNUMA profiler inspects per interval: the
 # paper's 256 MiB window over its 1.5 TiB system
@@ -58,15 +74,32 @@ def replay_plain(space: MemoryState, slc: TraceSlice) -> None:
     space.replay(slc)
 
 
-class FirstTouchSystem:
-    """Allocation-only baseline: no profiling, no migration."""
+class System:
+    """What every system shares: its inputs, its own random stream, sync
+    migration unless it says otherwise, and running merge/split totals."""
 
-    name = "first-touch"
+    name: str
     migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int, detect_threshold: float):
         self.space = space
+        self.cfg = cfg
+        self.policy = policy
+        self.rng = random.Random(seed)
+        self.detect_threshold = detect_threshold
+        self.merges = 0
+        self.splits = 0
+
+    def struct_counts(self) -> tuple[int, int]:
+        """Region merges and splits so far; running totals, never reset."""
+        return (self.merges, self.splits)
+
+
+class FirstTouchSystem(System):
+    """Allocation-only baseline: no profiling, no migration."""
+
+    name = "first-touch"
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         replay_plain(self.space, slc)
@@ -77,24 +110,18 @@ class FirstTouchSystem:
     def plan(self):
         return MigrationPlan(), {}
 
-    def struct_counts(self) -> tuple[int, int]:
-        return (0, 0)
 
-
-class MtmSystem:
+class MtmSystem(System):
     """The adaptive profiler plus the EMA planner."""
 
     name = "mtm"
     migrator_mode = "adaptive"
+    pebs_assist = True
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
-                 policy: PolicyConfig, seed: int, detect_threshold: float,
-                 pebs_assist: bool = True):
-        self.space = space
-        self.cfg = cfg
-        self.policy = policy
-        self.profiler = Profiler(cfg, space, seed, pebs_assist)
-        self.detect_threshold = detect_threshold
+                 policy: PolicyConfig, seed: int, detect_threshold: float):
+        super().__init__(space, cfg, policy, seed, detect_threshold)
+        self.profiler = Profiler(cfg, space, seed, self.pebs_assist)
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         prof = self.profiler
@@ -120,35 +147,38 @@ class MtmSystem:
         return plan, {r.id: r for r in self.profiler.regions}
 
     def struct_counts(self) -> tuple[int, int]:
-        return self.profiler.take_struct_counts()
+        return (self.profiler.merges, self.profiler.splits)
 
 
-class AutonumaSystem:
+class MtmNoPebsSystem(MtmSystem):
+    """MTM without counter assistance: the slowest tier is profiled like any
+    other (every region, one random sample)."""
+
+    name = "mtm-no-pebs"
+    pebs_assist = False
+
+
+class AutonumaSystem(System):
     """Tiered-AutoNUMA style: one random window per interval, fault counting,
     one-level-per-interval migration along the canonical hierarchy."""
 
     name = "autonuma"
-    migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int, detect_threshold: float):
-        self.space = space
-        self.cfg = cfg
-        self.policy = policy
-        self.rng = random.Random(seed)
-        self.detect_threshold = detect_threshold
+        super().__init__(space, cfg, policy, seed, detect_threshold)
         self.counts: dict[int, int] = {}  # retained per-page fault counts
 
     def _window_pages(self, budget: float) -> int:
         footprint = self.space.num_pages
         scaled = max(1, int(footprint * AUTONUMA_WINDOW_FRACTION))
-        by_budget = max(1, int(budget /
-                               (self.space.cost_model.scan_cost * self.cfg.num_scans)))
+        by_budget = max(1, affordable_samples(budget, self.space.cost_model.scan_cost,
+                                              self.cfg.num_scans))
         return min(footprint, scaled, by_budget)
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space, cfg = self.space, self.cfg
-        budget = cfg.overhead_constraint * app_prev
+        budget = profiling_budget(cfg, app_prev)
         window = self._window_pages(budget)
         w0 = self.rng.randrange(max(1, space.num_pages - window + 1))
         w1 = w0 + window
@@ -221,11 +251,8 @@ class AutonumaSystem:
         return ([p for p in pages if p not in counted]
                 + sorted((p for p in pages if p in counted), key=lambda p: (counted[p], p)))
 
-    def struct_counts(self) -> tuple[int, int]:
-        return (0, 0)
 
-
-class ThermostatSystem:
+class ThermostatSystem(System):
     """One random base page per fixed-size region, every access to it counted
     at a protection-fault premium; stops sampling when the budget runs dry.
     The counts are the interval's `page_counts()`, taken after its replay.
@@ -233,15 +260,10 @@ class ThermostatSystem:
     system's hotness has; detection and planning both read it."""
 
     name = "thermostat"
-    migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int, detect_threshold: float):
-        self.space = space
-        self.cfg = cfg
-        self.policy = policy
-        self.rng = random.Random(seed)
-        self.detect_threshold = detect_threshold
+        super().__init__(space, cfg, policy, seed, detect_threshold)
         self.region_pages = cfg.default_region_pages
         self.hotness: dict[int, int] = {}  # window start -> retained clipped count
 
@@ -249,7 +271,7 @@ class ThermostatSystem:
         space = self.space
         replay_plain(space, slc)
         replay_counts = slc.page_counts()
-        budget = self.cfg.overhead_constraint * app_prev
+        budget = profiling_budget(self.cfg, app_prev)
         fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
         spent = 0.0
         windows = list(range(0, space.num_pages, self.region_pages))
@@ -284,9 +306,6 @@ class ThermostatSystem:
         plan = plan_interval(regions, self.space, self.policy)
         return plan, {r.id: r for r in regions}
 
-    def struct_counts(self) -> tuple[int, int]:
-        return (0, 0)
-
 
 @dataclass
 class _DamonRegion:
@@ -299,24 +318,17 @@ class _DamonRegion:
         return self.start + self.length
 
 
-class DamonSystem:
+class DamonSystem(System):
     """Region monitor: one random sample per region, as many as the budget
     buys at the plain scan cost; merge near-equal neighbours, split every
     region randomly when the count falls below half the maximum."""
 
     name = "damon"
-    migrator_mode = "sync"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int, detect_threshold: float):
-        self.space = space
-        self.cfg = cfg
-        self.policy = policy
-        self.rng = random.Random(seed)
-        self.detect_threshold = detect_threshold
+        super().__init__(space, cfg, policy, seed, detect_threshold)
         self.regions: list[_DamonRegion] = []
-        self.merges = 0
-        self.splits = 0
 
     def _init_regions(self) -> None:
         # one region per contiguous mapped run in the footprint
@@ -332,8 +344,8 @@ class DamonSystem:
             replay_plain(space, slc)
             self._init_regions()
             return
-        max_samples = math.floor(cfg.overhead_constraint * app_prev /
-                                 (space.cost_model.scan_cost * cfg.num_scans))
+        max_samples = affordable_samples(profiling_budget(cfg, app_prev),
+                                         space.cost_model.scan_cost, cfg.num_scans)
         picks: list[tuple[_DamonRegion, int]] = []
         for reg in self.regions[:max_samples]:
             pages = space.mapped_pages(reg.start, reg.end)
@@ -396,25 +408,18 @@ class DamonSystem:
         plan = plan_interval(regions, self.space, self.policy)
         return plan, {r.id: r for r in regions}
 
-    def struct_counts(self) -> tuple[int, int]:
-        m, s = self.merges, self.splits
-        self.merges = 0
-        self.splits = 0
-        return (m, s)
+
+# every system a config can name, by name (RunConfig.system takes
+# BASELINE_KINDS as its Literal)
+SYSTEMS = {cls.name: cls for cls in (MtmSystem, MtmNoPebsSystem, FirstTouchSystem,
+                                     AutonumaSystem, ThermostatSystem, DamonSystem)}
+BASELINE_KINDS = tuple(SYSTEMS)
 
 
 def make_system(name: str, space: MemoryState, cfg: ProfilerConfig,
-                policy: PolicyConfig, seed: int, detect_threshold: float):
+                policy: PolicyConfig, seed: int, detect_threshold: float) -> System:
     """The system `name`; every system reports the pages whose hotness
     reaches detect_threshold as hot."""
-    if name in ("mtm", "mtm-no-pebs"):
-        # mtm-no-pebs turns counter assistance off: the slowest tier is
-        # profiled like any other (every region, one random sample)
-        sys = MtmSystem(space, cfg, policy, seed, detect_threshold,
-                        pebs_assist=name == "mtm")
-        sys.name = name
-        return sys
-    for cls in (FirstTouchSystem, AutonumaSystem, ThermostatSystem, DamonSystem):
-        if cls.name == name:
-            return cls(space, cfg, policy, seed, detect_threshold)
-    raise ValueError(f"unknown system {name!r}")
+    if name not in SYSTEMS:
+        raise ValueError(f"unknown system {name!r}")
+    return SYSTEMS[name](space, cfg, policy, seed, detect_threshold)

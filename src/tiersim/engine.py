@@ -91,6 +91,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         prof0 = space.ledger.profiling
         mig0 = space.ledger.migration_exposed
         acc0 = dict(space.tier_access_counts)
+        merges0, splits0 = system.struct_counts()
 
         system.run_profiling(slc, app_prev)
         detected = system.detected_pages()
@@ -119,7 +120,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
             migration_exposed_cost=space.ledger.migration_exposed - mig0,
             tier_access_counts={t: space.tier_access_counts[t] - acc0[t]
                                 for t in topology.tier_ids},
-            merges=merges, splits=splits)
+            merges=merges - merges0, splits=splits - splits0)
         result.rows.append(row)
         app_prev = row.app_cost
         if isinstance(system, baselines.MtmSystem):

@@ -144,11 +144,8 @@ def build_topology(spec: dict) -> TierTopology:
     ``nodes`` (list of node ids), optional ``views`` ({node: [tier ids]},
     default: canonical order for every node).
     """
-    tier_specs = spec.get("tiers") or []
-    if len(tier_specs) < 2:
-        raise TopologyError("topology needs at least 2 tiers")
     tiers = []
-    for i, t in enumerate(tier_specs):
+    for i, t in enumerate(spec.get("tiers") or []):
         cost = t.get("access_cost")
         if cost is None:
             cost = DEFAULT_RANK_COSTS[i] if i < len(DEFAULT_RANK_COSTS) else \

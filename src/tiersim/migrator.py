@@ -50,10 +50,9 @@ class MigrationReport:
 
 
 class PlanExecutionError(TiersimError):
-    def __init__(self, message: str, report: MigrationReport, cause: Exception):
+    def __init__(self, message: str, report: MigrationReport):
         super().__init__(message)
         self.report = report
-        self.cause = cause
 
 
 def copy_windows(plan: MigrationPlan, regions: dict[int, Region],
@@ -157,7 +156,7 @@ def execute_plan(space: MemoryState, plan: MigrationPlan, regions: dict[int, Reg
             report.completed = False
             raise PlanExecutionError(
                 f"move of region {mv.region_id} to {mv.dst} failed: {exc}",
-                report, exc) from exc
+                report) from exc
         report.entries.append(entry)
     return report
 

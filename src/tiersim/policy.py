@@ -6,24 +6,22 @@ from dataclasses import dataclass, field
 from .memmodel import CapacityError, MemoryState, TierTopology, require
 from .profiler import Region
 
+N_FRACTION = 0.05  # N as a share of total capacity when n_bytes is None
+
 
 @dataclass
 class PolicyConfig:
     alpha: float = 0.5
-    # Per-interval promotion budget: fraction of total capacity, or absolute
-    # bytes when n_bytes is set.
-    n_fraction: float = 0.05
-    n_bytes: int | None = None
+    n_bytes: int | None = None  # per-interval promotion budget N in bytes
 
     def __post_init__(self):
         require(0 < self.alpha <= 1, "alpha", "must be in (0, 1]")
-        require(self.n_fraction >= 0, "n_fraction", "must be >= 0")
         require(self.n_bytes is None or self.n_bytes >= 0, "n_bytes", "must be >= 0")
 
     def promotion_budget(self, topology: TierTopology) -> int:
         if self.n_bytes is not None:
             return self.n_bytes
-        return int(topology.total_capacity() * self.n_fraction)
+        return int(topology.total_capacity() * N_FRACTION)
 
 
 def update_ema(region: Region, hi: float, alpha: float) -> float:

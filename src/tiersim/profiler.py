@@ -11,6 +11,9 @@ from .workload import TraceSlice
 
 log = logging.getLogger(__name__)
 
+# how many of the highest-variance regions share out saved quota at a time
+TOP_K_VARIANCE = 5
+
 
 @dataclass
 class ProfilerConfig:
@@ -23,7 +26,6 @@ class ProfilerConfig:
     hint_fault_period: int = 12
     default_region_pages: int = 512
     origin_sampling: bool = False
-    top_k_variance: int = 5
 
     def __post_init__(self):
         require(0 < self.overhead_constraint < 1, "overhead_constraint",
@@ -40,7 +42,6 @@ class ProfilerConfig:
         require(self.default_region_pages >= 1, "default_region_pages", "must be >= 1")
         require(self.hint_fault_period >= 1 or not self.origin_sampling,
                 "hint_fault_period", "must be >= 1 with origin_sampling")
-        require(self.top_k_variance >= 1, "top_k_variance", "must be >= 1")
 
 
 def effective_scan_cost(cfg: ProfilerConfig, cost: CostModel) -> float:
@@ -51,11 +52,22 @@ def effective_scan_cost(cfg: ProfilerConfig, cost: CostModel) -> float:
     return cost.scan_cost
 
 
+def profiling_budget(cfg: ProfilerConfig, app_time: float) -> float:
+    """What profiling may cost in an interval that follows one whose
+    application time was `app_time`: the one budget every system keeps."""
+    return cfg.overhead_constraint * app_time
+
+
+def affordable_samples(budget: float, scan_cost: float, num_scans: int) -> int:
+    """Samples, each scanned num_scans times at scan_cost, that `budget` buys."""
+    return math.floor(budget / (scan_cost * num_scans))
+
+
 def compute_budget(cfg: ProfilerConfig, cost: CostModel, app_time: float) -> int:
     """Page samples, each scanned num_scans times, that fit in
-    overhead_constraint x app_time."""
-    eff = effective_scan_cost(cfg, cost)
-    num_ps = math.floor(cfg.overhead_constraint * app_time / (eff * cfg.num_scans))
+    profiling_budget(cfg, app_time)."""
+    num_ps = affordable_samples(profiling_budget(cfg, app_time),
+                                effective_scan_cost(cfg, cost), cfg.num_scans)
     if num_ps < 1:
         raise BudgetError("constraint infeasible")
     return num_ps
@@ -239,39 +251,35 @@ def split_pass(regions: list[Region], tau2: float, rng: random.Random,
 
 
 def redistribute_quota(regions: list[Region], saved_quota: int,
-                       rng: random.Random, top_k: int = 5) -> int:
-    """Hand saved quota to the top_k regions with the largest hotness swing
-    between the last two intervals.  Returns quota that could not be placed
-    (every candidate already samples all of its pages)."""
+                       rng: random.Random) -> int:
+    """Hand saved quota out, TOP_K_VARIANCE regions at a time, to the regions
+    with the largest hotness swing between the last two intervals, moving on
+    when those regions sample all of their pages.  Returns quota that could
+    not be placed (every region already samples all of its pages)."""
     if saved_quota <= 0 or not regions:
         return max(0, saved_quota)
     order = sorted(regions, key=lambda r: (-r.variance_score(), r.id))
     remaining = saved_quota
     idx = 0
     while remaining > 0 and idx < len(order):
-        recipients = [r for r in order[idx:idx + top_k] if r.quota < r.len_pages]
+        recipients = [r for r in order[idx:idx + TOP_K_VARIANCE]
+                      if r.quota < r.len_pages]
         if not recipients:
-            idx += top_k
+            idx += TOP_K_VARIANCE
             continue
-        k = len(recipients)
-        base, extra = divmod(min(remaining, saved_quota), k)
-        share = [base + (1 if i < extra else 0) for i in range(k)]
-        placed_any = False
-        for r, want in zip(recipients, share):
-            grant = min(want, r.len_pages - r.quota, remaining)
-            if grant <= 0:
-                continue
-            r.quota += grant
-            _top_up_samples(r, rng)
-            remaining -= grant
-            placed_any = True
-        if not placed_any:
-            idx += top_k
+        # the first recipient always gains, so each round places quota
+        base, extra = divmod(remaining, len(recipients))
+        for i, r in enumerate(recipients):
+            grant = min(base + (i < extra), r.len_pages - r.quota, remaining)
+            if grant > 0:
+                r.quota += grant
+                _top_up_samples(r, rng)
+                remaining -= grant
     return remaining
 
 
 def rebalance_to_budget(regions: list[Region], num_ps: int,
-                        rng: random.Random, top_k: int = 5) -> None:
+                        rng: random.Random) -> None:
     """Force sum(quota) == num_ps: shave the richest regions or feed the
     highest-variance ones.  No-op when the budget already balances."""
     excess = total_quota(regions) - num_ps
@@ -285,7 +293,7 @@ def rebalance_to_budget(regions: list[Region], num_ps: int,
         del donor.sample_counts[donor.quota:]
         excess -= 1
     if excess < 0:
-        redistribute_quota(regions, -excess, rng, top_k)
+        redistribute_quota(regions, -excess, rng)
 
 
 def enforce_budget(regions: list[Region], num_ps: int, cfg: ProfilerConfig,
@@ -307,7 +315,7 @@ def enforce_budget(regions: list[Region], num_ps: int, cfg: ProfilerConfig,
         regions, saved = merge_pass(regions, tau1)
         if saved:
             merges += 1
-        redistribute_quota(regions, saved, rng, cfg.top_k_variance)
+        redistribute_quota(regions, saved, rng)
     coarsen = len(regions) > num_ps
     if coarsen:
         log.warning("budget escalation exhausted: %d regions > %d samples; "
@@ -344,7 +352,7 @@ class Profiler:
         self.regions: list[Region] = []
         self.active_ids: set[int] = set()
         self.slowest_region_pages = cfg.default_region_pages
-        self.merges = 0
+        self.merges = 0  # running totals, never reset
         self.splits = 0
         self.initialized = False
 
@@ -407,7 +415,7 @@ class Profiler:
     def set_budget(self, app_time: float) -> None:
         """Resize the quotas to the samples `app_time` affords."""
         self.num_ps = compute_budget(self.cfg, self.space.cost_model, app_time)
-        rebalance_to_budget(self.regions, self.num_ps, self.rng, self.cfg.top_k_variance)
+        rebalance_to_budget(self.regions, self.num_ps, self.rng)
 
     def _uncovered_regions(self) -> list[Region]:
         """Fresh quota-1 regions over the mapped window runs no region covers:
@@ -446,8 +454,7 @@ class Profiler:
         if fresh:
             self.regions.extend(fresh)
             self.regions.sort(key=lambda r: r.start_page)
-            rebalance_to_budget(self.regions, self.num_ps, self.rng,
-                                self.cfg.top_k_variance)
+            rebalance_to_budget(self.regions, self.num_ps, self.rng)
 
     def select_active(self, slc: TraceSlice) -> None:
         """Choose which regions are scanned this interval.  All faster-tier
@@ -473,8 +480,7 @@ class Profiler:
             self.regions.extend(new)
             self.regions.sort(key=lambda r: r.start_page)
             active.update(r.id for r in new)
-            rebalance_to_budget(self.regions, self.num_ps, self.rng,
-                                self.cfg.top_k_variance)
+            rebalance_to_budget(self.regions, self.num_ps, self.rng)
         for r in self.regions:
             if r.tier == slowest and r.id in retarget and r.samples:
                 page = retarget[r.id]
@@ -527,27 +533,19 @@ class Profiler:
         return scans
 
     def end_interval(self) -> None:
-        """Merge, split, redistribute, and enforce the budget."""
+        """Merge, split, enforce the budget, then rebalance the quotas to it
+        (which hands out any spare samples)."""
         cfg = self.cfg
         regions, saved = merge_pass(self.regions, cfg.tau1)
         self.merges += len(self.regions) - len(regions)
         regions, saved, splits = split_pass(regions, cfg.tau2, self.rng, saved)
         self.splits += splits
-        leftover = self.num_ps - total_quota(regions)
-        if leftover > 0:
-            redistribute_quota(regions, leftover, self.rng, cfg.top_k_variance)
         regions, extra, coarsen = enforce_budget(regions, self.num_ps, cfg, self.rng)
         self.merges += extra
         if coarsen:
             self.slowest_region_pages *= 2
-        rebalance_to_budget(regions, self.num_ps, self.rng, cfg.top_k_variance)
+        rebalance_to_budget(regions, self.num_ps, self.rng)
         self.regions = regions
-
-    def take_struct_counts(self) -> tuple[int, int]:
-        out = (self.merges, self.splits)
-        self.merges = 0
-        self.splits = 0
-        return out
 
 
 def sample_origin(regions: list[Region], active_ids: set[int], slc: TraceSlice,

@@ -58,10 +58,6 @@ REJECTED = {
     "pebs-window-above-one": (SMALL + "profiler.pebs_window_fraction = 3\n", RUN, {},
                               "profiler.pebs_window_fraction"),
     "negative-n-bytes": (SMALL + "policy.n_bytes = -1\n", RUN, {}, "policy.n_bytes"),
-    "negative-n-fraction": (SMALL + "policy.n_fraction = -0.05\n", RUN, {},
-                            "policy.n_fraction"),
-    "top-k-zero": (SMALL + "profiler.top_k_variance = 0\n", RUN, {},
-                   "profiler.top_k_variance"),
     "negative-hint-cost": (SMALL + "cost.hint_fault_multiplier = -12\n", RUN, {},
                            "cost.hint_fault_multiplier"),
     "hotset-fraction": (SMALL + "workload.hotset_fraction = 1.5\n", TRACE, {},
@@ -96,6 +92,12 @@ REJECTED = {
     # system = mtm-no-pebs is the one way to turn counter assistance off
     "retired-pebs-assist": (SMALL + "profiler.pebs_assist = false\n", RUN, {},
                             "profiler.pebs_assist"),
+    # N is policy.n_bytes alone, 5% of total capacity when unset
+    "retired-n-fraction": (SMALL + "policy.n_fraction = 0.05\n", RUN, {},
+                           "policy.n_fraction"),
+    # five regions share out saved quota at a time, not a knob
+    "retired-top-k-variance": (SMALL + "profiler.top_k_variance = 5\n", RUN, {},
+                               "profiler.top_k_variance"),
     # the AutoNUMA window is the paper's 256 MiB of 1.5 TiB, not a knob
     "retired-autonuma-window": (SMALL + "autonuma_window_fraction = 0.5\n", RUN, {},
                                 "autonuma_window_fraction"),

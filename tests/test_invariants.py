@@ -12,7 +12,11 @@ interval:
   are never negative;
 - the tiers' access counts grew by exactly the slice's length;
 - the plan, applied move by move to the free bytes it was planned against,
-  never overdraws a tier.
+  never overdraws a tier;
+- every planned move leaves its region's tier, and goes up the system's
+  preference order if a promotion and down it if a demotion.  AutoNUMA's
+  order is the canonical tier order; every other system's is the region's
+  `policy.resolve_destination`.
 
 The loop's per-interval costs and tier counts must equal the engine's rows,
 so it cannot drift from the loop it stands in for.  On the engine's result:
@@ -31,6 +35,7 @@ from tiersim import baselines, engine, migrator
 from tiersim.baselines import BASELINE_KINDS
 from tiersim.config import build_run_config, parse_config_text
 from tiersim.memmodel import BASE_PAGE_BYTES, MemoryState, build_topology
+from tiersim.policy import resolve_destination
 
 INTERVALS = 6
 ACCESSES_PER_INTERVAL = 384
@@ -95,6 +100,23 @@ def check_plan_fits(plan, free: dict[str, int]) -> None:
         assert free[m.dst] >= 0, f"{m} overdraws {m.dst}"
 
 
+def check_directions(system, plan, regions) -> None:
+    topology = system.space.topology
+    for m in plan.moves:
+        region = regions[m.region_id]
+        assert region.tier == m.src, m
+        if isinstance(system, baselines.AutonumaSystem):
+            order = topology.tier_ids
+        else:
+            order = resolve_destination(region, topology.views)
+        rank = {t: i for i, t in enumerate(order)}
+        if m.reason == "promote":
+            assert rank[m.dst] < rank[m.src], f"{m} against {order}"
+        else:
+            assert m.reason == "demote" and rank[m.dst] > rank[m.src], \
+                f"{m} against {order}"
+
+
 def check_budget(rows, overhead_constraint: float) -> None:
     assert rows[0].profiling_cost == 0
     for prev, row in zip(rows, rows[1:]):
@@ -124,6 +146,7 @@ def run_checked(cfg, trace) -> list[tuple]:
         system.detected_pages()
         plan, regions = system.plan()
         check_plan_fits(plan, space.free)
+        check_directions(system, plan, regions)
         if plan.moves:
             writes = None
             if mode in ("async", "adaptive") and i + 1 < trace.num_intervals:

@@ -9,8 +9,9 @@ engine calls, in this order:
    it.  Profiling may cost `profiling_budget(cfg, app_prev)`, where app_prev
    is the previous interval's application time (0 in interval 0).
 2. `detected_pages()` gives the pages the system now takes as hot.
-3. `plan()` gives a migration plan and the regions its moves name.  The
-   engine executes it with `migrator_mode`, unless the config names a mode.
+3. `plan()` gives the interval's moves, each naming the region it moves.
+   The engine executes them with `migrator_mode`, unless the config names
+   a mode.
 4. `struct_counts()` gives the running totals of region merges and splits.
    The engine records each interval's difference, as it does for the cost
    ledgers, so reading the totals never resets them.
@@ -28,7 +29,7 @@ from .memmodel import BASE_PAGE_BYTES, CapacityError, MemoryState
 from .metrics import detect_hot_pages
 from .profiler import (Profiler, ProfilerConfig, Region, affordable_samples,
                        profiling_budget)
-from .policy import Move, MigrationPlan, PolicyConfig, plan_interval, update_ema
+from .policy import Move, PolicyConfig, plan_interval, update_ema
 from .workload import TraceSlice
 
 # share of memory the tiered-AutoNUMA profiler inspects per interval: the
@@ -107,8 +108,8 @@ class FirstTouchSystem(System):
     def detected_pages(self) -> set[int]:
         return set()
 
-    def plan(self):
-        return MigrationPlan(), {}
+    def plan(self) -> list[Move]:
+        return []
 
 
 class MtmSystem(System):
@@ -142,9 +143,8 @@ class MtmSystem(System):
     def detected_pages(self) -> set[int]:
         return detect_hot_pages(self.profiler.regions, self.detect_threshold)
 
-    def plan(self):
-        plan = plan_interval(self.profiler.regions, self.space, self.policy)
-        return plan, {r.id: r for r in self.profiler.regions}
+    def plan(self) -> list[Move]:
+        return plan_interval(self.profiler.regions, self.space, self.policy)
 
     def struct_counts(self) -> tuple[int, int]:
         return (self.profiler.merges, self.profiler.splits)
@@ -200,7 +200,7 @@ class AutonumaSystem(System):
     def detected_pages(self) -> set[int]:
         return {p for p, c in self.counts.items() if c >= self.detect_threshold}
 
-    def plan(self):
+    def plan(self) -> list[Move]:
         """Promote hot pages one level toward the fastest tier; the coldest
         residents drop one level when the target lacks room."""
         space, topo = self.space, self.space.topology
@@ -209,7 +209,6 @@ class AutonumaSystem(System):
         budget = self.policy.promotion_budget(topo)
         page = BASE_PAGE_BYTES
         moves: list[Move] = []
-        regions: dict[int, Region] = {}
         hot = sorted(self.detected_pages())
         hot_set = set(hot)
         victims: dict[str, list[int]] = {}  # per tier, built when first needed
@@ -232,16 +231,14 @@ class AutonumaSystem(System):
                 if not victims[dst]:
                     continue
                 v = victims[dst].pop(0)
-                regions[v] = Region(v, 1, dst, quota=1)
-                moves.append(Move(v, dst, tier, "demote", page))
+                moves.append(Move(Region(v, 1, dst, quota=1), dst, tier, "demote"))
                 free[tier] -= page
                 free[dst] += page
-            regions[p] = Region(p, 1, tier, quota=1)
-            moves.append(Move(p, tier, dst, "promote", page))
+            moves.append(Move(Region(p, 1, tier, quota=1), tier, dst, "promote"))
             free[dst] -= page
             free[tier] += page
             budget -= page
-        return MigrationPlan(moves=moves), regions
+        return moves
 
     def _coldest_first(self, tier: str, hot: set[int]) -> list[int]:
         """The tier's pages outside `hot`, by (retained count, page).  Counts
@@ -296,15 +293,14 @@ class ThermostatSystem(System):
                 hot.update(range(w, min(w + self.region_pages, self.space.num_pages)))
         return hot
 
-    def plan(self):
+    def plan(self) -> list[Move]:
         """Thermostat is profiling-only: migration reuses the shared planner."""
         regions: list[Region] = []
         for start, ln, tier in self.space.tier_runs(window=self.region_pages):
             w = start - start % self.region_pages
             score = float(self.hotness.get(w, 0))
             regions.append(Region(start, ln, tier, quota=1, hi=score, whi=score))
-        plan = plan_interval(regions, self.space, self.policy)
-        return plan, {r.id: r for r in regions}
+        return plan_interval(regions, self.space, self.policy)
 
 
 @dataclass
@@ -399,14 +395,13 @@ class DamonSystem(System):
                 hot.update(range(reg.start, reg.end))
         return hot
 
-    def plan(self):
+    def plan(self) -> list[Move]:
         regions: list[Region] = []
         for reg in self.regions:
-            score = min(reg.result, float(self.cfg.num_scans))
-            regions.extend(Region(start, ln, tier, quota=1, hi=score, whi=score)
+            regions.extend(Region(start, ln, tier, quota=1, hi=reg.result,
+                                  whi=reg.result)
                            for start, ln, tier in self.space.tier_runs(reg.start, reg.end))
-        plan = plan_interval(regions, self.space, self.policy)
-        return plan, {r.id: r for r in regions}
+        return plan_interval(regions, self.space, self.policy)
 
 
 # every system a config can name, by name (RunConfig.system takes

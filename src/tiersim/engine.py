@@ -95,20 +95,14 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
 
         system.run_profiling(slc, app_prev)
         detected = system.detected_pages()
-        plan, regions = system.plan()
+        moves = system.plan()
 
-        if plan.moves:
-            writes = None
-            if mode in ("async", "adaptive") and i + 1 < trace.num_intervals:
-                copy_end = migrator.copy_windows(plan, regions, space.cost_model,
-                                                 space.clock)[-1]
-                writes = migrator.project_write_times(
-                    space, trace.interval_slice(i + 1), space.clock, copy_end)
-            report = migrator.execute_plan(space, plan, regions, mode=mode,
-                                           writes=writes,
-                                           start_time=space.clock)
-            result.migration_rows.extend(migrator.report_rows(i, report))
-            result.plan_rows.extend(policy.plan_rows(i, plan))
+        if moves:
+            next_slice = (trace.interval_slice(i + 1)
+                          if i + 1 < trace.num_intervals else None)
+            reports = migrator.execute_plan(space, moves, mode, next_slice)
+            result.migration_rows.extend(migrator.report_rows(i, reports))
+            result.plan_rows.extend(policy.plan_rows(i, moves))
 
         oracle_set = oracle.hot_pages(i) if oracle is not None else set()
         rec, prec = metrics.recall_precision(detected, oracle_set)

@@ -5,16 +5,20 @@ while alloc+copy run off the critical path in a copy window.  A write to the
 region inside the window makes mode `async` move synchronously and mode
 `adaptive` fall back, exposing len_pages x sync_page_cost plus step_copy for
 each dirtied page whose background copy had already finished.
+
+`execute_plan` runs a plan, the list of moves that each name their region.
+It lays the copy windows itself and projects the writes they may meet.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .memmodel import CostModel, MemoryState, TiersimError
-from .policy import MigrationPlan
+from .policy import Move
 from .profiler import Region
+from .workload import TraceSlice
 
 
 class ProjectedWrites:
@@ -43,20 +47,12 @@ class MoveReport:
     recopied_pages: int
 
 
-@dataclass
-class MigrationReport:
-    entries: list[MoveReport] = field(default_factory=list)
-    completed: bool = True
-
-
 class PlanExecutionError(TiersimError):
-    def __init__(self, message: str, report: MigrationReport):
-        super().__init__(message)
-        self.report = report
+    """A move failed; the moves after it did not run."""
 
 
-def copy_windows(plan: MigrationPlan, regions: dict[int, Region],
-                 cost_model: CostModel, start_time: float) -> list[float]:
+def copy_windows(moves: list[Move], cost_model: CostModel,
+                 start_time: float) -> list[float]:
     """Where each move's copy window starts, laid back to back from
     start_time, followed by where the last one ends.  The same left-to-right
     sum as each window's own `start + len_pages * (alloc + copy)`, so the
@@ -64,8 +60,8 @@ def copy_windows(plan: MigrationPlan, regions: dict[int, Region],
     per_page_bg = cost_model.step_alloc + cost_model.step_copy
     t = start_time
     out = [t]
-    for mv in plan.moves:
-        t += regions[mv.region_id].len_pages * per_page_bg
+    for mv in moves:
+        t += mv.region.len_pages * per_page_bg
         out.append(t)
     return out
 
@@ -136,34 +132,35 @@ def migrate_region(space: MemoryState, region: Region, dst: str, mode: str,
     return MoveReport(region.id, src, dst, mechanism, exposed, background, recopied)
 
 
-def execute_plan(space: MemoryState, plan: MigrationPlan, regions: dict[int, Region],
-                 mode: str = "sync", writes: ProjectedWrites | None = None,
-                 start_time: float | None = None) -> MigrationReport:
-    """Run a plan's moves in order (demotions come first by construction).
+def execute_plan(space: MemoryState, moves: list[Move], mode: str = "sync",
+                 next_slice: TraceSlice | None = None) -> list[MoveReport]:
+    """Run the moves in order (demotions come first by construction) and
+    report each.
 
-    Copy windows are laid back to back (see `copy_windows`): each move's
-    window starts where the previous one ended, whether or not it fell back
-    early.  `writes` must hold every write that lands before the last
-    window's end, as `project_write_times` gives it.  A failing move aborts
-    the rest and surfaces the partial report.
+    The copy windows are laid back to back from `space.clock` (see
+    `copy_windows`): each move's window starts where the previous one ended,
+    whether or not it fell back early.  Outside mode `sync`, the writes of
+    `next_slice` (the interval that runs while the copies do; None after the
+    last) are projected up to the last window's end.  A failing move aborts
+    the rest with PlanExecutionError.
     """
-    report = MigrationReport()
-    t0 = space.clock if start_time is None else start_time
-    for mv, t in zip(plan.moves, copy_windows(plan, regions, space.cost_model, t0)):
+    starts = copy_windows(moves, space.cost_model, space.clock)
+    writes = None
+    if mode != "sync" and next_slice is not None:
+        writes = project_write_times(space, next_slice, space.clock, starts[-1])
+    reports = []
+    for mv, t in zip(moves, starts):
         try:
-            entry = migrate_region(space, regions[mv.region_id], mv.dst, mode, writes, t)
+            reports.append(migrate_region(space, mv.region, mv.dst, mode, writes, t))
         except TiersimError as exc:
-            report.completed = False
             raise PlanExecutionError(
-                f"move of region {mv.region_id} to {mv.dst} failed: {exc}",
-                report) from exc
-        report.entries.append(entry)
-    return report
+                f"move of region {mv.region_id} to {mv.dst} failed: {exc}") from exc
+    return reports
 
 
-def report_rows(interval: int, report: MigrationReport) -> list[list]:
+def report_rows(interval: int, reports: list[MoveReport]) -> list[list]:
     """Rows for the migration CSV:
     interval,region_id,src,dst,mechanism,exposed_cost,background_cost,recopied_pages."""
     return [[interval, e.region_id, e.src, e.dst, e.mechanism,
              f"{e.exposed_cost:.6f}", f"{e.background_cost:.6f}", e.recopied_pages]
-            for e in report.entries]
+            for e in reports]

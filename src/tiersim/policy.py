@@ -1,7 +1,7 @@
 """EMA-driven migration planning: hottest-first promotion, coldest-first demotion."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .memmodel import CapacityError, MemoryState, TierTopology, require
 from .profiler import Region
@@ -36,19 +36,19 @@ def update_ema(region: Region, hi: float, alpha: float) -> float:
 
 @dataclass
 class Move:
-    region_id: int
+    """One planned move of a region from tier `src` to tier `dst`."""
+    region: Region
     src: str
     dst: str
     reason: str  # promote | demote
-    bytes: int
 
+    @property
+    def region_id(self) -> int:
+        return self.region.id
 
-@dataclass
-class MigrationPlan:
-    moves: list[Move] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.moves)
+    @property
+    def bytes(self) -> int:
+        return self.region.bytes
 
 
 def resolve_destination(region: Region, views: dict[int, list[str]]) -> list[str]:
@@ -99,7 +99,7 @@ def plan_demotions(tier: str, need_bytes: int, coldest: list[Region],
                                         views, free, planned, colder_than, stack)
             except CapacityError:
                 continue
-            moves.append(Move(region.id, tier, lower, "demote", region.bytes))
+            moves.append(Move(region, tier, lower, "demote"))
             free[lower] -= region.bytes
             free[tier] += region.bytes
             planned.add(region.id)
@@ -114,7 +114,7 @@ def plan_demotions(tier: str, need_bytes: int, coldest: list[Region],
 
 
 def plan_interval(regions: list[Region], space: MemoryState,
-                  policy: PolicyConfig) -> MigrationPlan:
+                  policy: PolicyConfig) -> list[Move]:
     """One planning pass, hottest candidate first, against a copy of the
     state's free bytes that every planned move updates in place.  Each
     candidate aims at the fastest tier of its view; if that tier is full
@@ -142,16 +142,15 @@ def plan_interval(regions: list[Region], space: MemoryState,
                                         free, planned, colder_than=cand.whi)
             except CapacityError:
                 continue
-            moves.append(Move(cand.id, cand.tier, dst, "promote", cand.bytes))
+            moves.append(Move(cand, cand.tier, dst, "promote"))
             free[dst] -= cand.bytes
             free[cand.tier] += cand.bytes
             planned.add(cand.id)
             budget -= cand.bytes
             break
-    return MigrationPlan(moves=moves)
+    return moves
 
 
-def plan_rows(interval: int, plan: MigrationPlan) -> list[list]:
+def plan_rows(interval: int, moves: list[Move]) -> list[list]:
     """Rows for the plan CSV: interval,region_id,src_tier,dst_tier,reason,bytes."""
-    return [[interval, m.region_id, m.src, m.dst, m.reason, m.bytes]
-            for m in plan.moves]
+    return [[interval, m.region_id, m.src, m.dst, m.reason, m.bytes] for m in moves]

@@ -19,6 +19,7 @@ import rep  # noqa: E402
 import tracing  # noqa: E402
 
 SMALL = ROOT / "tests" / "golden" / "configs" / "small.cfg"
+MID = ROOT / "tests" / "golden" / "configs" / "mid.cfg"
 ALL_SYSTEMS = ["mtm", "mtm-no-pebs", "first-touch", "autonuma", "thermostat", "damon"]
 
 
@@ -49,3 +50,16 @@ def test_traced_compare_counts_every_replayed_access():
         assert tracer.calls[f"baselines.{name}.run_profiling"] == 2
     # the patches are gone once the block ends
     assert not hasattr(vars(engine)["run_simulation"], "__wrapped__")
+
+
+def test_traced_compare_sees_the_write_projection():
+    """execute_plan must call project_write_times through the migrator
+    module's global: called by an imported name, it would slip past the
+    patch and `migrator.writes_projected` would silently read 0."""
+    tree = config.load_config_file(str(MID))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        engine.compare_systems(tree, str(MID), ["first-touch", "mtm", "mtm-no-pebs"])
+    # the mid golden's figures: 7 plans, each projected but the last interval's
+    assert tracer.calls["migrator.project_write_times"] == 6
+    assert tracer.counts["migrator.project_write_times"] == 28_145

@@ -56,6 +56,20 @@ def test_run_exit_codes(tmp_path, capsys, extra, code, message):
         assert (tmp_path / "out" / "summary.txt").is_file()
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file"),
+    ("{ not json\n", "bad JSON"),  # a leading brace reads the file as JSON
+], ids=["missing-file", "bad-json"])
+def test_unreadable_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", "-c", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err and str(path) in err
+
+
 # 1 324 pages leave a partial last 512-page window in pmem; mtm's counter
 # nominations used to read past the footprint there (an IndexError, exit 1).
 PARTIAL_LAST_WINDOW = ("workload.footprint_pages = 1324\n"

@@ -92,23 +92,22 @@ def check_ledger(space: MemoryState) -> None:
         assert space.free[t.id] >= 0
 
 
-def check_plan_fits(plan, free: dict[str, int]) -> None:
+def check_plan_fits(moves, free: dict[str, int]) -> None:
     free = dict(free)
-    for m in plan.moves:
+    for m in moves:
         free[m.dst] -= m.bytes
         free[m.src] += m.bytes
         assert free[m.dst] >= 0, f"{m} overdraws {m.dst}"
 
 
-def check_directions(system, plan, regions) -> None:
+def check_directions(system, moves) -> None:
     topology = system.space.topology
-    for m in plan.moves:
-        region = regions[m.region_id]
-        assert region.tier == m.src, m
+    for m in moves:
+        assert m.region.tier == m.src, m
         if isinstance(system, baselines.AutonumaSystem):
             order = topology.tier_ids
         else:
-            order = resolve_destination(region, topology.views)
+            order = resolve_destination(m.region, topology.views)
         rank = {t: i for i, t in enumerate(order)}
         if m.reason == "promote":
             assert rank[m.dst] < rank[m.src], f"{m} against {order}"
@@ -144,18 +143,13 @@ def run_checked(cfg, trace) -> list[tuple]:
         acc0 = dict(space.tier_access_counts)
         system.run_profiling(slc, app_prev)
         system.detected_pages()
-        plan, regions = system.plan()
-        check_plan_fits(plan, space.free)
-        check_directions(system, plan, regions)
-        if plan.moves:
-            writes = None
-            if mode in ("async", "adaptive") and i + 1 < trace.num_intervals:
-                copy_end = migrator.copy_windows(plan, regions, space.cost_model,
-                                                 space.clock)[-1]
-                writes = migrator.project_write_times(
-                    space, trace.interval_slice(i + 1), space.clock, copy_end)
-            migrator.execute_plan(space, plan, regions, mode=mode, writes=writes,
-                                  start_time=space.clock)
+        moves = system.plan()
+        check_plan_fits(moves, space.free)
+        check_directions(system, moves)
+        if moves:
+            next_slice = (trace.interval_slice(i + 1)
+                          if i + 1 < trace.num_intervals else None)
+            migrator.execute_plan(space, moves, mode, next_slice)
         check_ledger(space)
         counts = {t: space.tier_access_counts[t] - acc0[t] for t in topology.tier_ids}
         assert sum(counts.values()) == len(slc)

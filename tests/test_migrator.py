@@ -11,7 +11,7 @@ from tiersim.migrator import (
     MoveReport, PlanExecutionError, ProjectedWrites, copy_windows,
     execute_plan, migrate_region, project_write_times,
 )
-from tiersim.policy import MigrationPlan, Move
+from tiersim.policy import Move
 from tiersim.profiler import Region
 from tiersim.workload import AccessTrace, gen_seq_microbench
 
@@ -41,6 +41,12 @@ def cols(*writes):
 
 
 NO_WRITES = cols()
+
+
+def slice_of(*events):
+    """One interval of (page, is_write) accesses from node 0."""
+    return AccessTrace([p for p, _ in events], [w for _, w in events],
+                       [0] * len(events), max(1, len(events))).interval_slice(0)
 
 
 class TestSync:
@@ -165,8 +171,7 @@ class TestAdaptive:
 class TestExecutePlan:
     def test_empty_plan_zero_report(self):
         space = make_space(num_pages=8)
-        report = execute_plan(space, MigrationPlan(), {}, mode="sync")
-        assert report.entries == []
+        assert execute_plan(space, [], mode="sync") == []
 
     def test_demote_then_promote_keeps_free_nonnegative(self):
         space = make_space(num_pages=16, caps=(8, 16, 32), map_to=None)
@@ -174,51 +179,40 @@ class TestExecutePlan:
             space.map_page(p, "a")       # tier a completely full
         for p in range(8, 16):
             space.map_page(p, "b")
-        regions = {0: reg(0, 8, "a"), 8: reg(8, 8, "b")}
-        plan = MigrationPlan(moves=[
-            Move(0, "a", "b", "demote", 8 * BASE_PAGE_BYTES),
-            Move(8, "b", "a", "promote", 8 * BASE_PAGE_BYTES),
-        ])
+        low, high = reg(0, 8, "a"), reg(8, 8, "b")
+        moves = [Move(low, "a", "b", "demote"), Move(high, "b", "a", "promote")]
         before = sum(space.placed_bytes().values())
-        execute_plan(space, plan, regions, mode="sync")
+        execute_plan(space, moves, mode="sync")
         placed = space.placed_bytes()
         assert sum(placed.values()) == before
         for t in space.topology.tiers:
             assert 0 <= space.free[t.id] <= t.capacity_bytes
             assert space.free[t.id] + placed[t.id] == t.capacity_bytes
-        assert regions[0].tier == "b" and regions[8].tier == "a"
+        assert low.tier == "b" and high.tier == "a"
 
     def test_adaptive_mixed_mechanisms_recorded(self):
         space = make_space(num_pages=32)
-        regions = {0: reg(0, 16, "a"), 16: reg(16, 16, "a")}
-        plan = MigrationPlan(moves=[
-            Move(0, "a", "b", "promote", 16 * BASE_PAGE_BYTES),
-            Move(16, "a", "b", "promote", 16 * BASE_PAGE_BYTES),
-        ])
-        # first region sees a write in its window, second does not
-        report = execute_plan(space, plan, regions, mode="adaptive",
-                              writes=cols((20.0, 4)), start_time=0.0)
-        assert [e.mechanism for e in report.entries] == \
-            ["async_fallback", "async"]
+        moves = [Move(reg(0, 16), "a", "b", "promote"),
+                 Move(reg(16, 16), "a", "b", "promote")]
+        # windows [0, 48) and [48, 96); at unit cost the write to page 4
+        # lands at t=20, in the first region's window only
+        reports = execute_plan(space, moves, mode="adaptive",
+                               next_slice=slice_of(*[(0, False)] * 19, (4, True)))
+        assert [e.mechanism for e in reports] == ["async_fallback", "async"]
 
-    def test_failed_move_aborts_with_partial_report(self):
+    def test_failed_move_aborts_the_rest(self):
         space = make_space(num_pages=16, caps=(32, 4, 32))
-        regions = {0: reg(0, 4, "a"), 4: reg(4, 12, "a")}
-        plan = MigrationPlan(moves=[
-            Move(0, "a", "b", "promote", 4 * BASE_PAGE_BYTES),
-            Move(4, "a", "b", "promote", 12 * BASE_PAGE_BYTES),
-        ])
-        with pytest.raises(PlanExecutionError) as info:
-            execute_plan(space, plan, regions, mode="sync")
-        assert len(info.value.report.entries) == 1
-        assert not info.value.report.completed
+        first, second = reg(0, 4), reg(4, 12)
+        moves = [Move(first, "a", "b", "promote"), Move(second, "a", "b", "promote")]
+        with pytest.raises(PlanExecutionError, match="move of region 4 to b"):
+            execute_plan(space, moves, mode="sync")
+        assert first.tier == "b" and second.tier == "a"
+        assert [space.page_tier[p] for p in range(16)] == ["b"] * 4 + ["a"] * 12
 
     def test_sync_mode_background_ledger_stays_zero(self):
         space = make_space(num_pages=16)
-        regions = {0: reg(0, 16, "a")}
-        plan = MigrationPlan(moves=[Move(0, "a", "b", "promote",
-                                         16 * BASE_PAGE_BYTES)])
-        execute_plan(space, plan, regions, mode="sync")
+        execute_plan(space, [Move(reg(0, 16), "a", "b", "promote")], mode="sync",
+                     next_slice=slice_of(*[(p, True) for p in range(16)]))
         assert space.ledger.migration_background == 0.0
 
     def test_conservation_randomized(self):
@@ -226,22 +220,17 @@ class TestExecutePlan:
         for _ in range(30):
             space = make_space(num_pages=64, caps=(128, 128, 128))
             total = sum(space.placed_bytes().values())
-            regions = {}
             moves = []
             start = 0
             while start < 64:
                 ln = rng.randrange(1, 9)
                 ln = min(ln, 64 - start)
-                r = reg(start, ln, "a")
-                regions[r.id] = r
-                dst = rng.choice(["b", "c"])
-                moves.append(Move(r.id, "a", dst, "demote", r.bytes))
+                moves.append(Move(reg(start, ln, "a"), "a", rng.choice(["b", "c"]),
+                                  "demote"))
                 start += ln
             mode = rng.choice(["sync", "async", "adaptive"])
-            writes = sorted((rng.uniform(0, 300), rng.randrange(64))
-                            for _ in range(4))
-            execute_plan(space, MigrationPlan(moves=moves), regions, mode=mode,
-                         writes=cols(*writes), start_time=0.0)
+            events = [(rng.randrange(64), rng.random() < 0.3) for _ in range(300)]
+            execute_plan(space, moves, mode=mode, next_slice=slice_of(*events))
             assert sum(space.placed_bytes().values()) == total
 
 
@@ -334,6 +323,9 @@ class TestBisectedWindows:
         assert 50 < fallbacks < 350
 
     def test_bounded_projection_gives_the_same_report(self):
+        """execute_plan, which projects writes only up to the last window's
+        end, reports and costs what migrate_region over copy_windows does
+        with every write of the slice projected."""
         rng = random.Random(11)
         mechanisms = set()
         for case in range(60):
@@ -343,31 +335,32 @@ class TestBisectedWindows:
             slc = AccessTrace(vpages, writes, [0] * len(vpages), 2000).interval_slice(0)
             mode = ("sync", "async", "adaptive")[case % 3]
             start_time = float(rng.randrange(0, 100))
-            reports = []
-            for bounded in (False, True):
+            runs = []
+            for bounded in (True, False):
                 space = make_space(num_pages=n, caps=(128, 128, 128))
+                space.ledger.app = start_time  # the clock the windows start from
                 local = random.Random(case)
-                regions, moves, start = {}, [], 0
+                moves, start = [], 0
                 while start < n:
                     r = reg(start, min(local.randrange(1, 9), n - start))
-                    regions[r.id] = r
-                    moves.append(Move(r.id, "a", local.choice(["b", "c"]),
-                                      "demote", r.bytes))
+                    moves.append(Move(r, "a", local.choice(["b", "c"]), "demote"))
                     start = r.end_page
-                plan = MigrationPlan(moves=local.sample(moves, local.randrange(1, 6)))
-                until = copy_windows(plan, regions, space.cost_model, start_time)[-1]
-                full = project_write_times(space, slc, start_time)
-                projected = (project_write_times(space, slc, start_time, until)
-                             if bounded else full)
+                moves = local.sample(moves, local.randrange(1, 6))
                 if bounded:
+                    reports = execute_plan(space, moves, mode, slc)
+                else:
+                    starts = copy_windows(moves, space.cost_model, space.clock)
+                    until = starts[-1]
+                    full = project_write_times(space, slc, space.clock)
+                    projected = project_write_times(space, slc, space.clock, until)
                     k = len(projected)
                     assert projected.times == full.times[:k]
                     assert projected.pages == full.pages[:k]
                     assert full.times[k] >= until > projected.times[-1]
-                report = execute_plan(space, plan, regions, mode=mode,
-                                      writes=projected, start_time=start_time)
-                reports.append((report, space.ledger.migration_exposed,
-                                space.ledger.migration_background))
-            assert reports[0] == reports[1]
-            mechanisms |= {e.mechanism for e in reports[0][0].entries}
+                    reports = [migrate_region(space, m.region, m.dst, mode, full, t)
+                               for m, t in zip(moves, starts)]
+                runs.append((reports, space.ledger.migration_exposed,
+                             space.ledger.migration_background))
+            assert runs[0] == runs[1]
+            mechanisms |= {e.mechanism for e in runs[0][0]}
         assert mechanisms == {"sync", "async", "async_fallback"}

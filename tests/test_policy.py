@@ -46,8 +46,8 @@ def coldest_first(regions):
 
 def promotions(regions, space, n_bytes):
     """plan_interval's moves as (region_id, dst) under promotion budget n_bytes."""
-    plan = plan_interval(regions, space, PolicyConfig(n_bytes=n_bytes))
-    return [(m.region_id, m.dst) for m in plan.moves]
+    moves = plan_interval(regions, space, PolicyConfig(n_bytes=n_bytes))
+    return [(m.region_id, m.dst) for m in moves]
 
 
 class TestUpdateEma:
@@ -275,17 +275,17 @@ class TestPlanInterval:
         occupy(space, regs)
         before = dict(space.free)
         policy = PolicyConfig(n_bytes=16 * BASE_PAGE_BYTES)
-        plan = plan_interval(regs, space, policy)
+        moves = plan_interval(regs, space, policy)
         assert space.free == before  # planning changes only its own copy
-        reasons = [m.reason for m in plan.moves]
+        reasons = [m.reason for m in moves]
         assert "demote" in reasons and "promote" in reasons
         assert reasons.index("demote") < reasons.index("promote")
         free = dict(space.free)
-        for m in plan.moves:
+        for m in moves:
             free[m.dst] -= m.bytes
             free[m.src] += m.bytes
             assert min(free.values()) >= 0
-        assert sum(m.bytes for m in plan.moves if m.reason == "promote") <= policy.n_bytes
+        assert sum(m.bytes for m in moves if m.reason == "promote") <= policy.n_bytes
 
 
 # plan_interval's input at the interval where mtm's plan stopped being
@@ -338,10 +338,10 @@ def test_cascade_never_overdraws_a_tier_it_frees():
         "nodes": [0, 1, 2], "views": CASCADE_VIEWS}), CostModel(), 0)
     space.free.update(CASCADE_FREE)
     regs = [region(s, ln, t, whi, origin) for s, ln, t, whi, origin in CASCADE_REGIONS]
-    plan = plan_interval(regs, space, PolicyConfig())
-    assert any(m.reason == "promote" for m in plan.moves)
+    moves = plan_interval(regs, space, PolicyConfig())
+    assert any(m.reason == "promote" for m in moves)
     free = dict(CASCADE_FREE)
-    for m in plan.moves:
+    for m in moves:
         free[m.dst] -= m.bytes
         free[m.src] += m.bytes
         assert free[m.dst] >= 0, f"{m} overdraws {m.dst}"

@@ -36,6 +36,7 @@ from .baselines import BASELINE_KINDS
 from .memmodel import ConfigError, CostModel, TopologyError, build_topology, require
 from .policy import PolicyConfig
 from .profiler import ProfilerConfig
+from .workload import NODE_ID_LIMIT
 
 
 def set_key(tree: dict, key: str, value, where: str | None = None) -> None:
@@ -124,6 +125,8 @@ def _topology_spec(topo) -> dict:
                  for n, section in zip(names, sections)]
         topo = {k: v for k, v in topo.items() if k not in names} | {"tiers": tiers}
     spec = asdict(_walk(TopologyConfig, topo, "topology"))
+    require(all(0 <= n < NODE_ID_LIMIT for n in spec["nodes"]), "topology.nodes",
+            f"must each be in 0..{NODE_ID_LIMIT - 1}")
     try:
         tiers = build_topology(spec).tiers
     except TopologyError as exc:

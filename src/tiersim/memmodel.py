@@ -175,7 +175,7 @@ class MemoryState:
 
     The state is the only owner of free space: `free[tier]` starts at the
     tier's capacity, and only `map_pages` and `move_pages` change it, so
-    `free[t] + placed_bytes()[t]` is always t's capacity.
+    `free[t]` plus the bytes of the pages mapped to t is always t's capacity.
 
     `clock`, the application time that places migration copy windows, is
     `ledger.app` itself: every access adds its cost to both, in one order."""
@@ -243,13 +243,6 @@ class MemoryState:
         for p in pages:
             self.access_bit[p] = 0
             self.dirty_bit[p] = 0
-
-    def placed_bytes(self) -> dict[str, int]:
-        out = {t.id: 0 for t in self.topology.tiers}
-        for tid in self.page_tier:
-            if tid is not None:
-                out[tid] += BASE_PAGE_BYTES
-        return out
 
     def tier_runs(self, lo: int = 0, hi: int | None = None,
                   window: int | None = None) -> list[tuple[int, int, str]]:

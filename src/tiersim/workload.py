@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
 HOT_THRESHOLD_ACCESSES = 2  # a page is hot in an interval iff accessed >= 2 times
+NODE_ID_LIMIT = 1 << 16  # node ids are 0..65535, what the array('H') column holds
 
 
 class WorkloadError(Exception):
@@ -13,10 +15,24 @@ class WorkloadError(Exception):
 
 
 class AccessTrace:
-    """Time-ordered access stream, stored column-wise for cheap replay."""
+    """Time-ordered access stream, stored column-wise for cheap replay.
+    A trace is never written after construction.
 
-    def __init__(self, vpages: list[int], writes: list[bool], nodes: list[int],
-                 accesses_per_interval: int):
+    - `vpages` is a list of ints.  An array('i') would hold 4 bytes an
+      access instead of an 8-byte pointer, but the GUPS draw loop appends
+      to it one page at a time: under cProfile on `gups-big.cfg`,
+      `array.append` took 0.133 s against `list.append`'s 0.067 s, and the
+      oracle's `Counter` would box every page it reads back.  Setup in a
+      fresh process rose by 14% on `gups-big.cfg` and 17-60% on
+      `gups-mid.cfg`, so it stays a list.
+    - `writes` is a bytearray of 0/1, one byte per access.
+    - `nodes` is an array('H') of accessor node ids, two bytes per access.
+
+    The generators build `writes` and `nodes` in those types; list columns
+    (as tests write them) are converted here."""
+
+    def __init__(self, vpages: list[int], writes: bytearray | list[bool],
+                 nodes: array | list[int], accesses_per_interval: int):
         if not (len(vpages) == len(writes) == len(nodes)):
             raise WorkloadError("trace columns must have equal length")
         if accesses_per_interval < 1:
@@ -24,9 +40,10 @@ class AccessTrace:
         if vpages and min(vpages) < 0:
             raise WorkloadError("trace pages must be >= 0")
         self.vpages = vpages
-        self.writes = writes
-        self.nodes = nodes
+        self.writes = writes if isinstance(writes, bytearray) else bytearray(writes)
+        self.nodes = nodes if isinstance(nodes, array) else array("H", nodes)
         self.accesses_per_interval = accesses_per_interval
+        self._footprint: int | None = None
 
     def __len__(self) -> int:
         return len(self.vpages)
@@ -48,7 +65,10 @@ class AccessTrace:
         return TraceSlice(self, lo, hi)
 
     def footprint(self) -> int:
-        return max(self.vpages) + 1 if self.vpages else 0
+        """Pages [0, max page] the trace spans, computed on the first call."""
+        if self._footprint is None:
+            self._footprint = max(self.vpages) + 1 if self.vpages else 0
+        return self._footprint
 
 
 class TraceSlice:
@@ -89,26 +109,30 @@ class TraceSlice:
 
 @dataclass
 class HotOracle:
-    """Per-interval ground-truth hot sets (pages accessed >= 2 times)."""
+    """Per-interval ground-truth hot sets (pages accessed >= 2 times).
 
-    hot_sets: list[set[int]] = field(default_factory=list)
+    `hot_sets[i]` is an array('q') of interval i's hot pages, each once, in
+    first-access order: 8 bytes a page, where a set of 8 192 pages takes
+    about 64 bytes a page.  `hot_pages` builds a fresh set on each call."""
+
+    hot_sets: list[array] = field(default_factory=list)
 
     @classmethod
     def from_trace(cls, trace: AccessTrace) -> "HotOracle":
-        return cls([{p for p, c in trace.interval_slice(i).page_counts().items()
-                     if c >= HOT_THRESHOLD_ACCESSES}
+        return cls([array("q", [p for p, c in trace.interval_slice(i).page_counts().items()
+                                if c >= HOT_THRESHOLD_ACCESSES])
                     for i in range(trace.num_intervals)])
 
     def hot_pages(self, interval_index: int) -> set[int]:
         if not 0 <= interval_index < len(self.hot_sets):
             raise IndexError(f"oracle interval {interval_index} out of range")
-        return self.hot_sets[interval_index]
+        return set(self.hot_sets[interval_index])
 
 
-def _round_robin(node_ids: list[int], start: int, count: int) -> list[int]:
+def _round_robin(node_ids: list[int], start: int, count: int) -> array:
     """The nodes of accesses start..start+count-1, taken round-robin."""
     k = start % len(node_ids)
-    turn = node_ids[k:] + node_ids[:k]
+    turn = array("H", node_ids[k:] + node_ids[:k])
     return (turn * (count // len(turn) + 1))[:count]
 
 
@@ -156,7 +180,7 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
     if init_pass:
         nodes += _round_robin(node_ids, len(vpages), footprint_pages)
         vpages += range(footprint_pages)
-        writes += [True] * footprint_pages
+        writes += bytearray(b"\x01") * footprint_pages
     chunk = rehash_every * footprint_pages if rehash_every else max(accesses, 1)
     for done in range(0, accesses, chunk):
         if hotset_layout == "scattered":
@@ -170,7 +194,7 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
         n = min(chunk, accesses - done)
         nodes += _round_robin(node_ids, len(vpages), n)
         _append_gups_draws(rng, vpages, hot, cold, hot_access_fraction, n)
-        writes += [True] * n  # GUPS performs updates
+        writes += bytearray(b"\x01") * n  # GUPS performs updates
 
 
 def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: float,
@@ -187,7 +211,7 @@ def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: 
     if not 0 < hot_access_fraction <= 1:
         raise WorkloadError("hot_access_fraction must be in (0, 1]")
     rng = random.Random(seed)
-    vpages, writes, node_col = [], [], []
+    vpages, writes, node_col = [], bytearray(), array("H")
     _emit_gups_block(rng, vpages, writes, node_col, footprint_pages, hotset_fraction,
                      hot_access_fraction, accesses, list(nodes) or [0],
                      hotset_layout, init_pass, rehash_hotset_every_n_passes)
@@ -210,7 +234,7 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
     """Concatenated GUPS blocks; each phase draws a fresh hotset."""
     if len(phases) < 2:
         raise WorkloadError("need at least 2 phases")
-    vpages, writes, node_col = [], [], []
+    vpages, writes, node_col = [], bytearray(), array("H")
     for i, ph in enumerate(phases):
         rng = random.Random(seed * 1000003 + i)
         _emit_gups_block(rng, vpages, writes, node_col, ph.footprint_pages,
@@ -226,14 +250,14 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
     if array_pages < 1:
         raise WorkloadError("array_pages must be >= 1")
     if kind == "read_only":
-        vpages, writes = list(range(array_pages)), [False] * array_pages
+        vpages, writes = list(range(array_pages)), bytearray(array_pages)
     elif kind == "half_read":
         vpages = [p for p in range(array_pages) for _ in (0, 1)]
-        writes = [False, True] * array_pages
+        writes = bytearray(b"\x00\x01") * array_pages
     elif kind == "write_only":
-        vpages, writes = list(range(array_pages)), [True] * array_pages
+        vpages, writes = list(range(array_pages)), bytearray(b"\x01") * array_pages
     else:
         raise WorkloadError(f"unknown microbench kind {kind!r}")
     vpages, writes = vpages * passes, writes * passes
     api = max(1, len(vpages)) if accesses_per_interval is None else accesses_per_interval
-    return AccessTrace(vpages, writes, [node] * len(vpages), api)
+    return AccessTrace(vpages, writes, array("H", [node]) * len(vpages), api)

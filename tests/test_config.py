@@ -84,6 +84,9 @@ REJECTED = {
     "bad-bool": (SMALL + "profiler.origin_sampling = maybe\n", RUN, {},
                  "profiler.origin_sampling"),
     "misspelt-topology-key": (SMALL + "topology.nodez = 1\n", RUN, {}, "topology.nodez"),
+    # a trace holds node ids in two bytes each
+    "node-negative": (SMALL + "topology.nodes = -1\n", RUN, {}, "topology.nodes"),
+    "node-too-large": (SMALL + "topology.nodes = 0, 65536\n", RUN, {}, "topology.nodes"),
     "retired-cost-field": (SMALL + "cost.inter_tier_factor = 2\n", RUN, {},
                            "cost.inter_tier_factor"),
     # the budget is measured from app time, not a nominal interval length

@@ -13,6 +13,9 @@ import pytest
 from tiersim import engine
 from tiersim.baselines import BASELINE_KINDS
 from tiersim.config import build_run_config, parse_config_text
+from tiersim.workload import AccessTrace, HotOracle
+
+from test_golden import files_under
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
 SMALL = GOLDEN / "small.cfg"
@@ -106,3 +109,25 @@ def test_detection_uses_the_configured_threshold(runs_of, system):
     rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
     assert all(oracle.hot_pages(row.interval) for row in rows)
     assert all(row.precision == 1.0 and row.recall == 0.0 for row in rows)
+
+
+def test_compare_twice_in_one_process_writes_the_same_bytes(tmp_path):
+    """Nothing one compare leaves behind in the process changes the next."""
+    tree = parse_config_text(CONFIGS["mid"])
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        engine.compare_systems(tree, "mid", list(BASELINE_KINDS), out_dir=out)
+    written = files_under(first)
+    assert {name.split("/")[0] for name in written} >= set(BASELINE_KINDS)
+    assert files_under(second) == written
+
+
+def test_list_columns_run_like_the_generated_trace(runs_of):
+    """A trace built from plain lists, as tests build them, and its oracle
+    give every system the rows of the generator's compact trace."""
+    trace, by_system = runs_of(CONFIGS["mid"])
+    plain = AccessTrace(list(trace.vpages), [bool(w) for w in trace.writes],
+                        list(trace.nodes), trace.accesses_per_interval)
+    oracle = HotOracle.from_trace(plain)
+    for name, (cfg, result) in by_system.items():
+        assert engine.run_simulation(cfg, trace=plain, oracle=oracle) == result, name

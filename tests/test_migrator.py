@@ -15,6 +15,8 @@ from tiersim.policy import Move
 from tiersim.profiler import Region
 from tiersim.workload import AccessTrace, gen_seq_microbench
 
+from test_memmodel import placed_bytes
+
 
 def make_space(num_pages=2048, caps=(4096, 4096, 4096), map_to="a"):
     ids = ["a", "b", "c"][:len(caps)]
@@ -181,9 +183,9 @@ class TestExecutePlan:
             space.map_page(p, "b")
         low, high = reg(0, 8, "a"), reg(8, 8, "b")
         moves = [Move(low, "a", "b", "demote"), Move(high, "b", "a", "promote")]
-        before = sum(space.placed_bytes().values())
+        before = sum(placed_bytes(space).values())
         execute_plan(space, moves, mode="sync")
-        placed = space.placed_bytes()
+        placed = placed_bytes(space)
         assert sum(placed.values()) == before
         for t in space.topology.tiers:
             assert 0 <= space.free[t.id] <= t.capacity_bytes
@@ -219,7 +221,7 @@ class TestExecutePlan:
         rng = random.Random(8)
         for _ in range(30):
             space = make_space(num_pages=64, caps=(128, 128, 128))
-            total = sum(space.placed_bytes().values())
+            total = sum(placed_bytes(space).values())
             moves = []
             start = 0
             while start < 64:
@@ -231,7 +233,7 @@ class TestExecutePlan:
             mode = rng.choice(["sync", "async", "adaptive"])
             events = [(rng.randrange(64), rng.random() < 0.3) for _ in range(300)]
             execute_plan(space, moves, mode=mode, next_slice=slice_of(*events))
-            assert sum(space.placed_bytes().values()) == total
+            assert sum(placed_bytes(space).values()) == total
 
 
 class TestProjectWriteTimes:

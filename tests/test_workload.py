@@ -79,7 +79,7 @@ class TestGups:
 
     def test_round_robin_node_assignment(self):
         trace, _ = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)
-        assert trace.nodes[:4] == [0, 1, 0, 1]
+        assert list(trace.nodes[:4]) == [0, 1, 0, 1]
 
     def test_init_pass_touches_every_page_once_first(self):
         trace, _ = gen_gups(32, 0.25, 0.8, 100, [0], seed=3, init_pass=True)
@@ -141,12 +141,12 @@ class TestMicrobench:
     def test_read_only_order(self):
         t = gen_seq_microbench("read_only", 3, passes=1)
         assert t.vpages == [0, 1, 2]
-        assert t.writes == [False, False, False]
+        assert list(t.writes) == [False, False, False]
 
     def test_half_read_pairs(self):
         t = gen_seq_microbench("half_read", 2, passes=1)
         assert t.vpages == [0, 0, 1, 1]
-        assert t.writes == [False, True, False, True]
+        assert list(t.writes) == [False, True, False, True]
 
     def test_write_only_sets_all_writes(self):
         t = gen_seq_microbench("write_only", 4, passes=2)
@@ -168,12 +168,14 @@ class TestSlice:
 
 
 def trace_digest(cases) -> str:
-    """sha256 over each (trace, oracle) case: the trace's columns and interval
-    length, then the oracle's hot sets when there is an oracle."""
+    """sha256 over each (trace, oracle) case: the trace's columns as lists
+    (writes as bools) and interval length, then the oracle's hot sets when
+    there is an oracle.  These reprs are the ones of the list columns the
+    generators first built, so the recorded digests still hold."""
     h = hashlib.sha256()
     for trace, oracle in cases:
-        h.update(repr((trace.vpages, trace.writes, trace.nodes,
-                       trace.accesses_per_interval)).encode())
+        h.update(repr((list(trace.vpages), [bool(w) for w in trace.writes],
+                       list(trace.nodes), trace.accesses_per_interval)).encode())
         if oracle is not None:
             h.update(repr([sorted(s) for s in oracle.hot_sets]).encode())
     return h.hexdigest()

@@ -104,8 +104,8 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
             result.migration_rows.extend(migrator.report_rows(i, reports))
             result.plan_rows.extend(policy.plan_rows(i, moves))
 
-        oracle_set = oracle.hot_pages(i) if oracle is not None else set()
-        rec, prec = metrics.recall_precision(detected, oracle_set)
+        hot = oracle.hot_sets[i] if oracle is not None else ()
+        rec, prec = metrics.recall_precision(detected, hot)
         merges, splits = system.struct_counts()
         row = IntervalMetrics(
             interval=i, recall=rec, precision=prec,

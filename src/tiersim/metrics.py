@@ -1,6 +1,7 @@
 """Profiling-quality and cost metrics against the oracle and ledgers."""
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .profiler import Region
@@ -29,9 +30,11 @@ def detect_hot_pages(regions: list[Region], threshold: float) -> set[int]:
     return hot
 
 
-def recall_precision(detected: set[int], oracle_set: set[int]) -> tuple[float, float]:
-    correct = len(detected & oracle_set)
-    recall = correct / len(oracle_set) if oracle_set else 1.0
+def recall_precision(detected: set[int], hot: Collection[int]) -> tuple[float, float]:
+    """Recall and precision of `detected` against `hot`, the oracle's
+    distinct hot pages in any collection (the engine passes its array)."""
+    correct = len(detected.intersection(hot))
+    recall = correct / len(hot) if hot else 1.0
     precision = correct / len(detected) if detected else 1.0
     return recall, precision
 

@@ -5,9 +5,12 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 HOT_THRESHOLD_ACCESSES = 2  # a page is hot in an interval iff accessed >= 2 times
 NODE_ID_LIMIT = 1 << 16  # node ids are 0..65535, what the array('H') column holds
+PAGE_LIMIT = 1 << 32  # pages are 0..2**32 - 1, what the array('I') column holds
+GUPS_DRAW_CHUNK = 16384  # GUPS draws gathered in a list before they join the column
 
 
 class WorkloadError(Exception):
@@ -18,27 +21,30 @@ class AccessTrace:
     """Time-ordered access stream, stored column-wise for cheap replay.
     A trace is never written after construction.
 
-    - `vpages` is a list of ints.  An array('i') would hold 4 bytes an
-      access instead of an 8-byte pointer, but the GUPS draw loop appends
-      to it one page at a time: under cProfile on `gups-big.cfg`,
-      `array.append` took 0.133 s against `list.append`'s 0.067 s, and the
-      oracle's `Counter` would box every page it reads back.  Setup in a
-      fresh process rose by 14% on `gups-big.cfg` and 17-60% on
-      `gups-mid.cfg`, so it stays a list.
+    - `vpages` is an array('I') of pages, four bytes per access, where a
+      list would hold an 8-byte pointer per access plus a boxed int per
+      distinct page.  Replay and `Counter` box each page as they read it:
+      a bare `zip` loop over an array slice costs up to about 10 ns an
+      access more than over a list slice, small beside replay's ~1 us.
     - `writes` is a bytearray of 0/1, one byte per access.
     - `nodes` is an array('H') of accessor node ids, two bytes per access.
 
-    The generators build `writes` and `nodes` in those types; list columns
-    (as tests write them) are converted here."""
+    The generators build every column in its type, never as a full-length
+    list.  Columns of other types (tests pass lists) are converted here, and
+    the page conversion rejects a page outside 0..2**32 - 1."""
 
-    def __init__(self, vpages: list[int], writes: bytearray | list[bool],
+    def __init__(self, vpages: array | list[int], writes: bytearray | list[bool],
                  nodes: array | list[int], accesses_per_interval: int):
         if not (len(vpages) == len(writes) == len(nodes)):
             raise WorkloadError("trace columns must have equal length")
         if accesses_per_interval < 1:
             raise WorkloadError("accesses_per_interval must be >= 1")
-        if vpages and min(vpages) < 0:
-            raise WorkloadError("trace pages must be >= 0")
+        if not (isinstance(vpages, array) and vpages.typecode == "I"):
+            try:
+                vpages = array("I", vpages)
+            except OverflowError as exc:
+                raise WorkloadError(f"trace pages must be in 0..{PAGE_LIMIT - 1}: "
+                                    f"{exc}") from None
         self.vpages = vpages
         self.writes = writes if isinstance(writes, bytearray) else bytearray(writes)
         self.nodes = nodes if isinstance(nodes, array) else array("H", nodes)
@@ -111,15 +117,16 @@ class TraceSlice:
 class HotOracle:
     """Per-interval ground-truth hot sets (pages accessed >= 2 times).
 
-    `hot_sets[i]` is an array('q') of interval i's hot pages, each once, in
-    first-access order: 8 bytes a page, where a set of 8 192 pages takes
-    about 64 bytes a page.  `hot_pages` builds a fresh set on each call."""
+    `hot_sets[i]` is an array('I') of interval i's hot pages, each once, in
+    first-access order: 4 bytes a page, where a set of 8 192 pages takes
+    about 64 bytes a page.  The engine scores against the array itself;
+    `hot_pages` builds a fresh set on each call."""
 
     hot_sets: list[array] = field(default_factory=list)
 
     @classmethod
     def from_trace(cls, trace: AccessTrace) -> "HotOracle":
-        return cls([array("q", [p for p, c in trace.interval_slice(i).page_counts().items()
+        return cls([array("I", [p for p, c in trace.interval_slice(i).page_counts().items()
                                 if c >= HOT_THRESHOLD_ACCESSES])
                     for i in range(trace.num_intervals)])
 
@@ -156,6 +163,19 @@ def _append_gups_draws(rng: random.Random, vpages: list[int], hot: list[int],
             append(cold[r])
 
 
+def _draw_gups_pages(rng: random.Random, vpages: array, hot: list[int],
+                     cold: list[int], hot_access_fraction: float, count: int) -> None:
+    """Append `count` GUPS accesses to the page column, `GUPS_DRAW_CHUNK` at a
+    time: `_append_gups_draws` fills a list, which `fromlist` moves into the
+    column.  Appending each draw to the array was slower than to a list, and
+    a bounded chunk keeps a full-length list from ever existing."""
+    for done in range(0, count, GUPS_DRAW_CHUNK):
+        chunk: list[int] = []
+        _append_gups_draws(rng, chunk, hot, cold, hot_access_fraction,
+                           min(GUPS_DRAW_CHUNK, count - done))
+        vpages.fromlist(chunk)
+
+
 def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
                      footprint_pages: int, hotset_fraction: float,
                      hot_access_fraction: float, accesses: int,
@@ -171,18 +191,23 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
     `r >= n`.  This consumes the Mersenne Twister word for word as
     `choice(hot)` / `choice(cold)` does on CPython >= 3.10, so traces are
     unchanged.  `tests/test_workload.py`'s pinned trace digests and its
-    differential test against `Random.choice` guard this."""
+    differential tests against `Random.choice` guard this."""
     if footprint_pages < 2:
         raise WorkloadError("a GUPS footprint needs a hot and a cold page")
+    if footprint_pages > PAGE_LIMIT:
+        raise WorkloadError(f"footprint_pages must be <= {PAGE_LIMIT}, "
+                            f"the pages a trace can hold")
     if rehash_every < 0:
         raise WorkloadError("rehash_hotset_every_n_passes must be >= 0")
     hot_count = min(footprint_pages - 1, max(1, round(footprint_pages * hotset_fraction)))
     if init_pass:
         nodes += _round_robin(node_ids, len(vpages), footprint_pages)
-        vpages += range(footprint_pages)
+        vpages.extend(range(footprint_pages))
         writes += bytearray(b"\x01") * footprint_pages
     chunk = rehash_every * footprint_pages if rehash_every else max(accesses, 1)
     for done in range(0, accesses, chunk):
+        # The pools stay lists: a draw from a list reuses the pool's int,
+        # where indexing an array would box a new one for every draw.
         if hotset_layout == "scattered":
             hot = sorted(rng.sample(range(footprint_pages), hot_count))
             hs = set(hot)
@@ -193,7 +218,7 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
             cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
         n = min(chunk, accesses - done)
         nodes += _round_robin(node_ids, len(vpages), n)
-        _append_gups_draws(rng, vpages, hot, cold, hot_access_fraction, n)
+        _draw_gups_pages(rng, vpages, hot, cold, hot_access_fraction, n)
         writes += bytearray(b"\x01") * n  # GUPS performs updates
 
 
@@ -211,7 +236,7 @@ def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: 
     if not 0 < hot_access_fraction <= 1:
         raise WorkloadError("hot_access_fraction must be in (0, 1]")
     rng = random.Random(seed)
-    vpages, writes, node_col = [], bytearray(), array("H")
+    vpages, writes, node_col = array("I"), bytearray(), array("H")
     _emit_gups_block(rng, vpages, writes, node_col, footprint_pages, hotset_fraction,
                      hot_access_fraction, accesses, list(nodes) or [0],
                      hotset_layout, init_pass, rehash_hotset_every_n_passes)
@@ -234,7 +259,7 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
     """Concatenated GUPS blocks; each phase draws a fresh hotset."""
     if len(phases) < 2:
         raise WorkloadError("need at least 2 phases")
-    vpages, writes, node_col = [], bytearray(), array("H")
+    vpages, writes, node_col = array("I"), bytearray(), array("H")
     for i, ph in enumerate(phases):
         rng = random.Random(seed * 1000003 + i)
         _emit_gups_block(rng, vpages, writes, node_col, ph.footprint_pages,
@@ -249,13 +274,17 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
     """Sequential microbenchmarks used to exercise migration mechanisms."""
     if array_pages < 1:
         raise WorkloadError("array_pages must be >= 1")
+    if array_pages > PAGE_LIMIT:
+        raise WorkloadError(f"array_pages must be <= {PAGE_LIMIT}, "
+                            f"the pages a trace can hold")
+    pages = range(array_pages)
     if kind == "read_only":
-        vpages, writes = list(range(array_pages)), bytearray(array_pages)
+        vpages, writes = array("I", pages), bytearray(array_pages)
     elif kind == "half_read":
-        vpages = [p for p in range(array_pages) for _ in (0, 1)]
+        vpages = array("I", chain.from_iterable(zip(pages, pages)))
         writes = bytearray(b"\x00\x01") * array_pages
     elif kind == "write_only":
-        vpages, writes = list(range(array_pages)), bytearray(b"\x01") * array_pages
+        vpages, writes = array("I", pages), bytearray(b"\x01") * array_pages
     else:
         raise WorkloadError(f"unknown microbench kind {kind!r}")
     vpages, writes = vpages * passes, writes * passes

@@ -1,0 +1,108 @@
+"""Reach audit: the function-body lines of `src/tiersim` that no committed
+config runs.
+
+    python tests/reach.py
+
+Runs `tiersim compare` under the stdlib line tracer (`trace.Trace(count=1)`)
+on every committed config: all six systems on each golden config, the four
+baselines on `gups-mid.cfg`, and first-touch and mtm on `gups-big.cfg` and
+`seq-rw-big.cfg`.  It then prints one line per run of unexecuted statements:
+the module, the first and last statement line, the enclosing function and
+the first statement's source, so that lists from two versions can be
+diffed by everything after the line numbers.  A statement counts as run
+when its first line ran.  pytest does not collect this file; the audit
+takes about 70 s.
+"""
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import sys
+import tempfile
+import trace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from tiersim import cli  # noqa: E402
+from tiersim.baselines import BASELINE_KINDS  # noqa: E402
+
+PACKAGE = ROOT / "src" / "tiersim"
+GOLDEN = ROOT / "tests" / "golden" / "configs"
+BENCH = ROOT / "bench" / "configs"
+RUNS = [(path, BASELINE_KINDS) for path in sorted(GOLDEN.glob("*.cfg"))] + [
+    (BENCH / "gups-mid.cfg", ("first-touch", "autonuma", "thermostat", "damon")),
+    (BENCH / "gups-big.cfg", ("first-touch", "mtm")),
+    (BENCH / "seq-rw-big.cfg", ("first-touch", "mtm")),
+]
+
+
+def body_statements(tree: ast.Module) -> dict[int, str]:
+    """First line of every statement inside a function body, mapped to the
+    qualified name of the innermost function; docstrings excluded."""
+    lines: dict[int, str] = {}
+
+    def visit(node: ast.AST, scope: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if in_function:
+                    lines[child.lineno] = scope
+                inner = f"{scope}.{child.name}" if scope else child.name
+                visit(child, inner, in_function or not isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.stmt) and in_function and not (
+                    isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)
+                    and isinstance(child.value.value, str)):
+                lines[child.lineno] = scope
+            visit(child, scope, in_function)
+
+    visit(tree, "", False)
+    return lines
+
+
+def run_all() -> dict[tuple[str, int], int]:
+    tracer = trace.Trace(count=1, trace=0,
+                         ignoredirs=[sys.prefix, sys.exec_prefix,
+                                     sys.base_prefix, sys.base_exec_prefix])
+    with tempfile.TemporaryDirectory() as out:
+        for path, systems in RUNS:
+            argv = ["compare", "-c", str(path), "--systems", ",".join(systems),
+                    "--out", str(Path(out) / path.stem)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = tracer.runfunc(cli.main, argv)
+            if code != cli.EXIT_OK:
+                raise SystemExit(f"reach: compare on {path.name} exited with {code}")
+    return tracer.results().counts
+
+
+def unreached(counts: dict[tuple[str, int], int]) -> list[str]:
+    ran = {(Path(f).resolve(), line) for f, line in counts}
+    report = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        source = module.read_text()
+        text = source.splitlines()
+        statements = body_statements(ast.parse(source))
+        run: list[int] = []
+        for line in sorted(statements) + [None]:
+            if line is not None and (module, line) not in ran and (
+                    not run or statements[run[0]] == statements[line]):
+                run.append(line)
+                continue
+            if run:
+                span = f"{run[0]}" if len(run) == 1 else f"{run[0]}-{run[-1]}"
+                report.append(f"{module.name}:{span} {statements[run[0]]}: "
+                              f"{text[run[0] - 1].strip()}")
+            run = [line] if line is not None and (module, line) not in ran else []
+    return report
+
+
+def main() -> int:
+    for line in unreached(run_all()):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

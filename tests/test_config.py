@@ -66,6 +66,12 @@ REJECTED = {
                              "workload: accesses_per_interval"),
     "microbench-foreign-node": (SMALL + "workload.kind = microbench\nworkload.node = 5\n",
                                 RUN, {}, "workload.node"),
+    # a trace holds pages in four bytes each; the bad rehash value is checked
+    # after the footprint, so without the page check this row fails at once
+    # instead of building a 2**32-page pool
+    "footprint-too-large": (SMALL + "workload.footprint_pages = 4294967297\n"
+                            "workload.rehash_hotset_every_n_passes = -1\n", TRACE, {},
+                            "workload: footprint_pages"),
     "microbench-interval-length-zero": (
         SMALL + "workload.kind = microbench\nworkload.accesses_per_interval = 0\n",
         TRACE, {}, "workload: accesses_per_interval"),

@@ -1,13 +1,17 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
+from tiersim.metrics import recall_precision
 from tiersim.workload import (
-    AccessTrace, GupsPhase, HotOracle, WorkloadError, _append_gups_draws,
-    gen_gups, gen_phase_change, gen_seq_microbench,
+    GUPS_DRAW_CHUNK, PAGE_LIMIT, AccessTrace, GupsPhase, HotOracle, WorkloadError,
+    _append_gups_draws, _draw_gups_pages, gen_gups, gen_phase_change,
+    gen_seq_microbench,
 )
 
 
@@ -64,6 +68,10 @@ class TestGups:
             gen_gups(16, 0.2, 0.8, 0, [0], seed=1)
         with pytest.raises(WorkloadError):
             gen_gups(16, 1.2, 0.8, 100, [0], seed=1)
+        with pytest.raises(WorkloadError, match="footprint_pages"):
+            # rehash -1 is checked after the footprint: fails fast if it is not
+            gen_gups(PAGE_LIMIT + 1, 0.2, 0.8, 100, [0], seed=1,
+                     rehash_hotset_every_n_passes=-1)
 
     @pytest.mark.parametrize("n_hot", DRAW_LENGTHS)
     def test_draw_matches_random_choice(self, n_hot):
@@ -77,13 +85,25 @@ class TestGups:
             assert pages == choice_reference(ref, hot, cold, 0.5, 600), n_cold
             assert got.random() == ref.random(), n_cold
 
+    def test_chunked_draw_matches_random_choice(self):
+        """A draw over several chunks, the last one partial, puts the pages
+        `Random.choice` picks into the column and leaves the generator where
+        `Random.choice` leaves it."""
+        count = 2 * GUPS_DRAW_CHUNK + 1234
+        hot, cold = list(range(100, 163)), list(range(5000, 6025))
+        got, ref = random.Random(23), random.Random(23)
+        pages = array("I")
+        _draw_gups_pages(got, pages, hot, cold, 0.7, count)
+        assert list(pages) == choice_reference(ref, hot, cold, 0.7, count)
+        assert got.random() == ref.random()
+
     def test_round_robin_node_assignment(self):
         trace, _ = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)
         assert list(trace.nodes[:4]) == [0, 1, 0, 1]
 
     def test_init_pass_touches_every_page_once_first(self):
         trace, _ = gen_gups(32, 0.25, 0.8, 100, [0], seed=3, init_pass=True)
-        assert trace.vpages[:32] == list(range(32))
+        assert list(trace.vpages[:32]) == list(range(32))
         assert len(trace) == 132
 
 
@@ -108,6 +128,22 @@ class TestOracle:
     def test_negative_page_rejected(self):
         with pytest.raises(WorkloadError):
             AccessTrace([0, -1], [False] * 2, [0] * 2, accesses_per_interval=2)
+        with pytest.raises(WorkloadError):
+            AccessTrace(array("q", [0, -1]), [False] * 2, [0] * 2, accesses_per_interval=2)
+
+    def test_page_beyond_four_bytes_rejected(self):
+        with pytest.raises(WorkloadError, match="0..4294967295"):
+            AccessTrace([0, PAGE_LIMIT], [False] * 2, [0] * 2, accesses_per_interval=2)
+        top = AccessTrace([PAGE_LIMIT - 1], [False], [0], accesses_per_interval=1)
+        assert top.footprint() == PAGE_LIMIT
+
+    def test_scoring_the_array_matches_the_set(self):
+        _, oracle = gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
+                             accesses_per_interval=500)
+        for i, hot in enumerate(oracle.hot_sets):
+            for detected in (set(), set(hot), set(range(0, 256, 3)), {999}):
+                assert (recall_precision(detected, hot)
+                        == recall_precision(detected, oracle.hot_pages(i)))
 
     def test_empty_interval_empty_set(self):
         trace = AccessTrace([], [], [], accesses_per_interval=4)
@@ -140,12 +176,12 @@ class TestPhaseChange:
 class TestMicrobench:
     def test_read_only_order(self):
         t = gen_seq_microbench("read_only", 3, passes=1)
-        assert t.vpages == [0, 1, 2]
+        assert list(t.vpages) == [0, 1, 2]
         assert list(t.writes) == [False, False, False]
 
     def test_half_read_pairs(self):
         t = gen_seq_microbench("half_read", 2, passes=1)
-        assert t.vpages == [0, 0, 1, 1]
+        assert list(t.vpages) == [0, 0, 1, 1]
         assert list(t.writes) == [False, True, False, True]
 
     def test_write_only_sets_all_writes(self):
@@ -157,6 +193,11 @@ class TestMicrobench:
         with pytest.raises(WorkloadError):
             gen_seq_microbench("mixed", 4, passes=1)
 
+    def test_rejects_more_pages_than_the_column_holds(self):
+        # the kind is checked after the pages: fails fast if they are not
+        with pytest.raises(WorkloadError, match="array_pages"):
+            gen_seq_microbench("mixed", PAGE_LIMIT + 1, passes=1)
+
 
 class TestSlice:
     def test_head_fraction_stays_inside_the_slice(self):
@@ -165,6 +206,30 @@ class TestSlice:
         assert [v for v, _, _ in second.head_fraction(0.5).events()] == [4, 5]
         assert [v for v, _, _ in second.head_fraction(3.0).events()] == [4, 5, 6, 7]
         assert len(second.head_fraction(-1.0)) == 0
+
+
+def half_read_big():
+    trace = gen_seq_microbench("half_read", 32768, 8, accesses_per_interval=16384)
+    return trace, HotOracle.from_trace(trace)
+
+
+def gups_big():
+    return gen_gups(65536, 0.2, 0.8, 524288, [0], seed=1, accesses_per_interval=65536)
+
+
+@pytest.mark.parametrize("build", [half_read_big, gups_big], ids=["half_read", "gups"])
+def test_trace_and_oracle_hold_at_most_ten_bytes_an_access(build):
+    """The traces of `seq-rw-big.cfg` and `gups-big.cfg` with their oracles
+    keep at most 10 bytes allocated an access: 7 bytes of columns plus 4 a
+    hot page.  A list page column alone would add an 8-byte pointer."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace, oracle = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(trace) <= 10, held / len(trace)
 
 
 def trace_digest(cases) -> str:

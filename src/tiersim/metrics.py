@@ -33,7 +33,7 @@ def detect_hot_pages(regions: list[Region], threshold: float) -> set[int]:
 def recall_precision(detected: set[int], hot: Collection[int]) -> tuple[float, float]:
     """Recall and precision of `detected` against `hot`, the oracle's
     distinct hot pages in any collection (the engine passes its array)."""
-    correct = len(detected.intersection(hot))
+    correct = len(detected.intersection(hot)) if detected else 0
     recall = correct / len(hot) if hot else 1.0
     precision = correct / len(detected) if detected else 1.0
     return recall, precision

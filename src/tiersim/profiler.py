@@ -296,33 +296,6 @@ def rebalance_to_budget(regions: list[Region], num_ps: int,
         redistribute_quota(regions, -excess, rng)
 
 
-def enforce_budget(regions: list[Region], num_ps: int, cfg: ProfilerConfig,
-                   rng: random.Random) -> tuple[list[Region], int, bool]:
-    """Escalate the merge threshold until the region count fits the budget.
-
-    tau1 rises one count unit per round, capped at tau2 - 1; the caller's
-    configured tau1 is untouched (it applies again next interval).  Returns
-    (regions, extra merges, coarsen_flag); the flag asks the caller to double
-    the slowest-tier region granularity.
-    """
-    merges = 0
-    if len(regions) <= num_ps:
-        return regions, merges, False
-    tau1 = cfg.tau1
-    cap = cfg.tau2 - 1.0
-    while len(regions) > num_ps and tau1 < cap:
-        tau1 = min(cap, tau1 + 1.0)
-        regions, saved = merge_pass(regions, tau1)
-        if saved:
-            merges += 1
-        redistribute_quota(regions, saved, rng)
-    coarsen = len(regions) > num_ps
-    if coarsen:
-        log.warning("budget escalation exhausted: %d regions > %d samples; "
-                    "coarsening slowest-tier region granularity", len(regions), num_ps)
-    return regions, merges, coarsen
-
-
 def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
                         cfg: ProfilerConfig) -> list[int]:
     """Counter-sampled pages: every pebs_sample_period-th access that lands in
@@ -351,7 +324,6 @@ class Profiler:
         self.num_ps = 0  # samples per scan round; set from measured app time
         self.regions: list[Region] = []
         self.active_ids: set[int] = set()
-        self.slowest_region_pages = cfg.default_region_pages
         self.merges = 0  # running totals, never reset
         self.splits = 0
         self.initialized = False
@@ -384,10 +356,6 @@ class Profiler:
             i += 1
             if i >= len(regions) and all(r.quota >= r.len_pages for r in regions):
                 break
-        regions, extra, coarsen = enforce_budget(regions, self.num_ps, cfg, self.rng)
-        self.merges += extra
-        if coarsen:
-            self.slowest_region_pages *= 2
         self.regions = regions
         self.active_ids = {r.id for r in self.regions}
         self.initialized = True
@@ -398,7 +366,7 @@ class Profiler:
         the page is the region's first sample."""
         space = self.space
         slowest = space.topology.slowest_tier
-        window = self.slowest_region_pages
+        window = self.cfg.default_region_pages
         new: dict[int, Region] = {}
         for page in pages:
             if any(r.contains(page) for r in covered) or \
@@ -533,17 +501,13 @@ class Profiler:
         return scans
 
     def end_interval(self) -> None:
-        """Merge, split, enforce the budget, then rebalance the quotas to it
-        (which hands out any spare samples)."""
+        """Merge, split, then rebalance the quotas to the budget (which
+        hands out any spare samples)."""
         cfg = self.cfg
         regions, saved = merge_pass(self.regions, cfg.tau1)
         self.merges += len(self.regions) - len(regions)
         regions, saved, splits = split_pass(regions, cfg.tau2, self.rng, saved)
         self.splits += splits
-        regions, extra, coarsen = enforce_budget(regions, self.num_ps, cfg, self.rng)
-        self.merges += extra
-        if coarsen:
-            self.slowest_region_pages *= 2
         rebalance_to_budget(regions, self.num_ps, self.rng)
         self.regions = regions
 

@@ -119,8 +119,7 @@ class HotOracle:
 
     `hot_sets[i]` is an array('I') of interval i's hot pages, each once, in
     first-access order: 4 bytes a page, where a set of 8 192 pages takes
-    about 64 bytes a page.  The engine scores against the array itself;
-    `hot_pages` builds a fresh set on each call."""
+    about 64 bytes a page.  The engine scores against the array itself."""
 
     hot_sets: list[array] = field(default_factory=list)
 
@@ -129,11 +128,6 @@ class HotOracle:
         return cls([array("I", [p for p, c in trace.interval_slice(i).page_counts().items()
                                 if c >= HOT_THRESHOLD_ACCESSES])
                     for i in range(trace.num_intervals)])
-
-    def hot_pages(self, interval_index: int) -> set[int]:
-        if not 0 <= interval_index < len(self.hot_sets):
-            raise IndexError(f"oracle interval {interval_index} out of range")
-        return set(self.hot_sets[interval_index])
 
 
 def _round_robin(node_ids: list[int], start: int, count: int) -> array:

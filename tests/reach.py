@@ -3,15 +3,16 @@ config runs.
 
     python tests/reach.py
 
-Runs `tiersim compare` under the stdlib line tracer (`trace.Trace(count=1)`)
-on every committed config: all six systems on each golden config, the four
-baselines on `gups-mid.cfg`, and first-touch and mtm on `gups-big.cfg` and
-`seq-rw-big.cfg`.  It then prints one line per run of unexecuted statements:
-the module, the first and last statement line, the enclosing function and
-the first statement's source, so that lists from two versions can be
-diffed by everything after the line numbers.  A statement counts as run
-when its first line ran.  pytest does not collect this file; the audit
-takes about 70 s.
+Runs the CLI under the stdlib line tracer (`trace.Trace(count=1)`) on every
+committed config: each golden case of `test_golden.CASES`, sweeps included,
+with the arguments `test_golden.argv_for` gives it; then `tiersim compare`
+with the four baselines on `gups-mid.cfg`, and with first-touch and mtm on
+`gups-big.cfg` and `seq-rw-big.cfg`.  It then prints one line per run of
+unexecuted statements: the module, the first and last statement line, the
+enclosing function and the first statement's source, so that lists from
+two versions can be diffed by everything after the line numbers.  A
+statement counts as run when its first line ran.  pytest does not collect
+this file; the audit takes about 70 s.
 """
 from __future__ import annotations
 
@@ -26,13 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import test_golden  # noqa: E402  (a script's own directory is on sys.path)
 from tiersim import cli  # noqa: E402
-from tiersim.baselines import BASELINE_KINDS  # noqa: E402
 
 PACKAGE = ROOT / "src" / "tiersim"
-GOLDEN = ROOT / "tests" / "golden" / "configs"
 BENCH = ROOT / "bench" / "configs"
-RUNS = [(path, BASELINE_KINDS) for path in sorted(GOLDEN.glob("*.cfg"))] + [
+BENCH_RUNS = [
     (BENCH / "gups-mid.cfg", ("first-touch", "autonuma", "thermostat", "damon")),
     (BENCH / "gups-big.cfg", ("first-touch", "mtm")),
     (BENCH / "seq-rw-big.cfg", ("first-touch", "mtm")),
@@ -66,14 +66,18 @@ def run_all() -> dict[tuple[str, int], int]:
     tracer = trace.Trace(count=1, trace=0,
                          ignoredirs=[sys.prefix, sys.exec_prefix,
                                      sys.base_prefix, sys.base_exec_prefix])
-    with tempfile.TemporaryDirectory() as out:
-        for path, systems in RUNS:
-            argv = ["compare", "-c", str(path), "--systems", ",".join(systems),
-                    "--out", str(Path(out) / path.stem)]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        runs = [(case, test_golden.argv_for(case, work, work / case))
+                for case in sorted(test_golden.CASES)]
+        runs += [(path.name, ["compare", "-c", str(path), "--systems", ",".join(systems),
+                              "--out", str(work / path.stem)])
+                 for path, systems in BENCH_RUNS]
+        for name, argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = tracer.runfunc(cli.main, argv)
             if code != cli.EXIT_OK:
-                raise SystemExit(f"reach: compare on {path.name} exited with {code}")
+                raise SystemExit(f"reach: {argv[0]} on {name} exited with {code}")
     return tracer.results().counts
 
 

@@ -107,7 +107,7 @@ def test_detection_uses_the_configured_threshold(runs_of, system):
         "system": system, "detect_threshold": cfg.profiler.num_scans + 1})
     trace, oracle = engine.build_trace(cfg)
     rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
-    assert all(oracle.hot_pages(row.interval) for row in rows)
+    assert all(set(oracle.hot_sets[row.interval]) for row in rows)
     assert all(row.precision == 1.0 and row.recall == 0.0 for row in rows)
 
 

@@ -10,7 +10,7 @@ from tiersim.memmodel import (
 )
 from tiersim.profiler import (
     Profiler, ProfilerConfig, Region, _top_up_samples, _unsampled_pages,
-    compute_budget, effective_scan_cost, enforce_budget, merge_pass,
+    compute_budget, effective_scan_cost, merge_pass,
     redistribute_quota, sample_origin, split_pass, total_quota,
 )
 from tiersim.workload import AccessTrace
@@ -205,37 +205,6 @@ class TestRedistribute:
         regs = self._five()
         assert redistribute_quota(regs, 0, random.Random(1)) == 0
         assert [r.quota for r in regs] == [1] * 5
-
-
-class TestEnforceBudget:
-    def cfg(self, **kw):
-        return ProfilerConfig(overhead_constraint=0.05, num_scans=6,
-                              **kw)  # tau1=2, tau2=4 -> cap=3
-
-    def test_under_budget_untouched(self):
-        cfg = self.cfg()
-        regs = [region(i * 8, 8, hi=float(i % 3)) for i in range(4)]
-        out, merges, coarsen = enforce_budget(regs, 10, cfg, random.Random(1))
-        assert len(out) == 4 and merges == 0 and not coarsen
-
-    def test_escalation_merges_down(self):
-        cfg = self.cfg()
-        # neighbours differ by 2.5: beyond tau1=2, within escalated tau1=3
-        regs = [region(i * 8, 8, quota=1, hi=(2.5 if i % 2 else 0.0))
-                for i in range(8)]
-        out, merges, coarsen = enforce_budget(regs, 4, cfg, random.Random(1))
-        assert len(out) <= 4
-        assert not coarsen
-        assert cfg.tau1 == 2.0  # configured value untouched for next interval
-
-    def test_adversarial_spread_hits_cap_and_warns(self, caplog):
-        cfg = self.cfg()
-        regs = [region(i * 8, 8, quota=1, hi=(6.0 if i % 2 else 0.0))
-                for i in range(8)]
-        with caplog.at_level(logging.WARNING):
-            out, _, coarsen = enforce_budget(regs, 4, cfg, random.Random(1))
-        assert coarsen
-        assert any("coarsening" in rec.message for rec in caplog.records)
 
 
 def interval_trace(page_hits: dict[int, list[int]], num_scans=3, filler_page=0):
@@ -450,6 +419,24 @@ class TestPebsAssist:
         assert new
         assert all(prof.regions and any(r.id == nid and r.tier == "slow"
                                         for r in prof.regions) for nid in new)
+
+    def test_over_budget_start_keeps_the_nomination_window(self):
+        """Regions outnumbering samples do not widen a nominated region
+        beyond default_region_pages, however long its slowest-tier run."""
+        space = two_tier_space(num_pages=128, period=1)
+        for p in range(64):
+            space.map_page(p, "fast")
+        for p in range(64, 128):
+            space.map_page(p, "slow")
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=16, pebs_window_fraction=1.0)
+        prof = Profiler(cfg, space, seed=1)
+        prof.init_regions(trace_of(list(range(64))).interval_slice(0), app_time=120)
+        assert len(prof.regions) == 4 > prof.num_ps == 2
+        prof.select_active(trace_of([70]).interval_slice(0))
+        nominated = [r for r in prof.regions if r.contains(70)]
+        assert [(r.start_page, r.len_pages, r.tier) for r in nominated] == \
+            [(64, 16, "slow")]
 
     def test_matching_samples_keep_selection(self):
         prof = self.setup_profiler()

@@ -48,7 +48,7 @@ class TestGups:
         target = trace.vpages[0]
         assert all(p == target for p in trace.vpages)
         for i in range(trace.num_intervals):
-            assert oracle.hot_pages(i) == {target}
+            assert set(oracle.hot_sets[i]) == {target}
 
     def test_fixed_seed_reproduces_trace(self):
         a, _ = gen_gups(512, 0.2, 0.8, 5000, [0, 1], seed=42)
@@ -112,18 +112,12 @@ class TestOracle:
         trace, oracle = gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
                                  accesses_per_interval=500)
         for i in range(trace.num_intervals):
-            assert oracle.hot_pages(i) == brute_force_hot(trace, i)
-
-    def test_out_of_range_interval(self):
-        trace, oracle = gen_gups(64, 0.2, 0.8, 100, [0], seed=1,
-                                 accesses_per_interval=50)
-        with pytest.raises(IndexError):
-            oracle.hot_pages(trace.num_intervals)
+            assert set(oracle.hot_sets[i]) == brute_force_hot(trace, i)
 
     def test_single_access_page_excluded(self):
         trace = AccessTrace([1, 2, 2], [False] * 3, [0] * 3, accesses_per_interval=3)
         oracle = HotOracle.from_trace(trace)
-        assert oracle.hot_pages(0) == {2}
+        assert set(oracle.hot_sets[0]) == {2}
 
     def test_negative_page_rejected(self):
         with pytest.raises(WorkloadError):
@@ -140,10 +134,12 @@ class TestOracle:
     def test_scoring_the_array_matches_the_set(self):
         _, oracle = gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
                              accesses_per_interval=500)
-        for i, hot in enumerate(oracle.hot_sets):
+        for hot in oracle.hot_sets:
             for detected in (set(), set(hot), set(range(0, 256, 3)), {999}):
                 assert (recall_precision(detected, hot)
-                        == recall_precision(detected, oracle.hot_pages(i)))
+                        == recall_precision(detected, set(hot)))
+            # nothing detected: no page is correct, and precision is vacuous
+            assert hot and recall_precision(set(), hot) == (0.0, 1.0)
 
     def test_empty_interval_empty_set(self):
         trace = AccessTrace([], [], [], accesses_per_interval=4)
@@ -157,8 +153,8 @@ class TestPhaseChange:
         trace, oracle = gen_phase_change(phases, seed=1, nodes=[0],
                                          accesses_per_interval=1024)
         # hot sets inside one phase are stable; across phases they differ
-        first = oracle.hot_pages(0)
-        fifth = oracle.hot_pages(4)
+        first = set(oracle.hot_sets[0])
+        fifth = set(oracle.hot_sets[4])
         assert first != fifth
 
     def test_mid_interval_boundary_oracle_from_actual_counts(self):
@@ -166,7 +162,7 @@ class TestPhaseChange:
         trace, oracle = gen_phase_change(phases, seed=1, nodes=[0],
                                          accesses_per_interval=200)
         # interval 1 spans the boundary at access 300
-        assert oracle.hot_pages(1) == brute_force_hot(trace, 1)
+        assert set(oracle.hot_sets[1]) == brute_force_hot(trace, 1)
 
     def test_requires_two_phases(self):
         with pytest.raises(WorkloadError):

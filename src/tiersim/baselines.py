@@ -231,10 +231,10 @@ class AutonumaSystem(System):
                 if not victims[dst]:
                     continue
                 v = victims[dst].pop(0)
-                moves.append(Move(Region(v, 1, dst, quota=1), dst, tier, "demote"))
+                moves.append(Move(Region(v, 1, dst), dst, tier, "demote"))
                 free[tier] -= page
                 free[dst] += page
-            moves.append(Move(Region(p, 1, tier, quota=1), tier, dst, "promote"))
+            moves.append(Move(Region(p, 1, tier), tier, dst, "promote"))
             free[dst] -= page
             free[tier] += page
             budget -= page
@@ -299,7 +299,7 @@ class ThermostatSystem(System):
         for start, ln, tier in self.space.tier_runs(window=self.region_pages):
             w = start - start % self.region_pages
             score = float(self.hotness.get(w, 0))
-            regions.append(Region(start, ln, tier, quota=1, hi=score, whi=score))
+            regions.append(Region(start, ln, tier, hi=score, whi=score))
         return plan_interval(regions, self.space, self.policy)
 
 
@@ -398,7 +398,7 @@ class DamonSystem(System):
     def plan(self) -> list[Move]:
         regions: list[Region] = []
         for reg in self.regions:
-            regions.extend(Region(start, ln, tier, quota=1, hi=reg.result,
+            regions.extend(Region(start, ln, tier, hi=reg.result,
                                   whi=reg.result)
                            for start, ln, tier in self.space.tier_runs(reg.start, reg.end))
         return plan_interval(regions, self.space, self.policy)

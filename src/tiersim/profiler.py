@@ -11,7 +11,7 @@ from .workload import TraceSlice
 
 log = logging.getLogger(__name__)
 
-# how many of the highest-variance regions share out saved quota at a time
+# how many of the highest-variance regions share out spare samples at a time
 TOP_K_VARIANCE = 5
 
 
@@ -75,10 +75,11 @@ def compute_budget(cfg: ProfilerConfig, cost: CostModel, app_time: float) -> int
 
 @dataclass
 class Region:
+    """A run of pages on one tier.  Its sample list is its share of the scan
+    budget, so `quota` is len(samples)."""
     start_page: int
     len_pages: int
     tier: str
-    quota: int
     samples: list[int] = field(default_factory=list)
     sample_counts: list[int] = field(default_factory=list)
     hi: float = 0.0
@@ -89,6 +90,10 @@ class Region:
     @property
     def id(self) -> int:
         return self.start_page
+
+    @property
+    def quota(self) -> int:
+        return len(self.samples)
 
     @property
     def end_page(self) -> int:
@@ -128,21 +133,20 @@ def _weighted(a: Region, b: Region, attr: str) -> float:
     return (va * a.len_pages + vb * b.len_pages) / (a.len_pages + b.len_pages)
 
 
-def merge_pass(regions: list[Region], tau1: float) -> tuple[list[Region], int]:
+def merge_pass(regions: list[Region], tau1: float) -> list[Region]:
     """Merge contiguous same-tier neighbours whose hotness differs by less
-    than tau1.  Sweeps until stable (merging shifts the weighted hotness, so
-    new pairs can qualify), which makes an immediate second pass a no-op."""
-    total_saved = 0
+    than tau1.  A merged region keeps half the pair's samples (at least one),
+    taken alternately from each side.  Sweeps until stable (merging shifts
+    the weighted hotness, so new pairs can qualify), which makes an
+    immediate second pass a no-op."""
     current = sorted(regions, key=lambda r: r.start_page)
     while True:
-        current, saved, changed = _merge_sweep(current, tau1)
-        total_saved += saved
+        current, changed = _merge_sweep(current, tau1)
         if not changed:
-            return current, total_saved
+            return current
 
 
-def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], int, bool]:
-    saved = 0
+def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], bool]:
     changed = False
     out: list[Region] = []
     for reg in regions:
@@ -151,7 +155,6 @@ def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], int,
             if (prev.tier == reg.tier and prev.end_page == reg.start_page
                     and abs(prev.hi - reg.hi) < tau1):
                 merged_quota = max(1, (prev.quota + reg.quota) // 2)
-                saved += prev.quota + reg.quota - merged_quota
                 samples = _interleave(prev.samples, reg.samples)
                 counts = _interleave(prev.sample_counts, reg.sample_counts)
                 origin = dict(prev.origin_counts)
@@ -161,7 +164,6 @@ def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], int,
                     start_page=prev.start_page,
                     len_pages=prev.len_pages + reg.len_pages,
                     tier=prev.tier,
-                    quota=merged_quota,
                     samples=samples[:merged_quota],
                     sample_counts=counts,
                     hi=_weighted(prev, reg, "hi"),
@@ -173,7 +175,7 @@ def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], int,
                 changed = True
                 continue
         out.append(reg)
-    return out, saved, changed
+    return out, changed
 
 
 def _unsampled_pages(reg: Region) -> list[int]:
@@ -181,50 +183,43 @@ def _unsampled_pages(reg: Region) -> list[int]:
     return [p for p in range(reg.start_page, reg.end_page) if p not in have]
 
 
-def _top_up_samples(reg: Region, rng: random.Random,
+def _resize_samples(reg: Region, quota: int, rng: random.Random,
                     pool: list[int] | None = None) -> None:
-    """Grow reg.samples to reg.quota with fresh random pages (capped at size).
+    """Give reg `quota` samples, capped at its page count: drop trailing
+    samples and their counts, or draw fresh random pages.
 
     Picks are drawn from `pool`, the region's unsampled pages in page order,
     and popped from it.  Without a pool a fresh one is built.  A caller that
-    tops the same region up repeatedly may pass the same list each time, as
+    grows the same region repeatedly may pass the same list each time, as
     long as nothing else changes reg.samples in between: the draws are then
-    exactly those of fresh calls."""
-    reg.quota = min(reg.quota, reg.len_pages)
+    exactly those of fresh calls.  Shrinking draws nothing."""
+    quota = min(quota, reg.len_pages)
+    if len(reg.samples) > quota:
+        del reg.samples[quota:]
+        del reg.sample_counts[quota:]
+        return
     if pool is None:
         pool = _unsampled_pages(reg)
-    while len(reg.samples) < reg.quota and pool:
-        pick = pool.pop(rng.randrange(len(pool)))
-        reg.samples.append(pick)
-    if len(reg.samples) > reg.quota:
-        del reg.samples[reg.quota:]
-        del reg.sample_counts[reg.quota:]
+    while len(reg.samples) < quota and pool:
+        reg.samples.append(pool.pop(rng.randrange(len(pool))))
 
 
-def split_pass(regions: list[Region], tau2: float, rng: random.Random,
-               pool: int) -> tuple[list[Region], int, int]:
+def split_pass(regions: list[Region], tau2: float,
+               rng: random.Random) -> tuple[list[Region], int]:
     """Split regions whose per-sample counts spread beyond tau2 at their
-    midpoint.  Returns (regions, leftover pool, splits)."""
+    midpoint.  The halves share the region's samples, so a region needs two
+    to split; each half keeps the samples that fall in it and draws fresh
+    pages up to its share.  Returns (regions, splits)."""
     out: list[Region] = []
     splits = 0
     for reg in sorted(regions, key=lambda r: r.start_page):
         counts = reg.sample_counts
-        if len(counts) < 1 or reg.len_pages < 2:
-            out.append(reg)
-            continue
-        if max(counts) - min(counts) <= tau2:
+        if reg.quota < 2 or not counts or max(counts) - min(counts) <= tau2:
             out.append(reg)
             continue
         mid = reg.start_page + reg.len_pages // 2
-        if reg.quota == 1:
-            if pool < 1:
-                out.append(reg)
-                continue
-            pool -= 1
-            q_left, q_right = 1, 1
-        else:
-            q_left = reg.quota // 2
-            q_right = reg.quota - q_left
+        q_left = reg.quota // 2
+        q_right = reg.quota - q_left
         pairs = list(zip(reg.samples, reg.sample_counts))
         left_pairs = [(s, c) for s, c in pairs if s < mid]
         right_pairs = [(s, c) for s, c in pairs if s >= mid]
@@ -233,33 +228,29 @@ def split_pass(regions: list[Region], tau2: float, rng: random.Random,
                 (reg.start_page, mid - reg.start_page, q_left, left_pairs),
                 (mid, reg.end_page - mid, q_right, right_pairs)):
             half = Region(
-                start_page=s0, len_pages=ln, tier=reg.tier, quota=q,
+                start_page=s0, len_pages=ln, tier=reg.tier,
                 samples=[s for s, _ in prs],
                 sample_counts=[c for _, c in prs],
                 hi=reg.hi, hi_prev=reg.hi_prev, whi=reg.whi,
                 origin_counts=dict(reg.origin_counts),
             )
-            _top_up_samples(half, rng)
+            _resize_samples(half, q, rng)
             halves.append(half)
-        # _top_up_samples can cap a half's quota at its page count; anything
-        # the halves could not hold flows back into the pool.
-        budget_in = reg.quota + (1 if reg.quota == 1 else 0)
-        pool += budget_in - halves[0].quota - halves[1].quota
         out.extend(halves)
         splits += 1
-    return out, pool, splits
+    return out, splits
 
 
-def redistribute_quota(regions: list[Region], saved_quota: int,
+def redistribute_quota(regions: list[Region], spare: int,
                        rng: random.Random) -> int:
-    """Hand saved quota out, TOP_K_VARIANCE regions at a time, to the regions
-    with the largest hotness swing between the last two intervals, moving on
-    when those regions sample all of their pages.  Returns quota that could
-    not be placed (every region already samples all of its pages)."""
-    if saved_quota <= 0 or not regions:
-        return max(0, saved_quota)
+    """Hand `spare` samples out, TOP_K_VARIANCE regions at a time, to the
+    regions with the largest hotness swing between the last two intervals,
+    moving on when those regions sample all of their pages.  Returns samples
+    that could not be placed (every region already samples all of its pages)."""
+    if spare <= 0 or not regions:
+        return max(0, spare)
     order = sorted(regions, key=lambda r: (-r.variance_score(), r.id))
-    remaining = saved_quota
+    remaining = spare
     idx = 0
     while remaining > 0 and idx < len(order):
         recipients = [r for r in order[idx:idx + TOP_K_VARIANCE]
@@ -272,8 +263,7 @@ def redistribute_quota(regions: list[Region], saved_quota: int,
         for i, r in enumerate(recipients):
             grant = min(base + (i < extra), r.len_pages - r.quota, remaining)
             if grant > 0:
-                r.quota += grant
-                _top_up_samples(r, rng)
+                _resize_samples(r, r.quota + grant, rng)
                 remaining -= grant
     return remaining
 
@@ -281,16 +271,15 @@ def redistribute_quota(regions: list[Region], saved_quota: int,
 def rebalance_to_budget(regions: list[Region], num_ps: int,
                         rng: random.Random) -> None:
     """Force sum(quota) == num_ps: shave the richest regions or feed the
-    highest-variance ones.  No-op when the budget already balances."""
+    highest-variance ones.  No-op when the budget already balances.  The one
+    place, after init_regions, that fits the sample total to the budget."""
     excess = total_quota(regions) - num_ps
     while excess > 0:
         donor = max((r for r in regions if r.quota > 1),
                     key=lambda r: (r.quota, -r.id), default=None)
         if donor is None:
             break
-        donor.quota -= 1
-        del donor.samples[donor.quota:]
-        del donor.sample_counts[donor.quota:]
+        _resize_samples(donor, donor.quota - 1, rng)
         excess -= 1
     if excess < 0:
         redistribute_quota(regions, -excess, rng)
@@ -341,21 +330,19 @@ class Profiler:
             regions.extend(self._pebs_regions(
                 _pebs_sampled_pages(space, first_slice, cfg), regions))
         regions.sort(key=lambda r: r.start_page)
-        surplus = self.num_ps - total_quota(regions)
+        surplus = min(self.num_ps - total_quota(regions),
+                      sum(r.len_pages - r.quota for r in regions))
         pools: list[list[int] | None] = [None] * len(regions)
         i = 0
-        while surplus > 0 and regions:
+        while surplus > 0:
             k = i % len(regions)
             reg = regions[k]
             if reg.quota < reg.len_pages:
-                reg.quota += 1
                 if pools[k] is None:
                     pools[k] = _unsampled_pages(reg)
-                _top_up_samples(reg, self.rng, pools[k])
+                _resize_samples(reg, reg.quota + 1, self.rng, pools[k])
                 surplus -= 1
             i += 1
-            if i >= len(regions) and all(r.quota >= r.len_pages for r in regions):
-                break
         self.regions = regions
         self.active_ids = {r.id for r in self.regions}
         self.initialized = True
@@ -375,7 +362,7 @@ class Profiler:
             w0 = page - page % window
             for start, ln, tier in space.tier_runs(w0, w0 + window):
                 if tier == slowest and start <= page < start + ln:
-                    reg = Region(start, ln, slowest, quota=1, samples=[page])
+                    reg = Region(start, ln, slowest, samples=[page])
                     new[reg.id] = reg
                     break
         return list(new.values())
@@ -386,7 +373,7 @@ class Profiler:
         rebalance_to_budget(self.regions, self.num_ps, self.rng)
 
     def _uncovered_regions(self) -> list[Region]:
-        """Fresh quota-1 regions over the mapped window runs no region covers:
+        """Fresh one-sample regions over the mapped window runs no region covers:
         the faster tiers in tier order, then the slowest tier unless
         pebs_assist leaves it to counter nominations."""
         space = self.space
@@ -406,14 +393,14 @@ class Profiler:
                     if r.end_page <= run_lo or r.start_page >= run_hi:
                         continue
                     if r.start_page > run_lo:
-                        fresh.append(Region(run_lo, r.start_page - run_lo, tier, quota=1))
+                        fresh.append(Region(run_lo, r.start_page - run_lo, tier))
                     run_lo = max(run_lo, r.end_page)
                     if run_lo >= run_hi:
                         break
                 if run_lo < run_hi:
-                    fresh.append(Region(run_lo, run_hi - run_lo, tier, quota=1))
+                    fresh.append(Region(run_lo, run_hi - run_lo, tier))
         for reg in fresh:
-            _top_up_samples(reg, self.rng)
+            _resize_samples(reg, 1, self.rng)
         return fresh
 
     def adopt_new_pages(self) -> None:
@@ -501,12 +488,13 @@ class Profiler:
         return scans
 
     def end_interval(self) -> None:
-        """Merge, split, then rebalance the quotas to the budget (which
-        hands out any spare samples)."""
+        """Merge, split, then rebalance the sample lists to the budget:
+        merging halves a pair's samples and splitting shares them, and
+        rebalance_to_budget alone brings the total back to num_ps."""
         cfg = self.cfg
-        regions, saved = merge_pass(self.regions, cfg.tau1)
+        regions = merge_pass(self.regions, cfg.tau1)
         self.merges += len(self.regions) - len(regions)
-        regions, saved, splits = split_pass(regions, cfg.tau2, self.rng, saved)
+        regions, splits = split_pass(regions, cfg.tau2, self.rng)
         self.splits += splits
         rebalance_to_budget(regions, self.num_ps, self.rng)
         self.regions = regions

@@ -104,7 +104,7 @@ REJECTED = {
     # N is policy.n_bytes alone, 5% of total capacity when unset
     "retired-n-fraction": (SMALL + "policy.n_fraction = 0.05\n", RUN, {},
                            "policy.n_fraction"),
-    # five regions share out saved quota at a time, not a knob
+    # five regions share out spare samples at a time, not a knob
     "retired-top-k-variance": (SMALL + "profiler.top_k_variance = 5\n", RUN, {},
                                "profiler.top_k_variance"),
     # the AutoNUMA window is the paper's 256 MiB of 1.5 TiB, not a knob

@@ -16,7 +16,10 @@ interval:
 - every planned move leaves its region's tier, and goes up the system's
   preference order if a promotion and down it if a demotion.  AutoNUMA's
   order is the canonical tier order; every other system's is the region's
-  `policy.resolve_destination`.
+  `policy.resolve_destination`;
+- each MTM region samples distinct pages inside it, and the regions' samples
+  add up to the budget `num_ps`, unless every region is down to one sample
+  (more regions than the budget) or samples all of its pages (fewer pages).
 
 The loop's per-interval costs and tier counts must equal the engine's rows,
 so it cannot drift from the loop it stands in for.  On the engine's result:
@@ -36,6 +39,7 @@ from tiersim.baselines import BASELINE_KINDS
 from tiersim.config import build_run_config, parse_config_text
 from tiersim.memmodel import BASE_PAGE_BYTES, MemoryState, build_topology
 from tiersim.policy import resolve_destination
+from tiersim.profiler import total_quota
 
 INTERVALS = 6
 ACCESSES_PER_INTERVAL = 384
@@ -116,6 +120,18 @@ def check_directions(system, moves) -> None:
                 f"{m} against {order}"
 
 
+def check_samples(profiler) -> None:
+    regions = profiler.regions
+    for r in regions:
+        assert len(set(r.samples)) == len(r.samples), r
+        assert all(r.contains(p) for p in r.samples), r
+    total = total_quota(regions)
+    if total > profiler.num_ps:
+        assert all(r.quota == 1 for r in regions), (total, profiler.num_ps)
+    elif total < profiler.num_ps:
+        assert all(r.quota == r.len_pages for r in regions), (total, profiler.num_ps)
+
+
 def check_budget(rows, overhead_constraint: float) -> None:
     assert rows[0].profiling_cost == 0
     for prev, row in zip(rows, rows[1:]):
@@ -142,6 +158,8 @@ def run_checked(cfg, trace) -> list[tuple]:
         app0, prof0, mig0 = ledger.app, ledger.profiling, ledger.migration_exposed
         acc0 = dict(space.tier_access_counts)
         system.run_profiling(slc, app_prev)
+        if isinstance(system, baselines.MtmSystem):
+            check_samples(system.profiler)
         system.detected_pages()
         moves = system.plan()
         check_plan_fits(moves, space.free)

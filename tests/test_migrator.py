@@ -34,7 +34,7 @@ def make_space(num_pages=2048, caps=(4096, 4096, 4096), map_to="a"):
 
 
 def reg(start, length, tier="a"):
-    return Region(start, length, tier, quota=1)
+    return Region(start, length, tier)
 
 
 def cols(*writes):

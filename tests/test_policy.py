@@ -12,7 +12,7 @@ from tiersim.profiler import Region
 
 
 def region(start, length, tier, whi, origin=None):
-    r = Region(start, length, tier, quota=1)
+    r = Region(start, length, tier)
     r.whi = whi
     r.hi = whi
     if origin:
@@ -66,7 +66,7 @@ class TestUpdateEma:
         assert update_ema(r, hi=2.9, alpha=1.0) == 2.9
 
     def test_first_interval_seeds_directly(self):
-        r = Region(0, 8, "t1", quota=1)
+        r = Region(0, 8, "t1")
         assert r.whi is None
         assert update_ema(r, hi=1.2, alpha=0.5) == 1.2
 
@@ -75,7 +75,7 @@ class TestUpdateEma:
         for _ in range(25):
             alpha = rng.uniform(0.05, 1.0)
             his = [rng.uniform(0, 3) for _ in range(50)]
-            r = Region(0, 8, "t1", quota=1)
+            r = Region(0, 8, "t1")
             update_ema(r, his[0], alpha)
             for h in his[1:]:
                 update_ema(r, h, alpha)

@@ -9,8 +9,8 @@ from tiersim.memmodel import (
     build_topology,
 )
 from tiersim.profiler import (
-    Profiler, ProfilerConfig, Region, _top_up_samples, _unsampled_pages,
-    compute_budget, effective_scan_cost, merge_pass,
+    Profiler, ProfilerConfig, Region, _resize_samples, _unsampled_pages,
+    compute_budget, effective_scan_cost, merge_pass, rebalance_to_budget,
     redistribute_quota, sample_origin, split_pass, total_quota,
 )
 from tiersim.workload import AccessTrace
@@ -31,11 +31,11 @@ def two_tier_space(num_pages=2048, cap_pages=(4096, 4096), period=10):
 
 def region(start, length, tier="fast", quota=1, hi=0.0, hi_prev=0.0, whi=None,
            samples=None, counts=None):
-    r = Region(start, length, tier, quota)
+    r = Region(start, length, tier, samples=samples if samples is not None
+               else list(range(start, start + quota)))
     r.hi = hi
     r.hi_prev = hi_prev
     r.whi = whi
-    r.samples = samples if samples is not None else list(range(start, start + quota))
     r.sample_counts = counts if counts is not None else [0] * len(r.samples)
     return r
 
@@ -93,48 +93,47 @@ class TestComputeBudget:
 class TestMergePass:
     def test_merges_when_diff_below_tau1(self):
         regs = [region(0, 8, hi=2.0), region(8, 8, hi=2.4)]
-        out, saved = merge_pass(regs, tau1=1.0)
+        out = merge_pass(regs, tau1=1.0)
         assert len(out) == 1
         assert out[0].len_pages == 16
 
-    def test_quota_halving_and_saved(self):
+    def test_quota_halving(self):
         regs = [region(0, 8, quota=4, hi=1.0), region(8, 8, quota=2, hi=1.0)]
-        out, saved = merge_pass(regs, tau1=1.0)
+        out = merge_pass(regs, tau1=1.0)
+        assert out[0].samples == [0, 8, 1]
         assert out[0].quota == 3
-        assert saved == 3
 
     def test_min_quota_one(self):
         regs = [region(0, 8, quota=1, hi=0.0), region(8, 8, quota=1, hi=0.0)]
-        out, saved = merge_pass(regs, tau1=1.0)
+        out = merge_pass(regs, tau1=1.0)
+        assert out[0].samples == [0]
         assert out[0].quota == 1
-        assert saved == 1
 
     def test_no_merge_across_tiers_or_gaps(self):
         regs = [region(0, 8, tier="fast", hi=1.0),
                 region(8, 8, tier="slow", hi=1.0),
                 region(32, 8, tier="slow", hi=1.0)]
-        out, _ = merge_pass(regs, tau1=3.0)
+        out = merge_pass(regs, tau1=3.0)
         assert len(out) == 3
 
     def test_idempotent(self):
         rng = random.Random(5)
         regs = [region(i * 8, 8, quota=2, hi=rng.uniform(0, 3)) for i in range(20)]
-        once, _ = merge_pass(regs, tau1=1.0)
-        twice, saved = merge_pass(once, tau1=1.0)
-        assert len(twice) == len(once)
-        assert saved == 0
+        once = merge_pass(regs, tau1=1.0)
+        twice = merge_pass(once, tau1=1.0)
+        assert [(r.start_page, r.len_pages, r.samples) for r in twice] == \
+            [(r.start_page, r.len_pages, r.samples) for r in once]
 
     def test_merged_whi_is_size_weighted(self):
         regs = [region(0, 8, hi=1.0, whi=1.0), region(8, 24, hi=1.2, whi=2.0)]
-        out, _ = merge_pass(regs, tau1=1.0)
+        out = merge_pass(regs, tau1=1.0)
         assert out[0].whi == pytest.approx((1.0 * 8 + 2.0 * 24) / 32)
 
 
 class TestSplitPass:
     def test_splits_on_count_spread(self):
         regs = [region(0, 16, quota=2, samples=[1, 9], counts=[0, 3])]
-        out, pool, splits = split_pass(regs, tau2=2.0,
-                                       rng=random.Random(1), pool=0)
+        out, splits = split_pass(regs, tau2=2.0, rng=random.Random(1))
         assert splits == 1
         assert [r.start_page for r in out] == [0, 8]
         assert [r.len_pages for r in out] == [8, 8]
@@ -142,30 +141,25 @@ class TestSplitPass:
 
     def test_no_split_when_spread_at_threshold(self):
         regs = [region(0, 16, quota=2, samples=[1, 9], counts=[2, 2])]
-        out, _, splits = split_pass(regs, tau2=2.0,
-                                    rng=random.Random(1), pool=0)
+        out, splits = split_pass(regs, tau2=2.0, rng=random.Random(1))
         assert splits == 0
         assert len(out) == 1
 
-    def test_quota_one_split_charges_pool(self):
-        regs = [region(0, 16, quota=1, samples=[3], counts=[0, 3])]
-        out, pool, splits = split_pass(regs, tau2=2.0,
-                                       rng=random.Random(1), pool=2)
-        assert splits == 1
-        assert pool == 1
-        assert sum(r.quota for r in out) == 2
-
-    def test_quota_one_split_skipped_without_pool(self):
-        regs = [region(0, 16, quota=1, samples=[3], counts=[0, 3])]
-        out, pool, splits = split_pass(regs, tau2=2.0,
-                                       rng=random.Random(1), pool=0)
+    def test_one_sample_region_never_splits(self):
+        # one sample cannot be shared by two halves, whatever its counts say
+        # (counts left over from before a merge can spread beyond tau2)
+        rng = random.Random(1)
+        state = rng.getstate()
+        reg = region(0, 16, quota=1, samples=[3], counts=[0, 3])
+        out, splits = split_pass([reg], tau2=2.0, rng=rng)
         assert splits == 0
-        assert len(out) == 1
+        assert out == [reg]
+        assert reg.samples == [3]
+        assert rng.getstate() == state
 
     def test_whi_copied_to_both_halves(self):
         regs = [region(0, 16, quota=2, samples=[1, 9], counts=[0, 3], whi=1.7)]
-        out, _, _ = split_pass(regs, tau2=2.0,
-                               rng=random.Random(1), pool=0)
+        out, _ = split_pass(regs, tau2=2.0, rng=random.Random(1))
         assert [r.whi for r in out] == [1.7, 1.7]
 
 
@@ -205,6 +199,27 @@ class TestRedistribute:
         regs = self._five()
         assert redistribute_quota(regs, 0, random.Random(1)) == 0
         assert [r.quota for r in regs] == [1] * 5
+
+    def test_skips_a_block_that_samples_every_page(self):
+        # the five largest swings already sample both of their pages, so the
+        # spare samples go to the next block
+        full = [region(i * 2, 2, quota=2, hi=10.0 - i) for i in range(5)]
+        rest = [region(100, 32, quota=1, hi=1.0), region(200, 32, quota=1, hi=0.5)]
+        assert redistribute_quota(full + rest, 3, random.Random(1)) == 0
+        assert [r.samples for r in full] == [[i * 2, i * 2 + 1] for i in range(5)]
+        assert [r.quota for r in rest] == [3, 2]
+
+
+class TestRebalance:
+    def test_regions_outnumbering_the_budget_keep_one_sample_each(self):
+        regs = [region(0, 32, quota=3), region(32, 32, quota=2),
+                region(64, 32), region(96, 32)]
+        rng = random.Random(1)
+        state = rng.getstate()
+        rebalance_to_budget(regs, 2, rng)
+        assert [r.samples for r in regs] == [[0], [32], [64], [96]]
+        assert total_quota(regs) == 4 > 2
+        assert rng.getstate() == state
 
 
 def interval_trace(page_hits: dict[int, list[int]], num_scans=3, filler_page=0):
@@ -312,6 +327,18 @@ class TestInitRegions:
         assert prof.num_ps == 50
         assert total_quota(prof.regions) == prof.num_ps
 
+    def test_budget_beyond_every_page_samples_each_page_once(self):
+        space = two_tier_space(num_pages=64)
+        for p in range(64):
+            space.map_page(p, "fast")
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=16)
+        prof = Profiler(cfg, space, seed=1)
+        prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=6000)
+        assert prof.num_ps == 100
+        assert [sorted(r.samples) for r in prof.regions] == \
+            [list(range(s, s + 16)) for s in range(0, 64, 16)]
+
     def test_slowest_without_counter_samples_has_no_regions(self):
         space = two_tier_space(num_pages=64)
         for p in range(32):
@@ -368,24 +395,32 @@ class TestAdoptNewPages:
 
 
 class TestTopUpSamples:
+    """`_resize_samples` tops a region up with fresh pages, and cuts it down
+    without drawing."""
+
     @pytest.mark.parametrize("start, length, samples", [
         (0, 16, []), (32, 512, [40]), (100, 7, [103, 100]), (8, 1, [8])])
     def test_reused_pool_draws_like_fresh_pools(self, start, length, samples):
         rngs = random.Random(start), random.Random(start)
-        fresh, cached = (Region(start, length, "slow", quota=1, samples=list(samples))
+        fresh, cached = (Region(start, length, "slow", samples=list(samples))
                          for _ in rngs)
-        _top_up_samples(fresh, rngs[0])
-        _top_up_samples(cached, rngs[1])
+        _resize_samples(fresh, 1, rngs[0])
+        _resize_samples(cached, 1, rngs[1])
         pool = _unsampled_pages(cached)
         for _ in range(length + 2):  # runs past the page count
-            fresh.quota += 1
-            cached.quota += 1
-            _top_up_samples(fresh, rngs[0])
-            _top_up_samples(cached, rngs[1], pool)
+            _resize_samples(fresh, fresh.quota + 1, rngs[0])
+            _resize_samples(cached, cached.quota + 1, rngs[1], pool)
             assert cached.samples == fresh.samples
-            assert cached.quota == fresh.quota
         assert sorted(fresh.samples) == list(range(start, start + length))
         assert rngs[0].random() == rngs[1].random()
+
+    def test_shrink_drops_trailing_samples_and_draws_nothing(self):
+        reg = region(0, 16, quota=4, samples=[5, 1, 9, 2], counts=[3, 0, 2, 1])
+        rng = random.Random(7)
+        state = rng.getstate()
+        _resize_samples(reg, 2, rng)
+        assert (reg.samples, reg.sample_counts) == ([5, 1], [3, 0])
+        assert rng.getstate() == state
 
 
 class TestPebsAssist:

@@ -4,7 +4,10 @@ from __future__ import annotations
 import logging
 import math
 import random
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 
 from .memmodel import BASE_PAGE_BYTES, BudgetError, CostModel, MemoryState, require
 from .workload import TraceSlice
@@ -110,6 +113,17 @@ class Region:
         return self.start_page <= page < self.end_page
 
 
+_start_page = attrgetter("start_page")
+
+
+def owner_of(regions: list[Region], page: int) -> Region | None:
+    """The region of `regions`, sorted by start and disjoint, holding `page`."""
+    i = bisect_right(regions, page, key=_start_page)
+    if i and page < regions[i - 1].end_page:
+        return regions[i - 1]
+    return None
+
+
 def total_quota(regions: list[Region]) -> int:
     return sum(r.quota for r in regions)
 
@@ -139,11 +153,10 @@ def merge_pass(regions: list[Region], tau1: float) -> list[Region]:
     taken alternately from each side.  Sweeps until stable (merging shifts
     the weighted hotness, so new pairs can qualify), which makes an
     immediate second pass a no-op."""
-    current = sorted(regions, key=lambda r: r.start_page)
     while True:
-        current, changed = _merge_sweep(current, tau1)
+        regions, changed = _merge_sweep(regions, tau1)
         if not changed:
-            return current
+            return regions
 
 
 def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], bool]:
@@ -212,7 +225,7 @@ def split_pass(regions: list[Region], tau2: float,
     pages up to its share.  Returns (regions, splits)."""
     out: list[Region] = []
     splits = 0
-    for reg in sorted(regions, key=lambda r: r.start_page):
+    for reg in regions:
         counts = reg.sample_counts
         if reg.quota < 2 or not counts or max(counts) - min(counts) <= tau2:
             out.append(reg)
@@ -302,7 +315,11 @@ def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
 
 
 class Profiler:
-    """Owns the region set and runs the per-interval profiling pipeline."""
+    """Owns the region set and runs the per-interval profiling pipeline.
+
+    `regions` is a partition of the profiled pages: sorted by start_page,
+    disjoint, and each region's pages on its tier.  Every method keeps it so
+    and relies on it, so `owner_of` finds a page's region by one bisect."""
 
     def __init__(self, cfg: ProfilerConfig, space: MemoryState, seed: int,
                  pebs_assist: bool = True):
@@ -323,13 +340,11 @@ class Profiler:
         """First-interval formation from the slice's app time: every window on the
         faster tiers; on the slowest tier, only counter-nominated windows with
         pebs_assist and every window without."""
-        space, cfg = self.space, self.cfg
         self.set_budget(app_time)  # no regions yet: only sets num_ps
-        regions = self._uncovered_regions()
+        self._add_uncovered()
         if self.pebs_assist:
-            regions.extend(self._pebs_regions(
-                _pebs_sampled_pages(space, first_slice, cfg), regions))
-        regions.sort(key=lambda r: r.start_page)
+            self._pebs_regions(_pebs_sampled_pages(self.space, first_slice, self.cfg))
+        regions = self.regions
         surplus = min(self.num_ps - total_quota(regions),
                       sum(r.len_pages - r.quota for r in regions))
         pools: list[list[int] | None] = [None] * len(regions)
@@ -343,106 +358,100 @@ class Profiler:
                 _resize_samples(reg, reg.quota + 1, self.rng, pools[k])
                 surplus -= 1
             i += 1
-        self.regions = regions
-        self.active_ids = {r.id for r in self.regions}
+        self.active_ids = {r.id for r in regions}
         self.initialized = True
 
-    def _pebs_regions(self, pages: list[int], covered: list[Region]) -> list[Region]:
-        """One region per slowest-tier window run holding a counter-sampled
-        page that neither `covered` nor an earlier page's region contains;
-        the page is the region's first sample."""
-        space = self.space
-        slowest = space.topology.slowest_tier
+    def _pebs_regions(self, pages: list[int]) -> list[Region]:
+        """Add a region for each counter-sampled page that no region holds:
+        the uncovered piece of the page's slowest-tier run in its window,
+        with the page as its first sample.  Returns the regions added."""
+        slowest = self.space.topology.slowest_tier
         window = self.cfg.default_region_pages
-        new: dict[int, Region] = {}
+        new = []
         for page in pages:
-            if any(r.contains(page) for r in covered) or \
-                    any(r.contains(page) for r in new.values()):
-                continue
             w0 = page - page % window
-            for start, ln, tier in space.tier_runs(w0, w0 + window):
-                if tier == slowest and start <= page < start + ln:
-                    reg = Region(start, ln, slowest, samples=[page])
-                    new[reg.id] = reg
-                    break
-        return list(new.values())
+            piece = owner_of(self._uncovered_regions([slowest], w0, w0 + window), page)
+            if piece is not None:
+                piece.samples.append(page)
+                insort(self.regions, piece, key=_start_page)
+                new.append(piece)
+        return new
 
     def set_budget(self, app_time: float) -> None:
         """Resize the quotas to the samples `app_time` affords."""
         self.num_ps = compute_budget(self.cfg, self.space.cost_model, app_time)
         rebalance_to_budget(self.regions, self.num_ps, self.rng)
 
-    def _uncovered_regions(self) -> list[Region]:
-        """Fresh one-sample regions over the mapped window runs no region covers:
-        the faster tiers in tier order, then the slowest tier unless
-        pebs_assist leaves it to counter nominations."""
-        space = self.space
-        slowest = space.topology.slowest_tier
-        tiers = [t for t in space.topology.tier_ids if t != slowest]
-        if not self.pebs_assist:
-            tiers.append(slowest)
-        covered = sorted(self.regions, key=lambda r: r.start_page)
-        runs = space.tier_runs(window=self.cfg.default_region_pages)
+    def _uncovered_regions(self, tiers: list[str], lo: int = 0,
+                           hi: int | None = None) -> list[Region]:
+        """Sample-less regions over the mapped window runs of `tiers` in
+        [lo, hi) that no region covers, tier by tier in the order given."""
+        regions = self.regions
+        runs = self.space.tier_runs(lo, hi, window=self.cfg.default_region_pages)
         fresh = []
         for tier in tiers:
             for start, ln, run_tier in runs:
                 if run_tier != tier:
                     continue
                 run_lo, run_hi = start, start + ln
-                for r in covered:
-                    if r.end_page <= run_lo or r.start_page >= run_hi:
-                        continue
+                first = max(0, bisect_right(regions, run_lo, key=_start_page) - 1)
+                for r in islice(regions, first, None):
+                    if r.start_page >= run_hi:
+                        break
                     if r.start_page > run_lo:
                         fresh.append(Region(run_lo, r.start_page - run_lo, tier))
                     run_lo = max(run_lo, r.end_page)
-                    if run_lo >= run_hi:
-                        break
                 if run_lo < run_hi:
                     fresh.append(Region(run_lo, run_hi - run_lo, tier))
+        return fresh
+
+    def _add_uncovered(self) -> list[Region]:
+        """Add a one-sample region over each mapped window run no region
+        covers: the faster tiers in tier order, then the slowest tier unless
+        pebs_assist leaves it to counter nominations.  Returns them."""
+        slowest = self.space.topology.slowest_tier
+        tiers = [t for t in self.space.topology.tier_ids if t != slowest]
+        if not self.pebs_assist:
+            tiers.append(slowest)
+        fresh = self._uncovered_regions(tiers)
         for reg in fresh:
             _resize_samples(reg, 1, self.rng)
+        self.regions.extend(fresh)
+        self.regions.sort(key=_start_page)
         return fresh
 
     def adopt_new_pages(self) -> None:
         """Fold pages mapped since the last interval into fresh regions."""
-        fresh = self._uncovered_regions()
-        if fresh:
-            self.regions.extend(fresh)
-            self.regions.sort(key=lambda r: r.start_page)
+        if self._add_uncovered():
             rebalance_to_budget(self.regions, self.num_ps, self.rng)
 
     def select_active(self, slc: TraceSlice) -> None:
         """Choose which regions are scanned this interval.  All faster-tier
-        regions always are; slowest-tier regions need a counter nomination."""
-        space = self.space
-        slowest = space.topology.slowest_tier
+        regions always are; slowest-tier regions need a counter nomination,
+        whose first page becomes the region's first sample."""
+        slowest = self.space.topology.slowest_tier
         if not self.pebs_assist:
             self.active_ids = {r.id for r in self.regions}
             return
-        sampled = _pebs_sampled_pages(space, slc, self.cfg)
         active = {r.id for r in self.regions if r.tier != slowest}
-        retarget: dict[int, int] = {}
+        nominated: dict[int, tuple[Region, int]] = {}
         fresh_pages = []
-        for page in sampled:
-            owner = next((r for r in self.regions if r.contains(page)), None)
-            if owner is not None:
-                active.add(owner.id)
-                retarget.setdefault(owner.id, page)
-            else:
+        for page in _pebs_sampled_pages(self.space, slc, self.cfg):
+            owner = owner_of(self.regions, page)
+            if owner is None:
                 fresh_pages.append(page)
-        if fresh_pages:
-            new = self._pebs_regions(fresh_pages, self.regions)
-            self.regions.extend(new)
-            self.regions.sort(key=lambda r: r.start_page)
+            else:
+                nominated.setdefault(owner.id, (owner, page))
+        new = self._pebs_regions(fresh_pages)
+        if new:
             active.update(r.id for r in new)
             rebalance_to_budget(self.regions, self.num_ps, self.rng)
-        for r in self.regions:
-            if r.tier == slowest and r.id in retarget and r.samples:
-                page = retarget[r.id]
-                if page not in r.samples:
-                    r.samples[0] = page
-                    if r.sample_counts:
-                        r.sample_counts[0] = 0
+        for owner, page in nominated.values():
+            active.add(owner.id)
+            if page not in owner.samples:
+                owner.samples[0] = page
+                if owner.sample_counts:
+                    owner.sample_counts[0] = 0
         self.active_ids = active
 
     # -- per-interval profiling ----------------------------------------------
@@ -454,8 +463,7 @@ class Profiler:
         touched it.  Returns scans performed."""
         space, cfg = self.space, self.cfg
         eff = effective_scan_cost(cfg, space.cost_model)
-        actives = [r for r in sorted(self.regions, key=lambda r: r.start_page)
-                   if r.id in self.active_ids]
+        actives = [r for r in self.regions if r.id in self.active_ids]
         budget_left = self.num_ps
         scheduled = []
         clamped = 0
@@ -504,31 +512,23 @@ def sample_origin(regions: list[Region], active_ids: set[int], slc: TraceSlice,
                   cfg: ProfilerConfig) -> None:
     """Record accessor nodes: one hint-fault capture per hint_fault_period
     scheduled scans, taking the region's first accesses in the slice."""
-    want: dict[int, int] = {}
-    lookup: list[Region] = []
-    for r in regions:
-        if r.id not in active_ids:
-            continue
-        captures = (r.quota * cfg.num_scans) // cfg.hint_fault_period
-        if captures > 0:
-            want[r.id] = captures
-            lookup.append(r)
+    want = {r.id: (r.quota * cfg.num_scans) // cfg.hint_fault_period
+            for r in regions if r.id in active_ids}
     pending = sum(want.values())
     for vpage, _, node in slc.events():
         if not pending:
             break
-        for r in lookup:
-            if r.contains(vpage) and want[r.id] > 0:
-                r.origin_counts[node] = r.origin_counts.get(node, 0) + 1
-                want[r.id] -= 1
-                pending -= 1
-                break
+        r = owner_of(regions, vpage)
+        if r is not None and want.get(r.id):
+            r.origin_counts[node] = r.origin_counts.get(node, 0) + 1
+            want[r.id] -= 1
+            pending -= 1
 
 
 def snapshot_rows(interval: int, regions: list[Region]) -> list[list]:
     """Rows for the profiler CSV: interval,region_id,start_page,len_pages,tier,quota,hi,whi."""
     rows = []
-    for r in sorted(regions, key=lambda r: r.start_page):
+    for r in regions:
         whi = r.whi if r.whi is not None else 0.0
         rows.append([interval, r.id, r.start_page, r.len_pages, r.tier,
                      r.quota, f"{r.hi:.6f}", f"{whi:.6f}"])

@@ -1,10 +1,11 @@
 """Ledger and plan invariants of every system over random machines.
 
 Hypothesis draws a topology of 2-4 tiers seen by 1-3 nodes, a small GUPS,
-phase-change or sequential microbench run on it, and a migrator mode.  The
-last tier holds at least twice the footprint and is the slowest in every
-view; each view orders the faster tiers at random, so first touch fills them
-and demotions cascade through them.  Each of the six systems then runs the
+phase-change or sequential microbench run on it, a migrator mode, and an
+allocation group of 1, 8 or 16 pages or the profiler window.  The last tier
+holds at least twice the footprint and is the slowest in every view; each
+view orders the faster tiers at random, so first touch fills them and
+demotions cascade through them.  Each of the six systems then runs the
 interval loop of `engine.run_simulation` under that mode, and after every
 interval:
 
@@ -13,13 +14,15 @@ interval:
 - the tiers' access counts grew by exactly the slice's length;
 - the plan, applied move by move to the free bytes it was planned against,
   never overdraws a tier;
-- every planned move leaves its region's tier, and goes up the system's
-  preference order if a promotion and down it if a demotion.  AutoNUMA's
-  order is the canonical tier order; every other system's is the region's
-  `policy.resolve_destination`;
+- every planned move leaves its region's tier, which holds all of the
+  region's pages, and goes up the system's preference order if a promotion
+  and down it if a demotion.  AutoNUMA's order is the canonical tier order;
+  every other system's is the region's `policy.resolve_destination`;
 - each MTM region samples distinct pages inside it, and the regions' samples
   add up to the budget `num_ps`, unless every region is down to one sample
-  (more regions than the budget) or samples all of its pages (fewer pages).
+  (more regions than the budget) or samples all of its pages (fewer pages);
+- the MTM regions are sorted by start and disjoint, and each region's pages
+  are all on its tier.
 
 The loop's per-interval costs and tier counts must equal the engine's rows,
 so it cannot drift from the loop it stands in for.  On the engine's result:
@@ -63,6 +66,9 @@ def configs(draw) -> str:
              f"workload.accesses_per_interval = {ACCESSES_PER_INTERVAL}",
              f"profiler.default_region_pages = {draw(st.sampled_from([16, 64]))}",
              f"profiler.origin_sampling = {draw(st.booleans())}".lower()]
+    group = draw(st.sampled_from([None, 1, 8, 16]))
+    if group is not None:  # groups below the profiler window split its runs
+        lines.append(f"alloc_group_pages = {group}")
     if kind == "microbench":  # enough passes to fill every interval
         bench = draw(st.sampled_from(MICROBENCHES))
         per_pass = footprint * (2 if bench == "half_read" else 1)
@@ -108,6 +114,8 @@ def check_directions(system, moves) -> None:
     topology = system.space.topology
     for m in moves:
         assert m.region.tier == m.src, m
+        assert all(system.space.page_tier[p] == m.src
+                   for p in range(m.region.start_page, m.region.end_page)), m
         if isinstance(system, baselines.AutonumaSystem):
             order = topology.tier_ids
         else:
@@ -130,6 +138,15 @@ def check_samples(profiler) -> None:
         assert all(r.quota == 1 for r in regions), (total, profiler.num_ps)
     elif total < profiler.num_ps:
         assert all(r.quota == r.len_pages for r in regions), (total, profiler.num_ps)
+
+
+def check_partition(profiler) -> None:
+    page_tier = profiler.space.page_tier
+    end = 0
+    for r in profiler.regions:
+        assert r.start_page >= end, r  # sorted by start and disjoint
+        assert all(page_tier[p] == r.tier for p in range(r.start_page, r.end_page)), r
+        end = r.end_page
 
 
 def check_budget(rows, overhead_constraint: float) -> None:
@@ -160,6 +177,7 @@ def run_checked(cfg, trace) -> list[tuple]:
         system.run_profiling(slc, app_prev)
         if isinstance(system, baselines.MtmSystem):
             check_samples(system.profiler)
+            check_partition(system.profiler)
         system.detected_pages()
         moves = system.plan()
         check_plan_fits(moves, space.free)

@@ -10,8 +10,9 @@ from tiersim.memmodel import (
 )
 from tiersim.profiler import (
     Profiler, ProfilerConfig, Region, _resize_samples, _unsampled_pages,
-    compute_budget, effective_scan_cost, merge_pass, rebalance_to_budget,
-    redistribute_quota, sample_origin, split_pass, total_quota,
+    compute_budget, effective_scan_cost, merge_pass, owner_of,
+    rebalance_to_budget, redistribute_quota, sample_origin, split_pass,
+    total_quota,
 )
 from tiersim.workload import AccessTrace
 
@@ -473,6 +474,25 @@ class TestPebsAssist:
         assert [(r.start_page, r.len_pages, r.tier) for r in nominated] == \
             [(64, 16, "slow")]
 
+    def test_nomination_beside_a_covered_region_takes_only_the_uncovered_piece(self):
+        """A nominated page's new region is the piece of its window run that
+        no region covers, so the regions stay disjoint."""
+        space = two_tier_space(num_pages=96, period=1)
+        for p in range(32):
+            space.map_page(p, "fast")
+        for p in range(32, 96):
+            space.map_page(p, "slow")
+        cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
+                             default_region_pages=32, pebs_window_fraction=1.0)
+        prof = Profiler(cfg, space, seed=1)
+        prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=6000)
+        assert [r.start_page for r in prof.regions] == [0]
+        prof.regions.append(region(40, 8, tier="slow"))
+        prof.select_active(trace_of([33]).interval_slice(0))
+        assert [(r.start_page, r.len_pages, r.tier) for r in prof.regions] == \
+            [(0, 32, "fast"), (32, 8, "slow"), (40, 8, "slow")]
+        assert prof.regions[1].samples[0] == 33
+
     def test_matching_samples_keep_selection(self):
         prof = self.setup_profiler()
         slow_ids = {r.id for r in prof.regions if r.tier == "slow"}
@@ -480,6 +500,15 @@ class TestPebsAssist:
         prof.select_active(trace_of([33, 34, 33, 34] * 2).interval_slice(0))
         assert slow_ids <= prof.active_ids
         assert len(prof.regions) == count_before
+
+
+class TestOwnerOf:
+    def test_finds_the_holder_or_none(self):
+        regs = [region(0, 8), region(8, 4), region(16, 8)]
+        assert [owner_of(regs, p) for p in (0, 7, 8, 11, 16, 23)] == \
+            [regs[0], regs[0], regs[1], regs[1], regs[2], regs[2]]
+        assert [owner_of(regs, p) for p in (12, 15, 24)] == [None] * 3
+        assert owner_of([], 0) is None
 
 
 class TestSampleOrigin:

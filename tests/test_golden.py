@@ -30,6 +30,10 @@ CASES = {
     "small": ("small.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
     "mid": ("mid.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
     "half_read": ("half_read.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
+    # allocation groups smaller than the profiler window leave a window's
+    # slowest-tier run partly covered, so a nomination takes only a piece of it
+    "mid_group16": ("mid.cfg", "alloc_group_pages = 16\n",
+                    ["compare", "--systems", "first-touch,mtm,mtm-no-pebs"]),
     "phase_change": ("phase_change.cfg", "",
                      ["compare", "--systems", ALL_SYSTEMS]),
     # MTM never plans on small (no counter nomination fires), so the sweeps

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .memmodel import BASE_PAGE_BYTES, CapacityError, MemoryState
+from .memmodel import BASE_PAGE_BYTES, UNMAPPED, CapacityError, MemoryState
 from .metrics import detect_hot_pages
 from .profiler import (Profiler, ProfilerConfig, Region, affordable_samples,
                        profiling_budget)
@@ -58,8 +58,8 @@ def group_first_touch(group_pages: int):
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
         g0 = (vpage // group_pages) * group_pages
         g1 = min(g0 + group_pages, space.num_pages)
-        mapped = set(space.mapped_pages(g0, g1))
-        pages = [p for p in range(g0, g1) if p not in mapped]
+        page_tier = space.page_tier
+        pages = [p for p in range(g0, g1) if page_tier[p] == UNMAPPED]
         need = len(pages) * BASE_PAGE_BYTES
         for tier_id in space.topology.alloc_order(node):
             if space.free[tier_id] >= need:
@@ -215,19 +215,16 @@ class AutonumaSystem(System):
         for p in hot:
             if budget < page:
                 break
-            tier = space.page_tier[p]
-            if tier is None:
+            rank = space.page_tier[p]  # the tier index is its canonical rank
+            if rank == UNMAPPED or rank == 0:
                 continue
-            rank = order.index(tier)
-            if rank == 0:
-                continue
-            dst = order[rank - 1]
+            tier, dst = order[rank], order[rank - 1]
             if free[dst] < page:
                 # swap: the coldest resident of dst drops into p's tier
                 if free[tier] < page:
                     continue
                 if dst not in victims:
-                    victims[dst] = self._coldest_first(dst, hot_set)
+                    victims[dst] = self._coldest_first(rank - 1, hot_set)
                 if not victims[dst]:
                     continue
                 v = victims[dst].pop(0)
@@ -240,9 +237,10 @@ class AutonumaSystem(System):
             budget -= page
         return moves
 
-    def _coldest_first(self, tier: str, hot: set[int]) -> list[int]:
-        """The tier's pages outside `hot`, by (retained count, page).  Counts
-        are never negative, so the uncounted pages lead in page order."""
+    def _coldest_first(self, tier: int, hot: set[int]) -> list[int]:
+        """The pages of tier index `tier` outside `hot`, by (retained count,
+        page).  Counts are never negative, so the uncounted pages lead in
+        page order."""
         pages = [p for p, t in enumerate(self.space.page_tier) if t == tier and p not in hot]
         counted = {p: c for p, c in self.counts.items() if c}
         return ([p for p in pages if p not in counted]

@@ -33,7 +33,8 @@ from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .baselines import BASELINE_KINDS
-from .memmodel import ConfigError, CostModel, TopologyError, build_topology, require
+from .memmodel import (UNMAPPED, ConfigError, CostModel, TopologyError, build_topology,
+                       require)
 from .policy import PolicyConfig
 from .profiler import ProfilerConfig
 from .workload import NODE_ID_LIMIT
@@ -127,6 +128,9 @@ def _topology_spec(topo) -> dict:
     spec = asdict(_walk(TopologyConfig, topo, "topology"))
     require(all(0 <= n < NODE_ID_LIMIT for n in spec["nodes"]), "topology.nodes",
             f"must each be in 0..{NODE_ID_LIMIT - 1}")
+    # a page's tier index is one byte, and the byte UNMAPPED is no tier's
+    require(len(spec["tiers"]) <= UNMAPPED, "topology.tiers",
+            f"must number at most {UNMAPPED}")
     try:
         tiers = build_topology(spec).tiers
     except TopologyError as exc:

@@ -11,6 +11,10 @@ BASE_PAGE_BYTES = 4096
 
 DEFAULT_RANK_COSTS = (1.0, 1.8, 3.0, 5.4)
 
+# a page's tier index is one byte, and this byte marks a page on no tier,
+# so a topology holds at most UNMAPPED tiers
+UNMAPPED = 255
+
 
 class TiersimError(Exception):
     pass
@@ -90,8 +94,9 @@ class TierTopology:
     construction.  A run's free space lives in its MemoryState, so any
     number of states can share one topology.
 
-    The canonical tier order defines a cost ladder: the cost a node pays for
-    a tier, `cost[node][tier]`, is the access_cost at the position that tier
+    A tier's index is its position in the canonical order, `index[tier id]`.
+    That order defines a cost ladder: the cost a node pays for a tier,
+    `cost[node][tier index]`, is the access_cost at the position that tier
     occupies in the node's view.  A remote node therefore sees its
     neighbour's local DRAM at the remote-DRAM rank cost.
     """
@@ -99,8 +104,8 @@ class TierTopology:
     def __init__(self, tiers: list[TierSpec], accessor_nodes: list[int],
                  views: dict[int, list[str]],
                  alloc_orders: dict[int, list[str]] | None = None):
-        if len(tiers) < 2:
-            raise TopologyError("at least 2 tiers required")
+        if not 2 <= len(tiers) <= UNMAPPED:
+            raise TopologyError(f"2 to {UNMAPPED} tiers required, got {len(tiers)}")
         ids = [t.id for t in tiers]
         if len(set(ids)) != len(ids):
             raise TopologyError("duplicate tier ids")
@@ -112,6 +117,7 @@ class TierTopology:
                 raise TopologyError(f"node {node}: view must be a permutation of tier ids")
         self.tiers = tiers
         self.tier_ids = ids
+        self.index = {tid: i for i, tid in enumerate(ids)}
         self.accessor_nodes = list(accessor_nodes)
         self.views = {n: list(views[n]) for n in accessor_nodes}
         self.alloc_orders = {}
@@ -121,13 +127,11 @@ class TierTopology:
                 raise TopologyError(f"node {n}: alloc order must be a permutation")
             self.alloc_orders[n] = list(order)
         rank_costs = [t.access_cost for t in tiers]
-        self.cost = {
-            n: {tid: rank_costs[rank] for rank, tid in enumerate(self.views[n])}
-            for n in accessor_nodes
-        }
-        avg = {tid: sum(self.cost[n][tid] for n in accessor_nodes) / len(accessor_nodes)
-               for tid in ids}
-        self.slowest_tier = max(ids, key=lambda tid: (avg[tid], ids.index(tid)))
+        self.cost = {n: [rank_costs[self.views[n].index(tid)] for tid in ids]
+                     for n in accessor_nodes}
+        avg = [sum(self.cost[n][i] for n in accessor_nodes) / len(accessor_nodes)
+               for i in range(len(ids))]
+        self.slowest_tier = ids[max(range(len(ids)), key=lambda i: (avg[i], i))]
 
     def total_capacity(self) -> int:
         return sum(t.capacity_bytes for t in self.tiers)
@@ -173,6 +177,10 @@ class MemoryState:
     """Page placements, per-page access/dirty bits, per-tier counters, and
     cost ledgers.  Every page is a base page of BASE_PAGE_BYTES.
 
+    `page_tier` is the one placement record: a bytearray holding each page's
+    tier index (`topology.index`), or UNMAPPED.  Tier names appear only at
+    the edges: `tier_of`, `tier_runs`, `free` and `tier_access_counts`.
+
     The state is the only owner of free space: `free[tier]` starts at the
     tier's capacity, and only `map_pages` and `move_pages` change it, so
     `free[t]` plus the bytes of the pages mapped to t is always t's capacity.
@@ -185,11 +193,12 @@ class MemoryState:
         self.topology = topology
         self.cost_model = cost_model
         self.num_pages = num_pages
-        self.page_tier: list[str | None] = [None] * num_pages
+        self.page_tier = bytearray([UNMAPPED]) * num_pages
         self.free = {t.id: t.capacity_bytes for t in topology.tiers}
         self.access_bit = bytearray(num_pages)
         self.dirty_bit = bytearray(num_pages)
-        self.tier_access_counts = {t.id: 0 for t in topology.tiers}
+        self.tier_counts = [0] * len(topology.tiers)  # accesses, by tier index
+        self._cost = topology.cost  # apply_access's cost rows, one hop nearer
         self.ledger = CostLedger()
         self.allocator = allocator  # callable(state, vpage, node) -> None
 
@@ -197,29 +206,45 @@ class MemoryState:
     def clock(self) -> float:
         return self.ledger.app
 
+    @property
+    def tier_access_counts(self) -> dict[str, int]:
+        """Accesses so far per tier id; a fresh dict on every read."""
+        return dict(zip(self.topology.tier_ids, self.tier_counts))
+
     # -- placement ---------------------------------------------------------
 
     def is_mapped(self, vpage: int) -> bool:
-        return 0 <= vpage < self.num_pages and self.page_tier[vpage] is not None
+        return 0 <= vpage < self.num_pages and self.page_tier[vpage] != UNMAPPED
 
-    def mapped_pages(self, lo: int, hi: int) -> list[int]:
+    def tier_of(self, vpage: int) -> str | None:
+        """The id of the page's tier, or None while it is unmapped."""
+        tier = self.page_tier[vpage]
+        return None if tier == UNMAPPED else self.topology.tier_ids[tier]
+
+    def mapped_pages(self, lo: int, hi: int) -> Sequence[int]:
         """The mapped pages in [lo, hi), ascending; `hi` is clamped to the
-        footprint."""
-        return [p for p, tier in enumerate(self.page_tier[lo:hi], lo) if tier is not None]
+        footprint.  A window with every page mapped comes back as
+        `range(lo, hi)`, found by one search for UNMAPPED."""
+        page_tier = self.page_tier
+        hi = min(hi, self.num_pages)
+        if page_tier.find(UNMAPPED, lo, hi) < 0:
+            return range(lo, hi)
+        return [p for p, tier in enumerate(page_tier[lo:hi], lo) if tier != UNMAPPED]
 
     def map_pages(self, pages: Sequence[int], tier_id: str) -> None:
         """Map unmapped pages of [0, num_pages) to one tier, checking its
         room once for all of them."""
         page_tier = self.page_tier
-        mapped = [p for p in pages if page_tier[p] is not None]
+        mapped = [p for p in pages if page_tier[p] != UNMAPPED]
         if mapped:
             raise TiersimError(f"page {mapped[0]} already mapped")
         need = BASE_PAGE_BYTES * len(pages)
         if self.free[tier_id] < need:
             raise CapacityError(f"tier {tier_id} lacks space for {need} bytes")
         self.free[tier_id] -= need
+        tier = self.topology.index[tier_id]
         for p in pages:
-            page_tier[p] = tier_id
+            page_tier[p] = tier
 
     def map_page(self, vpage: int, tier_id: str) -> None:
         self.map_pages((vpage,), tier_id)
@@ -227,28 +252,30 @@ class MemoryState:
     def move_pages(self, pages: range, dst: str) -> None:
         """Remap a contiguous run to dst, updating `free` and clearing
         access/dirty bits.  Cost accounting is the migrator's job."""
-        free = self.free
-        need = sum(BASE_PAGE_BYTES for p in pages if self.page_tier[p] != dst)
+        free, page_tier, ids = self.free, self.page_tier, self.topology.tier_ids
+        d = self.topology.index[dst]
+        need = sum(BASE_PAGE_BYTES for p in pages if page_tier[p] != d)
         if free[dst] < need:
             raise CapacityError(f"tier {dst} lacks space for {need} bytes")
         for p in pages:
-            src = self.page_tier[p]
-            if src is None:
+            src = page_tier[p]
+            if src == UNMAPPED:
                 raise UnmappedPageError(f"page {p} unmapped")
-            if src == dst:
+            if src == d:
                 continue
-            free[src] += BASE_PAGE_BYTES
+            free[ids[src]] += BASE_PAGE_BYTES
             free[dst] -= BASE_PAGE_BYTES
-            self.page_tier[p] = dst
+            page_tier[p] = d
         for p in pages:
             self.access_bit[p] = 0
             self.dirty_bit[p] = 0
 
     def tier_runs(self, lo: int = 0, hi: int | None = None,
                   window: int | None = None) -> list[tuple[int, int, str]]:
-        """Maximal (start, length, tier) runs of mapped pages in [lo, hi),
+        """Maximal (start, length, tier id) runs of mapped pages in [lo, hi),
         in page order and cut at every multiple of `window`.  `hi` is
         clamped to the footprint."""
+        ids = self.topology.tier_ids
         hi = self.num_pages if hi is None else min(hi, self.num_pages)
         runs = []
         cut = lo
@@ -257,8 +284,8 @@ class MemoryState:
             start = cut
             for tier, group in groupby(self.page_tier[cut:end]):
                 length = len(list(group))
-                if tier is not None:
-                    runs.append((start, length, tier))
+                if tier != UNMAPPED:
+                    runs.append((start, length, ids[tier]))
                 start += length
             cut = end
         return runs
@@ -267,14 +294,16 @@ class MemoryState:
 
     def apply_access(self, vpage: int, is_write: bool, node: int) -> float:
         """Touch a page from `node`, mapping it through the allocator on its
-        first touch, and charge the access to the app ledger.  A page past
-        the footprint misses and is refused where misses are handled, so a
-        hit pays for no range check; traces hold no page below 0."""
+        first touch, and charge the access to the app ledger.  A hit reads
+        the page's tier index and indexes the node's cost row and the tier
+        counts with it.  A page past the footprint misses and is refused
+        where misses are handled, so a hit pays for no range check; traces
+        hold no page below 0."""
         try:
             tier = self.page_tier[vpage]
         except IndexError:
-            tier = None
-        if tier is None:
+            tier = UNMAPPED
+        if tier == UNMAPPED:
             if not 0 <= vpage < self.num_pages:
                 raise UnmappedPageError(
                     f"page {vpage} is outside the {self.num_pages}-page footprint")
@@ -285,9 +314,9 @@ class MemoryState:
         self.access_bit[vpage] = 1
         if is_write:
             self.dirty_bit[vpage] = 1
-        cost = self.topology.cost[node][tier]
+        cost = self._cost[node][tier]
         self.ledger.app += cost
-        self.tier_access_counts[tier] += 1
+        self.tier_counts[tier] += 1
         return cost
 
     def replay(self, slc: TraceSlice) -> None:

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .memmodel import CostModel, MemoryState, TiersimError
+from .memmodel import UNMAPPED, CostModel, MemoryState, TiersimError
 from .policy import Move
 from .profiler import Region
 from .workload import TraceSlice
@@ -77,8 +77,8 @@ def project_write_times(space: MemoryState, slc, start_time: float,
     t = start_time
     times, pages = [], []
     for vpage, is_write, node in slc.events():
-        tier = page_tier[vpage] if 0 <= vpage < num_pages else None
-        t += cost[node][tier] if tier is not None else 1.0
+        tier = page_tier[vpage] if 0 <= vpage < num_pages else UNMAPPED
+        t += cost[node][tier] if tier != UNMAPPED else 1.0
         if t >= until:
             break
         if is_write:

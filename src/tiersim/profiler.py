@@ -303,11 +303,12 @@ def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
     """Counter-sampled pages: every pebs_sample_period-th access that lands in
     the slowest tier during the head fraction of the slice."""
     period = space.cost_model.pebs_sample_period
-    slowest = space.topology.slowest_tier
+    topology, page_tier = space.topology, space.page_tier
+    slowest = topology.index[topology.slowest_tier]
     hits = 0
     pages = []
     for vpage, _, _ in slc.head_fraction(cfg.pebs_window_fraction).events():
-        if space.page_tier[vpage] == slowest:
+        if page_tier[vpage] == slowest:
             hits += 1
             if hits % period == 0:
                 pages.append(vpage)

@@ -21,7 +21,8 @@ def test_autonuma_victims_are_coldest_first():
     system.counts = {p: rng.choice([0, 0, 1, 2, 5]) for p in rng.sample(range(400), 150)}
     hot = set(rng.sample(range(400), 40))
     for tier in ("a", "b"):
-        expected = sorted((p for p, t in enumerate(space.page_tier)
-                           if t == tier and p not in hot),
+        expected = sorted((p for p in range(400)
+                           if space.tier_of(p) == tier and p not in hot),
                           key=lambda p: (system.counts.get(p, 0), p))
-        assert system._coldest_first(tier, hot) == expected
+        assert expected
+        assert system._coldest_first(topo.index[tier], hot) == expected

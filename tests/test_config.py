@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tiersim import engine
+from tiersim import cli, config, engine
 from tiersim.cli import EXIT_CONFIG, main
 from tiersim.config import (
     ConfigError, RunConfig, WorkloadConfig, build_run_config, load_config_file,
@@ -140,6 +140,22 @@ def test_rejected_before_any_run(tmp_path, capsys, monkeypatch, text, command, e
     argv = [command[0], "-c", str(path), *command[1:], "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     assert expect in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_more_tiers_than_a_byte_indexes_exit_2(tmp_path, capsys, monkeypatch):
+    """A page holds its tier index in one byte, and index 255 marks an
+    unmapped page: 255 tiers build, 256 exit 2 naming the field before any
+    topology is built."""
+    tiers = [{"id": f"t{i}", "capacity_bytes": 4096} for i in range(256)]
+    assert len(build_run_config({"seed": 1, "topology": {"tiers": tiers[:255]}})
+               .topology["tiers"]) == 255
+    monkeypatch.setattr(cli, "load_config_file",
+                        lambda path: {"seed": 1, "topology": {"tiers": tiers}})
+    monkeypatch.setattr(config, "build_topology", _no_run)
+    monkeypatch.setattr(engine, "run_simulation", _no_run)
+    assert main(["run", "-c", "<tree>", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "topology.tiers must number at most 255" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -98,6 +98,26 @@ def test_outputs_independent_of_hash_seed(tmp_path):
     assert outputs[0] == files_under(EXPECTED / "phase_change")
 
 
+def test_a_second_node_with_node_0s_view_changes_nothing(tmp_path):
+    """A metamorphic relation over the per-node cost rows: a second accessor
+    node whose view is node 0's pays node 0's cost for every tier, so every
+    file `compare` writes for the six systems stays byte-identical."""
+    from tiersim.cli import main
+    base = (CONFIGS / "small.cfg").read_text() + "profiler.origin_sampling = true\n"
+    outputs = []
+    for name, extra in (("one", ""),
+                        ("two", "topology.nodes = 0, 1\ntopology.views.1 = dram, pmem\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(base + extra)
+        out = tmp_path / name
+        assert main(["compare", "-c", str(cfg), "--systems", ALL_SYSTEMS,
+                     "--out", str(out)]) == 0
+        outputs.append(files_under(out))
+    assert {name.split("/")[0] for name in outputs[0]} == \
+        {"compare.csv", *ALL_SYSTEMS.split(",")}
+    assert outputs[0] == outputs[1]
+
+
 def regenerate() -> None:
     import tempfile
     os.environ.pop("TIERSIM_SEED", None)

@@ -22,7 +22,9 @@ interval:
   add up to the budget `num_ps`, unless every region is down to one sample
   (more regions than the budget) or samples all of its pages (fewer pages);
 - the MTM regions are sorted by start and disjoint, and each region's pages
-  are all on its tier.
+  are all on its tier;
+- the app ledger and the tiers' access counts equal what `reference_replay`,
+  a replayer keyed by tier name, gives for every access so far.
 
 The loop's per-interval costs and tier counts must equal the engine's rows,
 so it cannot drift from the loop it stands in for.  On the engine's result:
@@ -94,7 +96,8 @@ def configs(draw) -> str:
 
 def check_ledger(space: MemoryState) -> None:
     pages = {t: 0 for t in space.free}
-    for tier in space.page_tier:
+    for p in range(space.num_pages):
+        tier = space.tier_of(p)
         if tier is not None:
             pages[tier] += 1
     for t in space.topology.tiers:
@@ -114,7 +117,7 @@ def check_directions(system, moves) -> None:
     topology = system.space.topology
     for m in moves:
         assert m.region.tier == m.src, m
-        assert all(system.space.page_tier[p] == m.src
+        assert all(system.space.tier_of(p) == m.src
                    for p in range(m.region.start_page, m.region.end_page)), m
         if isinstance(system, baselines.AutonumaSystem):
             order = topology.tier_ids
@@ -141,12 +144,30 @@ def check_samples(profiler) -> None:
 
 
 def check_partition(profiler) -> None:
-    page_tier = profiler.space.page_tier
+    space = profiler.space
     end = 0
     for r in profiler.regions:
         assert r.start_page >= end, r  # sorted by start and disjoint
-        assert all(page_tier[p] == r.tier for p in range(r.start_page, r.end_page)), r
+        assert all(space.tier_of(p) == r.tier for p in range(r.start_page, r.end_page)), r
         end = r.end_page
+
+
+def reference_replay(space: MemoryState, slc, app: float,
+                     counts: dict[str, int]) -> float:
+    """The slice's accesses replayed by tier name onto `app` and `counts`:
+    an access costs the rank cost at its page's tier's place in the
+    accessing node's view, added left to right as the ledger adds it.  Call
+    it once the slice is replayed: pages are mapped by then and no system
+    moves one before it plans."""
+    topology = space.topology
+    rank_costs = [t.access_cost for t in topology.tiers]
+    cost = {n: {tid: rank_costs[rank] for rank, tid in enumerate(view)}
+            for n, view in topology.views.items()}
+    for vpage, _, node in slc.events():
+        tier = space.tier_of(vpage)
+        app += cost[node][tier]
+        counts[tier] += 1
+    return app
 
 
 def check_budget(rows, overhead_constraint: float) -> None:
@@ -169,12 +190,14 @@ def run_checked(cfg, trace) -> list[tuple]:
     mode = cfg.migrator_mode or system.migrator_mode
     rows = []
     app_prev = 0.0
+    ref_app, ref_counts = 0.0, {t: 0 for t in topology.tier_ids}
     for i in range(min(cfg.intervals, trace.num_intervals)):
         slc = trace.interval_slice(i)
         ledger = space.ledger
         app0, prof0, mig0 = ledger.app, ledger.profiling, ledger.migration_exposed
         acc0 = dict(space.tier_access_counts)
         system.run_profiling(slc, app_prev)
+        ref_app = reference_replay(space, slc, ref_app, ref_counts)
         if isinstance(system, baselines.MtmSystem):
             check_samples(system.profiler)
             check_partition(system.profiler)
@@ -187,6 +210,8 @@ def run_checked(cfg, trace) -> list[tuple]:
                           if i + 1 < trace.num_intervals else None)
             migrator.execute_plan(space, moves, mode, next_slice)
         check_ledger(space)
+        assert ledger.app == ref_app
+        assert space.tier_access_counts == ref_counts
         counts = {t: space.tier_access_counts[t] - acc0[t] for t in topology.tier_ids}
         assert sum(counts.values()) == len(slc)
         rows.append((ledger.app - app0, ledger.profiling - prof0,

@@ -5,7 +5,7 @@ import pytest
 
 from tiersim.baselines import group_first_touch
 from tiersim.memmodel import (
-    BASE_PAGE_BYTES, CapacityError, CostModel, MemoryState,
+    BASE_PAGE_BYTES, UNMAPPED, CapacityError, CostModel, MemoryState,
     TierSpec, TierTopology, TiersimError, TopologyError, UnmappedPageError,
     build_topology,
 )
@@ -29,10 +29,22 @@ def four_tier_spec(nodes=(0, 1)):
 def placed_bytes(state):
     """Bytes of the pages mapped to each tier, counted from the page table."""
     out = {t.id: 0 for t in state.topology.tiers}
-    for tid in state.page_tier:
+    for p in range(state.num_pages):
+        tid = state.tier_of(p)
         if tid is not None:
             out[tid] += BASE_PAGE_BYTES
     return out
+
+
+def tier_names(state, lo=0, hi=None):
+    """The tier id of each page in [lo, hi), None where unmapped."""
+    return [state.tier_of(p) for p in range(lo, state.num_pages if hi is None else hi)]
+
+
+def place(state, names):
+    """Write a page table given as one tier id, or None, per page."""
+    state.page_tier = bytearray(UNMAPPED if t is None else state.topology.index[t]
+                                for t in names)
 
 
 def small_state(num_pages=64, tier_pages=(16, 16, 16, 64), nodes=(0,)):
@@ -60,6 +72,12 @@ class TestBuildTopology:
         with pytest.raises(TopologyError):
             build_topology({"tiers": [{"id": "a", "capacity_bytes": MB}]})
 
+    def test_more_tiers_than_a_byte_indexes_rejected(self):
+        tiers = [{"id": f"t{i}", "capacity_bytes": MB} for i in range(UNMAPPED + 1)]
+        assert build_topology({"tiers": tiers[:UNMAPPED]}).index["t254"] == 254
+        with pytest.raises(TopologyError, match="got 256"):
+            build_topology({"tiers": tiers})
+
     def test_optane_shape_with_swapped_views(self):
         spec = {
             "tiers": [
@@ -76,9 +94,10 @@ class TestBuildTopology:
         }
         topo = build_topology(spec)
         # both views are permutations and rank costs apply per view position
-        assert topo.cost[0]["dram0"] == 1.0
-        assert topo.cost[1]["dram0"] == 1.8
-        assert topo.cost[1]["dram1"] == 1.0
+        index = topo.index
+        assert topo.cost[0][index["dram0"]] == 1.0
+        assert topo.cost[1][index["dram0"]] == 1.8
+        assert topo.cost[1][index["dram1"]] == 1.0
 
     def test_duplicate_ids_rejected(self):
         spec = four_tier_spec()
@@ -157,7 +176,7 @@ class TestAccessAndScan:
         st.allocator = group_first_touch(8)
         with pytest.raises(UnmappedPageError, match=f"page {vpage} "):
             st.apply_access(vpage, False, 0)
-        assert st.page_tier == [None] * 16
+        assert tier_names(st) == [None] * 16
         assert st.ledger.app == 0.0
         assert sum(st.tier_access_counts.values()) == 0
 
@@ -171,7 +190,7 @@ class TestMapping:
         assert st.free["t1"] == 16 * BASE_PAGE_BYTES
         st.map_pages(range(0, 16), "t1")
         assert st.free["t1"] == 0
-        assert st.page_tier[:17] == ["t1"] * 16 + [None]
+        assert tier_names(st, 0, 17) == ["t1"] * 16 + [None]
 
     def test_map_pages_refuses_a_mapped_page(self):
         st = small_state()
@@ -188,6 +207,9 @@ class TestMapping:
         assert st.mapped_pages(2, 8) == [2, 7]
         assert st.mapped_pages(8, 20) == [9]
         assert st.mapped_pages(3, 7) == []
+        # a window with every page mapped is the range itself, clamped
+        assert st.mapped_pages(1, 3) == range(1, 3)
+        assert st.mapped_pages(9, 20) == range(9, 10)
 
 
 class TestFreeBytes:
@@ -253,7 +275,7 @@ class TestInvariants:
         st = small_state()
         for p in range(12):
             st.map_page(p, "t2")
-        tiers = [st.page_tier[p] for p in range(12)]
+        tiers = tier_names(st, 0, 12)
         assert all(t == "t2" for t in tiers)
 
     def test_scan_reset_observations_bounded_by_accesses(self):
@@ -298,17 +320,18 @@ class TestTierRuns:
             page_tier = []
             while len(page_tier) < st.num_pages:  # runs of random length
                 page_tier += [rng.choice(tiers)] * rng.randint(1, 40)
-            st.page_tier = page_tier[:st.num_pages]
+            page_tier = page_tier[:st.num_pages]
+            place(st, page_tier)
             window = rng.choice([None, *range(1, 65)])
             lo = rng.randint(0, st.num_pages)
             hi = rng.choice([None, rng.randint(lo, st.num_pages + 70)])
-            expected = reference_runs(st.page_tier, lo,
+            expected = reference_runs(page_tier, lo,
                                       st.num_pages if hi is None else hi, window)
             assert st.tier_runs(lo, hi, window) == expected
 
     def test_runs_cut_at_windows_and_holes(self):
         st = small_state(num_pages=10, tier_pages=(16, 16))
-        st.page_tier = ["t1"] * 6 + [None, "t2", "t2", "t1"]
+        place(st, ["t1"] * 6 + [None, "t2", "t2", "t1"])
         assert st.tier_runs(window=4) == [(0, 4, "t1"), (4, 2, "t1"), (7, 1, "t2"),
                                           (8, 1, "t2"), (9, 1, "t1")]
         assert st.tier_runs(2, 8) == [(2, 4, "t1"), (7, 1, "t2")]

@@ -15,7 +15,7 @@ from tiersim.policy import Move
 from tiersim.profiler import Region
 from tiersim.workload import AccessTrace, gen_seq_microbench
 
-from test_memmodel import placed_bytes
+from test_memmodel import placed_bytes, tier_names
 
 
 def make_space(num_pages=2048, caps=(4096, 4096, 4096), map_to="a"):
@@ -67,7 +67,7 @@ class TestSync:
         space = make_space(num_pages=8)
         space.apply_access(3, True, 0)
         migrate_region(space, reg(0, 8), "b", "sync", None, 0.0)
-        assert all(space.page_tier[p] == "b" for p in range(8))
+        assert tier_names(space, 0, 8) == ["b"] * 8
         assert space.access_bit[3] == 0 and space.dirty_bit[3] == 0
 
     def test_ignores_writes_in_the_window(self):
@@ -84,7 +84,7 @@ class TestSync:
         space = make_space(num_pages=8)
         with pytest.raises(TiersimError, match="unknown migration mode"):
             migrate_region(space, reg(0, 8), "b", "eager", None, 0.0)
-        assert space.page_tier[0] == "a"
+        assert space.tier_of(0) == "a"
 
 
 class TestAsync:
@@ -103,7 +103,7 @@ class TestAsync:
         assert (entry.mechanism, entry.exposed_cost) == ("sync", 8 * 5.0)
         assert (entry.background_cost, entry.recopied_pages) == (0.0, 0)
         assert space.ledger.migration_background == 0.0
-        assert space.page_tier[0] == "b"
+        assert space.tier_of(0) == "b"
 
     def test_write_outside_window_or_region_ignored(self):
         space = make_space(num_pages=64)
@@ -209,7 +209,7 @@ class TestExecutePlan:
         with pytest.raises(PlanExecutionError, match="move of region 4 to b"):
             execute_plan(space, moves, mode="sync")
         assert first.tier == "b" and second.tier == "a"
-        assert [space.page_tier[p] for p in range(16)] == ["b"] * 4 + ["a"] * 12
+        assert tier_names(space, 0, 16) == ["b"] * 4 + ["a"] * 12
 
     def test_sync_mode_background_ledger_stays_zero(self):
         space = make_space(num_pages=16)
@@ -319,8 +319,8 @@ class TestBisectedWindows:
                 assert space.ledger.migration_exposed == expected.exposed_cost
                 assert space.ledger.migration_background == expected.background_cost
                 assert moved.tier == "b"
-                assert all(space.page_tier[p] == "b"
-                           for p in range(moved.start_page, moved.end_page))
+                assert tier_names(space, moved.start_page, moved.end_page) == \
+                    ["b"] * moved.len_pages
             fallbacks += first is not None
         assert 50 < fallbacks < 350
 

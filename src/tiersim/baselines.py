@@ -59,7 +59,9 @@ def group_first_touch(group_pages: int):
         g0 = (vpage // group_pages) * group_pages
         g1 = min(g0 + group_pages, space.num_pages)
         page_tier = space.page_tier
-        pages = [p for p in range(g0, g1) if page_tier[p] == UNMAPPED]
+        pages = range(g0, g1)  # an untouched group, mapped as one slice
+        if page_tier.count(UNMAPPED, g0, g1) < len(pages):
+            pages = [p for p in pages if page_tier[p] == UNMAPPED]
         need = len(pages) * BASE_PAGE_BYTES
         for tier_id in space.topology.alloc_order(node):
             if space.free[tier_id] >= need:
@@ -189,10 +191,11 @@ class AutonumaSystem(System):
             replay_plain(space, sub)
             # one fault per page the sub-window touched in the window, taken
             # in first-access order until the budget runs dry
-            for p in sub.page_counts():
-                if w0 <= p < w1 and spent + scan_cost <= budget:
-                    spent += scan_cost
-                    fresh[p] = fresh.get(p, 0) + 1
+            for p in dict.fromkeys(filter(range(w0, w1).__contains__, sub.pages())):
+                if spent + scan_cost > budget:
+                    break
+                spent += scan_cost
+                fresh[p] = fresh.get(p, 0) + 1
         space.ledger.profiling += spent
         for p in range(w0, w1):
             self.counts[p] = fresh.get(p, 0)

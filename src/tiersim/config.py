@@ -118,8 +118,9 @@ def _topology_spec(topo) -> dict:
     given or by rank, may not fall below the tier before it."""
     if not isinstance(topo, dict) or not topo:
         raise ConfigError("topology section is mandatory", "topology")
-    names = sorted(k for k in topo if _TIER_SECTION.fullmatch(k))
-    if "tiers" not in topo:  # tierN sections, in key order; ids default to the key
+    names = sorted((k for k in topo if _TIER_SECTION.fullmatch(k)),
+                   key=lambda k: (int(k[4:]), k))
+    if "tiers" not in topo:  # tierN sections by number N; ids default to the key
         sections = [{"id": n, **topo[n]} if isinstance(topo[n], dict) else topo[n]
                     for n in names]
         tiers = [asdict(_walk(TierConfig, section, f"topology.{n}"))

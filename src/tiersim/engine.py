@@ -90,7 +90,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         app0 = space.ledger.app
         prof0 = space.ledger.profiling
         mig0 = space.ledger.migration_exposed
-        acc0 = dict(space.tier_access_counts)
+        acc0 = space.tier_access_counts
         merges0, splits0 = system.struct_counts()
 
         system.run_profiling(slc, app_prev)
@@ -107,13 +107,13 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         hot = oracle.hot_sets[i] if oracle is not None else ()
         rec, prec = metrics.recall_precision(detected, hot)
         merges, splits = system.struct_counts()
+        acc = space.tier_access_counts
         row = IntervalMetrics(
             interval=i, recall=rec, precision=prec,
             app_cost=space.ledger.app - app0,
             profiling_cost=space.ledger.profiling - prof0,
             migration_exposed_cost=space.ledger.migration_exposed - mig0,
-            tier_access_counts={t: space.tier_access_counts[t] - acc0[t]
-                                for t in topology.tier_ids},
+            tier_access_counts={t: acc[t] - acc0[t] for t in topology.tier_ids},
             merges=merges - merges0, splits=splits - splits0)
         result.rows.append(row)
         app_prev = row.app_cost

@@ -1,9 +1,9 @@
 """Tier topology, page placement, and the simulated access/dirty bits."""
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
 
 from .workload import TraceSlice
 
@@ -199,6 +199,9 @@ class MemoryState:
         self.dirty_bit = bytearray(num_pages)
         self.tier_counts = [0] * len(topology.tiers)  # accesses, by tier index
         self._cost = topology.cost  # apply_access's cost rows, one hop nearer
+        # tier_runs' matchers of a run of one byte, per tier index and UNMAPPED
+        self._run_of = {t: re.compile(re.escape(bytes((t,))) + b"+").match
+                        for t in (*range(len(topology.tiers)), UNMAPPED)}
         self.ledger = CostLedger()
         self.allocator = allocator  # callable(state, vpage, node) -> None
 
@@ -233,9 +236,12 @@ class MemoryState:
 
     def map_pages(self, pages: Sequence[int], tier_id: str) -> None:
         """Map unmapped pages of [0, num_pages) to one tier, checking its
-        room once for all of them."""
+        room once for all of them.  An unmapped range of step 1 is checked
+        by one count and mapped by one slice assignment."""
         page_tier = self.page_tier
-        mapped = [p for p in pages if page_tier[p] != UNMAPPED]
+        run = (isinstance(pages, range) and pages.step == 1 and pages.start >= 0
+               and page_tier.count(UNMAPPED, pages.start, pages.stop) == len(pages))
+        mapped = () if run else [p for p in pages if page_tier[p] != UNMAPPED]
         if mapped:
             raise TiersimError(f"page {mapped[0]} already mapped")
         need = BASE_PAGE_BYTES * len(pages)
@@ -243,51 +249,51 @@ class MemoryState:
             raise CapacityError(f"tier {tier_id} lacks space for {need} bytes")
         self.free[tier_id] -= need
         tier = self.topology.index[tier_id]
-        for p in pages:
-            page_tier[p] = tier
+        if run:
+            page_tier[pages.start:pages.stop] = bytes((tier,)) * len(pages)
+        else:
+            for p in pages:
+                page_tier[p] = tier
 
     def map_page(self, vpage: int, tier_id: str) -> None:
         self.map_pages((vpage,), tier_id)
 
     def move_pages(self, pages: range, dst: str) -> None:
-        """Remap a contiguous run to dst, updating `free` and clearing
-        access/dirty bits.  Cost accounting is the migrator's job."""
-        free, page_tier, ids = self.free, self.page_tier, self.topology.tier_ids
-        d = self.topology.index[dst]
-        need = sum(BASE_PAGE_BYTES for p in pages if page_tier[p] != d)
+        """Remap a contiguous run (a range of step 1) to dst, updating `free`
+        and clearing access/dirty bits.  It checks that dst has room and that
+        every page is mapped before it changes anything, so a failed move
+        leaves the state as it was.  Cost accounting is the migrator's job."""
+        free, ids = self.free, self.topology.tier_ids
+        lo, hi, d = pages.start, pages.stop, self.topology.index[dst]
+        span = self.page_tier[lo:hi]
+        need = BASE_PAGE_BYTES * (len(pages) - span.count(d))
         if free[dst] < need:
             raise CapacityError(f"tier {dst} lacks space for {need} bytes")
-        for p in pages:
-            src = page_tier[p]
-            if src == UNMAPPED:
-                raise UnmappedPageError(f"page {p} unmapped")
-            if src == d:
-                continue
-            free[ids[src]] += BASE_PAGE_BYTES
-            free[dst] -= BASE_PAGE_BYTES
-            page_tier[p] = d
-        for p in pages:
-            self.access_bit[p] = 0
-            self.dirty_bit[p] = 0
+        hole = span.find(UNMAPPED) if len(span) == len(pages) else len(span)
+        if hole >= 0:
+            raise UnmappedPageError(f"page {lo + hole} unmapped")
+        for src in set(span) - {d}:
+            free[ids[src]] += BASE_PAGE_BYTES * span.count(src)
+        free[dst] -= need
+        self.page_tier[lo:hi] = bytes((d,)) * len(span)
+        self.access_bit[lo:hi] = self.dirty_bit[lo:hi] = bytes(len(span))
 
     def tier_runs(self, lo: int = 0, hi: int | None = None,
                   window: int | None = None) -> list[tuple[int, int, str]]:
         """Maximal (start, length, tier id) runs of mapped pages in [lo, hi),
         in page order and cut at every multiple of `window`.  `hi` is
-        clamped to the footprint."""
-        ids = self.topology.tier_ids
+        clamped to the footprint.  Each run is one C regex match."""
+        ids, page_tier, run_of = self.topology.tier_ids, self.page_tier, self._run_of
         hi = self.num_pages if hi is None else min(hi, self.num_pages)
         runs = []
-        cut = lo
-        while cut < hi:
-            end = hi if window is None else min((cut // window + 1) * window, hi)
-            start = cut
-            for tier, group in groupby(self.page_tier[cut:end]):
-                length = len(list(group))
-                if tier != UNMAPPED:
-                    runs.append((start, length, ids[tier]))
-                start += length
-            cut = end
+        start = lo
+        while start < hi:
+            end = hi if window is None else min((start // window + 1) * window, hi)
+            tier = page_tier[start]
+            stop = run_of[tier](page_tier, start, end).end()
+            if tier != UNMAPPED:
+                runs.append((start, stop - start, ids[tier]))
+            start = stop
         return runs
 
     # -- access & scanning -------------------------------------------------

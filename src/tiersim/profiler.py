@@ -307,7 +307,7 @@ def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
     slowest = topology.index[topology.slowest_tier]
     hits = 0
     pages = []
-    for vpage, _, _ in slc.head_fraction(cfg.pebs_window_fraction).events():
+    for vpage in slc.head_fraction(cfg.pebs_window_fraction).pages():
         if page_tier[vpage] == slowest:
             hits += 1
             if hits % period == 0:
@@ -484,9 +484,8 @@ class Profiler:
             for r, samples in scheduled:
                 row = counts[r.id]
                 for i, page in enumerate(samples):
-                    if space.is_mapped(page):
-                        row[i] += space.scan_pte(page, cost=eff)
-                        scans += 1
+                    row[i] += space.scan_pte(page, cost=eff)
+                scans += len(samples)
         for r, samples in scheduled:
             row = counts[r.id]
             r.sample_counts = row + [0] * (len(r.samples) - len(row))

@@ -159,6 +159,17 @@ def test_more_tiers_than_a_byte_indexes_exit_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_tier_sections_are_ordered_by_number():
+    """`tier10` follows `tier9`, not `tier1`: twelve sections whose costs
+    rise with their number build in that order, whatever the key order."""
+    text = "seed = 1\n" + "".join(
+        f"topology.tier{i}.capacity_bytes = 4096\ntopology.tier{i}.access_cost = {i + 1}\n"
+        for i in reversed(range(12)))
+    spec = build_run_config(parse_config_text(text)).topology
+    assert [t["id"] for t in spec["tiers"]] == [f"tier{i}" for i in range(12)]
+    assert [t["access_cost"] for t in spec["tiers"]] == [float(i + 1) for i in range(12)]
+
+
 SECTIONS = {"workload": WorkloadConfig, "profiler": ProfilerConfig,
             "policy": PolicyConfig, "cost": CostModel}
 KEYS = ([f.name for f in fields(RunConfig)]

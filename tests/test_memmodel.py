@@ -200,6 +200,29 @@ class TestMapping:
         assert st.mapped_pages(0, 64) == [5]
         assert st.free["t1"] == 16 * BASE_PAGE_BYTES
 
+    def test_map_pages_takes_a_range_as_one_run(self):
+        st = small_state(num_pages=40)
+        st.map_pages(range(8, 16), "t2")
+        assert tier_names(st, 6, 18) == [None] * 2 + ["t2"] * 8 + [None] * 2
+        assert st.free["t2"] == 8 * BASE_PAGE_BYTES
+        # a range over a mapped page, or past the footprint, maps nothing
+        with pytest.raises(TiersimError, match="page 12 already mapped"):
+            st.map_pages(range(12, 20), "t1")
+        with pytest.raises(IndexError):
+            st.map_pages(range(36, 44), "t1")
+        assert st.free["t1"] == 16 * BASE_PAGE_BYTES
+        assert tier_names(st).count("t1") == 0 and len(st.page_tier) == 40
+
+    def test_group_first_touch_maps_a_partly_mapped_group_page_by_page(self):
+        st = small_state(num_pages=16)
+        st.allocator = group_first_touch(8)
+        st.map_page(3, "t2")
+        st.apply_access(5, False, 0)  # maps 0-7 but 3, then 8-15 whole
+        st.apply_access(12, False, 0)
+        assert tier_names(st) == ["t1"] * 3 + ["t2"] + ["t1"] * 12
+        assert st.free["t1"] == 1 * BASE_PAGE_BYTES
+        assert st.free["t2"] == 15 * BASE_PAGE_BYTES
+
     def test_mapped_pages_lists_a_range_clamped_to_the_footprint(self):
         st = small_state(num_pages=10)
         st.map_pages([1, 2, 7, 9], "t1")
@@ -293,6 +316,68 @@ class TestInvariants:
         assert ones <= accesses
 
 
+def reference_move(state, lo, hi, dst):
+    """Per-page reference for MemoryState.move_pages on a copy of `state`'s
+    placement: (free, page tiers, access bits, dirty bits) after the move,
+    or the exception type it raises."""
+    free, names = dict(state.free), tier_names(state)
+    need = sum(BASE_PAGE_BYTES for p in range(lo, hi) if names[p] != dst)
+    if free[dst] < need:
+        return CapacityError
+    if None in names[lo:hi]:
+        return UnmappedPageError
+    for p in range(lo, hi):
+        free[names[p]] += BASE_PAGE_BYTES
+        free[dst] -= BASE_PAGE_BYTES
+        names[p] = dst
+    access, dirty = bytearray(state.access_bit), bytearray(state.dirty_bit)
+    access[lo:hi] = dirty[lo:hi] = bytes(hi - lo)
+    return free, names, access, dirty
+
+
+class TestMovePages:
+    def test_matches_per_page_reference(self):
+        """Random placements with holes, random bits and random runs, against
+        a per-page loop; a failed move changes nothing."""
+        rng = random.Random(13)
+        for _ in range(300):
+            st = small_state(num_pages=48, tier_pages=(12, 20, 24, 48))
+            order = [None] + st.topology.tier_ids
+            names = [rng.choice(order[1:] if rng.random() < 0.9 else order)
+                     for _ in range(48)]
+            for t in st.topology.tier_ids:  # no tier holds more than its room
+                room = st.free[t] // BASE_PAGE_BYTES
+                for p in [p for p, n in enumerate(names) if n == t][room:]:
+                    names[p] = None
+            place(st, names)
+            for t in st.topology.tier_ids:
+                st.free[t] -= BASE_PAGE_BYTES * names.count(t)
+            st.access_bit = bytearray(rng.getrandbits(1) for _ in range(48))
+            st.dirty_bit = bytearray(rng.getrandbits(1) for _ in range(48))
+            lo = rng.randrange(48)
+            hi = rng.randint(lo + 1, 48)
+            dst = rng.choice(st.topology.tier_ids)
+            expected = reference_move(st, lo, hi, dst)
+            before = (dict(st.free), tier_names(st), bytearray(st.access_bit),
+                      bytearray(st.dirty_bit))
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    st.move_pages(range(lo, hi), dst)
+                expected = before
+            else:
+                st.move_pages(range(lo, hi), dst)
+            assert (st.free, tier_names(st), st.access_bit, st.dirty_bit) == expected
+
+    def test_a_run_past_the_footprint_is_refused_unchanged(self):
+        st = small_state(num_pages=8)
+        for p in range(8):
+            st.map_page(p, "t1")
+        with pytest.raises(UnmappedPageError, match="page 8 unmapped"):
+            st.move_pages(range(4, 10), "t2")
+        assert tier_names(st) == ["t1"] * 8 and len(st.page_tier) == 8
+        assert st.free["t2"] == 16 * BASE_PAGE_BYTES
+
+
 def reference_runs(page_tier, lo, hi, window):
     """Per-page reference for MemoryState.tier_runs."""
     runs = []
@@ -337,6 +422,21 @@ class TestTierRuns:
         assert st.tier_runs(2, 8) == [(2, 4, "t1"), (7, 1, "t2")]
         # a window past the footprint is clamped to it
         assert st.tier_runs(8, 12, window=4) == [(8, 1, "t2"), (9, 1, "t1")]
+
+    @pytest.mark.parametrize("window", [None, 1, 3, 64])
+    def test_alternating_and_holed_layouts(self, window):
+        """A run per page, and runs broken by holes, with and without
+        windows, against the per-page reference."""
+        st = small_state(num_pages=2048, tier_pages=(2048,) * 4)
+        alternating = ["t1", "t2"] * 1024
+        holed = (["t3"] * 5 + [None] * 3 + ["t1"] + [None]) * 204 + [None] * 8
+        for names in (alternating, holed, [None] * 2048):
+            place(st, names)
+            for lo, hi in ((0, None), (7, 1500), (5, 3000)):
+                expected = reference_runs(names, lo, 2048 if hi is None else hi, window)
+                assert st.tier_runs(lo, hi, window) == expected
+        place(st, alternating)
+        assert len(st.tier_runs()) == 2048
 
 
 class TestReplay:

@@ -9,8 +9,8 @@ from tiersim.memmodel import (
     build_topology,
 )
 from tiersim.profiler import (
-    Profiler, ProfilerConfig, Region, _resize_samples, _unsampled_pages,
-    compute_budget, effective_scan_cost, merge_pass, owner_of,
+    Profiler, ProfilerConfig, Region, _pebs_sampled_pages, _resize_samples,
+    _unsampled_pages, compute_budget, effective_scan_cost, merge_pass, owner_of,
     rebalance_to_budget, redistribute_quota, sample_origin, split_pass,
     total_quota,
 )
@@ -500,6 +500,33 @@ class TestPebsAssist:
         prof.select_active(trace_of([33, 34, 33, 34] * 2).interval_slice(0))
         assert slow_ids <= prof.active_ids
         assert len(prof.regions) == count_before
+
+
+def reference_pebs(space, slc, fraction):
+    """Per-access reference for _pebs_sampled_pages: every period-th access
+    to the slowest tier in the head `fraction` of the slice."""
+    period = space.cost_model.pebs_sample_period
+    head = int(len(slc) * fraction)
+    hits = [p for k, (p, _, _) in enumerate(slc.events())
+            if k < head and space.tier_of(p) == "slow"]
+    return [p for k, p in enumerate(hits, 1) if k % period == 0]
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.5, 0.0])
+def test_pebs_sampled_pages_match_per_access_reference(fraction):
+    """Every period from 1 to one past the slice's length, on two slices of
+    a trace over pages that alternate in runs of 8 between the tiers."""
+    rng = random.Random(5)
+    trace = trace_of([rng.randrange(64) for _ in range(90)], api=60)
+    cfg = ProfilerConfig(pebs_window_fraction=fraction)
+    for slc in (trace.interval_slice(0), trace.interval_slice(1)):
+        for period in range(1, len(slc) + 2):
+            space = two_tier_space(num_pages=64, period=period)
+            for p in range(64):
+                space.map_page(p, "slow" if p // 8 % 2 else "fast")
+            got = _pebs_sampled_pages(space, slc, cfg)
+            assert got == reference_pebs(space, slc, fraction), period
+            assert period > 1 or fraction == 0 or got
 
 
 class TestOwnerOf:

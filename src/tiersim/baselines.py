@@ -41,8 +41,8 @@ DAMON_MERGE_FRACTION = 0.10
 
 def first_touch_alloc(space: MemoryState, vpage: int, node: int) -> str:
     """Place an untouched page in the first tier with room along the toucher
-    node's distance order.  Never migrates."""
-    for tier_id in space.topology.alloc_order(node):
+    node's view, fastest first.  Never migrates."""
+    for tier_id in space.topology.views[node]:
         if space.free[tier_id] >= BASE_PAGE_BYTES:
             space.map_page(vpage, tier_id)
             return tier_id
@@ -52,7 +52,7 @@ def first_touch_alloc(space: MemoryState, vpage: int, node: int) -> str:
 def group_first_touch(group_pages: int):
     """First-touch at allocation-extent granularity: touching any page maps
     the unmapped pages of its aligned group into the first tier, in the
-    toucher's allocation order, that can hold them all, as base pages.
+    toucher's view, that can hold them all, as base pages.
     Falls back to page-by-page placement when no tier can."""
 
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
@@ -63,7 +63,7 @@ def group_first_touch(group_pages: int):
         if page_tier.count(UNMAPPED, g0, g1) < len(pages):
             pages = [p for p in pages if page_tier[p] == UNMAPPED]
         need = len(pages) * BASE_PAGE_BYTES
-        for tier_id in space.topology.alloc_order(node):
+        for tier_id in space.topology.views[node]:
             if space.free[tier_id] >= need:
                 space.map_pages(pages, tier_id)
                 return

@@ -12,9 +12,9 @@ Schema.  The tree is walked over the dataclasses `RunConfig`,
 key must name a field, every value is coerced by the field's annotation
 (`Literal` fields take one of their listed names), and each dataclass checks
 its ranges in `__post_init__`.  The topology takes `tierN` sections (in key
-order; `id` defaults to the key) or a JSON `tiers` list, plus `nodes`,
-`views.<node>` and `alloc_order.<node>`.  Every failure is a ConfigError
-naming the dotted field.
+order; `id` defaults to the key) or a JSON `tiers` list, plus `nodes` and
+`views.<node>`, which is also the node's first-touch order.  Every failure
+is a ConfigError naming the dotted field.
 
 Overrides.  Each is `set_key` on the parsed tree before that one
 validation, in this order: the file's own lines, then `run --system`, a
@@ -84,9 +84,7 @@ class WorkloadConfig:
     hot_access_fraction: float = 0.8
     accesses: int = 20480
     accesses_per_interval: int = 1024
-    hotset_layout: Literal["contiguous", "scattered"] = "contiguous"
     init_pass: bool = False
-    rehash_hotset_every_n_passes: int = 0
     phases: int = 4
     bench: Literal["read_only", "half_read", "write_only"] = "read_only"
     array_pages: int = 2048
@@ -106,7 +104,6 @@ class TopologyConfig:
     tiers: list[TierConfig]
     nodes: list[int] = field(default_factory=lambda: [0])
     views: dict[int, list[str]] = field(default_factory=dict)
-    alloc_order: dict[int, list[str]] = field(default_factory=dict)
 
 
 _TIER_SECTION = re.compile(r"tier\d+")

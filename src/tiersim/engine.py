@@ -28,18 +28,14 @@ def build_trace(cfg: RunConfig) -> tuple[AccessTrace, HotOracle]:
             return workload.gen_gups(
                 w.footprint_pages, w.hotset_fraction, w.hot_access_fraction,
                 w.accesses, nodes, seed,
-                accesses_per_interval=w.accesses_per_interval,
-                hotset_layout=w.hotset_layout, init_pass=w.init_pass,
-                rehash_hotset_every_n_passes=w.rehash_hotset_every_n_passes)
+                accesses_per_interval=w.accesses_per_interval, init_pass=w.init_pass)
         if w.kind == "phase_change":
             phases = [GupsPhase(w.footprint_pages, w.hotset_fraction,
                                 w.hot_access_fraction, w.accesses,
                                 init_pass=(w.init_pass and i == 0))
                       for i in range(w.phases)]
             return workload.gen_phase_change(
-                phases, seed, nodes,
-                accesses_per_interval=w.accesses_per_interval,
-                hotset_layout=w.hotset_layout)
+                phases, seed, nodes, accesses_per_interval=w.accesses_per_interval)
         trace = workload.gen_seq_microbench(w.bench, w.array_pages, w.passes,
                                             node=w.node,
                                             accesses_per_interval=w.accesses_per_interval)

@@ -98,12 +98,12 @@ class TierTopology:
     That order defines a cost ladder: the cost a node pays for a tier,
     `cost[node][tier index]`, is the access_cost at the position that tier
     occupies in the node's view.  A remote node therefore sees its
-    neighbour's local DRAM at the remote-DRAM rank cost.
+    neighbour's local DRAM at the remote-DRAM rank cost.  First touch
+    places a node's pages along its view, fastest first.
     """
 
     def __init__(self, tiers: list[TierSpec], accessor_nodes: list[int],
-                 views: dict[int, list[str]],
-                 alloc_orders: dict[int, list[str]] | None = None):
+                 views: dict[int, list[str]]):
         if not 2 <= len(tiers) <= UNMAPPED:
             raise TopologyError(f"2 to {UNMAPPED} tiers required, got {len(tiers)}")
         ids = [t.id for t in tiers]
@@ -120,12 +120,6 @@ class TierTopology:
         self.index = {tid: i for i, tid in enumerate(ids)}
         self.accessor_nodes = list(accessor_nodes)
         self.views = {n: list(views[n]) for n in accessor_nodes}
-        self.alloc_orders = {}
-        for n in accessor_nodes:
-            order = (alloc_orders or {}).get(n, self.views[n])
-            if sorted(order) != sorted(ids):
-                raise TopologyError(f"node {n}: alloc order must be a permutation")
-            self.alloc_orders[n] = list(order)
         rank_costs = [t.access_cost for t in tiers]
         self.cost = {n: [rank_costs[self.views[n].index(tid)] for tid in ids]
                      for n in accessor_nodes}
@@ -135,10 +129,6 @@ class TierTopology:
 
     def total_capacity(self) -> int:
         return sum(t.capacity_bytes for t in self.tiers)
-
-    def alloc_order(self, node: int) -> list[str]:
-        """First-touch placement order for a node (local-first by default)."""
-        return self.alloc_orders[node]
 
 
 def build_topology(spec: dict) -> TierTopology:
@@ -160,9 +150,7 @@ def build_topology(spec: dict) -> TierTopology:
     views = {int(k): [str(x) for x in v] for k, v in (spec.get("views") or {}).items()}
     for n in nodes:
         views.setdefault(n, [t.id for t in tiers])
-    alloc_orders = {int(k): [str(x) for x in v]
-                    for k, v in (spec.get("alloc_order") or {}).items()}
-    return TierTopology(tiers, nodes, views, alloc_orders or None)
+    return TierTopology(tiers, nodes, views)
 
 
 @dataclass

@@ -16,6 +16,10 @@ log = logging.getLogger(__name__)
 
 # how many of the highest-variance regions share out spare samples at a time
 TOP_K_VARIANCE = 5
+# with origin sampling, one scheduled scan in this many takes a hint fault
+HINT_FAULT_PERIOD = 12
+# the head share of an interval whose slowest-tier accesses PEBS samples
+PEBS_WINDOW_FRACTION = 0.10
 
 
 @dataclass
@@ -25,8 +29,6 @@ class ProfilerConfig:
     num_scans: int = 3
     tau1: float | None = None                # merge threshold, default num_scans/3
     tau2: float | None = None                # split threshold, default 2*num_scans/3
-    pebs_window_fraction: float = 0.10
-    hint_fault_period: int = 12
     default_region_pages: int = 512
     origin_sampling: bool = False
 
@@ -40,18 +42,14 @@ class ProfilerConfig:
             self.tau2 = 2 * self.num_scans / 3
         require(0 <= self.tau1 < self.tau2 <= self.num_scans, "tau1",
                 "must satisfy 0 <= tau1 < tau2 <= num_scans")
-        require(0 <= self.pebs_window_fraction <= 1, "pebs_window_fraction",
-                "must be in [0, 1]")
         require(self.default_region_pages >= 1, "default_region_pages", "must be >= 1")
-        require(self.hint_fault_period >= 1 or not self.origin_sampling,
-                "hint_fault_period", "must be >= 1 with origin_sampling")
 
 
 def effective_scan_cost(cfg: ProfilerConfig, cost: CostModel) -> float:
     """Per-scan cost including the amortized hint fault (one per
-    hint_fault_period scans) when origin sampling is on."""
+    HINT_FAULT_PERIOD scans) when origin sampling is on."""
     if cfg.origin_sampling:
-        return cost.scan_cost * (1.0 + cost.hint_fault_multiplier / cfg.hint_fault_period)
+        return cost.scan_cost * (1.0 + cost.hint_fault_multiplier / HINT_FAULT_PERIOD)
     return cost.scan_cost
 
 
@@ -298,16 +296,15 @@ def rebalance_to_budget(regions: list[Region], num_ps: int,
         redistribute_quota(regions, -excess, rng)
 
 
-def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice,
-                        cfg: ProfilerConfig) -> list[int]:
+def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice) -> list[int]:
     """Counter-sampled pages: every pebs_sample_period-th access that lands in
-    the slowest tier during the head fraction of the slice."""
+    the slowest tier during the head PEBS_WINDOW_FRACTION of the slice."""
     period = space.cost_model.pebs_sample_period
     topology, page_tier = space.topology, space.page_tier
     slowest = topology.index[topology.slowest_tier]
     hits = 0
     pages = []
-    for vpage in slc.head_fraction(cfg.pebs_window_fraction).pages():
+    for vpage in slc.head_fraction(PEBS_WINDOW_FRACTION).pages():
         if page_tier[vpage] == slowest:
             hits += 1
             if hits % period == 0:
@@ -344,7 +341,7 @@ class Profiler:
         self.set_budget(app_time)  # no regions yet: only sets num_ps
         self._add_uncovered()
         if self.pebs_assist:
-            self._pebs_regions(_pebs_sampled_pages(self.space, first_slice, self.cfg))
+            self._pebs_regions(_pebs_sampled_pages(self.space, first_slice))
         regions = self.regions
         surplus = min(self.num_ps - total_quota(regions),
                       sum(r.len_pages - r.quota for r in regions))
@@ -437,7 +434,7 @@ class Profiler:
         active = {r.id for r in self.regions if r.tier != slowest}
         nominated: dict[int, tuple[Region, int]] = {}
         fresh_pages = []
-        for page in _pebs_sampled_pages(self.space, slc, self.cfg):
+        for page in _pebs_sampled_pages(self.space, slc):
             owner = owner_of(self.regions, page)
             if owner is None:
                 fresh_pages.append(page)
@@ -510,9 +507,9 @@ class Profiler:
 
 def sample_origin(regions: list[Region], active_ids: set[int], slc: TraceSlice,
                   cfg: ProfilerConfig) -> None:
-    """Record accessor nodes: one hint-fault capture per hint_fault_period
+    """Record accessor nodes: one hint-fault capture per HINT_FAULT_PERIOD
     scheduled scans, taking the region's first accesses in the slice."""
-    want = {r.id: (r.quota * cfg.num_scans) // cfg.hint_fault_period
+    want = {r.id: (r.quota * cfg.num_scans) // HINT_FAULT_PERIOD
             for r in regions if r.id in active_ids}
     pending = sum(want.values())
     for vpage, _, node in slc.events():

@@ -178,11 +178,10 @@ def _draw_gups_pages(rng: random.Random, vpages: array, hot: list[int],
 def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
                      footprint_pages: int, hotset_fraction: float,
                      hot_access_fraction: float, accesses: int,
-                     node_ids: list[int], hotset_layout: str, init_pass: bool,
-                     rehash_every: int) -> None:
-    """Append one GUPS block.  Each access draws `random()` and, below
-    hot_access_fraction, a uniform hot page, else a uniform cold page; the
-    hot set is redrawn every `rehash_every` passes over the footprint.
+                     node_ids: list[int], init_pass: bool) -> None:
+    """Append one GUPS block.  The block draws one contiguous hot set, then
+    each access draws `random()` and, below hot_access_fraction, a uniform
+    hot page, else a uniform cold page.
 
     The uniform page is `Random.choice`'s rejection sampling, inlined in
     `_append_gups_draws` to save two Python calls per access: with `n` pages
@@ -196,49 +195,37 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
     if footprint_pages > PAGE_LIMIT:
         raise WorkloadError(f"footprint_pages must be <= {PAGE_LIMIT}, "
                             f"the pages a trace can hold")
-    if rehash_every < 0:
-        raise WorkloadError("rehash_hotset_every_n_passes must be >= 0")
+    if not 0 < hotset_fraction < 1:
+        raise WorkloadError("hotset_fraction must be in (0, 1)")
+    if not 0 < hot_access_fraction <= 1:
+        raise WorkloadError("hot_access_fraction must be in (0, 1]")
+    if accesses <= 0:
+        raise WorkloadError("accesses must be positive")
     hot_count = min(footprint_pages - 1, max(1, round(footprint_pages * hotset_fraction)))
     if init_pass:
         nodes += _round_robin(node_ids, len(vpages), footprint_pages)
         vpages.extend(range(footprint_pages))
         writes += bytearray(b"\x01") * footprint_pages
-    chunk = rehash_every * footprint_pages if rehash_every else max(accesses, 1)
-    for done in range(0, accesses, chunk):
-        # The pools stay lists: a draw from a list reuses the pool's int,
-        # where indexing an array would box a new one for every draw.
-        if hotset_layout == "scattered":
-            hot = sorted(rng.sample(range(footprint_pages), hot_count))
-            hs = set(hot)
-            cold = [q for q in range(footprint_pages) if q not in hs]
-        else:
-            lo = rng.randrange(footprint_pages - hot_count + 1)
-            hot = list(range(lo, lo + hot_count))
-            cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
-        n = min(chunk, accesses - done)
-        nodes += _round_robin(node_ids, len(vpages), n)
-        _draw_gups_pages(rng, vpages, hot, cold, hot_access_fraction, n)
-        writes += bytearray(b"\x01") * n  # GUPS performs updates
+    # The pools stay lists: a draw from a list reuses the pool's int, where
+    # indexing an array would box a new one for every draw.
+    lo = rng.randrange(footprint_pages - hot_count + 1)
+    hot = list(range(lo, lo + hot_count))
+    cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
+    nodes += _round_robin(node_ids, len(vpages), accesses)
+    _draw_gups_pages(rng, vpages, hot, cold, hot_access_fraction, accesses)
+    writes += bytearray(b"\x01") * accesses  # GUPS performs updates
 
 
 def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: float,
              accesses: int, nodes: list[int], seed: int,
-             accesses_per_interval: int = 1024, hotset_layout: str = "contiguous",
-             init_pass: bool = False,
-             rehash_hotset_every_n_passes: int = 0) -> tuple[AccessTrace, HotOracle]:
+             accesses_per_interval: int = 1024,
+             init_pass: bool = False) -> tuple[AccessTrace, HotOracle]:
     """GUPS-style workload: a seeded hotset receives hot_access_fraction of
     all accesses, the rest spread uniformly over the cold pages."""
-    if footprint_pages <= 0 or accesses <= 0:
-        raise WorkloadError("footprint and accesses must be positive")
-    if not 0 < hotset_fraction < 1:
-        raise WorkloadError("hotset_fraction must be in (0, 1)")
-    if not 0 < hot_access_fraction <= 1:
-        raise WorkloadError("hot_access_fraction must be in (0, 1]")
     rng = random.Random(seed)
     vpages, writes, node_col = array("I"), bytearray(), array("H")
     _emit_gups_block(rng, vpages, writes, node_col, footprint_pages, hotset_fraction,
-                     hot_access_fraction, accesses, list(nodes) or [0],
-                     hotset_layout, init_pass, rehash_hotset_every_n_passes)
+                     hot_access_fraction, accesses, list(nodes) or [0], init_pass)
     trace = AccessTrace(vpages, writes, node_col, accesses_per_interval)
     return trace, HotOracle.from_trace(trace)
 
@@ -253,8 +240,7 @@ class GupsPhase:
 
 
 def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
-                     accesses_per_interval: int = 1024,
-                     hotset_layout: str = "contiguous") -> tuple[AccessTrace, HotOracle]:
+                     accesses_per_interval: int = 1024) -> tuple[AccessTrace, HotOracle]:
     """Concatenated GUPS blocks; each phase draws a fresh hotset."""
     if len(phases) < 2:
         raise WorkloadError("need at least 2 phases")
@@ -263,7 +249,7 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
         rng = random.Random(seed * 1000003 + i)
         _emit_gups_block(rng, vpages, writes, node_col, ph.footprint_pages,
                          ph.hotset_fraction, ph.hot_access_fraction, ph.accesses,
-                         list(nodes) or [0], hotset_layout, ph.init_pass, 0)
+                         list(nodes) or [0], ph.init_pass)
     trace = AccessTrace(vpages, writes, node_col, accesses_per_interval)
     return trace, HotOracle.from_trace(trace)
 

@@ -42,21 +42,16 @@ def _no_run(*args, **kwargs):
 REJECTED = {
     "misspelt-key": (SMALL + "systme = damon\n", RUN, {}, "systme"),
     "float-int": (SMALL + "intervals = 2.7\n", RUN, {}, "intervals"),
-    "misspelt-choice": (SMALL + "workload.hotset_layout = scatterd\n", RUN, {},
-                        "workload.hotset_layout"),
+    "misspelt-choice": (SMALL + "workload.bench = read_onyl\n", RUN, {},
+                        "workload.bench"),
     "alpha-zero": (SMALL + "policy.alpha = 0\n", ["run", "--system", "mtm-no-pebs"],
                    {}, "policy.alpha"),
     "pebs-period-zero": (SMALL + "cost.pebs_sample_period = 0\n", RUN, {},
                          "cost.pebs_sample_period"),
     "region-pages-zero": (SMALL + "profiler.default_region_pages = 0\n", RUN, {},
                           "profiler.default_region_pages"),
-    "hint-period-zero": (SMALL + "profiler.origin_sampling = true\n"
-                         "profiler.hint_fault_period = 0\n", RUN, {},
-                         "profiler.hint_fault_period"),
     "alloc-group-zero": (SMALL + "alloc_group_pages = 0\n", RUN, {},
                          "alloc_group_pages"),
-    "pebs-window-above-one": (SMALL + "profiler.pebs_window_fraction = 3\n", RUN, {},
-                              "profiler.pebs_window_fraction"),
     "negative-n-bytes": (SMALL + "policy.n_bytes = -1\n", RUN, {}, "policy.n_bytes"),
     "negative-hint-cost": (SMALL + "cost.hint_fault_multiplier = -12\n", RUN, {},
                            "cost.hint_fault_multiplier"),
@@ -66,12 +61,25 @@ REJECTED = {
                              "workload: accesses_per_interval"),
     "microbench-foreign-node": (SMALL + "workload.kind = microbench\nworkload.node = 5\n",
                                 RUN, {}, "workload.node"),
-    # a trace holds pages in four bytes each; the bad rehash value is checked
-    # after the footprint, so without the page check this row fails at once
-    # instead of building a 2**32-page pool
+    # a trace holds pages in four bytes each; the bad hot-set share is checked
+    # right after the footprint, so without the page check this row fails at
+    # once instead of building a 2**32-page pool
     "footprint-too-large": (SMALL + "workload.footprint_pages = 4294967297\n"
-                            "workload.rehash_hotset_every_n_passes = -1\n", TRACE, {},
+                            "workload.hotset_fraction = 1.5\n", TRACE, {},
                             "workload: footprint_pages"),
+    # every GUPS block of a phase_change trace takes the GUPS range checks
+    "phase-change-hotset-fraction": (
+        SMALL + "workload.kind = phase_change\nworkload.hotset_fraction = 1.5\n",
+        TRACE, {}, "workload: hotset_fraction"),
+    "phase-change-hot-access-above-one": (
+        SMALL + "workload.kind = phase_change\nworkload.hot_access_fraction = 2\n",
+        TRACE, {}, "workload: hot_access_fraction"),
+    "phase-change-hot-access-zero": (
+        SMALL + "workload.kind = phase_change\nworkload.hot_access_fraction = 0\n",
+        TRACE, {}, "workload: hot_access_fraction"),
+    "phase-change-no-accesses": (
+        SMALL + "workload.kind = phase_change\nworkload.accesses = 0\n",
+        TRACE, {}, "workload: accesses"),
     "microbench-interval-length-zero": (
         SMALL + "workload.kind = microbench\nworkload.accesses_per_interval = 0\n",
         TRACE, {}, "workload: accesses_per_interval"),
@@ -110,6 +118,20 @@ REJECTED = {
     # the AutoNUMA window is the paper's 256 MiB of 1.5 TiB, not a knob
     "retired-autonuma-window": (SMALL + "autonuma_window_fraction = 0.5\n", RUN, {},
                                 "autonuma_window_fraction"),
+    # the paper's constants: a hint fault every 12 scans, a 10% PEBS window
+    "retired-hint-fault-period": (SMALL + "profiler.hint_fault_period = 12\n", RUN, {},
+                                  "profiler.hint_fault_period"),
+    "retired-pebs-window-fraction": (SMALL + "profiler.pebs_window_fraction = 0.1\n",
+                                     RUN, {}, "profiler.pebs_window_fraction"),
+    # kind = phase_change is the one way to move the hot set
+    "retired-rehash": (SMALL + "workload.rehash_hotset_every_n_passes = 0\n", RUN, {},
+                       "workload.rehash_hotset_every_n_passes"),
+    # the hot set is one contiguous run
+    "retired-hotset-layout": (SMALL + "workload.hotset_layout = contiguous\n", RUN, {},
+                              "workload.hotset_layout"),
+    # first touch walks the node's view
+    "retired-alloc-order": (SMALL + "topology.alloc_order.0 = dram, pmem\n", RUN, {},
+                            "topology.alloc_order"),
     "env-seed": (SMALL, RUN, {"TIERSIM_SEED": "x"}, "TIERSIM_SEED"),
     "json-bool-seed": (json.dumps({"seed": True, "topology": {
         "tier0": {"capacity_bytes": 1048576}, "tier1": {"capacity_bytes": 8388608}}}),
@@ -177,10 +199,10 @@ KEYS = ([f.name for f in fields(RunConfig)]
         + [f"topology.{k}" for k in ("tier0.id", "tier0.capacity_bytes",
                                       "tier1.access_cost", "tier2.capacity_bytes",
                                       "tiers", "nodes", "views.0", "views.1",
-                                      "alloc_order.0", "tier0")]
+                                      "tier0")]
         + ["bogus", "policy.bogus", "policy.alpha.x"])
 VALUES = ["0", "1", "-1", "2.7", "1e400", "nan", "abc", "true", "", ",", "dram",
-          "pmem, dram", "0, 1", "4096", "mtm", "scattered"]
+          "pmem, dram", "0, 1", "4096", "mtm", "half_read"]
 
 
 @settings(derandomize=True, max_examples=400, deadline=None,

@@ -118,6 +118,22 @@ def test_a_second_node_with_node_0s_view_changes_nothing(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_nothing_moves_when_the_fast_tier_holds_everything(tmp_path):
+    """A metamorphic relation over placement: with a DRAM tier as large as
+    `mid`'s whole 64 MiB footprint, first touch puts every page there, so no
+    system plans a move and every system's app cost is first-touch's."""
+    from tiersim.config import parse_config_text
+    from tiersim.engine import compare_systems
+    text = (CONFIGS / "mid.cfg").read_text() + "topology.tier0.capacity_bytes = 67108864\n"
+    systems = ALL_SYSTEMS.split(",")
+    rows = compare_systems(parse_config_text(text), "mid.cfg", systems, tmp_path)
+    assert [row["system"] for row in rows] == systems
+    assert all(row["norm_app"] == 1.0 for row in rows), rows
+    for name in systems:
+        plans = (tmp_path / name / "plans.csv").read_text().splitlines()
+        assert plans == ["interval,region_id,src_tier,dst_tier,reason,bytes"], name
+
+
 def regenerate() -> None:
     import tempfile
     os.environ.pop("TIERSIM_SEED", None)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tiersim import profiler
 from tiersim.memmodel import (
     BASE_PAGE_BYTES, BudgetError, CostModel, MemoryState,
     build_topology,
@@ -54,9 +55,10 @@ class TestComputeBudget:
 
     def test_origin_sampling_doubles_scan_cost(self):
         cfg = ProfilerConfig(overhead_constraint=0.05,
-                             num_scans=3, origin_sampling=True,
-                             hint_fault_period=12)
-        # amortized hint fault: 2.0 * (1 + 12/12) = 4.0 per scan
+                             num_scans=3, origin_sampling=True)
+        # amortized hint fault, one every HINT_FAULT_PERIOD = 12 scans:
+        # 2.0 * (1 + 12/12) = 4.0 per scan
+        assert profiler.HINT_FAULT_PERIOD == 12
         cost = CostModel(scan_cost=2.0, hint_fault_multiplier=12.0)
         assert effective_scan_cost(cfg, cost) == 4.0
         assert compute_budget(cfg, cost, app_time=1e6) == 4166
@@ -66,18 +68,19 @@ class TestComputeBudget:
         with pytest.raises(BudgetError):
             compute_budget(cfg, CostModel(scan_cost=1.0), app_time=10.0)
 
-    def test_matches_arithmetic_oracle_randomized(self):
+    def test_matches_arithmetic_oracle_randomized(self, monkeypatch):
         rng = random.Random(202)
         for _ in range(100):
             app_time = rng.uniform(1e3, 1e7)
             cfg = ProfilerConfig(
                 overhead_constraint=rng.uniform(0.01, 0.3),
                 num_scans=rng.randrange(1, 8),
-                origin_sampling=rng.random() < 0.5,
-                hint_fault_period=rng.randrange(1, 30))
+                origin_sampling=rng.random() < 0.5)
+            period = rng.randrange(1, 30)
+            monkeypatch.setattr(profiler, "HINT_FAULT_PERIOD", period)
             scan_cost = rng.uniform(0.1, 5.0)
             mult = rng.uniform(1.0, 20.0)
-            eff = scan_cost * (1 + mult / cfg.hint_fault_period) \
+            eff = scan_cost * (1 + mult / period) \
                 if cfg.origin_sampling else scan_cost
             expect = int(app_time * cfg.overhead_constraint
                          // (eff * cfg.num_scans))
@@ -354,14 +357,15 @@ class TestInitRegions:
                           app_time=6000)
         assert all(r.tier != "slow" for r in prof.regions)
 
-    def test_counter_identified_page_is_the_sample(self):
+    def test_counter_identified_page_is_the_sample(self, monkeypatch):
+        monkeypatch.setattr(profiler, "PEBS_WINDOW_FRACTION", 1.0)
         space = two_tier_space(num_pages=64, period=3)
         for p in range(16):
             space.map_page(p, "fast")
         for p in range(16, 64):
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
-                             default_region_pages=16, pebs_window_fraction=1.0)
+                             default_region_pages=16)
         prof = Profiler(cfg, space, seed=1)
         # every 3rd slow access is sampled: page 20 is the 3rd
         slc = trace_of([18, 19, 20, 18, 19, 18]).interval_slice(0)
@@ -425,6 +429,10 @@ class TestTopUpSamples:
 
 
 class TestPebsAssist:
+    @pytest.fixture(autouse=True)
+    def _whole_interval_window(self, monkeypatch):
+        monkeypatch.setattr(profiler, "PEBS_WINDOW_FRACTION", 1.0)
+
     def setup_profiler(self, period=2):
         space = two_tier_space(num_pages=96, period=period)
         for p in range(32):
@@ -432,7 +440,7 @@ class TestPebsAssist:
         for p in range(32, 96):
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
-                             default_region_pages=32, pebs_window_fraction=1.0)
+                             default_region_pages=32)
         prof = Profiler(cfg, space, seed=1)
         prof.init_regions(trace_of([33, 34, 33, 34] * 2).interval_slice(0),
                           app_time=6000)
@@ -465,7 +473,7 @@ class TestPebsAssist:
         for p in range(64, 128):
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
-                             default_region_pages=16, pebs_window_fraction=1.0)
+                             default_region_pages=16)
         prof = Profiler(cfg, space, seed=1)
         prof.init_regions(trace_of(list(range(64))).interval_slice(0), app_time=120)
         assert len(prof.regions) == 4 > prof.num_ps == 2
@@ -483,7 +491,7 @@ class TestPebsAssist:
         for p in range(32, 96):
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
-                             default_region_pages=32, pebs_window_fraction=1.0)
+                             default_region_pages=32)
         prof = Profiler(cfg, space, seed=1)
         prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=6000)
         assert [r.start_page for r in prof.regions] == [0]
@@ -513,18 +521,18 @@ def reference_pebs(space, slc, fraction):
 
 
 @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.0])
-def test_pebs_sampled_pages_match_per_access_reference(fraction):
+def test_pebs_sampled_pages_match_per_access_reference(fraction, monkeypatch):
     """Every period from 1 to one past the slice's length, on two slices of
     a trace over pages that alternate in runs of 8 between the tiers."""
     rng = random.Random(5)
     trace = trace_of([rng.randrange(64) for _ in range(90)], api=60)
-    cfg = ProfilerConfig(pebs_window_fraction=fraction)
+    monkeypatch.setattr(profiler, "PEBS_WINDOW_FRACTION", fraction)
     for slc in (trace.interval_slice(0), trace.interval_slice(1)):
         for period in range(1, len(slc) + 2):
             space = two_tier_space(num_pages=64, period=period)
             for p in range(64):
                 space.map_page(p, "slow" if p // 8 % 2 else "fast")
-            got = _pebs_sampled_pages(space, slc, cfg)
+            got = _pebs_sampled_pages(space, slc)
             assert got == reference_pebs(space, slc, fraction), period
             assert period > 1 or fraction == 0 or got
 
@@ -540,24 +548,24 @@ class TestOwnerOf:
 
 class TestSampleOrigin:
     def test_period_gives_one_capture_per_12_scans(self):
-        cfg = ProfilerConfig(origin_sampling=True, hint_fault_period=12,
-                             num_scans=3)
+        assert profiler.HINT_FAULT_PERIOD == 12
+        cfg = ProfilerConfig(origin_sampling=True, num_scans=3)
         reg = region(0, 64, quota=8)  # 24 scheduled scans -> 2 captures
         trace = trace_of([1, 2, 3, 4], node=1)
         sample_origin([reg], {0}, trace.interval_slice(0), cfg)
         assert reg.origin_counts == {1: 2}
 
-    def test_single_node_concentration(self):
-        cfg = ProfilerConfig(origin_sampling=True, hint_fault_period=3,
-                             num_scans=3)
+    def test_single_node_concentration(self, monkeypatch):
+        monkeypatch.setattr(profiler, "HINT_FAULT_PERIOD", 3)
+        cfg = ProfilerConfig(origin_sampling=True, num_scans=3)
         reg = region(0, 64, quota=4)
         trace = trace_of([5] * 10, node=0)
         sample_origin([reg], {0}, trace.interval_slice(0), cfg)
         assert set(reg.origin_counts) == {0}
 
-    def test_untouched_region_unchanged(self):
-        cfg = ProfilerConfig(origin_sampling=True, hint_fault_period=3,
-                             num_scans=3)
+    def test_untouched_region_unchanged(self, monkeypatch):
+        monkeypatch.setattr(profiler, "HINT_FAULT_PERIOD", 3)
+        cfg = ProfilerConfig(origin_sampling=True, num_scans=3)
         reg = region(100, 64, quota=4)
         trace = trace_of([5] * 10, node=0)
         sample_origin([reg], {100}, trace.interval_slice(0), cfg)

@@ -63,15 +63,12 @@ class TestGups:
         with pytest.raises(WorkloadError):  # no room for a cold page
             gen_gups(1, 0.2, 0.8, 100, [0], seed=1)
         with pytest.raises(WorkloadError):
-            gen_gups(16, 0.2, 0.8, 100, [0], seed=1, rehash_hotset_every_n_passes=-1)
-        with pytest.raises(WorkloadError):
             gen_gups(16, 0.2, 0.8, 0, [0], seed=1)
         with pytest.raises(WorkloadError):
             gen_gups(16, 1.2, 0.8, 100, [0], seed=1)
         with pytest.raises(WorkloadError, match="footprint_pages"):
-            # rehash -1 is checked after the footprint: fails fast if it is not
-            gen_gups(PAGE_LIMIT + 1, 0.2, 0.8, 100, [0], seed=1,
-                     rehash_hotset_every_n_passes=-1)
+            # the hot-set share is checked after the footprint: fails fast if it is not
+            gen_gups(PAGE_LIMIT + 1, 1.2, 0.8, 100, [0], seed=1)
 
     @pytest.mark.parametrize("n_hot", DRAW_LENGTHS)
     def test_draw_matches_random_choice(self, n_hot):
@@ -242,14 +239,12 @@ def trace_digest(cases) -> str:
     return h.hexdigest()
 
 
-def gups_grid(layout):
-    for footprint, hot_fraction, init_pass, rehash, nodes in itertools.product(
-            (2, 97, 300), (0.7, 1.0), (False, True), (0, 1),
-            ([0], [0, 1], [2, 0, 1])):
+def gups_grid():
+    for footprint, hot_fraction, init_pass, nodes in itertools.product(
+            (2, 97, 300), (0.7, 1.0), (False, True), ([0], [0, 1], [2, 0, 1])):
         yield gen_gups(footprint, 0.2, hot_fraction, 1000, nodes,
                        seed=footprint + len(nodes), accesses_per_interval=128,
-                       hotset_layout=layout, init_pass=init_pass,
-                       rehash_hotset_every_n_passes=rehash)
+                       init_pass=init_pass)
 
 
 def phase_change_grid():
@@ -259,8 +254,7 @@ def phase_change_grid():
                            seed=4, nodes=[0, 1], accesses_per_interval=256)
     yield gen_phase_change([GupsPhase(50, 0.3, 0.8, 401),
                             GupsPhase(50, 0.3, 0.8, 399, init_pass=True)],
-                           seed=9, nodes=[1, 0, 2], accesses_per_interval=100,
-                           hotset_layout="scattered")
+                           seed=9, nodes=[1, 0, 2], accesses_per_interval=100)
 
 
 def microbench_grid():
@@ -273,14 +267,12 @@ def microbench_grid():
 # Recorded from the generators as first written: any change to a generated
 # trace or oracle, however small, changes a digest.
 @pytest.mark.parametrize("grid, digest", [
-    (lambda: gups_grid("contiguous"),
-     "be88725ca3aa33aed0c501573529b4f619c37dc4b70e5278fa834ba511c280ae"),
-    (lambda: gups_grid("scattered"),
-     "d11b9fccb70d789773e6d409e378e5651059adfa9f7b9d216f027e3eea89f049"),
+    (gups_grid,
+     "1e64d262691dc351b2e04bf7bcc5cbda7422cb8e2889d301d3396b5df9f60b08"),
     (phase_change_grid,
-     "c3d9d9942f350fee250122a61f61de48f45865c422630af92d7c0815f65b9207"),
+     "4db31f3c5307de13e677ff1d93a618af8d4c908e065775d29ffbd9d5392a3a3e"),
     (microbench_grid,
      "82e3d54aa4dca7025e34f371930fe1d9a811f556a5bec7191fef04af5a3e19ed"),
-], ids=["gups-contiguous", "gups-scattered", "phase_change", "microbench"])
+], ids=["gups-contiguous", "phase_change", "microbench"])
 def test_generated_traces_are_pinned(grid, digest):
     assert trace_digest(grid()) == digest

@@ -1,4 +1,4 @@
-"""Tier topology, page placement, and the simulated access/dirty bits."""
+"""Tier topology, page placement, and the simulated access bits."""
 from __future__ import annotations
 
 import re
@@ -162,8 +162,8 @@ class CostLedger:
 
 
 class MemoryState:
-    """Page placements, per-page access/dirty bits, per-tier counters, and
-    cost ledgers.  Every page is a base page of BASE_PAGE_BYTES.
+    """Page placements, per-page access bits, per-tier counters, and cost
+    ledgers.  Every page is a base page of BASE_PAGE_BYTES.
 
     `page_tier` is the one placement record: a bytearray holding each page's
     tier index (`topology.index`), or UNMAPPED.  Tier names appear only at
@@ -184,7 +184,6 @@ class MemoryState:
         self.page_tier = bytearray([UNMAPPED]) * num_pages
         self.free = {t.id: t.capacity_bytes for t in topology.tiers}
         self.access_bit = bytearray(num_pages)
-        self.dirty_bit = bytearray(num_pages)
         self.tier_counts = [0] * len(topology.tiers)  # accesses, by tier index
         self._cost = topology.cost  # apply_access's cost rows, one hop nearer
         # tier_runs' matchers of a run of one byte, per tier index and UNMAPPED
@@ -248,7 +247,7 @@ class MemoryState:
 
     def move_pages(self, pages: range, dst: str) -> None:
         """Remap a contiguous run (a range of step 1) to dst, updating `free`
-        and clearing access/dirty bits.  It checks that dst has room and that
+        and clearing access bits.  It checks that dst has room and that
         every page is mapped before it changes anything, so a failed move
         leaves the state as it was.  Cost accounting is the migrator's job."""
         free, ids = self.free, self.topology.tier_ids
@@ -264,7 +263,7 @@ class MemoryState:
             free[ids[src]] += BASE_PAGE_BYTES * span.count(src)
         free[dst] -= need
         self.page_tier[lo:hi] = bytes((d,)) * len(span)
-        self.access_bit[lo:hi] = self.dirty_bit[lo:hi] = bytes(len(span))
+        self.access_bit[lo:hi] = bytes(len(span))
 
     def tier_runs(self, lo: int = 0, hi: int | None = None,
                   window: int | None = None) -> list[tuple[int, int, str]]:
@@ -286,13 +285,13 @@ class MemoryState:
 
     # -- access & scanning -------------------------------------------------
 
-    def apply_access(self, vpage: int, is_write: bool, node: int) -> float:
+    def apply_access(self, vpage: int, node: int) -> float:
         """Touch a page from `node`, mapping it through the allocator on its
-        first touch, and charge the access to the app ledger.  A hit reads
-        the page's tier index and indexes the node's cost row and the tier
-        counts with it.  A page past the footprint misses and is refused
-        where misses are handled, so a hit pays for no range check; traces
-        hold no page below 0."""
+        first touch, and charge the access to the app ledger.  A hit indexes
+        the node's cost row and the tier counts with the page's tier index.
+        A page past the footprint misses and is refused where misses are
+        handled, so a hit pays for no range check; traces hold no page below
+        0.  Writes are modelled only by `migrator.project_write_times`."""
         try:
             tier = self.page_tier[vpage]
         except IndexError:
@@ -306,20 +305,17 @@ class MemoryState:
             self.allocator(self, vpage, node)
             tier = self.page_tier[vpage]
         self.access_bit[vpage] = 1
-        if is_write:
-            self.dirty_bit[vpage] = 1
         cost = self._cost[node][tier]
         self.ledger.app += cost
         self.tier_counts[tier] += 1
         return cost
 
     def replay(self, slc: TraceSlice) -> None:
-        """Apply every access of the slice, in order, one `apply_access`
-        call each.  Systems that need per-page counts take them from
-        `slc.page_counts()`."""
+        """Apply every access of the slice, in order, one `apply_access` call
+        each.  Systems that need per-page counts take `slc.page_counts()`."""
         apply_access = self.apply_access
-        for vpage, is_write, node in slc.events():
-            apply_access(vpage, is_write, node)
+        for vpage, node in zip(slc.pages(), slc.nodes()):
+            apply_access(vpage, node)
 
     def scan_pte(self, vpage: int, cost: float | None = None) -> int:
         """Read and reset the page's access bit, charging the profiling ledger.

@@ -512,7 +512,7 @@ def sample_origin(regions: list[Region], active_ids: set[int], slc: TraceSlice,
     want = {r.id: (r.quota * cfg.num_scans) // HINT_FAULT_PERIOD
             for r in regions if r.id in active_ids}
     pending = sum(want.values())
-    for vpage, _, node in slc.events():
+    for vpage, node in zip(slc.pages(), slc.nodes()):
         if not pending:
             break
         r = owner_of(regions, vpage)

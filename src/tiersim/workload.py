@@ -25,7 +25,7 @@ class AccessTrace:
       list would hold an 8-byte pointer per access plus a boxed int per
       distinct page.  Replay and `Counter` box each page as they read it:
       a bare `zip` loop over an array slice costs up to about 10 ns an
-      access more than over a list slice, small beside replay's 0.4-0.56 us
+      access more than over a list slice, small beside replay's 0.41-0.47 us
       an access (first-touch on gups-mid.cfg, CPython 3.11, a 2-CPU VM).
     - `writes` is a bytearray of 0/1, one byte per access.
     - `nodes` is an array('H') of accessor node ids, two bytes per access.
@@ -93,10 +93,13 @@ class TraceSlice:
         """The window's page column, in access order."""
         return self.trace.vpages[self.lo:self.hi]
 
+    def nodes(self) -> array:
+        """The window's accessor-node column, in access order."""
+        return self.trace.nodes[self.lo:self.hi]
+
     def events(self):
         """(vpage, is_write, node) for every access in the window, in order."""
-        t, lo, hi = self.trace, self.lo, self.hi
-        return zip(self.pages(), t.writes[lo:hi], t.nodes[lo:hi])
+        return zip(self.pages(), self.trace.writes[self.lo:self.hi], self.nodes())
 
     def page_counts(self) -> Counter:
         """Accesses per page in the window, keyed in first-access order."""

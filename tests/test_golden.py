@@ -98,12 +98,13 @@ def test_outputs_independent_of_hash_seed(tmp_path):
     assert outputs[0] == files_under(EXPECTED / "phase_change")
 
 
-def test_a_second_node_with_node_0s_view_changes_nothing(tmp_path):
+@pytest.mark.parametrize("config", ["small.cfg", "mid.cfg"])
+def test_a_second_node_with_node_0s_view_changes_nothing(config, tmp_path):
     """A metamorphic relation over the per-node cost rows: a second accessor
     node whose view is node 0's pays node 0's cost for every tier, so every
     file `compare` writes for the six systems stays byte-identical."""
     from tiersim.cli import main
-    base = (CONFIGS / "small.cfg").read_text() + "profiler.origin_sampling = true\n"
+    base = (CONFIGS / config).read_text() + "profiler.origin_sampling = true\n"
     outputs = []
     for name, extra in (("one", ""),
                         ("two", "topology.nodes = 0, 1\ntopology.views.1 = dram, pmem\n")):
@@ -116,6 +117,31 @@ def test_a_second_node_with_node_0s_view_changes_nothing(tmp_path):
     assert {name.split("/")[0] for name in outputs[0]} == \
         {"compare.csv", *ALL_SYSTEMS.split(",")}
     assert outputs[0] == outputs[1]
+
+
+def test_sync_outputs_ignore_the_write_column(tmp_path):
+    """A metamorphic relation over the write column: only the migrator's
+    projection reads it, and mode `sync` never looks at that projection, so
+    each system writes the same files whether `mid`'s trace writes as
+    generated, reads only or writes only."""
+    from tiersim.config import build_run_config, parse_config_text
+    from tiersim.engine import build_trace, run_simulation, write_run_outputs
+    from tiersim.workload import AccessTrace
+    tree = parse_config_text((CONFIGS / "mid.cfg").read_text() + "migrator_mode = sync\n")
+    cfgs = [build_run_config(tree, "mid.cfg", {"system": name})
+            for name in ALL_SYSTEMS.split(",")]
+    trace, oracle = build_trace(cfgs[0])
+    columns = {"given": trace.writes, "reads": bytearray(len(trace)),
+               "writes": bytearray(b"\x01") * len(trace)}
+    for cfg in cfgs:
+        outputs = []
+        for label, writes in columns.items():
+            variant = AccessTrace(trace.vpages, writes, trace.nodes,
+                                  trace.accesses_per_interval)
+            out = tmp_path / cfg.system / label
+            write_run_outputs(run_simulation(cfg, trace=variant, oracle=oracle), out)
+            outputs.append(files_under(out))
+        assert outputs[0] == outputs[1] == outputs[2], cfg.system
 
 
 def test_nothing_moves_when_the_fast_tier_holds_everything(tmp_path):

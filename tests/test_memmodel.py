@@ -122,16 +122,33 @@ class TestAccessAndScan:
     def test_read_sets_access_bit_and_returns_view_cost(self):
         st = small_state()
         st.map_page(3, "t1")
-        cost = st.apply_access(3, is_write=False, node=0)
+        cost = st.apply_access(3, node=0)
         assert cost == 1.0
         assert st.access_bit[3] == 1
-        assert st.dirty_bit[3] == 0
 
-    def test_write_sets_dirty_bit(self):
-        st = small_state()
-        st.map_page(3, "t1")
-        st.apply_access(3, is_write=True, node=0)
-        assert st.dirty_bit[3] == 1
+    def test_replay_ignores_the_write_flag(self):
+        """A slice replayed as generated and with every write flag flipped
+        leaves the same placement, access bits, ledger and tier counts:
+        writes reach only the migrator's projection."""
+        rng = random.Random(7)
+        trace, _ = gen_gups(96, 0.2, 0.8, 3000, [0, 1], seed=5,
+                            accesses_per_interval=1000)
+        writes = bytearray(rng.getrandbits(1) for _ in range(len(trace)))
+        flipped = bytearray(1 - w for w in writes)
+        twins = []
+        for column in (writes, flipped):
+            st = small_state(num_pages=trace.footprint(), tier_pages=(16, 24, 32, 64),
+                             nodes=(0, 1))
+            st.allocator = group_first_touch(8)
+            st.replay(TraceSlice(AccessTrace(trace.vpages, column, trace.nodes, 1000),
+                                 0, len(trace)))
+            twins.append(st)
+        given, other = twins
+        assert given.page_tier == other.page_tier
+        assert given.access_bit == other.access_bit
+        assert given.ledger == other.ledger
+        assert given.tier_access_counts == other.tier_access_counts
+        assert sum(given.tier_access_counts.values()) == len(trace)
 
     def test_costs_differ_per_node_view(self):
         # hand-evaluated cost table: node1's view swaps t1/t2, so the page in
@@ -144,13 +161,13 @@ class TestAccessAndScan:
         topo = build_topology(spec)
         st = MemoryState(topo, CostModel(), 8)
         st.map_page(0, "t1")
-        assert st.apply_access(0, False, node=0) == 1.0
-        assert st.apply_access(0, False, node=1) == 1.8
+        assert st.apply_access(0, node=0) == 1.0
+        assert st.apply_access(0, node=1) == 1.8
 
     def test_scan_returns_and_resets(self):
         st = small_state()
         st.map_page(5, "t1")
-        st.apply_access(5, False, 0)
+        st.apply_access(5, 0)
         assert st.scan_pte(5) == 1
         assert st.access_bit[5] == 0
         assert st.scan_pte(5) == 0  # no access in between
@@ -168,14 +185,14 @@ class TestAccessAndScan:
         with pytest.raises(UnmappedPageError):
             st.scan_pte(7)
         with pytest.raises(UnmappedPageError):
-            st.apply_access(7, False, 0)
+            st.apply_access(7, 0)
 
     @pytest.mark.parametrize("vpage", [-1, 16])
     def test_page_outside_the_footprint_is_refused(self, vpage):
         st = small_state(num_pages=16)
         st.allocator = group_first_touch(8)
         with pytest.raises(UnmappedPageError, match=f"page {vpage} "):
-            st.apply_access(vpage, False, 0)
+            st.apply_access(vpage, 0)
         assert tier_names(st) == [None] * 16
         assert st.ledger.app == 0.0
         assert sum(st.tier_access_counts.values()) == 0
@@ -217,8 +234,8 @@ class TestMapping:
         st = small_state(num_pages=16)
         st.allocator = group_first_touch(8)
         st.map_page(3, "t2")
-        st.apply_access(5, False, 0)  # maps 0-7 but 3, then 8-15 whole
-        st.apply_access(12, False, 0)
+        st.apply_access(5, 0)  # maps 0-7 but 3, then 8-15 whole
+        st.apply_access(12, 0)
         assert tier_names(st) == ["t1"] * 3 + ["t2"] + ["t1"] * 12
         assert st.free["t1"] == 1 * BASE_PAGE_BYTES
         assert st.free["t2"] == 15 * BASE_PAGE_BYTES
@@ -309,7 +326,7 @@ class TestInvariants:
         ones = 0
         for _ in range(500):
             if rng.random() < 0.5:
-                st.apply_access(0, False, 0)
+                st.apply_access(0, 0)
                 accesses += 1
             else:
                 ones += st.scan_pte(0)
@@ -318,8 +335,8 @@ class TestInvariants:
 
 def reference_move(state, lo, hi, dst):
     """Per-page reference for MemoryState.move_pages on a copy of `state`'s
-    placement: (free, page tiers, access bits, dirty bits) after the move,
-    or the exception type it raises."""
+    placement: (free, page tiers, access bits) after the move, or the
+    exception type it raises."""
     free, names = dict(state.free), tier_names(state)
     need = sum(BASE_PAGE_BYTES for p in range(lo, hi) if names[p] != dst)
     if free[dst] < need:
@@ -330,9 +347,9 @@ def reference_move(state, lo, hi, dst):
         free[names[p]] += BASE_PAGE_BYTES
         free[dst] -= BASE_PAGE_BYTES
         names[p] = dst
-    access, dirty = bytearray(state.access_bit), bytearray(state.dirty_bit)
-    access[lo:hi] = dirty[lo:hi] = bytes(hi - lo)
-    return free, names, access, dirty
+    access = bytearray(state.access_bit)
+    access[lo:hi] = bytes(hi - lo)
+    return free, names, access
 
 
 class TestMovePages:
@@ -353,20 +370,18 @@ class TestMovePages:
             for t in st.topology.tier_ids:
                 st.free[t] -= BASE_PAGE_BYTES * names.count(t)
             st.access_bit = bytearray(rng.getrandbits(1) for _ in range(48))
-            st.dirty_bit = bytearray(rng.getrandbits(1) for _ in range(48))
             lo = rng.randrange(48)
             hi = rng.randint(lo + 1, 48)
             dst = rng.choice(st.topology.tier_ids)
             expected = reference_move(st, lo, hi, dst)
-            before = (dict(st.free), tier_names(st), bytearray(st.access_bit),
-                      bytearray(st.dirty_bit))
+            before = (dict(st.free), tier_names(st), bytearray(st.access_bit))
             if isinstance(expected, type):
                 with pytest.raises(expected):
                     st.move_pages(range(lo, hi), dst)
                 expected = before
             else:
                 st.move_pages(range(lo, hi), dst)
-            assert (st.free, tier_names(st), st.access_bit, st.dirty_bit) == expected
+            assert (st.free, tier_names(st), st.access_bit) == expected
 
     def test_a_run_past_the_footprint_is_refused_unchanged(self):
         st = small_state(num_pages=8)
@@ -451,12 +466,11 @@ class TestReplay:
         for i in range(trace.num_intervals):
             slc = trace.interval_slice(i)
             bulk.replay(slc)
-            for vpage, is_write, node in slc.events():
-                loop.apply_access(vpage, is_write, node)
+            for vpage, _, node in slc.events():
+                loop.apply_access(vpage, node)
             assert bulk.ledger == loop.ledger
             assert bulk.clock == loop.clock
             assert bulk.access_bit == loop.access_bit
-            assert bulk.dirty_bit == loop.dirty_bit
             assert bulk.tier_access_counts == loop.tier_access_counts
             assert bulk.page_tier == loop.page_tier
             assert placed_bytes(bulk) == placed_bytes(loop)

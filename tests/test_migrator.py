@@ -65,10 +65,10 @@ class TestSync:
 
     def test_moves_pages_and_clears_bits(self):
         space = make_space(num_pages=8)
-        space.apply_access(3, True, 0)
+        space.apply_access(3, 0)
         migrate_region(space, reg(0, 8), "b", "sync", None, 0.0)
         assert tier_names(space, 0, 8) == ["b"] * 8
-        assert space.access_bit[3] == 0 and space.dirty_bit[3] == 0
+        assert space.access_bit[3] == 0
 
     def test_ignores_writes_in_the_window(self):
         space = make_space(num_pages=8)

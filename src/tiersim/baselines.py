@@ -187,11 +187,12 @@ class AutonumaSystem(System):
         scan_cost = space.cost_model.scan_cost
         spent = 0.0
         fresh = {}
+        in_window = set(range(w0, w1)).__contains__  # cheaper per call than range's slot wrapper
         for sub in slc.subwindows(cfg.num_scans):
             replay_plain(space, sub)
             # one fault per page the sub-window touched in the window, taken
             # in first-access order until the budget runs dry
-            for p in dict.fromkeys(filter(range(w0, w1).__contains__, sub.pages())):
+            for p in dict.fromkeys(filter(in_window, sub.pages())):
                 if spent + scan_cost > budget:
                     break
                 spent += scan_cost

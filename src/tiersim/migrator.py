@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .memmodel import UNMAPPED, CostModel, MemoryState, TiersimError
+from .memmodel import UNMAPPED, CostModel, MemoryState, TiersimError, UnmappedPageError
 from .policy import Move
 from .profiler import Region
 from .workload import TraceSlice
@@ -69,21 +69,26 @@ def copy_windows(moves: list[Move], cost_model: CostModel,
 def project_write_times(space: MemoryState, slc, start_time: float,
                         until: float = math.inf) -> ProjectedWrites:
     """Timestamps for a slice's writes, projecting application cost against
-    current placements (unmapped pages count at unit cost).  The result is
-    ascending in time and holds only writes before `until` (pass the end of
-    the plan's last copy window: no later write can land in any window)."""
-    page_tier, num_pages = space.page_tier, space.num_pages
-    cost = space.topology.cost
-    t = start_time
+    current placements at one lookup an event: each node's cost row is padded
+    so that UNMAPPED costs 1.0, and a page past the footprint raises
+    UnmappedPageError, as in `apply_access`.  The result is ascending in time
+    and holds only writes before `until` (pass the end of the plan's last
+    copy window: no later write can land in any window)."""
+    page_tier, t = space.page_tier, start_time
+    cost = {node: row + [1.0] * (UNMAPPED + 1 - len(row))
+            for node, row in space.topology.cost.items()}
     times, pages = [], []
-    for vpage, is_write, node in slc.events():
-        tier = page_tier[vpage] if 0 <= vpage < num_pages else UNMAPPED
-        t += cost[node][tier] if tier != UNMAPPED else 1.0
-        if t >= until:
-            break
-        if is_write:
-            times.append(t)
-            pages.append(vpage)
+    try:
+        for vpage, is_write, node in slc.events():
+            t += cost[node][page_tier[vpage]]
+            if t >= until:
+                break
+            if is_write:
+                times.append(t)
+                pages.append(vpage)
+    except IndexError:
+        raise UnmappedPageError(
+            f"page {vpage} is outside the {space.num_pages}-page footprint") from None
     return ProjectedWrites(times, pages)
 
 
@@ -103,11 +108,12 @@ def migrate_region(space: MemoryState, region: Region, dst: str, mode: str,
     per_page_bg = cm.step_alloc + cm.step_copy
     background = region.len_pages * per_page_bg
     first = None  # when the first write to the region lands in the window
+    s0, s1 = region.start_page, region.end_page
     if mode != "sync" and writes:
         times, pages = writes.times, writes.pages
         lo = bisect_left(times, start_time)
         for k in range(lo, bisect_left(times, start_time + background, lo)):
-            if region.contains(pages[k]):
+            if s0 <= pages[k] < s1:
                 first = times[k]
                 break
     mechanism, recopied = "async", 0
@@ -117,15 +123,15 @@ def migrate_region(space: MemoryState, region: Region, dst: str, mode: str,
     elif first is None:
         exposed = region.len_pages * (cm.step_unmap + cm.step_map)
     else:
-        copied_end = region.start_page + min(
+        copied_end = s0 + min(
             region.len_pages, int(math.floor((first - start_time) / per_page_bg)))
         dirty = {pages[k] for k in range(lo, bisect_right(times, first, lo))
-                 if region.contains(pages[k])}
+                 if s0 <= pages[k] < s1}
         recopy_cost = sum(cm.step_copy for p in dirty if p < copied_end)
         mechanism, background, recopied = "async_fallback", 0.0, len(dirty)
         exposed = (region.len_pages * cm.sync_page_cost()) + recopy_cost
     src = region.tier
-    space.move_pages(range(region.start_page, region.end_page), dst)
+    space.move_pages(range(s0, s1), dst)
     space.ledger.migration_exposed += exposed
     space.ledger.migration_background += background
     region.tier = dst

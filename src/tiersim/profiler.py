@@ -107,9 +107,6 @@ class Region:
     def variance_score(self) -> float:
         return abs(self.hi - self.hi_prev)
 
-    def contains(self, page: int) -> bool:
-        return self.start_page <= page < self.end_page
-
 
 _start_page = attrgetter("start_page")
 
@@ -189,30 +186,27 @@ def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], bool
     return out, changed
 
 
-def _unsampled_pages(reg: Region) -> list[int]:
-    have = set(reg.samples)
-    return [p for p in range(reg.start_page, reg.end_page) if p not in have]
-
-
-def _resize_samples(reg: Region, quota: int, rng: random.Random,
-                    pool: list[int] | None = None) -> None:
+def _resize_samples(reg: Region, quota: int, rng: random.Random) -> None:
     """Give reg `quota` samples, capped at its page count: drop trailing
     samples and their counts, or draw fresh random pages.
 
-    Picks are drawn from `pool`, the region's unsampled pages in page order,
-    and popped from it.  Without a pool a fresh one is built.  A caller that
-    grows the same region repeatedly may pass the same list each time, as
-    long as nothing else changes reg.samples in between: the draws are then
-    exactly those of fresh calls.  Shrinking draws nothing."""
+    A draw is the rng.randrange(free)-th of the region's `free` unsampled
+    pages in page order, found by stepping past the samples at or below it
+    until it stops moving: no pool of pages is built, so the work grows with
+    the samples, not the pages.  The samples must be distinct pages of reg,
+    as every routine here keeps them.  Shrinking draws nothing."""
     quota = min(quota, reg.len_pages)
     if len(reg.samples) > quota:
         del reg.samples[quota:]
         del reg.sample_counts[quota:]
         return
-    if pool is None:
-        pool = _unsampled_pages(reg)
-    while len(reg.samples) < quota and pool:
-        reg.samples.append(pool.pop(rng.randrange(len(pool))))
+    taken = sorted(reg.samples)
+    while len(taken) < quota:
+        page = first = reg.start_page + rng.randrange(reg.len_pages - len(taken))
+        while (past := first + bisect_right(taken, page)) != page:
+            page = past
+        insort(taken, page)
+        reg.samples.append(page)
 
 
 def split_pass(regions: list[Region], tau2: float,
@@ -282,18 +276,26 @@ def redistribute_quota(regions: list[Region], spare: int,
 def rebalance_to_budget(regions: list[Region], num_ps: int,
                         rng: random.Random) -> None:
     """Force sum(quota) == num_ps: shave the richest regions or feed the
-    highest-variance ones.  No-op when the budget already balances.  The one
-    place, after init_regions, that fits the sample total to the budget."""
+    highest-variance ones; the one place, after init_regions, that fits the
+    sample total to the budget.  Shaving lowers the richest a level at a time,
+    never below one sample, and cuts the lowest ids first on the last, partial
+    level: the cuts of shaving one sample at a time, with no search per cut."""
     excess = total_quota(regions) - num_ps
-    while excess > 0:
-        donor = max((r for r in regions if r.quota > 1),
-                    key=lambda r: (r.quota, -r.id), default=None)
-        if donor is None:
+    if excess <= 0:
+        redistribute_quota(regions, -excess, rng)  # a no-op when balanced
+        return
+    rich = sorted((r for r in regions if r.quota > 1), key=lambda r: (-r.quota, r.id))
+    levels = [r.quota for r in rich] + [1]  # the floor ends the descent
+    level, top = levels[0], 0  # rich[:top] stand at level
+    while excess > 0 and level > 1:
+        while levels[top] == level:
+            top += 1
+        drop = min(level - levels[top], excess // top)
+        if not drop:
             break
-        _resize_samples(donor, donor.quota - 1, rng)
-        excess -= 1
-    if excess < 0:
-        redistribute_quota(regions, -excess, rng)
+        level, excess = level - drop, excess - drop * top
+    for i, r in enumerate(sorted(rich[:top], key=attrgetter("id"))):
+        _resize_samples(r, max(1, level - (i < excess)), rng)  # cuts draw nothing
 
 
 def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice) -> list[int]:
@@ -337,7 +339,8 @@ class Profiler:
     def init_regions(self, first_slice: TraceSlice, app_time: float) -> None:
         """First-interval formation from the slice's app time: every window on the
         faster tiers; on the slowest tier, only counter-nominated windows with
-        pebs_assist and every window without."""
+        pebs_assist and every window without.  Spare samples are dealt one
+        draw at a time, round-robin in page order, to regions with room."""
         self.set_budget(app_time)  # no regions yet: only sets num_ps
         self._add_uncovered()
         if self.pebs_assist:
@@ -345,15 +348,11 @@ class Profiler:
         regions = self.regions
         surplus = min(self.num_ps - total_quota(regions),
                       sum(r.len_pages - r.quota for r in regions))
-        pools: list[list[int] | None] = [None] * len(regions)
         i = 0
         while surplus > 0:
-            k = i % len(regions)
-            reg = regions[k]
+            reg = regions[i % len(regions)]
             if reg.quota < reg.len_pages:
-                if pools[k] is None:
-                    pools[k] = _unsampled_pages(reg)
-                _resize_samples(reg, reg.quota + 1, self.rng, pools[k])
+                _resize_samples(reg, reg.quota + 1, self.rng)
                 surplus -= 1
             i += 1
         self.active_ids = {r.id for r in regions}

@@ -7,6 +7,7 @@ A renamed function or a method moved to a base class would otherwise break
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))  # rep.py imports tracing by name, as its script dir
 import rep  # noqa: E402
 import tracing  # noqa: E402
+from workloads import CONFIG_DIR, WORKLOADS  # noqa: E402
 
 SMALL = ROOT / "tests" / "golden" / "configs" / "small.cfg"
 MID = ROOT / "tests" / "golden" / "configs" / "mid.cfg"
@@ -63,3 +65,34 @@ def test_traced_compare_sees_the_write_projection():
     # the mid golden's figures: 7 plans, each projected but the last interval's
     assert tracer.calls["migrator.project_write_times"] == 6
     assert tracer.counts["migrator.project_write_times"] == 28_145
+
+
+# rep.digest of each system's output files at seed 1, as first recorded: a
+# change made for speed alone must leave every one of them as it is.
+BENCH_DIGESTS = {
+    "gups-mtm": {
+        "mtm": "e6729a2e9ff6ba34965e334be3c86b6837389905e41ae07a67ba5c117f21a9fc"},
+    "gups-baselines": {
+        "first-touch": "093d4552886bdb2ad82e5edbd2aa8374c07582c0d3fb9774fc159371e0e9d3fc",
+        "autonuma": "1162c6dd74d38da7ea211551116941c42b1531f2d2d2815cefa4111a1e6412ab",
+        "thermostat": "6d608ed48c6af2661ad1bd1c9d6f4fffe05faef5f679e553ba2987bded683cd5",
+        "damon": "35782f98b3e4ef565c5d49f9094369cdb1a4141806f7222bafa2686b0ca00528"},
+    "seq-rw-mtm": {
+        "mtm": "e2a5327d4f4a26b51c454f0073d570dac9a6b6a26183824b3068d5faf5732af9"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_workload_outputs_are_pinned(name, tmp_path):
+    workload = WORKLOADS[name]
+    tree = config.load_config_file(str(CONFIG_DIR / workload.config))
+    tree["seed"] = 1
+    cfg = config.build_run_config(tree, origin=workload.config)
+    trace, oracle = engine.build_trace(cfg)
+    digests = {}
+    for system in workload.systems:
+        result = engine.run_simulation(replace(cfg, system=system),
+                                       trace=trace, oracle=oracle)
+        engine.write_run_outputs(result, tmp_path / system)
+        digests[system] = rep.digest(tmp_path / system)
+    assert digests == BENCH_DIGESTS[name]

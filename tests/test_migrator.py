@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tiersim.memmodel import (
-    BASE_PAGE_BYTES, CostModel, MemoryState, TiersimError,
+    BASE_PAGE_BYTES, CostModel, MemoryState, TiersimError, UnmappedPageError,
     build_topology,
 )
 from tiersim.migrator import (
@@ -251,6 +251,14 @@ class TestProjectWriteTimes:
         assert (writes.times, writes.pages) == ([102.0], [0])
         assert len(project_write_times(space, slc, 100.0, 102.0)) == 0
 
+    def test_unmapped_pages_cost_one_and_a_page_past_the_footprint_is_refused(self):
+        space = make_space(num_pages=4, map_to=None)
+        space.map_page(1, "c")  # rank cost 3.0
+        writes = project_write_times(space, slice_of((0, True), (1, True), (3, True)), 10.0)
+        assert (writes.times, writes.pages) == ([11.0, 14.0, 15.0], [0, 1, 3])
+        with pytest.raises(UnmappedPageError, match="page 4 is outside the 4-page footprint"):
+            project_write_times(space, slice_of((3, False), (4, True)), 0.0)
+
     def test_projection_is_two_columns_with_a_length(self):
         space = make_space(num_pages=8)
         slc = gen_seq_microbench("write_only", 8, passes=2).interval_slice(0)
@@ -265,8 +273,9 @@ def linear_reference(cm, region, dst, mode, writes, start_time):
     (time, page) write: (first in-window write or None, the MoveReport)."""
     per_page_bg = cm.step_alloc + cm.step_copy
     window_end = start_time + region.len_pages * per_page_bg
+    s0, s1 = region.start_page, region.end_page
     first = next(((t, p) for t, p in writes if start_time <= t < window_end
-                  and region.contains(p)), None)
+                  and s0 <= p < s1), None)
     if first is None:
         return None, MoveReport(region.id, region.tier, dst, "async",
                                 region.len_pages * (cm.step_unmap + cm.step_map),
@@ -277,9 +286,8 @@ def linear_reference(cm, region, dst, mode, writes, start_time):
     first_t = first[0]
     copied = min(region.len_pages,
                  int(math.floor((first_t - start_time) / per_page_bg)))
-    dirty = {p for t, p in writes
-             if start_time <= t <= first_t and region.contains(p)}
-    recopy = sum(cm.step_copy for p in dirty if p < region.start_page + copied)
+    dirty = {p for t, p in writes if start_time <= t <= first_t and s0 <= p < s1}
+    recopy = sum(cm.step_copy for p in dirty if p < s0 + copied)
     return first, MoveReport(region.id, region.tier, dst, "async_fallback",
                              region.len_pages * cm.sync_page_cost() + recopy,
                              0.0, len(dirty))

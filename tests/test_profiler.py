@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiersim import profiler
 from tiersim.memmodel import (
@@ -11,7 +13,7 @@ from tiersim.memmodel import (
 )
 from tiersim.profiler import (
     Profiler, ProfilerConfig, Region, _pebs_sampled_pages, _resize_samples,
-    _unsampled_pages, compute_budget, effective_scan_cost, merge_pass, owner_of,
+    compute_budget, effective_scan_cost, merge_pass, owner_of,
     rebalance_to_budget, redistribute_quota, sample_origin, split_pass,
     total_quota,
 )
@@ -214,7 +216,58 @@ class TestRedistribute:
         assert [r.quota for r in rest] == [3, 2]
 
 
+def shave_one_at_a_time(regions, num_ps, rng):
+    """Reference for `rebalance_to_budget`: take one sample at a time from the
+    richest region with more than one, the lowest id among equals."""
+    excess = total_quota(regions) - num_ps
+    while excess > 0:
+        donor = max((r for r in regions if r.quota > 1),
+                    key=lambda r: (r.quota, -r.id), default=None)
+        if donor is None:
+            break
+        pool_resize(donor, donor.quota - 1, rng)
+        excess -= 1
+    if excess < 0:
+        redistribute_quota(regions, -excess, rng)
+
+
+@st.composite
+def budgeted_regions(draw):
+    """Regions in any order whose quotas tie often, some with counts longer
+    than their samples, and a budget from zero to a little over their total."""
+    quotas = draw(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    extra = draw(st.lists(st.integers(0, 3), min_size=len(quotas),
+                          max_size=len(quotas)))
+    regions = [Region(i * 8, 8, "fast", samples=list(range(i * 8, i * 8 + q)),
+                      sample_counts=[1] * (q + e))
+               for i, (q, e) in enumerate(zip(quotas, extra))]
+    regions = draw(st.permutations(regions))
+    return regions, draw(st.integers(0, sum(quotas) + 4))
+
+
 class TestRebalance:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(budgeted_regions(), st.integers(0, 2**32 - 1))
+    def test_shaves_what_one_at_a_time_shaves(self, case, seed):
+        regions, num_ps = case
+        ref = [Region(r.start_page, r.len_pages, r.tier, samples=list(r.samples),
+                      sample_counts=list(r.sample_counts)) for r in regions]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        state, shaving = rng.getstate(), num_ps <= total_quota(regions)
+        rebalance_to_budget(regions, num_ps, rng)
+        shave_one_at_a_time(ref, num_ps, ref_rng)
+        assert [(r.samples, r.sample_counts) for r in regions] == \
+            [(r.samples, r.sample_counts) for r in ref]
+        assert rng.getstate() == ref_rng.getstate()
+        if shaving:
+            assert rng.getstate() == state  # cuts draw nothing
+
+    def test_the_partial_level_cuts_the_lowest_ids_first(self):
+        regs = [region(64, 32, quota=4), region(0, 32, quota=4),
+                region(32, 32, quota=4), region(96, 32, quota=2)]
+        rebalance_to_budget(regs, 10, random.Random(1))
+        assert {r.id: r.quota for r in regs} == {0: 2, 32: 3, 64: 3, 96: 2}
+
     def test_regions_outnumbering_the_budget_keep_one_sample_each(self):
         regs = [region(0, 32, quota=3), region(32, 32, quota=2),
                 region(64, 32), region(96, 32)]
@@ -392,32 +445,71 @@ class TestAdoptNewPages:
         for p in range(64, 96):
             space.map_page(p, "slow")
         prof.adopt_new_pages()
-        owners = [sum(r.contains(p) for r in prof.regions) for p in range(96)]
+        owners = [sum(r.start_page <= p < r.end_page for r in prof.regions)
+                  for p in range(96)]
         # with counter assistance the slowest tier waits for a nomination
         slow_owners = 0 if pebs_assist else 1
         assert owners == [1] * 16 + [slow_owners] * 16 + [1] * 32 + [slow_owners] * 32
         assert total_quota(prof.regions) == prof.num_ps
 
 
+def pool_resize(reg, quota, rng):
+    """Reference for `_resize_samples`: build the region's unsampled pages in
+    page order and pop a random entry of that pool per new sample."""
+    quota = min(quota, reg.len_pages)
+    if len(reg.samples) > quota:
+        del reg.samples[quota:]
+        del reg.sample_counts[quota:]
+        return
+    have = set(reg.samples)
+    pool = [p for p in range(reg.start_page, reg.end_page) if p not in have]
+    while len(reg.samples) < quota and pool:
+        reg.samples.append(pool.pop(rng.randrange(len(pool))))
+
+
+@st.composite
+def sampled_regions(draw):
+    """A region with distinct in-region samples in any order, counts of any
+    length, and the quotas it is resized to in turn."""
+    start = draw(st.integers(0, 1000))
+    length = draw(st.integers(1, 300))
+    offsets = draw(st.lists(st.integers(0, length - 1), unique=True,
+                            max_size=min(length, 40)))
+    counts = draw(st.lists(st.integers(0, 3), max_size=len(offsets) + 3))
+    quotas = draw(st.lists(st.integers(0, length + 2), min_size=1, max_size=4))
+    return Region(start, length, "slow", samples=[start + o for o in offsets],
+                  sample_counts=counts), quotas
+
+
 class TestTopUpSamples:
     """`_resize_samples` tops a region up with fresh pages, and cuts it down
     without drawing."""
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(sampled_regions(), st.integers(0, 2**32 - 1))
+    def test_draws_what_popping_a_pool_draws(self, case, seed):
+        reg, quotas = case
+        ref = Region(reg.start_page, reg.len_pages, reg.tier,
+                     samples=list(reg.samples), sample_counts=list(reg.sample_counts))
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for quota in quotas:
+            _resize_samples(reg, quota, rng)
+            pool_resize(ref, quota, ref_rng)
+            assert (reg.samples, reg.sample_counts) == (ref.samples, ref.sample_counts)
+        assert rng.getstate() == ref_rng.getstate()
+
     @pytest.mark.parametrize("start, length, samples", [
         (0, 16, []), (32, 512, [40]), (100, 7, [103, 100]), (8, 1, [8])])
-    def test_reused_pool_draws_like_fresh_pools(self, start, length, samples):
-        rngs = random.Random(start), random.Random(start)
-        fresh, cached = (Region(start, length, "slow", samples=list(samples))
-                         for _ in rngs)
-        _resize_samples(fresh, 1, rngs[0])
-        _resize_samples(cached, 1, rngs[1])
-        pool = _unsampled_pages(cached)
+    def test_grows_one_at_a_time_like_a_popped_pool(self, start, length, samples):
+        """init_regions' round-robin tops a region up one sample per call."""
+        reg, ref = (Region(start, length, "slow", samples=list(samples)) for _ in "ab")
+        rng, ref_rng = random.Random(start), random.Random(start)
         for _ in range(length + 2):  # runs past the page count
-            _resize_samples(fresh, fresh.quota + 1, rngs[0])
-            _resize_samples(cached, cached.quota + 1, rngs[1], pool)
-            assert cached.samples == fresh.samples
-        assert sorted(fresh.samples) == list(range(start, start + length))
-        assert rngs[0].random() == rngs[1].random()
+            _resize_samples(reg, reg.quota + 1, rng)
+            pool_resize(ref, ref.quota + 1, ref_rng)
+            assert reg.samples == ref.samples
+        assert sorted(reg.samples) == list(range(start, start + length))
+        assert rng.getstate() == ref_rng.getstate()
 
     def test_shrink_drops_trailing_samples_and_draws_nothing(self):
         reg = region(0, 16, quota=4, samples=[5, 1, 9, 2], counts=[3, 0, 2, 1])
@@ -478,7 +570,7 @@ class TestPebsAssist:
         prof.init_regions(trace_of(list(range(64))).interval_slice(0), app_time=120)
         assert len(prof.regions) == 4 > prof.num_ps == 2
         prof.select_active(trace_of([70]).interval_slice(0))
-        nominated = [r for r in prof.regions if r.contains(70)]
+        nominated = [r for r in prof.regions if r.start_page <= 70 < r.end_page]
         assert [(r.start_page, r.len_pages, r.tier) for r in nominated] == \
             [(64, 16, "slow")]
 

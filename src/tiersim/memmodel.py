@@ -100,6 +100,11 @@ class TierTopology:
     occupies in the node's view.  A remote node therefore sees its
     neighbour's local DRAM at the remote-DRAM rank cost.  First touch
     places a node's pages along its view, fastest first.
+
+    `cost_rows` lists the same rows by node id, None for an id that is no
+    accessor node, for the per-access paths that index them.  Each row is
+    padded to UNMAPPED + 1 entries with 1.0, what the write projection
+    charges an access to a page not yet mapped.
     """
 
     def __init__(self, tiers: list[TierSpec], accessor_nodes: list[int],
@@ -123,6 +128,10 @@ class TierTopology:
         rank_costs = [t.access_cost for t in tiers]
         self.cost = {n: [rank_costs[self.views[n].index(tid)] for tid in ids]
                      for n in accessor_nodes}
+        pad = [1.0] * (UNMAPPED + 1 - len(ids))
+        self.cost_rows = [None] * (max(accessor_nodes) + 1)
+        for n in accessor_nodes:
+            self.cost_rows[n] = self.cost[n] + pad
         avg = [sum(self.cost[n][i] for n in accessor_nodes) / len(accessor_nodes)
                for i in range(len(ids))]
         self.slowest_tier = ids[max(range(len(ids)), key=lambda i: (avg[i], i))]
@@ -174,7 +183,15 @@ class MemoryState:
     `free[t]` plus the bytes of the pages mapped to t is always t's capacity.
 
     `clock`, the application time that places migration copy windows, is
-    `ledger.app` itself: every access adds its cost to both, in one order."""
+    `ledger.app` itself: every access adds its cost to both, in one order.
+
+    `apply_access` runs once per replayed access, so what it indexes are
+    lists, whose indexing CPython 3.11+ specializes: `access_bit` is a list
+    of 0/1, 8 bytes a page, since a bytearray store is slower, and `_cost`
+    is `topology.cost_rows`, the cost rows indexed by node id, since a dict
+    lookup is slower.  `page_tier` stays a bytearray: `mapped_pages`,
+    `map_pages`, `move_pages` and `tier_runs` search, count and assign it a
+    run at a time."""
 
     def __init__(self, topology: TierTopology, cost_model: CostModel,
                  num_pages: int, allocator=None):
@@ -183,9 +200,9 @@ class MemoryState:
         self.num_pages = num_pages
         self.page_tier = bytearray([UNMAPPED]) * num_pages
         self.free = {t.id: t.capacity_bytes for t in topology.tiers}
-        self.access_bit = bytearray(num_pages)
+        self.access_bit = [0] * num_pages
         self.tier_counts = [0] * len(topology.tiers)  # accesses, by tier index
-        self._cost = topology.cost  # apply_access's cost rows, one hop nearer
+        self._cost = topology.cost_rows
         # tier_runs' matchers of a run of one byte, per tier index and UNMAPPED
         self._run_of = {t: re.compile(re.escape(bytes((t,))) + b"+").match
                         for t in (*range(len(topology.tiers)), UNMAPPED)}
@@ -263,7 +280,7 @@ class MemoryState:
             free[ids[src]] += BASE_PAGE_BYTES * span.count(src)
         free[dst] -= need
         self.page_tier[lo:hi] = bytes((d,)) * len(span)
-        self.access_bit[lo:hi] = bytes(len(span))
+        self.access_bit[lo:hi] = [0] * len(span)
 
     def tier_runs(self, lo: int = 0, hi: int | None = None,
                   window: int | None = None) -> list[tuple[int, int, str]]:
@@ -288,7 +305,8 @@ class MemoryState:
     def apply_access(self, vpage: int, node: int) -> float:
         """Touch a page from `node`, mapping it through the allocator on its
         first touch, and charge the access to the app ledger.  A hit indexes
-        the node's cost row and the tier counts with the page's tier index.
+        the node's cost row and the tier counts with the page's tier index;
+        all three, with the access bit, are list indexing.
         A page past the footprint misses and is refused where misses are
         handled, so a hit pays for no range check; traces hold no page below
         0.  Writes are modelled only by `migrator.project_write_times`."""
@@ -312,10 +330,17 @@ class MemoryState:
 
     def replay(self, slc: TraceSlice) -> None:
         """Apply every access of the slice, in order, one `apply_access` call
-        each.  Systems that need per-page counts take `slc.page_counts()`."""
+        each.  A one-node trace walks the page column alone and passes its
+        node to every call; any other walks the page and node columns
+        together.  Systems that need per-page counts take `slc.page_counts()`."""
         apply_access = self.apply_access
-        for vpage, node in zip(slc.pages(), slc.nodes()):
-            apply_access(vpage, node)
+        node = slc.trace.node
+        if node is None:
+            for vpage, node in zip(slc.pages(), slc.nodes()):
+                apply_access(vpage, node)
+        else:
+            for vpage in slc.pages():
+                apply_access(vpage, node)
 
     def scan_pte(self, vpage: int, cost: float | None = None) -> int:
         """Read and reset the page's access bit, charging the profiling ledger.

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .memmodel import UNMAPPED, CostModel, MemoryState, TiersimError, UnmappedPageError
+from .memmodel import CostModel, MemoryState, TiersimError, UnmappedPageError
 from .policy import Move
 from .profiler import Region
 from .workload import TraceSlice
@@ -69,14 +69,14 @@ def copy_windows(moves: list[Move], cost_model: CostModel,
 def project_write_times(space: MemoryState, slc, start_time: float,
                         until: float = math.inf) -> ProjectedWrites:
     """Timestamps for a slice's writes, projecting application cost against
-    current placements at one lookup an event: each node's cost row is padded
-    so that UNMAPPED costs 1.0, and a page past the footprint raises
-    UnmappedPageError, as in `apply_access`.  The result is ascending in time
-    and holds only writes before `until` (pass the end of the plan's last
-    copy window: no later write can land in any window)."""
-    page_tier, t = space.page_tier, start_time
-    cost = {node: row + [1.0] * (UNMAPPED + 1 - len(row))
-            for node, row in space.topology.cost.items()}
+    current placements at one lookup an event: `topology.cost_rows` lists
+    the nodes' cost rows by node id, padded so that UNMAPPED costs 1.0, and
+    a page past the footprint raises UnmappedPageError, as in
+    `apply_access`.  A one-node trace's events repeat its node and read no
+    node column.  The result is ascending in time and holds only writes
+    before `until` (pass the end of the plan's last copy window: no later
+    write can land in any window)."""
+    page_tier, t, cost = space.page_tier, start_time, space.topology.cost_rows
     times, pages = [], []
     try:
         for vpage, is_write, node in slc.events():

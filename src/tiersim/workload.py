@@ -4,8 +4,9 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 HOT_THRESHOLD_ACCESSES = 2  # a page is hot in an interval iff accessed >= 2 times
 NODE_ID_LIMIT = 1 << 16  # node ids are 0..65535, what the array('H') column holds
@@ -24,19 +25,35 @@ class AccessTrace:
     - `vpages` is an array('I') of pages, four bytes per access, where a
       list would hold an 8-byte pointer per access plus a boxed int per
       distinct page.  Replay and `Counter` box each page as they read it:
-      a bare `zip` loop over an array slice costs up to about 10 ns an
-      access more than over a list slice, small beside replay's 0.41-0.47 us
-      an access (first-touch on gups-mid.cfg, CPython 3.11, a 2-CPU VM).
+      a bare loop over an array slice costs up to about 10 ns an access
+      more than over a list slice, small beside replay's 0.20-0.25 us an
+      access (first-touch on gups-mid.cfg, one node, CPython 3.11, a 2-CPU
+      VM).
     - `writes` is a bytearray of 0/1, one byte per access.
-    - `nodes` is an array('H') of accessor node ids, two bytes per access.
+    - `nodes` is the array('H') of accessor node ids, two bytes per
+      access.  Pass an int instead when one node makes every access: the
+      trace keeps it as `node` and stores no column, `nodes` builds the
+      column on each read, and replay and write projection read none.  A
+      trace built from a column keeps it, and its `node` is None.
+
+    `footprint` is the trace's largest page plus one.  A generator that
+    touches every page of its range states it; otherwise `footprint()`
+    finds it by one `max()` over the page column on its first call.
 
     The generators build every column in its type, never as a full-length
     list.  Columns of other types (tests pass lists) are converted here, and
     the page conversion rejects a page outside 0..2**32 - 1."""
 
     def __init__(self, vpages: array | list[int], writes: bytearray | list[bool],
-                 nodes: array | list[int], accesses_per_interval: int):
-        if not (len(vpages) == len(writes) == len(nodes)):
+                 nodes: array | list[int] | int, accesses_per_interval: int,
+                 footprint: int | None = None):
+        if isinstance(nodes, int):  # a column of one access, repeated when read
+            self.node, self._nodes = nodes, array("H", [nodes])
+        else:
+            self.node = None
+            self._nodes = nodes if isinstance(nodes, array) else array("H", nodes)
+        if len(writes) != len(vpages) or (self.node is None
+                                          and len(self._nodes) != len(vpages)):
             raise WorkloadError("trace columns must have equal length")
         if accesses_per_interval < 1:
             raise WorkloadError("accesses_per_interval must be >= 1")
@@ -48,9 +65,13 @@ class AccessTrace:
                                     f"{exc}") from None
         self.vpages = vpages
         self.writes = writes if isinstance(writes, bytearray) else bytearray(writes)
-        self.nodes = nodes if isinstance(nodes, array) else array("H", nodes)
         self.accesses_per_interval = accesses_per_interval
-        self._footprint: int | None = None
+        self._footprint = footprint
+
+    @property
+    def nodes(self) -> array:
+        """The accessor-node column, in access order."""
+        return self._nodes if self.node is None else self._nodes * len(self.vpages)
 
     def __len__(self) -> int:
         return len(self.vpages)
@@ -72,7 +93,8 @@ class AccessTrace:
         return TraceSlice(self, lo, hi)
 
     def footprint(self) -> int:
-        """Pages [0, max page] the trace spans, computed on the first call."""
+        """Pages [0, max page] the trace spans: as stated, or computed on the
+        first call."""
         if self._footprint is None:
             self._footprint = max(self.vpages) + 1 if self.vpages else 0
         return self._footprint
@@ -93,9 +115,11 @@ class TraceSlice:
         """The window's page column, in access order."""
         return self.trace.vpages[self.lo:self.hi]
 
-    def nodes(self) -> array:
-        """The window's accessor-node column, in access order."""
-        return self.trace.nodes[self.lo:self.hi]
+    def nodes(self) -> Iterable[int]:
+        """The window's accessor nodes, in access order: a slice of the node
+        column, or the one node repeated, which slices nothing."""
+        node = self.trace.node
+        return self.trace.nodes[self.lo:self.hi] if node is None else repeat(node, len(self))
 
     def events(self):
         """(vpage, is_write, node) for every access in the window, in order."""
@@ -184,7 +208,10 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
                      node_ids: list[int], init_pass: bool) -> None:
     """Append one GUPS block.  The block draws one contiguous hot set, then
     each access draws `random()` and, below hot_access_fraction, a uniform
-    hot page, else a uniform cold page.
+    hot page, else a uniform cold page.  With `init_pass` the block first
+    touches every page once, in order.  Accesses take `node_ids` round-robin
+    into the node column; with one node, `nodes` is None and nothing is
+    appended.
 
     The uniform page is `Random.choice`'s rejection sampling, inlined in
     `_append_gups_draws` to save two Python calls per access: with `n` pages
@@ -205,18 +232,18 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
     if accesses <= 0:
         raise WorkloadError("accesses must be positive")
     hot_count = min(footprint_pages - 1, max(1, round(footprint_pages * hotset_fraction)))
+    touched = accesses + (footprint_pages if init_pass else 0)
+    if nodes is not None:
+        nodes += _round_robin(node_ids, len(vpages), touched)
     if init_pass:
-        nodes += _round_robin(node_ids, len(vpages), footprint_pages)
         vpages.extend(range(footprint_pages))
-        writes += bytearray(b"\x01") * footprint_pages
     # The pools stay lists: a draw from a list reuses the pool's int, where
     # indexing an array would box a new one for every draw.
     lo = rng.randrange(footprint_pages - hot_count + 1)
     hot = list(range(lo, lo + hot_count))
     cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
-    nodes += _round_robin(node_ids, len(vpages), accesses)
     _draw_gups_pages(rng, vpages, hot, cold, hot_access_fraction, accesses)
-    writes += bytearray(b"\x01") * accesses  # GUPS performs updates
+    writes += bytearray(b"\x01") * touched  # GUPS performs updates
 
 
 def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: float,
@@ -224,12 +251,18 @@ def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: 
              accesses_per_interval: int = 1024,
              init_pass: bool = False) -> tuple[AccessTrace, HotOracle]:
     """GUPS-style workload: a seeded hotset receives hot_access_fraction of
-    all accesses, the rest spread uniformly over the cold pages."""
+    all accesses, the rest spread uniformly over the cold pages.  With
+    `init_pass` every page is touched, so the trace states its footprint."""
     rng = random.Random(seed)
-    vpages, writes, node_col = array("I"), bytearray(), array("H")
+    node_ids = list(nodes) or [0]
+    # one node is kept as an int, with no column
+    node_col = array("H") if len(node_ids) > 1 else None
+    vpages, writes = array("I"), bytearray()
     _emit_gups_block(rng, vpages, writes, node_col, footprint_pages, hotset_fraction,
-                     hot_access_fraction, accesses, list(nodes) or [0], init_pass)
-    trace = AccessTrace(vpages, writes, node_col, accesses_per_interval)
+                     hot_access_fraction, accesses, node_ids, init_pass)
+    trace = AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
+                        accesses_per_interval,
+                        footprint=footprint_pages if init_pass else None)
     return trace, HotOracle.from_trace(trace)
 
 
@@ -247,19 +280,25 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
     """Concatenated GUPS blocks; each phase draws a fresh hotset."""
     if len(phases) < 2:
         raise WorkloadError("need at least 2 phases")
-    vpages, writes, node_col = array("I"), bytearray(), array("H")
+    node_ids = list(nodes) or [0]
+    # one node is kept as an int, with no column
+    node_col = array("H") if len(node_ids) > 1 else None
+    vpages, writes = array("I"), bytearray()
     for i, ph in enumerate(phases):
         rng = random.Random(seed * 1000003 + i)
         _emit_gups_block(rng, vpages, writes, node_col, ph.footprint_pages,
                          ph.hotset_fraction, ph.hot_access_fraction, ph.accesses,
-                         list(nodes) or [0], ph.init_pass)
-    trace = AccessTrace(vpages, writes, node_col, accesses_per_interval)
+                         node_ids, ph.init_pass)
+    trace = AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
+                        accesses_per_interval)
     return trace, HotOracle.from_trace(trace)
 
 
 def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
                        accesses_per_interval: int | None = None) -> AccessTrace:
-    """Sequential microbenchmarks used to exercise migration mechanisms."""
+    """Sequential microbenchmarks used to exercise migration mechanisms.
+    Every access is from `node`, and every pass touches every page, so the
+    trace states both."""
     if array_pages < 1:
         raise WorkloadError("array_pages must be >= 1")
     if array_pages > PAGE_LIMIT:
@@ -277,4 +316,5 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
         raise WorkloadError(f"unknown microbench kind {kind!r}")
     vpages, writes = vpages * passes, writes * passes
     api = max(1, len(vpages)) if accesses_per_interval is None else accesses_per_interval
-    return AccessTrace(vpages, writes, array("H", [node]) * len(vpages), api)
+    return AccessTrace(vpages, writes, node, api,
+                       footprint=array_pages if passes > 0 else 0)

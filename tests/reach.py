@@ -1,7 +1,7 @@
 """Reach audit: the function-body lines of `src/tiersim` that no committed
 config runs.
 
-    python tests/reach.py
+    python tests/reach.py [--expect tests/reach_expected.txt]
 
 Runs the CLI under the stdlib line tracer (`trace.Trace(count=1)`) on every
 committed config: each golden case of `test_golden.CASES`, sweeps included,
@@ -11,11 +11,17 @@ with the four baselines on `gups-mid.cfg`, and with first-touch and mtm on
 unexecuted statements: the module, the first and last statement line, the
 enclosing function and the first statement's source, so that lists from
 two versions can be diffed by everything after the line numbers.  A
-statement counts as run when its first line ran.  pytest does not collect
-this file; the audit takes about 70 s.
+statement counts as run when its first line ran.
+
+With `--expect FILE`, a committed list of such lines, the audit is a gate:
+it exits 1 when a line it prints is not in the list, comparing lines on
+everything after the line numbers, and names each such line on stderr.  A
+listed line that is now reached is named there too, without failing.
+pytest does not collect this file; the audit takes about 70 s.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -102,10 +108,30 @@ def unreached(counts: dict[tuple[str, int], int]) -> list[str]:
     return report
 
 
-def main() -> int:
-    for line in unreached(run_all()):
+def line_key(line: str) -> str:
+    """An audit line without its line numbers: "module scope: source"."""
+    module, rest = line.split(":", 1)
+    return f"{module} {rest.split(' ', 1)[1]}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="List the lines no committed config runs.")
+    parser.add_argument("--expect", type=Path,
+                        help="fail when a line is not in this committed list")
+    args = parser.parse_args(argv)
+    report = unreached(run_all())
+    for line in report:
         print(line)
-    return 0
+    if args.expect is None:
+        return 0
+    expected = {line_key(line) for line in args.expect.read_text().splitlines() if line}
+    found = {line_key(line) for line in report}
+    new = [line for line in report if line_key(line) not in expected]
+    for line in new:
+        print(f"reach: newly unreached: {line}", file=sys.stderr)
+    for key in sorted(expected - found):
+        print(f"reach: listed but now reached: {key}", file=sys.stderr)
+    return 1 if new else 0
 
 
 if __name__ == "__main__":

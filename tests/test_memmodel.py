@@ -9,7 +9,8 @@ from tiersim.memmodel import (
     TierSpec, TierTopology, TiersimError, TopologyError, UnmappedPageError,
     build_topology,
 )
-from tiersim.workload import AccessTrace, TraceSlice, gen_gups
+from tiersim.migrator import project_write_times
+from tiersim.workload import AccessTrace, TraceSlice, gen_gups, gen_seq_microbench
 
 MB = 1024 * 1024
 
@@ -475,6 +476,41 @@ class TestReplay:
             assert bulk.page_tier == loop.page_tier
             assert placed_bytes(bulk) == placed_bytes(loop)
         assert sum(bulk.tier_access_counts.values()) == len(trace)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_gups(96, 0.2, 0.8, 3000, [1], seed=5, accesses_per_interval=1000)[0],
+        lambda: gen_seq_microbench("half_read", 96, 3, node=1, accesses_per_interval=100),
+    ], ids=["gups", "half_read"])
+    def test_one_node_trace_replays_and_projects_like_its_column(self, make):
+        """A one-node trace, which replay and write projection walk without
+        a node column, and the same trace rebuilt from its `nodes` column
+        leave equal states and project equal writes.  Node 1's view reverses
+        the tiers, so charging any other node would change every cost."""
+        given = make()
+        rebuilt = AccessTrace(given.vpages, given.writes, given.nodes,
+                              given.accesses_per_interval)
+        assert (given.node, rebuilt.node) == (1, None)
+        spec = {"tiers": [{"id": f"t{i + 1}", "capacity_bytes": p * BASE_PAGE_BYTES,
+                           "access_cost": c}
+                          for i, (p, c) in enumerate(zip((16, 24, 32, 64),
+                                                         (1.0, 1.8, 3.0, 5.4)))],
+                "nodes": [0, 1],
+                "views": {1: ["t4", "t3", "t2", "t1"]}}
+        runs = []
+        for trace in (given, rebuilt):
+            st = MemoryState(build_topology(spec), CostModel(), trace.footprint(),
+                             allocator=group_first_touch(8))
+            states, projected = [], []
+            for i in range(trace.num_intervals):
+                st.replay(trace.interval_slice(i))
+                states.append((bytes(st.page_tier), list(st.access_bit),
+                               list(st.tier_counts), st.ledger.app))
+                if i + 1 < trace.num_intervals:
+                    writes = project_write_times(st, trace.interval_slice(i + 1), st.clock)
+                    projected.append((writes.times, writes.pages))
+            runs.append((states, projected))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) >= 2 and all(times for times, _ in runs[0][1])
 
 
 def test_page_counts_keyed_in_first_access_order():

@@ -276,3 +276,36 @@ def microbench_grid():
 ], ids=["gups-contiguous", "phase_change", "microbench"])
 def test_generated_traces_are_pinned(grid, digest):
     assert trace_digest(grid()) == digest
+
+
+@pytest.mark.parametrize("grid, stated, one_node", [
+    (gups_grid, 18, 12), (phase_change_grid, 0, 0), (microbench_grid, 12, 12),
+], ids=["gups-contiguous", "phase_change", "microbench"])
+def test_generated_traces_state_their_footprint_and_one_node(grid, stated, one_node):
+    """A stated footprint is the largest page plus one, and a trace keeps
+    one node exactly when its generator made every access from one node:
+    the grids give several nodes only to generators that use them all."""
+    stated_seen = one_node_seen = 0
+    for trace, _ in grid():
+        if trace._footprint is not None:
+            stated_seen += 1
+            assert trace.footprint() == max(trace.vpages) + 1
+        nodes = set(trace.nodes)
+        assert len(trace.nodes) == len(trace)
+        if trace.node is not None:
+            one_node_seen += 1
+            assert nodes == {trace.node}
+        else:
+            assert len(nodes) > 1
+    assert (stated_seen, one_node_seen) == (stated, one_node)
+
+
+def test_a_one_node_trace_reads_back_its_column():
+    trace, _ = gen_gups(64, 0.25, 0.8, 100, [3], seed=9, init_pass=True)
+    assert (trace.node, trace.footprint()) == (3, 64)
+    assert trace.nodes == array("H", [3] * 164)
+    slc = trace.interval_slice(0)
+    assert list(slc.nodes()) == [3] * 164
+    assert [n for _, _, n in slc.head_fraction(0.5).events()] == [3] * 82
+    with pytest.raises(OverflowError):  # as a column holding the node would
+        AccessTrace([0], [False], 65536, accesses_per_interval=1)

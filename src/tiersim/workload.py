@@ -301,6 +301,8 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
     trace states both."""
     if array_pages < 1:
         raise WorkloadError("array_pages must be >= 1")
+    if passes < 1:
+        raise WorkloadError("passes must be >= 1")
     if array_pages > PAGE_LIMIT:
         raise WorkloadError(f"array_pages must be <= {PAGE_LIMIT}, "
                             f"the pages a trace can hold")
@@ -316,5 +318,4 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
         raise WorkloadError(f"unknown microbench kind {kind!r}")
     vpages, writes = vpages * passes, writes * passes
     api = max(1, len(vpages)) if accesses_per_interval is None else accesses_per_interval
-    return AccessTrace(vpages, writes, node, api,
-                       footprint=array_pages if passes > 0 else 0)
+    return AccessTrace(vpages, writes, node, api, footprint=array_pages)

@@ -83,6 +83,12 @@ REJECTED = {
     "microbench-interval-length-zero": (
         SMALL + "workload.kind = microbench\nworkload.accesses_per_interval = 0\n",
         TRACE, {}, "workload: accesses_per_interval"),
+    "microbench-no-passes": (
+        SMALL + "workload.kind = microbench\nworkload.passes = 0\n",
+        TRACE, {}, "workload: passes must be >= 1"),
+    "microbench-negative-passes": (
+        SMALL + "workload.kind = microbench\nworkload.passes = -2\n",
+        TRACE, {}, "workload: passes must be >= 1"),
     "compare-no-system": (SMALL, ["compare", "--systems", ","], {},
                           "at least one system"),
     "compare-bogus-member": (SMALL, ["compare", "--systems", "first-touch,bogus"], {},

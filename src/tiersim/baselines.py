@@ -350,6 +350,8 @@ class DamonSystem(System):
             if pages:
                 picks.append((reg, pages[self.rng.randrange(len(pages))]))
         hits = {id(reg): 0 for reg, _ in picks}
+        for _, page in picks:  # armed: a scan sees only its own sub-window
+            space.access_bit[page] = 0
         for sub in slc.subwindows(cfg.num_scans):
             replay_plain(space, sub)
             for reg, page in picks:

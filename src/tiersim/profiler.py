@@ -474,6 +474,10 @@ class Profiler:
             log.warning("scan budget clamp: %d of %d active regions get fewer "
                         "samples than their quota", clamped, len(actives))
         counts = {r.id: [0] * len(samples) for r, samples in scheduled}
+        access_bit = space.access_bit
+        for _, samples in scheduled:  # armed: a scan sees only its own sub-window
+            for page in samples:
+                access_bit[page] = 0
         scans = 0
         for sub in slc.subwindows(cfg.num_scans):
             space.replay(sub)

@@ -24,6 +24,11 @@ after every interval:
   (more regions than the budget) or samples all of its pages (fewer pages);
 - the MTM regions are sorted by start and disjoint, and each region's pages
   are all on its tier;
+- every scan by MTM or DAMON observes whether its own sub-window touched the
+  page: scan k of a page reads 1 iff the interval's sub-window k holds it,
+  so a DAMON pick's hits are the sub-windows that hold it; and right after
+  `profile_interval`, every scheduled MTM sample's count is the number of
+  the interval's sub-windows whose `pages()` hold it;
 - the app ledger and the tiers' access counts equal what `reference_replay`,
   a replayer keyed by tier name, gives for every access so far.
 
@@ -36,6 +41,8 @@ so it cannot drift from the loop it stands in for.  On the engine's result:
 - first-touch never profiles or migrates.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +159,66 @@ def check_partition(profiler) -> None:
         end = r.end_page
 
 
+def subwindow_hits(slc, num_scans: int) -> Counter:
+    """Page -> the number of the slice's sub-windows whose `pages()` hold it."""
+    hits = Counter()
+    for sub in slc.subwindows(num_scans):
+        hits.update(set(sub.pages()))
+    return hits
+
+
+def check_scans(scans: list[tuple[int, int]], slc, num_scans: int) -> None:
+    """`scans`, the (page, observation) of an interval's scans in order, come
+    in num_scans equal rounds, round k after sub-window k: each observation
+    is whether that sub-window touched the page."""
+    subs = [set(sub.pages()) for sub in slc.subwindows(num_scans)]
+    per_round, rest = divmod(len(scans), num_scans)
+    assert not rest, len(scans)
+    for k, touched in enumerate(subs):
+        for page, seen in scans[k * per_round:(k + 1) * per_round]:
+            assert seen == (page in touched), (k, page, seen)
+
+
+def check_sample_counts(profiler, slc, scans: int) -> None:
+    """After profile_interval performed `scans` scans: the scheduled samples
+    are the first scans / num_scans samples of the active regions in order,
+    and each one's count is the number of sub-windows that hold it."""
+    hits = subwindow_hits(slc, profiler.cfg.num_scans)
+    left = scans // profiler.cfg.num_scans
+    for r in profiler.regions:
+        if r.id in profiler.active_ids:
+            take = min(r.quota, left)
+            left -= take
+            assert r.sample_counts[:take] == [hits[p] for p in r.samples[:take]], r
+    assert left == 0
+
+
+def watch_scans(system) -> list[tuple[int, int]]:
+    """Record every scan the system makes, as (page, observation), in a list
+    the caller empties each interval, and check MTM's sample counts right
+    after each profile_interval."""
+    space, scans = system.space, []
+    scan_pte = space.scan_pte
+
+    def recorded(page, *args, **kwargs):
+        seen = scan_pte(page, *args, **kwargs)
+        scans.append((page, seen))
+        return seen
+
+    space.scan_pte = recorded
+    if isinstance(system, baselines.MtmSystem):
+        prof = system.profiler
+        profile = prof.profile_interval
+
+        def checked(slc):
+            done = profile(slc)
+            check_sample_counts(prof, slc, done)
+            return done
+
+        prof.profile_interval = checked
+    return scans
+
+
 def reference_replay(space: MemoryState, slc, app: float,
                      counts: dict[str, int]) -> float:
     """The slice's accesses replayed by tier name onto `app` and `counts`:
@@ -188,6 +255,7 @@ def run_checked(cfg, trace) -> list[tuple]:
         cfg.system, space, cfg.profiler, cfg.policy,
         engine._derive_seed(cfg.seed, f"system:{cfg.system}"), cfg.detect_threshold)
     mode = cfg.migrator_mode or system.migrator_mode
+    scans = watch_scans(system)
     rows = []
     app_prev = 0.0
     ref_app, ref_counts = 0.0, {t: 0 for t in topology.tier_ids}
@@ -196,7 +264,9 @@ def run_checked(cfg, trace) -> list[tuple]:
         ledger = space.ledger
         app0, prof0, mig0 = ledger.app, ledger.profiling, ledger.migration_exposed
         acc0 = dict(space.tier_access_counts)
+        scans.clear()
         system.run_profiling(slc, app_prev)
+        check_scans(scans, slc, cfg.profiler.num_scans)
         ref_app = reference_replay(space, slc, ref_app, ref_counts)
         if isinstance(system, baselines.MtmSystem):
             check_samples(system.profiler)

@@ -357,6 +357,20 @@ class TestProfileInterval:
         assert clamps == ["scan budget clamp: 2 of 3 active regions get fewer "
                           "samples than their quota"]
 
+    def test_a_page_touched_only_before_its_draw_reads_0(self):
+        """A page touched in interval 0 alone, then drawn as a sample, reads
+        0 in interval 1: its scans see only interval 1's sub-windows."""
+        space = two_tier_space(num_pages=16)
+        prof = self.make_profiler(space, 16, budget_pages=1)
+        trace = trace_of([4] * 3 + [9] * 3, api=3)
+        space.replay(trace.interval_slice(0))
+        prof.regions = [region(0, 16, quota=1, samples=[4], counts=[0])]
+        prof.active_ids = {0}
+        prof.initialized = True
+        prof.profile_interval(trace.interval_slice(1))
+        assert prof.regions[0].sample_counts == [0]
+        assert prof.regions[0].hi == 0.0
+
     def test_hi_prev_rotates(self):
         space = two_tier_space(num_pages=16)
         prof = self.make_profiler(space, 16, budget_pages=1)

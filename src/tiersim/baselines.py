@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .memmodel import BASE_PAGE_BYTES, UNMAPPED, CapacityError, MemoryState
+from .memmodel import BASE_PAGE_BYTES, UNMAPPED, CapacityError, MemoryState, scan_samples
 from .metrics import detect_hot_pages
 from .profiler import (Profiler, ProfilerConfig, Region, affordable_samples,
                        profiling_budget)
@@ -73,8 +73,8 @@ def group_first_touch(group_pages: int):
     return alloc
 
 
-def replay_plain(space: MemoryState, slc: TraceSlice) -> None:
-    space.replay(slc)
+def replay_plain(space: MemoryState, slc: TraceSlice, pages: list[int] | None = None) -> None:
+    space.replay(slc, pages)
 
 
 class System:
@@ -319,7 +319,8 @@ class _DamonRegion:
 class DamonSystem(System):
     """Region monitor: one random sample per region, as many as the budget
     buys at the plain scan cost; merge near-equal neighbours, split every
-    region randomly when the count falls below half the maximum."""
+    region randomly when the count falls below half the maximum.  A pick's
+    hits are `scan_samples`' count: it sees only this interval."""
 
     name = "damon"
 
@@ -349,15 +350,9 @@ class DamonSystem(System):
             pages = space.mapped_pages(reg.start, reg.end)
             if pages:
                 picks.append((reg, pages[self.rng.randrange(len(pages))]))
-        hits = {id(reg): 0 for reg, _ in picks}
-        for _, page in picks:  # armed: a scan sees only its own sub-window
-            space.access_bit[page] = 0
-        for sub in slc.subwindows(cfg.num_scans):
-            replay_plain(space, sub)
-            for reg, page in picks:
-                hits[id(reg)] += space.scan_pte(page)
-        for reg, _ in picks:
-            reg.result = float(hits[id(reg)])
+        hits = scan_samples(space, slc, [p for _, p in picks], cfg.num_scans, replay=replay_plain)
+        for (reg, _), count in zip(picks, hits):
+            reg.result = float(count)
         self._merge()
         self._split(max(2, max_samples))
 

@@ -1,4 +1,4 @@
-"""Tier topology, page placement, and the simulated access bits."""
+"""Tier topology, page placement, access replay and page-table scans."""
 from __future__ import annotations
 
 import re
@@ -171,8 +171,8 @@ class CostLedger:
 
 
 class MemoryState:
-    """Page placements, per-page access bits, per-tier counters, and cost
-    ledgers.  Every page is a base page of BASE_PAGE_BYTES.
+    """Page placements, per-tier counters, and cost ledgers.  Every page is
+    a base page of BASE_PAGE_BYTES.
 
     `page_tier` is the one placement record: a bytearray holding each page's
     tier index (`topology.index`), or UNMAPPED.  Tier names appear only at
@@ -185,13 +185,11 @@ class MemoryState:
     `clock`, the application time that places migration copy windows, is
     `ledger.app` itself: every access adds its cost to both, in one order.
 
-    `apply_access` runs once per replayed access, so what it indexes are
-    lists, whose indexing CPython 3.11+ specializes: `access_bit` is a list
-    of 0/1, 8 bytes a page, since a bytearray store is slower, and `_cost`
-    is `topology.cost_rows`, the cost rows indexed by node id, since a dict
-    lookup is slower.  `page_tier` stays a bytearray: `mapped_pages`,
-    `map_pages`, `move_pages` and `tier_runs` search, count and assign it a
-    run at a time."""
+    It keeps no per-page access record: a scan reads the trace (`scan_pte`).
+    `_cost`, which `apply_access` indexes on every access, is
+    `topology.cost_rows` by node id, since a dict lookup is slower.
+    `mapped_pages`, `map_pages`, `move_pages` and `tier_runs` search, count
+    and assign `page_tier` a run at a time."""
 
     def __init__(self, topology: TierTopology, cost_model: CostModel,
                  num_pages: int, allocator=None):
@@ -200,7 +198,6 @@ class MemoryState:
         self.num_pages = num_pages
         self.page_tier = bytearray([UNMAPPED]) * num_pages
         self.free = {t.id: t.capacity_bytes for t in topology.tiers}
-        self.access_bit = [0] * num_pages
         self.tier_counts = [0] * len(topology.tiers)  # accesses, by tier index
         self._cost = topology.cost_rows
         # tier_runs' matchers of a run of one byte, per tier index and UNMAPPED
@@ -263,10 +260,10 @@ class MemoryState:
         self.map_pages((vpage,), tier_id)
 
     def move_pages(self, pages: range, dst: str) -> None:
-        """Remap a contiguous run (a range of step 1) to dst, updating `free`
-        and clearing access bits.  It checks that dst has room and that
-        every page is mapped before it changes anything, so a failed move
-        leaves the state as it was.  Cost accounting is the migrator's job."""
+        """Remap a contiguous run (a range of step 1) to dst, updating `free`.
+        It checks that dst has room and that every page is mapped before it
+        changes anything, so a failed move leaves the state as it was.  Cost
+        accounting is the migrator's job."""
         free, ids = self.free, self.topology.tier_ids
         lo, hi, d = pages.start, pages.stop, self.topology.index[dst]
         span = self.page_tier[lo:hi]
@@ -280,7 +277,6 @@ class MemoryState:
             free[ids[src]] += BASE_PAGE_BYTES * span.count(src)
         free[dst] -= need
         self.page_tier[lo:hi] = bytes((d,)) * len(span)
-        self.access_bit[lo:hi] = [0] * len(span)
 
     def tier_runs(self, lo: int = 0, hi: int | None = None,
                   window: int | None = None) -> list[tuple[int, int, str]]:
@@ -305,8 +301,8 @@ class MemoryState:
     def apply_access(self, vpage: int, node: int) -> float:
         """Touch a page from `node`, mapping it through the allocator on its
         first touch, and charge the access to the app ledger.  A hit indexes
-        the node's cost row and the tier counts with the page's tier index;
-        all three, with the access bit, are list indexing.
+        the node's cost row and the tier counts with the page's tier index
+        and stores nothing per page.
         A page past the footprint misses and is refused where misses are
         handled, so a hit pays for no range check; traces hold no page below
         0.  Writes are modelled only by `migrator.project_write_times`."""
@@ -322,35 +318,49 @@ class MemoryState:
                 raise UnmappedPageError(f"page {vpage} unmapped")
             self.allocator(self, vpage, node)
             tier = self.page_tier[vpage]
-        self.access_bit[vpage] = 1
         cost = self._cost[node][tier]
         self.ledger.app += cost
         self.tier_counts[tier] += 1
         return cost
 
-    def replay(self, slc: TraceSlice) -> None:
+    def replay(self, slc: TraceSlice, pages: Sequence[int] | None = None) -> None:
         """Apply every access of the slice, in order, one `apply_access` call
-        each.  A one-node trace walks the page column alone and passes its
-        node to every call; any other walks the page and node columns
-        together.  Systems that need per-page counts take `slc.page_counts()`."""
+        each, walking `pages`, the slice's page column if the caller read it
+        already.  A one-node trace passes its node to every call; any other
+        walks the node column alongside.  Systems that need per-page counts
+        take `slc.page_counts()`."""
         apply_access = self.apply_access
         node = slc.trace.node
+        pages = slc.pages() if pages is None else pages
         if node is None:
-            for vpage, node in zip(slc.pages(), slc.nodes()):
+            for vpage, node in zip(pages, slc.nodes()):
                 apply_access(vpage, node)
         else:
-            for vpage in slc.pages():
+            for vpage in pages:
                 apply_access(vpage, node)
 
-    def scan_pte(self, vpage: int, cost: float | None = None) -> int:
-        """Read and reset the page's access bit, charging the profiling ledger.
-
-        ``cost`` overrides the plain scan cost so the profiler can fold in
-        amortized hint-fault overhead.
-        """
+    def scan_pte(self, vpage: int, touched: set[int], cost: float | None = None) -> bool:
+        """Scan a mapped page, charging the profiling ledger: whether it is
+        in `touched`, the armed pages the sub-window just replayed touched
+        (`scan_samples`).  ``cost`` overrides the plain scan cost so
+        the profiler can fold in amortized hint-fault overhead."""
         if not self.is_mapped(vpage):
             raise UnmappedPageError(f"page {vpage} unmapped")
-        observed = self.access_bit[vpage]
-        self.access_bit[vpage] = 0
         self.ledger.profiling += self.cost_model.scan_cost if cost is None else cost
-        return observed
+        return vpage in touched
+
+
+def scan_samples(space: MemoryState, slc: TraceSlice, pages: list[int], num_scans: int,
+                 cost: float | None = None, replay=MemoryState.replay) -> list[int]:
+    """Each page's count of the slice's num_scans sub-windows that touched
+    it.  The pages are armed at no charge before the first, so a scan reads
+    only its own sub-window, never an earlier interval: the sub-window's
+    pages, boxed once as a list for `replay` and the intersection alike."""
+    armed, scan = set(pages), space.scan_pte
+    counts = [0] * len(pages)
+    for sub in slc.subwindows(num_scans):
+        sub_pages = sub.pages().tolist()
+        replay(space, sub, sub_pages)
+        touched = armed.intersection(sub_pages) if armed else armed
+        counts = [n + scan(page, touched, cost) for n, page in zip(counts, pages)]
+    return counts

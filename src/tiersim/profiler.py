@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
 
-from .memmodel import BASE_PAGE_BYTES, BudgetError, CostModel, MemoryState, require
+from .memmodel import BASE_PAGE_BYTES, BudgetError, CostModel, MemoryState, require, scan_samples
 from .workload import TraceSlice
 
 log = logging.getLogger(__name__)
@@ -454,10 +454,8 @@ class Profiler:
     # -- per-interval profiling ----------------------------------------------
 
     def profile_interval(self, slc: TraceSlice) -> int:
-        """Replay the slice in num_scans sub-windows through
-        `MemoryState.replay`, scanning the sampled pages of active regions
-        after each, so a page's count is the number of sub-windows that
-        touched it.  Returns scans performed."""
+        """Scan the scheduled samples of active regions (`scan_samples`): a
+        count and `hi` hold this interval's accesses only.  Returns scans."""
         space, cfg = self.space, self.cfg
         eff = effective_scan_cost(cfg, space.cost_model)
         actives = [r for r in self.regions if r.id in self.active_ids]
@@ -473,27 +471,16 @@ class Profiler:
         if clamped:
             log.warning("scan budget clamp: %d of %d active regions get fewer "
                         "samples than their quota", clamped, len(actives))
-        counts = {r.id: [0] * len(samples) for r, samples in scheduled}
-        access_bit = space.access_bit
-        for _, samples in scheduled:  # armed: a scan sees only its own sub-window
-            for page in samples:
-                access_bit[page] = 0
-        scans = 0
-        for sub in slc.subwindows(cfg.num_scans):
-            space.replay(sub)
-            for r, samples in scheduled:
-                row = counts[r.id]
-                for i, page in enumerate(samples):
-                    row[i] += space.scan_pte(page, cost=eff)
-                scans += len(samples)
+        pages = [page for _, samples in scheduled for page in samples]
+        counts = iter(scan_samples(space, slc, pages, cfg.num_scans, eff))
         for r, samples in scheduled:
-            row = counts[r.id]
+            row = list(islice(counts, len(samples)))
             r.sample_counts = row + [0] * (len(r.samples) - len(row))
             r.hi_prev = r.hi
-            r.hi = sum(row) / len(row) if row else 0.0
+            r.hi = sum(row) / len(row)
         if cfg.origin_sampling:
             sample_origin(self.regions, self.active_ids, slc, cfg)
-        return scans
+        return len(pages) * cfg.num_scans
 
     def end_interval(self) -> None:
         """Merge, split, then rebalance the sample lists to the budget:

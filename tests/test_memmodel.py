@@ -120,16 +120,16 @@ class TestBuildTopology:
 
 
 class TestAccessAndScan:
-    def test_read_sets_access_bit_and_returns_view_cost(self):
+    def test_read_returns_view_cost_and_counts_its_tier(self):
         st = small_state()
         st.map_page(3, "t1")
         cost = st.apply_access(3, node=0)
         assert cost == 1.0
-        assert st.access_bit[3] == 1
+        assert st.tier_access_counts == {"t1": 1, "t2": 0, "t3": 0, "t4": 0}
 
     def test_replay_ignores_the_write_flag(self):
         """A slice replayed as generated and with every write flag flipped
-        leaves the same placement, access bits, ledger and tier counts:
+        leaves the same placement, ledger and tier counts:
         writes reach only the migrator's projection."""
         rng = random.Random(7)
         trace, _ = gen_gups(96, 0.2, 0.8, 3000, [0, 1], seed=5,
@@ -146,7 +146,6 @@ class TestAccessAndScan:
             twins.append(st)
         given, other = twins
         assert given.page_tier == other.page_tier
-        assert given.access_bit == other.access_bit
         assert given.ledger == other.ledger
         assert given.tier_access_counts == other.tier_access_counts
         assert sum(given.tier_access_counts.values()) == len(trace)
@@ -165,26 +164,27 @@ class TestAccessAndScan:
         assert st.apply_access(0, node=0) == 1.0
         assert st.apply_access(0, node=1) == 1.8
 
-    def test_scan_returns_and_resets(self):
+    def test_scan_reads_its_sub_window(self):
+        """A scan reads whether its sub-window touched the page, whatever
+        earlier sub-windows did."""
         st = small_state()
         st.map_page(5, "t1")
         st.apply_access(5, 0)
-        assert st.scan_pte(5) == 1
-        assert st.access_bit[5] == 0
-        assert st.scan_pte(5) == 0  # no access in between
+        assert st.scan_pte(5, {5}) == 1
+        assert st.scan_pte(5, set()) == 0  # no access in between
 
     def test_scan_accrues_profiling_cost(self):
         st = small_state()
         st.map_page(5, "t1")
-        st.scan_pte(5)
+        st.scan_pte(5, set())
         assert st.ledger.profiling == st.cost_model.scan_cost
-        st.scan_pte(5, cost=4.0)
+        st.scan_pte(5, {5}, cost=4.0)
         assert st.ledger.profiling == st.cost_model.scan_cost + 4.0
 
     def test_unmapped_page_errors(self):
         st = small_state()
         with pytest.raises(UnmappedPageError):
-            st.scan_pte(7)
+            st.scan_pte(7, {7})
         with pytest.raises(UnmappedPageError):
             st.apply_access(7, 0)
 
@@ -320,24 +320,29 @@ class TestInvariants:
         assert all(t == "t2" for t in tiers)
 
     def test_scan_reset_observations_bounded_by_accesses(self):
+        """Each scan sees the accesses since the one before it, so scans
+        observe no more than the accesses made."""
         rng = random.Random(3)
         st = small_state()
         st.map_page(0, "t1")
         accesses = 0
         ones = 0
+        window = []
         for _ in range(500):
             if rng.random() < 0.5:
                 st.apply_access(0, 0)
+                window.append(0)
                 accesses += 1
             else:
-                ones += st.scan_pte(0)
+                ones += st.scan_pte(0, {0}.intersection(window))
+                window = []
         assert ones <= accesses
 
 
 def reference_move(state, lo, hi, dst):
     """Per-page reference for MemoryState.move_pages on a copy of `state`'s
-    placement: (free, page tiers, access bits) after the move, or the
-    exception type it raises."""
+    placement: (free, page tiers) after the move, or the exception type it
+    raises."""
     free, names = dict(state.free), tier_names(state)
     need = sum(BASE_PAGE_BYTES for p in range(lo, hi) if names[p] != dst)
     if free[dst] < need:
@@ -348,15 +353,13 @@ def reference_move(state, lo, hi, dst):
         free[names[p]] += BASE_PAGE_BYTES
         free[dst] -= BASE_PAGE_BYTES
         names[p] = dst
-    access = bytearray(state.access_bit)
-    access[lo:hi] = bytes(hi - lo)
-    return free, names, access
+    return free, names
 
 
 class TestMovePages:
     def test_matches_per_page_reference(self):
-        """Random placements with holes, random bits and random runs, against
-        a per-page loop; a failed move changes nothing."""
+        """Random placements with holes and random runs, against a per-page
+        loop; a failed move changes nothing."""
         rng = random.Random(13)
         for _ in range(300):
             st = small_state(num_pages=48, tier_pages=(12, 20, 24, 48))
@@ -370,19 +373,18 @@ class TestMovePages:
             place(st, names)
             for t in st.topology.tier_ids:
                 st.free[t] -= BASE_PAGE_BYTES * names.count(t)
-            st.access_bit = bytearray(rng.getrandbits(1) for _ in range(48))
             lo = rng.randrange(48)
             hi = rng.randint(lo + 1, 48)
             dst = rng.choice(st.topology.tier_ids)
             expected = reference_move(st, lo, hi, dst)
-            before = (dict(st.free), tier_names(st), bytearray(st.access_bit))
+            before = (dict(st.free), tier_names(st))
             if isinstance(expected, type):
                 with pytest.raises(expected):
                     st.move_pages(range(lo, hi), dst)
                 expected = before
             else:
                 st.move_pages(range(lo, hi), dst)
-            assert (st.free, tier_names(st), st.access_bit) == expected
+            assert (st.free, tier_names(st)) == expected
 
     def test_a_run_past_the_footprint_is_refused_unchanged(self):
         st = small_state(num_pages=8)
@@ -471,7 +473,6 @@ class TestReplay:
                 loop.apply_access(vpage, node)
             assert bulk.ledger == loop.ledger
             assert bulk.clock == loop.clock
-            assert bulk.access_bit == loop.access_bit
             assert bulk.tier_access_counts == loop.tier_access_counts
             assert bulk.page_tier == loop.page_tier
             assert placed_bytes(bulk) == placed_bytes(loop)
@@ -503,8 +504,8 @@ class TestReplay:
             states, projected = [], []
             for i in range(trace.num_intervals):
                 st.replay(trace.interval_slice(i))
-                states.append((bytes(st.page_tier), list(st.access_bit),
-                               list(st.tier_counts), st.ledger.app))
+                states.append((bytes(st.page_tier), list(st.tier_counts),
+                               st.ledger.app))
                 if i + 1 < trace.num_intervals:
                     writes = project_write_times(st, trace.interval_slice(i + 1), st.clock)
                     projected.append((writes.times, writes.pages))

@@ -63,12 +63,11 @@ class TestSync:
         total = cm.step_alloc + cm.step_unmap + cm.step_copy + cm.step_map
         assert cm.step_copy / total == pytest.approx(0.40)
 
-    def test_moves_pages_and_clears_bits(self):
+    def test_moves_every_page_of_the_region(self):
         space = make_space(num_pages=8)
         space.apply_access(3, 0)
         migrate_region(space, reg(0, 8), "b", "sync", None, 0.0)
         assert tier_names(space, 0, 8) == ["b"] * 8
-        assert space.access_bit[3] == 0
 
     def test_ignores_writes_in_the_window(self):
         space = make_space(num_pages=8)

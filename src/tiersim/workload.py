@@ -7,6 +7,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from zlib import crc32
 
 HOT_THRESHOLD_ACCESSES = 2  # a page is hot in an interval iff accessed >= 2 times
 NODE_ID_LIMIT = 1 << 16  # node ids are 0..65535, what the array('H') column holds
@@ -151,15 +152,32 @@ class HotOracle:
 
     `hot_sets[i]` is an array('I') of interval i's hot pages, each once, in
     first-access order: 4 bytes a page, where a set of 8 192 pages takes
-    about 64 bytes a page.  The engine scores against the array itself."""
+    about 64 bytes a page.  The engine scores against the array itself.
+
+    Equal intervals share one array: `from_trace` keys each interval's page
+    column by its crc32, and an interval whose column equals, access for
+    access, that of the first interval with its key reuses that interval's
+    array, so a periodic trace counts each distinct interval once.  Any
+    other interval, a collision included, is counted.  No array is ever
+    written, so a shared one reads the same to every interval."""
 
     hot_sets: list[array] = field(default_factory=list)
 
     @classmethod
     def from_trace(cls, trace: AccessTrace) -> "HotOracle":
-        return cls([array("I", [p for p, c in trace.interval_slice(i).page_counts().items()
-                                if c >= HOT_THRESHOLD_ACCESSES])
-                    for i in range(trace.num_intervals)])
+        hot_sets: list[array] = []
+        first: dict[int, int] = {}  # crc32 of a page column -> first interval with it
+        # Each use slices the column anew, so no copy is held while counting:
+        # one held copy added its 256 KiB to gups-big.cfg's peak RSS.
+        for i in range(trace.num_intervals):
+            slc = trace.interval_slice(i)
+            j = first.setdefault(crc32(slc.pages()), i)
+            if j < i and trace.interval_slice(j).pages() == slc.pages():
+                hot_sets.append(hot_sets[j])
+            else:
+                hot_sets.append(array("I", [p for p, c in slc.page_counts().items()
+                                            if c >= HOT_THRESHOLD_ACCESSES]))
+        return cls(hot_sets)
 
 
 def _round_robin(node_ids: list[int], start: int, count: int) -> array:

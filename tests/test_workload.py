@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from tiersim import workload
 from tiersim.metrics import recall_precision
 from tiersim.workload import (
     GUPS_DRAW_CHUNK, PAGE_LIMIT, AccessTrace, GupsPhase, HotOracle, WorkloadError,
@@ -104,12 +105,43 @@ class TestGups:
         assert len(trace) == 132
 
 
+def oracle_cases():
+    """A GUPS trace, then microbench traces of every kind whose interval
+    divides the period (4), does not (5), is longer than it (30) or is the
+    whole trace (None): periods of 12 and 24 accesses, over 5 passes."""
+    yield gen_gups(256, 0.2, 0.8, 8000, [0], seed=13, accesses_per_interval=500)[0]
+    for kind, api in itertools.product(("read_only", "half_read", "write_only"),
+                                       (4, 5, 30, None)):
+        yield gen_seq_microbench(kind, 12, 5, accesses_per_interval=api)
+
+
 class TestOracle:
     def test_oracle_matches_brute_force(self):
-        trace, oracle = gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
-                                 accesses_per_interval=500)
-        for i in range(trace.num_intervals):
-            assert set(oracle.hot_sets[i]) == brute_force_hot(trace, i)
+        for trace in oracle_cases():
+            oracle = HotOracle.from_trace(trace)
+            assert len(oracle.hot_sets) == trace.num_intervals
+            for i in range(trace.num_intervals):
+                assert set(oracle.hot_sets[i]) == brute_force_hot(trace, i)
+
+    def test_a_key_collision_counts_the_interval(self, monkeypatch):
+        """With every page column keyed alike, each interval is compared to
+        the first one, and any that differs is counted."""
+        monkeypatch.setattr(workload, "crc32", lambda pages: 0)
+        for trace in oracle_cases():
+            oracle = HotOracle.from_trace(trace)
+            for i in range(trace.num_intervals):
+                assert set(oracle.hot_sets[i]) == brute_force_hot(trace, i)
+
+    def test_equal_intervals_share_one_array(self):
+        """`half_read_big`'s period is 4 intervals, so its 32 intervals hold
+        4 distinct columns, and each keeps its first-access order."""
+        trace, oracle = half_read_big()
+        assert len(oracle.hot_sets) == 32
+        assert len({id(hot) for hot in oracle.hot_sets}) == 4
+        for i, hot in enumerate(oracle.hot_sets):
+            lo, hi = trace.interval_bounds(i)
+            assert hot is oracle.hot_sets[i % 4]
+            assert list(hot) == list(dict.fromkeys(trace.vpages[lo:hi]))
 
     def test_single_access_page_excluded(self):
         trace = AccessTrace([1, 2, 2], [False] * 3, [0] * 3, accesses_per_interval=3)
@@ -210,11 +242,8 @@ def gups_big():
     return gen_gups(65536, 0.2, 0.8, 524288, [0], seed=1, accesses_per_interval=65536)
 
 
-@pytest.mark.parametrize("build", [half_read_big, gups_big], ids=["half_read", "gups"])
-def test_trace_and_oracle_hold_at_most_ten_bytes_an_access(build):
-    """The traces of `seq-rw-big.cfg` and `gups-big.cfg` with their oracles
-    keep at most 10 bytes allocated an access: 7 bytes of columns plus 4 a
-    hot page.  A list page column alone would add an 8-byte pointer."""
+def held_per_access(build) -> float:
+    """Bytes `build()` leaves allocated per access of the trace it makes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -222,7 +251,23 @@ def test_trace_and_oracle_hold_at_most_ten_bytes_an_access(build):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held / len(trace) <= 10, held / len(trace)
+    return held / len(trace)
+
+
+@pytest.mark.parametrize("build", [half_read_big, gups_big], ids=["half_read", "gups"])
+def test_trace_and_oracle_hold_at_most_ten_bytes_an_access(build):
+    """The traces of `seq-rw-big.cfg` and `gups-big.cfg` with their oracles
+    keep at most 10 bytes allocated an access: 7 bytes of columns plus 4 a
+    hot page.  A list page column alone would add an 8-byte pointer."""
+    held = held_per_access(build)
+    assert held <= 10, held
+
+
+def test_half_read_trace_and_oracle_hold_at_most_six_bytes_an_access():
+    """`seq-rw-big.cfg`'s trace repeats its 4 distinct intervals 8 times and
+    its oracle keeps one hot set each: 5 bytes of columns plus a quarter
+    byte of oracle an access."""
+    assert held_per_access(half_read_big) <= 6
 
 
 def trace_digest(cases) -> str:

@@ -176,7 +176,7 @@ class MemoryState:
 
     `page_tier` is the one placement record: a bytearray holding each page's
     tier index (`topology.index`), or UNMAPPED.  Tier names appear only at
-    the edges: `tier_of`, `tier_runs`, `free` and `tier_access_counts`.
+    the edges: `tier_runs`, `free` and `tier_access_counts`.
 
     The state is the only owner of free space: `free[tier]` starts at the
     tier's capacity, and only `map_pages` and `move_pages` change it, so
@@ -219,11 +219,6 @@ class MemoryState:
 
     def is_mapped(self, vpage: int) -> bool:
         return 0 <= vpage < self.num_pages and self.page_tier[vpage] != UNMAPPED
-
-    def tier_of(self, vpage: int) -> str | None:
-        """The id of the page's tier, or None while it is unmapped."""
-        tier = self.page_tier[vpage]
-        return None if tier == UNMAPPED else self.topology.tier_ids[tier]
 
     def mapped_pages(self, lo: int, hi: int) -> Sequence[int]:
         """The mapped pages in [lo, hi), ascending; `hi` is clamped to the

@@ -5,6 +5,8 @@ from tiersim.memmodel import BASE_PAGE_BYTES, CostModel, MemoryState, build_topo
 from tiersim.policy import PolicyConfig
 from tiersim.profiler import ProfilerConfig
 
+from placement import tier_of
+
 
 def test_autonuma_victims_are_coldest_first():
     """The swap queue equals sorting the tier's non-hot pages by
@@ -22,7 +24,7 @@ def test_autonuma_victims_are_coldest_first():
     hot = set(rng.sample(range(400), 40))
     for tier in ("a", "b"):
         expected = sorted((p for p in range(400)
-                           if space.tier_of(p) == tier and p not in hot),
+                           if tier_of(space, p) == tier and p not in hot),
                           key=lambda p: (system.counts.get(p, 0), p))
         assert expected
         assert system._coldest_first(topo.index[tier], hot) == expected

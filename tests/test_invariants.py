@@ -54,6 +54,8 @@ from tiersim.memmodel import BASE_PAGE_BYTES, MemoryState, build_topology
 from tiersim.policy import resolve_destination
 from tiersim.profiler import total_quota
 
+from placement import tier_of
+
 INTERVALS = 6
 ACCESSES_PER_INTERVAL = 384
 MICROBENCHES = ["read_only", "half_read", "write_only"]
@@ -104,7 +106,7 @@ def configs(draw) -> str:
 def check_ledger(space: MemoryState) -> None:
     pages = {t: 0 for t in space.free}
     for p in range(space.num_pages):
-        tier = space.tier_of(p)
+        tier = tier_of(space, p)
         if tier is not None:
             pages[tier] += 1
     for t in space.topology.tiers:
@@ -124,7 +126,7 @@ def check_directions(system, moves) -> None:
     topology = system.space.topology
     for m in moves:
         assert m.region.tier == m.src, m
-        assert all(system.space.tier_of(p) == m.src
+        assert all(tier_of(system.space, p) == m.src
                    for p in range(m.region.start_page, m.region.end_page)), m
         if isinstance(system, baselines.AutonumaSystem):
             order = topology.tier_ids
@@ -155,7 +157,7 @@ def check_partition(profiler) -> None:
     end = 0
     for r in profiler.regions:
         assert r.start_page >= end, r  # sorted by start and disjoint
-        assert all(space.tier_of(p) == r.tier for p in range(r.start_page, r.end_page)), r
+        assert all(tier_of(space, p) == r.tier for p in range(r.start_page, r.end_page)), r
         end = r.end_page
 
 
@@ -231,7 +233,7 @@ def reference_replay(space: MemoryState, slc, app: float,
     cost = {n: {tid: rank_costs[rank] for rank, tid in enumerate(view)}
             for n, view in topology.views.items()}
     for vpage, _, node in slc.events():
-        tier = space.tier_of(vpage)
+        tier = tier_of(space, vpage)
         app += cost[node][tier]
         counts[tier] += 1
     return app

@@ -12,6 +12,8 @@ from tiersim.memmodel import (
 from tiersim.migrator import project_write_times
 from tiersim.workload import AccessTrace, TraceSlice, gen_gups, gen_seq_microbench
 
+from placement import tier_of
+
 MB = 1024 * 1024
 
 
@@ -31,7 +33,7 @@ def placed_bytes(state):
     """Bytes of the pages mapped to each tier, counted from the page table."""
     out = {t.id: 0 for t in state.topology.tiers}
     for p in range(state.num_pages):
-        tid = state.tier_of(p)
+        tid = tier_of(state, p)
         if tid is not None:
             out[tid] += BASE_PAGE_BYTES
     return out
@@ -39,7 +41,7 @@ def placed_bytes(state):
 
 def tier_names(state, lo=0, hi=None):
     """The tier id of each page in [lo, hi), None where unmapped."""
-    return [state.tier_of(p) for p in range(lo, state.num_pages if hi is None else hi)]
+    return [tier_of(state, p) for p in range(lo, state.num_pages if hi is None else hi)]
 
 
 def place(state, names):

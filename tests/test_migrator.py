@@ -15,6 +15,7 @@ from tiersim.policy import Move
 from tiersim.profiler import Region
 from tiersim.workload import AccessTrace, gen_seq_microbench
 
+from placement import tier_of
 from test_memmodel import placed_bytes, tier_names
 
 
@@ -83,7 +84,7 @@ class TestSync:
         space = make_space(num_pages=8)
         with pytest.raises(TiersimError, match="unknown migration mode"):
             migrate_region(space, reg(0, 8), "b", "eager", None, 0.0)
-        assert space.tier_of(0) == "a"
+        assert tier_of(space, 0) == "a"
 
 
 class TestAsync:
@@ -102,7 +103,7 @@ class TestAsync:
         assert (entry.mechanism, entry.exposed_cost) == ("sync", 8 * 5.0)
         assert (entry.background_cost, entry.recopied_pages) == (0.0, 0)
         assert space.ledger.migration_background == 0.0
-        assert space.tier_of(0) == "b"
+        assert tier_of(space, 0) == "b"
 
     def test_write_outside_window_or_region_ignored(self):
         space = make_space(num_pages=64)

@@ -19,6 +19,8 @@ from tiersim.profiler import (
 )
 from tiersim.workload import AccessTrace
 
+from placement import tier_of
+
 
 def two_tier_space(num_pages=2048, cap_pages=(4096, 4096), period=10):
     topo = build_topology({
@@ -622,7 +624,7 @@ def reference_pebs(space, slc, fraction):
     period = space.cost_model.pebs_sample_period
     head = int(len(slc) * fraction)
     hits = [p for k, (p, _, _) in enumerate(slc.events())
-            if k < head and space.tier_of(p) == "slow"]
+            if k < head and tier_of(space, p) == "slow"]
     return [p for k, p in enumerate(hits, 1) if k % period == 0]
 
 

@@ -138,7 +138,7 @@ class MtmSystem(System):
         prof.select_active(slc)
         prof.profile_interval(slc)
         for r in prof.regions:
-            if r.id in prof.active_ids:
+            if r.id in prof.scanned_ids:
                 update_ema(r, r.hi, self.policy.alpha)
         prof.end_interval()
 

@@ -330,6 +330,7 @@ class Profiler:
         self.num_ps = 0  # samples per scan round; set from measured app time
         self.regions: list[Region] = []
         self.active_ids: set[int] = set()
+        self.scanned_ids: set[int] = set()  # active regions the last interval scanned
         self.merges = 0  # running totals, never reset
         self.splits = 0
         self.initialized = False
@@ -455,7 +456,9 @@ class Profiler:
 
     def profile_interval(self, slc: TraceSlice) -> int:
         """Scan the scheduled samples of active regions (`scan_samples`): a
-        count and `hi` hold this interval's accesses only.  Returns scans."""
+        count and `hi` hold this interval's accesses only.  An active region
+        the scan-budget clamp leaves no sample keeps its old `hi` and is
+        left out of `scanned_ids`.  Returns scans."""
         space, cfg = self.space, self.cfg
         eff = effective_scan_cost(cfg, space.cost_model)
         actives = [r for r in self.regions if r.id in self.active_ids]
@@ -478,6 +481,7 @@ class Profiler:
             r.sample_counts = row + [0] * (len(r.samples) - len(row))
             r.hi_prev = r.hi
             r.hi = sum(row) / len(row)
+        self.scanned_ids = {r.id for r, _ in scheduled}
         if cfg.origin_sampling:
             sample_origin(self.regions, self.active_ids, slc, cfg)
         return len(pages) * cfg.num_scans

@@ -127,10 +127,7 @@ class TestOracle:
         """With every page column keyed alike, each interval is compared to
         the first one, and any that differs is counted."""
         monkeypatch.setattr(workload, "crc32", lambda pages: 0)
-        for trace in oracle_cases():
-            oracle = HotOracle.from_trace(trace)
-            for i in range(trace.num_intervals):
-                assert set(oracle.hot_sets[i]) == brute_force_hot(trace, i)
+        self.test_oracle_matches_brute_force()
 
     def test_equal_intervals_share_one_array(self):
         """`half_read_big`'s period is 4 intervals, so its 32 intervals hold

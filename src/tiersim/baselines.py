@@ -129,9 +129,9 @@ class MtmSystem(System):
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         prof = self.profiler
         if not prof.initialized:
-            app0 = self.space.ledger.app
+            counts0 = self.space.access_counts()
             replay_plain(self.space, slc)
-            prof.init_regions(slc, self.space.ledger.app - app0)
+            prof.init_regions(slc, self.space.app_cost(counts0))
             return
         prof.set_budget(app_prev)
         prof.adopt_new_pages()

@@ -83,7 +83,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
     app_prev = 0.0
     for i in range(intervals):
         slc = trace.interval_slice(i)
-        app0 = space.ledger.app
+        counts0 = space.access_counts()
         prof0 = space.ledger.profiling
         mig0 = space.ledger.migration_exposed
         acc0 = space.tier_access_counts
@@ -106,7 +106,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         acc = space.tier_access_counts
         row = IntervalMetrics(
             interval=i, recall=rec, precision=prec,
-            app_cost=space.ledger.app - app0,
+            app_cost=space.app_cost(counts0),
             profiling_cost=space.ledger.profiling - prof0,
             migration_exposed_cost=space.ledger.migration_exposed - mig0,
             tier_access_counts={t: acc[t] - acc0[t] for t in topology.tier_ids},

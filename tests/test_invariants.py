@@ -29,8 +29,8 @@ after every interval:
   so a DAMON pick's hits are the sub-windows that hold it; and right after
   `profile_interval`, every scheduled MTM sample's count is the number of
   the interval's sub-windows whose `pages()` hold it;
-- the app ledger and the tiers' access counts equal what `reference_replay`,
-  a replayer keyed by tier name, gives for every access so far.
+- the clock and the tiers' access counts equal what `reference_replay`, a
+  counter keyed by node and tier name, gives for every access so far.
 
 The loop's per-interval costs and tier counts must equal the engine's rows,
 so it cannot drift from the loop it stands in for.  On the engine's result:
@@ -43,6 +43,7 @@ so it cannot drift from the loop it stands in for.  On the engine's result:
 from __future__ import annotations
 
 from collections import Counter
+from math import fsum
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,22 +222,23 @@ def watch_scans(system) -> list[tuple[int, int]]:
     return scans
 
 
-def reference_replay(space: MemoryState, slc, app: float,
-                     counts: dict[str, int]) -> float:
-    """The slice's accesses replayed by tier name onto `app` and `counts`:
-    an access costs the rank cost at its page's tier's place in the
-    accessing node's view, added left to right as the ledger adds it.  Call
-    it once the slice is replayed: pages are mapped by then and no system
-    moves one before it plans."""
+def reference_replay(space: MemoryState, slc,
+                     counts: Counter) -> tuple[float, dict[str, int]]:
+    """The slice's accesses counted onto `counts` by (node, tier name), then
+    the app time and tier counts of every access counted so far.  An access
+    costs the rank cost at its page's tier's place in the accessing node's
+    view, and the costs are summed exactly, by `math.fsum`.  Call it once
+    the slice is replayed: pages are mapped by then and no system moves one
+    before it plans."""
     topology = space.topology
     rank_costs = [t.access_cost for t in topology.tiers]
     cost = {n: {tid: rank_costs[rank] for rank, tid in enumerate(view)}
             for n, view in topology.views.items()}
-    for vpage, _, node in slc.events():
-        tier = tier_of(space, vpage)
-        app += cost[node][tier]
-        counts[tier] += 1
-    return app
+    counts.update((node, tier_of(space, vpage)) for vpage, _, node in slc.events())
+    tier_counts = {t: 0 for t in topology.tier_ids}
+    for (_, tier), n in counts.items():
+        tier_counts[tier] += n
+    return fsum(cost[node][tier] * n for (node, tier), n in counts.items()), tier_counts
 
 
 def check_budget(rows, overhead_constraint: float) -> None:
@@ -260,16 +262,17 @@ def run_checked(cfg, trace) -> list[tuple]:
     scans = watch_scans(system)
     rows = []
     app_prev = 0.0
-    ref_app, ref_counts = 0.0, {t: 0 for t in topology.tier_ids}
+    ref_counts = Counter()
     for i in range(min(cfg.intervals, trace.num_intervals)):
         slc = trace.interval_slice(i)
         ledger = space.ledger
-        app0, prof0, mig0 = ledger.app, ledger.profiling, ledger.migration_exposed
+        prof0, mig0 = ledger.profiling, ledger.migration_exposed
+        counts0 = space.access_counts()
         acc0 = dict(space.tier_access_counts)
         scans.clear()
         system.run_profiling(slc, app_prev)
         check_scans(scans, slc, cfg.profiler.num_scans)
-        ref_app = reference_replay(space, slc, ref_app, ref_counts)
+        ref_app, ref_tier_counts = reference_replay(space, slc, ref_counts)
         if isinstance(system, baselines.MtmSystem):
             check_samples(system.profiler)
             check_partition(system.profiler)
@@ -282,13 +285,13 @@ def run_checked(cfg, trace) -> list[tuple]:
                           if i + 1 < trace.num_intervals else None)
             migrator.execute_plan(space, moves, mode, next_slice)
         check_ledger(space)
-        assert ledger.app == ref_app
-        assert space.tier_access_counts == ref_counts
+        assert space.clock == ref_app
+        assert space.tier_access_counts == ref_tier_counts
         counts = {t: space.tier_access_counts[t] - acc0[t] for t in topology.tier_ids}
         assert sum(counts.values()) == len(slc)
-        rows.append((ledger.app - app0, ledger.profiling - prof0,
+        app_prev = space.app_cost(counts0)
+        rows.append((app_prev, ledger.profiling - prof0,
                      ledger.migration_exposed - mig0, counts))
-        app_prev = ledger.app - app0
     return rows
 
 

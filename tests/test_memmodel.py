@@ -122,12 +122,43 @@ class TestBuildTopology:
 
 
 class TestAccessAndScan:
-    def test_read_returns_view_cost_and_counts_its_tier(self):
+    def test_read_charges_view_cost_and_counts_its_tier(self):
         st = small_state()
         st.map_page(3, "t1")
-        cost = st.apply_access(3, node=0)
-        assert cost == 1.0
+        since = st.access_counts()
+        st.apply_access(3, node=0)
+        assert st.app_cost(since) == 1.0
         assert st.tier_access_counts == {"t1": 1, "t2": 0, "t3": 0, "t4": 0}
+
+    def test_clock_is_the_exact_sum_of_count_times_cost(self):
+        """Ten accesses at 1.8 and seven rounds at 1.0, 1.8 and 3.0: a sum
+        taken access by access reads 18.000000000000004 and
+        40.599999999999994."""
+        st = small_state()
+        st.map_page(0, "t2")
+        for _ in range(10):
+            st.apply_access(0, node=0)
+        assert st.clock == 18.0
+        st = small_state()
+        for page, tier in enumerate(("t1", "t2", "t3")):
+            st.map_page(page, tier)
+        for _ in range(7):
+            for page in range(3):
+                st.apply_access(page, node=0)
+        assert st.clock == 40.6
+        assert st.tier_access_counts == {"t1": 7, "t2": 7, "t3": 7, "t4": 0}
+
+    def test_app_cost_since_counts_only_later_accesses(self):
+        st = small_state(nodes=(0, 2))
+        st.map_page(0, "t2")
+        for _ in range(10):
+            st.apply_access(0, node=0)
+        since = st.access_counts()
+        for _ in range(10):
+            st.apply_access(0, node=2)
+        assert st.app_cost(since) == 18.0
+        assert st.clock == 36.0
+        assert st.tier_access_counts == {"t1": 0, "t2": 20, "t3": 0, "t4": 0}
 
     def test_replay_ignores_the_write_flag(self):
         """A slice replayed as generated and with every write flag flipped
@@ -149,6 +180,7 @@ class TestAccessAndScan:
         given, other = twins
         assert given.page_tier == other.page_tier
         assert given.ledger == other.ledger
+        assert given.clock == other.clock
         assert given.tier_access_counts == other.tier_access_counts
         assert sum(given.tier_access_counts.values()) == len(trace)
 
@@ -163,8 +195,12 @@ class TestAccessAndScan:
         topo = build_topology(spec)
         st = MemoryState(topo, CostModel(), 8)
         st.map_page(0, "t1")
-        assert st.apply_access(0, node=0) == 1.0
-        assert st.apply_access(0, node=1) == 1.8
+        charged = []
+        for node in (0, 1):
+            since = st.access_counts()
+            st.apply_access(0, node=node)
+            charged.append(st.app_cost(since))
+        assert charged == [1.0, 1.8]
 
     def test_scan_reads_its_sub_window(self):
         """A scan reads whether its sub-window touched the page, whatever
@@ -197,7 +233,7 @@ class TestAccessAndScan:
         with pytest.raises(UnmappedPageError, match=f"page {vpage} "):
             st.apply_access(vpage, 0)
         assert tier_names(st) == [None] * 16
-        assert st.ledger.app == 0.0
+        assert st.clock == 0.0
         assert sum(st.tier_access_counts.values()) == 0
 
 
@@ -506,8 +542,7 @@ class TestReplay:
             states, projected = [], []
             for i in range(trace.num_intervals):
                 st.replay(trace.interval_slice(i))
-                states.append((bytes(st.page_tier), list(st.tier_counts),
-                               st.ledger.app))
+                states.append((bytes(st.page_tier), st.tier_access_counts, st.clock))
                 if i + 1 < trace.num_intervals:
                     writes = project_write_times(st, trace.interval_slice(i + 1), st.clock)
                     projected.append((writes.times, writes.pages))

@@ -348,7 +348,9 @@ class TestBisectedWindows:
             runs = []
             for bounded in (True, False):
                 space = make_space(num_pages=n, caps=(128, 128, 128))
-                space.ledger.app = start_time  # the clock the windows start from
+                for _ in range(int(start_time)):  # the clock the windows start from
+                    space.apply_access(0, 0)  # page 0 is on "a", at cost 1.0
+                assert space.clock == start_time
                 local = random.Random(case)
                 moves, start = [], 0
                 while start < n:

@@ -23,6 +23,7 @@ tracer (bench/tracing.py) times them by patching each class's own methods.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .memmodel import BASE_PAGE_BYTES, UNMAPPED, CapacityError, MemoryState, scan_samples
@@ -254,9 +255,13 @@ class AutonumaSystem(System):
 class ThermostatSystem(System):
     """One random base page per fixed-size region, every access to it counted
     at a protection-fault premium; stops sampling when the budget runs dry.
-    The counts are the interval's `page_counts()`, taken after its replay.
-    A region's hotness is its count clipped to `num_scans`, the scale every
-    system's hotness has; detection and planning both read it."""
+    The counts are the interval's, taken after its replay, and only of the
+    pages it may sample: each mapped region's pick is drawn ahead on a copy
+    of the random stream, and one C-level pass over the page column counts
+    those picks.  The walk then draws the same picks on the stream itself,
+    so it leaves the stream where it stops at the budget.  A region's
+    hotness is its count clipped to `num_scans`, the scale every system's
+    hotness has; detection and planning both read it."""
 
     name = "thermostat"
 
@@ -269,18 +274,20 @@ class ThermostatSystem(System):
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space = self.space
         replay_plain(space, slc)
-        replay_counts = slc.page_counts()
         budget = profiling_budget(self.cfg, app_prev)
         fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
         spent = 0.0
         windows = list(range(0, space.num_pages, self.region_pages))
         self.rng.shuffle(windows)
-        for w in windows:
-            pages = space.mapped_pages(w, w + self.region_pages)
-            if not pages:
-                continue
+        mapped = [(w, pages) for w in windows
+                  if (pages := space.mapped_pages(w, w + self.region_pages))]
+        ahead = random.Random()
+        ahead.setstate(self.rng.getstate())
+        wanted = {pages[ahead.randrange(len(pages))] for _, pages in mapped}
+        counts = Counter(filter(wanted.__contains__, slc.pages()))
+        for w, pages in mapped:
             sample = pages[self.rng.randrange(len(pages))]
-            count = replay_counts.get(sample, 0)
+            count = counts.get(sample, 0)
             cost = count * fault_cost
             if spent + cost > budget:
                 break  # out of budget: remaining regions go unprofiled

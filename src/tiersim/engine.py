@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 from . import baselines, metrics, migrator, policy, profiler, workload
@@ -212,15 +213,27 @@ SWEEP_PARAMS = {
 def sweep_parameter(tree: dict, origin: str, param: str, values: list[str],
                     out_dir: str | Path | None = None) -> list[dict]:
     """Run the config `tree` once per value of `param` (a SWEEP_PARAMS short
-    name or a dotted key).  Every value's config is built before any runs."""
+    name or a dotted key).  Every value's config is built before any runs.
+    The values run in order, and each distinct trace is built once, when
+    its first value runs, and dropped after its last: `build_trace` reads
+    only the seed, the workload section and the topology's nodes."""
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     key = SWEEP_PARAMS.get(param, param)
     cfgs = [build_run_config(tree, f"{origin} (sweep {param}={value})", {key: value})
             for value in values]
+    trace_keys = [(cfg.seed, astuple(cfg.workload), tuple(cfg.topology["nodes"]))
+                  for cfg in cfgs]
+    uses = Counter(trace_keys)
+    traces: dict[tuple, tuple[AccessTrace, HotOracle]] = {}
     rows = []
-    for value, cfg in zip(values, cfgs):
-        result = run_simulation(cfg)
+    for value, cfg, trace_key in zip(values, cfgs, trace_keys):
+        if trace_key not in traces:
+            traces[trace_key] = build_trace(cfg)
+        result = run_simulation(cfg, *traces[trace_key])
+        uses[trace_key] -= 1
+        if not uses[trace_key]:
+            del traces[trace_key]
         app, prof, mig = result.totals()
         n = len(result.rows)
         rows.append({

@@ -316,34 +316,38 @@ class MemoryState:
 
     def apply_access(self, vpage: int, node: int) -> None:
         """Touch a page from `node`, mapping it through the allocator on its
-        first touch, and count the access.  A hit is one integer increment,
-        of the node's count for the page's tier index: it adds no cost,
-        which `app_cost` derives when read, and stores nothing per page.
-        A page past the footprint misses and is refused where misses are
-        handled, so a hit pays for no range check; traces hold no page below
+        first touch, and count the access.  A hit is one lookup and one
+        integer increment, of the node's count for the page's tier index: it
+        adds no cost, which `app_cost` derives when read, stores nothing per
+        page and tests nothing.  UNMAPPED indexes past every count row, and
+        a page past the footprint past `page_tier`, so both raise IndexError;
+        the miss path tells them apart by rereading the tier.  A page past
+        the footprint is refused.  A mapped page means the node id was past
+        the rows: that error is raised again, with nothing allocated.
+        Otherwise the allocator maps the page, or the page is refused when
+        there is none, and the access is counted.  Traces hold no page below
         0.  Writes are modelled only by `migrator.project_write_times`."""
         try:
-            tier = self.page_tier[vpage]
+            self._counts[node][self.page_tier[vpage]] += 1
         except IndexError:
-            tier = UNMAPPED
-        if tier == UNMAPPED:
             if not 0 <= vpage < self.num_pages:
                 raise UnmappedPageError(
-                    f"page {vpage} is outside the {self.num_pages}-page footprint")
+                    f"page {vpage} is outside the {self.num_pages}-page footprint") from None
+            if self.page_tier[vpage] != UNMAPPED:
+                raise
             if self.allocator is None:
-                raise UnmappedPageError(f"page {vpage} unmapped")
+                raise UnmappedPageError(f"page {vpage} unmapped") from None
             self.allocator(self, vpage, node)
-            tier = self.page_tier[vpage]
-        self._counts[node][tier] += 1
+            self._counts[node][self.page_tier[vpage]] += 1
 
     def replay(self, slc: TraceSlice, pages: Sequence[int] | None = None) -> None:
         """Apply every access of the slice, in order, one `apply_access` call
         each, walking `pages`, the slice's page column if the caller read it
-        already.  It only counts: the app time the slice took is
-        `app_cost(since)`, given the `access_counts()` from before it.  A
-        one-node trace passes its node to every call; any other walks the
-        node column alongside.  Systems that need per-page counts
-        take `slc.page_counts()`."""
+        already.  A call on a mapped page is its one lookup and increment;
+        only a first touch takes the miss path.  It only counts: the app
+        time the slice took is `app_cost(since)`, given the
+        `access_counts()` from before it.  A one-node trace passes its node
+        to every call; any other walks the node column alongside."""
         apply_access = self.apply_access
         node = slc.trace.node
         pages = slc.pages() if pages is None else pages

@@ -27,7 +27,7 @@ class AccessTrace:
       list would hold an 8-byte pointer per access plus a boxed int per
       distinct page.  Replay and `Counter` box each page as they read it:
       a bare loop over an array slice costs up to about 10 ns an access
-      more than over a list slice, small beside replay's 0.13-0.24 us an
+      more than over a list slice, small beside replay's 0.12-0.21 us an
       access (first-touch on gups-mid.cfg, one node, best of 5 replays in
       each of 6 processes, CPython 3.11, a 2-CPU VM whose speed drifts).
     - `writes` is a bytearray of 0/1, one byte per access.

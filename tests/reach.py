@@ -4,8 +4,8 @@ config runs.
     python tests/reach.py [--expect tests/reach_expected.txt]
 
 Runs the CLI under the stdlib line tracer (`trace.Trace(count=1)`) on every
-committed config: each golden case of `test_golden.CASES`, sweeps included,
-with the arguments `test_golden.argv_for` gives it; then `tiersim compare`
+committed config: each golden case of `golden_cases.CASES`, sweeps included,
+with the arguments `golden_cases.argv_for` gives it; then `tiersim compare`
 with the four baselines on `gups-mid.cfg`, and with first-touch and mtm on
 `gups-big.cfg` and `seq-rw-big.cfg`.  It then prints one line per run of
 unexecuted statements: the module, the first and last statement line, the
@@ -33,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-import test_golden  # noqa: E402  (a script's own directory is on sys.path)
+import golden_cases  # noqa: E402  (a script's own directory is on sys.path)
 from tiersim import cli  # noqa: E402
 
 PACKAGE = ROOT / "src" / "tiersim"
@@ -74,8 +74,8 @@ def run_all() -> dict[tuple[str, int], int]:
                                      sys.base_prefix, sys.base_exec_prefix])
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = [(case, test_golden.argv_for(case, work, work / case))
-                for case in sorted(test_golden.CASES)]
+        runs = [(case, golden_cases.argv_for(case, work, work / case))
+                for case in sorted(golden_cases.CASES)]
         runs += [(path.name, ["compare", "-c", str(path), "--systems", ",".join(systems),
                               "--out", str(work / path.stem)])
                  for path, systems in BENCH_RUNS]

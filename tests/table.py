@@ -4,7 +4,7 @@ beside an ideal-placement column.
     python tests/table.py > table.csv
 
 Runs `engine.compare_systems` with all six systems on each row: the five
-golden compares of `test_golden.CASES`, *big* (`bench/configs/gups-big.cfg`
+golden compares of `golden_cases.CASES`, *big* (`bench/configs/gups-big.cfg`
 run for 20 intervals) and `tests/golden/configs/two-socket.cfg` at seeds
 1-4, with and without `workload.init_pass`.  It prints one CSV: a row's
 `norm_total` per system (total cost over first-touch's), then `ideal_app`.
@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-import test_golden  # noqa: E402  (a script's own directory is on sys.path)
+import golden_cases  # noqa: E402  (a script's own directory is on sys.path)
 from tiersim import config, engine  # noqa: E402
 from tiersim.memmodel import BASE_PAGE_BYTES, build_topology  # noqa: E402
 
@@ -36,13 +36,13 @@ SYSTEMS = ["first-touch", "autonuma", "damon", "thermostat", "mtm", "mtm-no-pebs
 COMPARED = SYSTEMS[1:]
 GOLDEN_ROWS = ["small", "mid", "mid_group16", "half_read", "phase_change"]
 BIG = ROOT / "bench" / "configs" / "gups-big.cfg"
-TWO_SOCKET = test_golden.CONFIGS / "two-socket.cfg"
+TWO_SOCKET = golden_cases.CONFIGS / "two-socket.cfg"
 SEEDS = (1, 2, 3, 4)
 
 
 def golden_tree(case: str) -> tuple[dict, str]:
-    cfg_file, extra, _ = test_golden.CASES[case]
-    path = test_golden.CONFIGS / cfg_file
+    cfg_file, extra, _ = golden_cases.CASES[case]
+    path = golden_cases.CONFIGS / cfg_file
     return config.parse_config_text(path.read_text() + extra, str(path)), str(path)
 
 

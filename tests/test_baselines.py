@@ -1,9 +1,12 @@
 import random
 
-from tiersim.baselines import AutonumaSystem, MtmNoPebsSystem
+import pytest
+
+from tiersim.baselines import (THERMOSTAT_COST_MULTIPLIER, AutonumaSystem, MtmNoPebsSystem,
+                               ThermostatSystem)
 from tiersim.memmodel import BASE_PAGE_BYTES, CostModel, MemoryState, build_topology
 from tiersim.policy import PolicyConfig
-from tiersim.profiler import ProfilerConfig, Region
+from tiersim.profiler import ProfilerConfig, Region, profiling_budget
 from tiersim.workload import AccessTrace
 
 from placement import tier_of
@@ -53,3 +56,63 @@ def test_mtm_folds_only_the_regions_it_scanned():
     assert [(r.start_page, r.hi, r.whi) for r in prof.regions] == [(0, 0.0, 0.0),
                                                                   (16, 3.0, 1.0)]
     assert prof.scanned_ids == {scanned.id}
+
+
+def thermostat_reference(system: ThermostatSystem, slc, app_prev: float) -> None:
+    """`ThermostatSystem.run_profiling` as it was when it counted every page
+    of the interval and drew each sample as the walk reached its window."""
+    space = system.space
+    space.replay(slc)
+    replay_counts = slc.page_counts()
+    budget = profiling_budget(system.cfg, app_prev)
+    fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
+    spent = 0.0
+    windows = list(range(0, space.num_pages, system.region_pages))
+    system.rng.shuffle(windows)
+    for w in windows:
+        pages = space.mapped_pages(w, w + system.region_pages)
+        if not pages:
+            continue
+        sample = pages[system.rng.randrange(len(pages))]
+        count = replay_counts.get(sample, 0)
+        cost = count * fault_cost
+        if spent + cost > budget:
+            break
+        spent += cost
+        system.hotness[w] = min(count, system.cfg.num_scans)
+    space.ledger.profiling += spent
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_thermostat_budget_runs_out_mid_walk_like_the_reference(seed):
+    """Sixteen 8-page windows, mapped with holes and one left empty, and a
+    budget that stops each interval's walk partway: after two intervals the
+    hotness, the charge, the clock and the random stream are the
+    reference's.  Drawing the samples ahead on the stream itself, and not
+    on a copy, leaves the stream and the picks elsewhere."""
+    rng = random.Random(seed)
+    topo = build_topology({"tiers": [
+        {"id": "a", "capacity_bytes": 64 * BASE_PAGE_BYTES},
+        {"id": "b", "capacity_bytes": 128 * BASE_PAGE_BYTES}]})
+    layout = [None if p // 8 == 5 or rng.random() < 0.3 else rng.choice("ab")
+              for p in range(128)]
+    mapped = [p for p, tier in enumerate(layout) if tier]
+    trace = AccessTrace([rng.choice(mapped[:20]) if rng.random() < 0.5 else rng.choice(mapped)
+                         for _ in range(1200)], [False] * 1200, 0, 600)
+    cfg = ProfilerConfig(default_region_pages=8)
+    twins = []
+    for run in (thermostat_reference, ThermostatSystem.run_profiling):
+        space = MemoryState(topo, CostModel(), 128)
+        for p in mapped:
+            space.map_page(p, layout[p])
+        system = ThermostatSystem(space, cfg, PolicyConfig(), seed, 2.0)
+        walked = []
+        for i in range(2):
+            run(system, trace.interval_slice(i), 2000.0)
+            walked.append(len(system.hotness))
+        twins.append((system.hotness, space.ledger.profiling, system.rng.getstate(),
+                      space.clock, walked))
+    assert twins[0] == twins[1]
+    # each walk stops partway: the windows either interval profiled fall
+    # short of the 15 with a mapped page
+    assert 0 < twins[0][4][0] <= twins[0][4][1] < 15

@@ -131,3 +131,27 @@ def test_list_columns_run_like_the_generated_trace(runs_of):
     oracle = HotOracle.from_trace(plain)
     for name, (cfg, result) in by_system.items():
         assert engine.run_simulation(cfg, trace=plain, oracle=oracle) == result, name
+
+
+@pytest.mark.parametrize("param, values, builds", [
+    ("alpha", ["0.2", "0.5", "0.9"], 1),
+    ("seed", ["1", "2", "1"], 2),
+    ("seed", ["1", "2", "3"], 3),
+])
+def test_sweep_builds_each_distinct_trace_once(monkeypatch, param, values, builds):
+    """`build_trace` reads only the seed, the workload and the nodes: a sweep
+    over alpha builds one trace, one over seed one per distinct seed, and
+    each value's row is that of a run on a trace of its own."""
+    tree = parse_config_text(CONFIGS["small"] + "system = mtm-no-pebs\n")
+    want = [engine.sweep_parameter(tree, "small", param, [value])[0] for value in values]
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.seed)
+        return build_trace(cfg)
+
+    build_trace = engine.build_trace
+    monkeypatch.setattr(engine, "build_trace", counted)
+    assert engine.sweep_parameter(tree, "small", param, values) == want
+    assert len(calls) == builds
+    assert want[0] != want[1]  # the swept value changes the run

@@ -18,42 +18,9 @@ from pathlib import Path
 
 import pytest
 
-TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
-GOLDEN = TESTS / "golden"
-CONFIGS = GOLDEN / "configs"
-EXPECTED = GOLDEN / "expected"
-ALL_SYSTEMS = "mtm,mtm-no-pebs,first-touch,autonuma,thermostat,damon"
+from golden_cases import ALL_SYSTEMS, CASES, CONFIGS, EXPECTED, argv_for
 
-# case name -> (config file, lines appended to it, CLI arguments after -c)
-CASES = {
-    "small": ("small.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
-    "mid": ("mid.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
-    "half_read": ("half_read.cfg", "", ["compare", "--systems", ALL_SYSTEMS]),
-    # allocation groups smaller than the profiler window leave a window's
-    # slowest-tier run partly covered, so a nomination takes only a piece of it
-    "mid_group16": ("mid.cfg", "alloc_group_pages = 16\n",
-                    ["compare", "--systems", "first-touch,mtm,mtm-no-pebs"]),
-    "phase_change": ("phase_change.cfg", "",
-                     ["compare", "--systems", ALL_SYSTEMS]),
-    # MTM never plans on small (no counter nomination fires), so the sweeps
-    # run systems whose outputs move with the swept value.
-    "sweep-num_scans-damon": ("small.cfg", "system = damon\n",
-                              ["sweep", "--param", "num_scans", "--values", "2,3,6"]),
-    "sweep-num_scans-mtm-no-pebs": ("small.cfg", "system = mtm-no-pebs\n",
-                                    ["sweep", "--param", "num_scans",
-                                     "--values", "2,3,6"]),
-    "sweep-N-damon": ("small.cfg", "system = damon\n",
-                      ["sweep", "--param", "N", "--values", "4096,65536,1048576"]),
-}
-
-
-def argv_for(case: str, work: Path, out: Path) -> list[str]:
-    """CLI arguments for a case, its config written under `work`."""
-    config, extra, args = CASES[case]
-    cfg = work / f"{case}.cfg"
-    cfg.write_text((CONFIGS / config).read_text() + extra)
-    return [args[0], "-c", str(cfg), *args[1:], "--out", str(out)]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def produce(case: str, work: Path, out: Path) -> None:

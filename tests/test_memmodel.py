@@ -237,6 +237,63 @@ class TestAccessAndScan:
         assert sum(st.tier_access_counts.values()) == 0
 
 
+def spy_allocator(calls):
+    """group_first_touch(8), recording each (vpage, node) it is called with."""
+    alloc = group_first_touch(8)
+
+    def spy(state, vpage, node):
+        calls.append((vpage, node))
+        alloc(state, vpage, node)
+
+    return spy
+
+
+class TestMissPath:
+    """A hit is one lookup.  UNMAPPED indexes past every count row, a page
+    past the footprint past `page_tier`, and a node id past the rows past
+    the count rows: all three raise IndexError, and the miss path tells
+    them apart by rereading the tier."""
+
+    @pytest.mark.parametrize("node", [1, 7])
+    def test_a_mapped_page_from_a_node_past_the_rows_raises_and_maps_nothing(self, node):
+        st = small_state(num_pages=16)
+        calls = []
+        st.allocator = spy_allocator(calls)
+        st.map_page(3, "t2")
+        with pytest.raises(IndexError):
+            st.apply_access(3, node)
+        assert calls == []
+        assert tier_names(st) == [None] * 3 + ["t2"] + [None] * 12
+        assert st.free == {"t1": 16 * BASE_PAGE_BYTES, "t2": 15 * BASE_PAGE_BYTES,
+                           "t3": 16 * BASE_PAGE_BYTES, "t4": 64 * BASE_PAGE_BYTES}
+        assert sum(st.tier_access_counts.values()) == 0
+
+    @pytest.mark.parametrize("allocate", [False, True])
+    @pytest.mark.parametrize("vpage", [16, 17, 1 << 20])
+    def test_a_page_past_the_footprint_is_refused(self, vpage, allocate):
+        st = small_state(num_pages=16)
+        calls = []
+        st.allocator = spy_allocator(calls) if allocate else None
+        st.map_pages(range(16), "t1")
+        with pytest.raises(UnmappedPageError, match="outside the 16-page footprint"):
+            st.apply_access(vpage, 0)
+        assert calls == []
+        assert sum(st.tier_access_counts.values()) == 0
+
+    def test_a_first_touch_maps_the_group_and_counts_once(self):
+        st = small_state(num_pages=16)
+        calls = []
+        st.allocator = spy_allocator(calls)
+        st.apply_access(5, 0)
+        assert calls == [(5, 0)]
+        assert tier_names(st) == ["t1"] * 8 + [None] * 8
+        assert st.tier_access_counts == {"t1": 1, "t2": 0, "t3": 0, "t4": 0}
+        assert st.clock == 1.0
+        st.apply_access(6, 0)  # a hit in the mapped group
+        assert calls == [(5, 0)]
+        assert st.tier_access_counts == {"t1": 2, "t2": 0, "t3": 0, "t4": 0}
+
+
 class TestMapping:
     def test_map_pages_checks_room_once_for_the_group(self):
         st = small_state()

@@ -5,9 +5,11 @@ Every system is a `System`, built from the memory state, the profiler and
 policy configs, a seed and the detection threshold.  In each interval the
 engine calls, in this order:
 
-1. `run_profiling(slc, app_prev)` replays the interval's slice and profiles
-   it.  Profiling may cost `profiling_budget(cfg, app_prev)`, where app_prev
-   is the previous interval's application time (0 in interval 0).
+1. `run_profiling(slc, app_prev)` profiles the interval's slice, which the
+   engine has just replayed (`replay_plain`, the one replay of a run): a
+   system observes the slice and adds no access.  Profiling may cost
+   `profiling_budget(cfg, app_prev)`, where app_prev is the previous
+   interval's application time (0 in interval 0).
 2. `detected_pages()` gives the pages the system now takes as hot.
 3. `plan()` gives the interval's moves, each naming the region it moves.
    The engine executes them with `migrator_mode`, unless the config names
@@ -74,8 +76,8 @@ def group_first_touch(group_pages: int):
     return alloc
 
 
-def replay_plain(space: MemoryState, slc: TraceSlice, pages: list[int] | None = None) -> None:
-    space.replay(slc, pages)
+def replay_plain(space: MemoryState, slc: TraceSlice) -> None:
+    space.replay(slc)
 
 
 class System:
@@ -106,7 +108,7 @@ class FirstTouchSystem(System):
     name = "first-touch"
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
-        replay_plain(self.space, slc)
+        """Nothing to observe: first-touch never profiles."""
 
     def detected_pages(self) -> set[int]:
         return set()
@@ -129,10 +131,8 @@ class MtmSystem(System):
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         prof = self.profiler
-        if not prof.initialized:
-            counts0 = self.space.access_counts()
-            replay_plain(self.space, slc)
-            prof.init_regions(slc, self.space.app_cost(counts0))
+        if not prof.initialized:  # interval 0: the counts hold only this slice
+            prof.init_regions(slc, self.space.app_cost())
             return
         prof.set_budget(app_prev)
         prof.adopt_new_pages()
@@ -190,7 +190,6 @@ class AutonumaSystem(System):
         fresh = {}
         in_window = set(range(w0, w1)).__contains__  # cheaper per call than range's slot wrapper
         for sub in slc.subwindows(cfg.num_scans):
-            replay_plain(space, sub)
             # one fault per page the sub-window touched in the window, taken
             # in first-access order until the budget runs dry
             for p in dict.fromkeys(filter(in_window, sub.pages())):
@@ -255,8 +254,8 @@ class AutonumaSystem(System):
 class ThermostatSystem(System):
     """One random base page per fixed-size region, every access to it counted
     at a protection-fault premium; stops sampling when the budget runs dry.
-    The counts are the interval's, taken after its replay, and only of the
-    pages it may sample: each mapped region's pick is drawn ahead on a copy
+    The counts are the interval's, read from the slice the engine replayed,
+    and only of the pages it may sample: each mapped region's pick is drawn ahead on a copy
     of the random stream, and one C-level pass over the page column counts
     those picks.  The walk then draws the same picks on the stream itself,
     so it leaves the stream where it stops at the budget.  A region's
@@ -273,7 +272,6 @@ class ThermostatSystem(System):
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space = self.space
-        replay_plain(space, slc)
         budget = profiling_budget(self.cfg, app_prev)
         fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
         spent = 0.0
@@ -347,7 +345,6 @@ class DamonSystem(System):
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         space, cfg = self.space, self.cfg
         if not self.regions:
-            replay_plain(space, slc)
             self._init_regions()
             return
         max_samples = affordable_samples(profiling_budget(cfg, app_prev),
@@ -357,7 +354,7 @@ class DamonSystem(System):
             pages = space.mapped_pages(reg.start, reg.end)
             if pages:
                 picks.append((reg, pages[self.rng.randrange(len(pages))]))
-        hits = scan_samples(space, slc, [p for _, p in picks], cfg.num_scans, replay=replay_plain)
+        hits = scan_samples(space, slc, [p for _, p in picks], cfg.num_scans)
         for (reg, _), count in zip(picks, hits):
             reg.result = float(count)
         self._merge()

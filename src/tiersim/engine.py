@@ -63,9 +63,12 @@ class RunResult:
 
 def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
                    oracle: HotOracle | None = None) -> RunResult:
-    """Execute the interval loop: replay+profile, restructure regions, EMA,
-    plan, migrate, measure.  Profiling in interval i may cost overhead_constraint
-    x interval i-1's app cost (none in interval 0).  Deterministic in (config, seed)."""
+    """Execute the interval loop: replay, profile, restructure regions, EMA,
+    plan, migrate, measure.  Each interval's slice is replayed here, once,
+    through `baselines.replay_plain`; the system's `run_profiling` then
+    observes it.  Profiling in interval i may cost overhead_constraint x
+    interval i-1's app cost (none in interval 0).  Deterministic in
+    (config, seed)."""
     topology = build_topology(cfg.topology)
     if trace is None:
         trace, oracle = build_trace(cfg)
@@ -90,6 +93,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         acc0 = space.tier_access_counts
         merges0, splits0 = system.struct_counts()
 
+        baselines.replay_plain(space, slc)
         system.run_profiling(slc, app_prev)
         detected = system.detected_pages()
         moves = system.plan()

@@ -340,17 +340,17 @@ class MemoryState:
             self.allocator(self, vpage, node)
             self._counts[node][self.page_tier[vpage]] += 1
 
-    def replay(self, slc: TraceSlice, pages: Sequence[int] | None = None) -> None:
+    def replay(self, slc: TraceSlice) -> None:
         """Apply every access of the slice, in order, one `apply_access` call
-        each, walking `pages`, the slice's page column if the caller read it
-        already.  A call on a mapped page is its one lookup and increment;
-        only a first touch takes the miss path.  It only counts: the app
-        time the slice took is `app_cost(since)`, given the
-        `access_counts()` from before it.  A one-node trace passes its node
-        to every call; any other walks the node column alongside."""
+        each.  A call on a mapped page is its one lookup and increment; only
+        a first touch takes the miss path.  It only counts: the app time the
+        slice took is `app_cost(since)`, given the `access_counts()` from
+        before it.  A one-node trace passes its node to every call; any
+        other walks the node column alongside.  A run replays each interval
+        once, in `engine.run_simulation`."""
         apply_access = self.apply_access
         node = slc.trace.node
-        pages = slc.pages() if pages is None else pages
+        pages = slc.pages()
         if node is None:
             for vpage, node in zip(pages, slc.nodes()):
                 apply_access(vpage, node)
@@ -360,7 +360,7 @@ class MemoryState:
 
     def scan_pte(self, vpage: int, touched: set[int], cost: float | None = None) -> bool:
         """Scan a mapped page, charging the profiling ledger: whether it is
-        in `touched`, the armed pages the sub-window just replayed touched
+        in `touched`, the armed pages the scan's own sub-window touched
         (`scan_samples`).  ``cost`` overrides the plain scan cost so
         the profiler can fold in amortized hint-fault overhead."""
         if not self.is_mapped(vpage):
@@ -370,16 +370,14 @@ class MemoryState:
 
 
 def scan_samples(space: MemoryState, slc: TraceSlice, pages: list[int], num_scans: int,
-                 cost: float | None = None, replay=MemoryState.replay) -> list[int]:
+                 cost: float | None = None) -> list[int]:
     """Each page's count of the slice's num_scans sub-windows that touched
-    it.  The pages are armed at no charge before the first, so a scan reads
-    only its own sub-window, never an earlier interval: the sub-window's
-    pages, boxed once as a list for `replay` and the intersection alike."""
+    it.  The slice is already replayed; the pages are armed at no charge
+    before the first scan, so a scan reads only its own sub-window's page
+    column, never an earlier interval."""
     armed, scan = set(pages), space.scan_pte
     counts = [0] * len(pages)
     for sub in slc.subwindows(num_scans):
-        sub_pages = sub.pages().tolist()
-        replay(space, sub, sub_pages)
-        touched = armed.intersection(sub_pages) if armed else armed
+        touched = armed.intersection(sub.pages().tolist()) if armed else armed
         counts = [n + scan(page, touched, cost) for n, page in zip(counts, pages)]
     return counts

@@ -60,9 +60,9 @@ def test_mtm_folds_only_the_regions_it_scanned():
 
 def thermostat_reference(system: ThermostatSystem, slc, app_prev: float) -> None:
     """`ThermostatSystem.run_profiling` as it was when it counted every page
-    of the interval and drew each sample as the walk reached its window."""
+    of the interval and drew each sample as the walk reached its window.
+    The slice is replayed already, as the engine does before profiling."""
     space = system.space
-    space.replay(slc)
     replay_counts = slc.page_counts()
     budget = profiling_budget(system.cfg, app_prev)
     fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
@@ -108,7 +108,9 @@ def test_thermostat_budget_runs_out_mid_walk_like_the_reference(seed):
         system = ThermostatSystem(space, cfg, PolicyConfig(), seed, 2.0)
         walked = []
         for i in range(2):
-            run(system, trace.interval_slice(i), 2000.0)
+            slc = trace.interval_slice(i)
+            space.replay(slc)
+            run(system, slc, 2000.0)
             walked.append(len(system.hotness))
         twins.append((system.hotness, space.ledger.profiling, system.rng.getstate(),
                       space.clock, walked))

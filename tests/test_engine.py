@@ -6,6 +6,7 @@ gives the same run."""
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,21 @@ def test_detection_uses_the_configured_threshold(runs_of, system):
     rows = engine.run_simulation(cfg, trace=trace, oracle=oracle).rows
     assert all(set(oracle.hot_sets[row.interval]) for row in rows)
     assert all(row.precision == 1.0 and row.recall == 0.0 for row in rows)
+
+
+def test_profiler_covers_the_pages_touched_in_the_same_interval():
+    """The engine replays a slice before the system profiles it, so MTM's
+    regions take in the pages first touched in that interval.  half_read
+    touches 512 new pages an interval until all 2 048 are mapped; with the
+    counter nominations off, the regions cover every mapped page."""
+    cfg = build_run_config(parse_config_text(CONFIGS["half_read"]),
+                           overrides={"system": "mtm-no-pebs"})
+    result = engine.run_simulation(cfg)
+    covered = Counter()
+    for interval, _, _, len_pages, *_ in result.profiler_rows:
+        covered[interval] += len_pages
+    assert [covered[row.interval] for row in result.rows] == \
+        [min(2048, 512 * (row.interval + 1)) for row in result.rows]
 
 
 def test_compare_twice_in_one_process_writes_the_same_bytes(tmp_path):

@@ -12,7 +12,8 @@ after every interval:
 
 - each tier's free bytes equal its capacity less 4 KiB per page on it, and
   are never negative;
-- the tiers' access counts grew by exactly the slice's length;
+- the tiers' access counts grew by exactly the slice's length, all of it
+  in the engine's replay: `run_profiling` adds no access;
 - the plan, applied move by move to the free bytes it was planned against,
   never overdraws a tier;
 - every planned move leaves its region's tier, which holds all of the
@@ -270,7 +271,10 @@ def run_checked(cfg, trace) -> list[tuple]:
         counts0 = space.access_counts()
         acc0 = dict(space.tier_access_counts)
         scans.clear()
+        baselines.replay_plain(space, slc)
+        replayed = space.access_counts()
         system.run_profiling(slc, app_prev)
+        assert space.access_counts() == replayed  # profiling only observes
         check_scans(scans, slc, cfg.profiler.num_scans)
         ref_app, ref_tier_counts = reference_replay(space, slc, ref_counts)
         if isinstance(system, baselines.MtmSystem):

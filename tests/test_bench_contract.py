@@ -78,7 +78,7 @@ BENCH_DIGESTS = {
         "thermostat": "deb52cadc5ab329d42fb39244e604df52151fbfe67a35ac68f5fcbf1a1df2f76",
         "damon": "145f49376fa234d0172e8cadf2b03c61e2ee7349a804968793fb00075812a713"},
     "seq-rw-mtm": {
-        "mtm": "3757873dd73694e3134071a31e1fe71940f78f6a6e2cd73da7c4ae1c61a65516"},
+        "mtm": "d28b9091e535bd8fc2a152416ff717aebfa14985e2c76ba0f2357512e2c939fc"},
 }
 
 

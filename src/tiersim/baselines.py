@@ -5,11 +5,9 @@ Every system is a `System`, built from the memory state, the profiler and
 policy configs, a seed and the detection threshold.  In each interval the
 engine calls, in this order:
 
-1. `run_profiling(slc, app_prev)` profiles the interval's slice, which the
-   engine has just replayed (`replay_plain`, the one replay of a run): a
-   system observes the slice and adds no access.  Profiling may cost
-   `profiling_budget(cfg, app_prev)`, where app_prev is the previous
-   interval's application time (0 in interval 0).
+1. `run_profiling(slc, app_prev)` observes the slice the engine has just
+   replayed, adding no access, at a cost of at most `profiling_budget(cfg,
+   app_prev)`: app_prev is the last interval's app time (0 in interval 0).
 2. `detected_pages()` gives the pages the system now takes as hot.
 3. `plan()` gives the interval's moves, each naming the region it moves.
    The engine executes them with `migrator_mode`, unless the config names
@@ -254,8 +252,8 @@ class AutonumaSystem(System):
 class ThermostatSystem(System):
     """One random base page per fixed-size region, every access to it counted
     at a protection-fault premium; stops sampling when the budget runs dry.
-    The counts are the interval's, read from the slice the engine replayed,
-    and only of the pages it may sample: each mapped region's pick is drawn ahead on a copy
+    The counts are the interval's, read from its replayed slice, and only of
+    the pages it may sample: each mapped region's pick is drawn ahead on a copy
     of the random stream, and one C-level pass over the page column counts
     those picks.  The walk then draws the same picks on the stream itself,
     so it leaves the stream where it stops at the budget.  A region's

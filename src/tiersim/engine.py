@@ -63,12 +63,10 @@ class RunResult:
 
 def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
                    oracle: HotOracle | None = None) -> RunResult:
-    """Execute the interval loop: replay, profile, restructure regions, EMA,
-    plan, migrate, measure.  Each interval's slice is replayed here, once,
-    through `baselines.replay_plain`; the system's `run_profiling` then
-    observes it.  Profiling in interval i may cost overhead_constraint x
-    interval i-1's app cost (none in interval 0).  Deterministic in
-    (config, seed)."""
+    """Execute the interval loop: replay (the run's only replay), profile,
+    restructure regions, EMA, plan, migrate, measure.  Profiling in interval i may
+    cost overhead_constraint x interval i-1's app cost (none in interval 0).
+    Deterministic in (config, seed)."""
     topology = build_topology(cfg.topology)
     if trace is None:
         trace, oracle = build_trace(cfg)

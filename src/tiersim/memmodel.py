@@ -342,20 +342,19 @@ class MemoryState:
 
     def replay(self, slc: TraceSlice) -> None:
         """Apply every access of the slice, in order, one `apply_access` call
-        each.  A call on a mapped page is its one lookup and increment; only
-        a first touch takes the miss path.  It only counts: the app time the
-        slice took is `app_cost(since)`, given the `access_counts()` from
-        before it.  A one-node trace passes its node to every call; any
-        other walks the node column alongside.  A run replays each interval
-        once, in `engine.run_simulation`."""
+        each; the engine calls it once an interval.  A call on a mapped page
+        is its one lookup and increment; only a first touch takes the miss
+        path.  It only counts: the app time the slice took is
+        `app_cost(since)`, given the `access_counts()` from before it.  A
+        one-node trace passes its node to every call; any other walks the
+        node column alongside."""
         apply_access = self.apply_access
         node = slc.trace.node
-        pages = slc.pages()
         if node is None:
-            for vpage, node in zip(pages, slc.nodes()):
+            for vpage, node in zip(slc.pages(), slc.nodes()):
                 apply_access(vpage, node)
         else:
-            for vpage in pages:
+            for vpage in slc.pages():
                 apply_access(vpage, node)
 
     def scan_pte(self, vpage: int, touched: set[int], cost: float | None = None) -> bool:

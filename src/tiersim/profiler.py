@@ -455,11 +455,10 @@ class Profiler:
     # -- per-interval profiling ----------------------------------------------
 
     def profile_interval(self, slc: TraceSlice) -> int:
-        """Scan the scheduled samples of active regions over the slice the
-        engine has replayed (`scan_samples`): a count and `hi` hold this
-        interval's accesses only, pages first touched in it included.  An
-        active region the scan-budget clamp leaves no sample keeps its old
-        `hi` and is left out of `scanned_ids`.  Returns scans."""
+        """Scan the scheduled samples of active regions (`scan_samples`) over
+        the replayed slice: a count and `hi` hold this interval's accesses
+        only.  An active region the scan-budget clamp leaves no sample keeps
+        its old `hi` and is left out of `scanned_ids`.  Returns scans."""
         space, cfg = self.space, self.cfg
         eff = effective_scan_cost(cfg, space.cost_model)
         actives = [r for r in self.regions if r.id in self.active_ids]

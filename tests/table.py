@@ -1,7 +1,7 @@
 """Results table: `norm_total` of every system on the committed configs,
 beside an ideal-placement column.
 
-    python tests/table.py > table.csv
+    python tests/table.py [--expect tests/table_expected.csv] > table.csv
 
 Runs `engine.compare_systems` with all six systems on each row: the five
 golden compares of `golden_cases.CASES`, *big* (`bench/configs/gups-big.cfg`
@@ -16,13 +16,20 @@ by node, and sums count x cost over the intervals the systems run, divided
 by first-touch's total cost.  On one node that is the least app cost any
 placement fixed within each interval reaches with migration free (`exact`
 in the `ideal` column); on two nodes the greedy order makes it an
-`estimate`.  pytest does not collect this file; it takes about 15 s.
+`estimate`.
+
+With `--expect FILE`, a committed table, the run is a gate: it exits 1 when
+any cell differs from the file's, naming each such cell on stderr, or when
+a row is missing from either.  pytest does not collect this file; it takes
+about 15 s.
 """
 from __future__ import annotations
 
+import argparse
 import statistics
 import sys
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,7 +92,27 @@ def table_row(tree: dict, origin: str) -> tuple[list[float], bool]:
     return [rows[s]["norm_total"] for s in COMPARED] + [app / base], exact
 
 
-def main() -> int:
+def differences(table: list[list[str]], expected: list[list[str]]) -> list[str]:
+    """Each cell of `table` that differs from `expected`'s, as "row column:
+    expected X, got Y", and each row only one of the two holds."""
+    want = {row[0]: row for row in expected}
+    have = {row[0]: row for row in table}
+    out = []
+    for label, row in have.items():
+        if label not in want:
+            out.append(f"{label}: not in the expected table")
+            continue
+        out += [f"{label} {column}: expected {old}, got {new}"
+                for column, old, new in zip_longest(table[0], want[label], row, fillvalue="")
+                if old != new]
+    return out + [f"{label}: missing" for label in want if label not in have]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Print the results table.")
+    parser.add_argument("--expect", type=Path,
+                        help="fail when any cell differs from this committed table")
+    args = parser.parse_args(argv)
     out = [["row", *COMPARED, "ideal_app", "ideal"]]
 
     def emit(label, values, exact):
@@ -107,7 +134,13 @@ def main() -> int:
         for name, stat in (("min", min), ("median", statistics.median), ("max", max)):
             emit(f"{group} {name}", [stat(c) for c in columns], exact)
     sys.stdout.write("".join(",".join(row) + "\n" for row in out))
-    return 0
+    if args.expect is None:
+        return 0
+    expected = [line.split(",") for line in args.expect.read_text().splitlines() if line]
+    diffs = differences(out, expected)
+    for line in diffs:
+        print(f"table: {line}", file=sys.stderr)
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ engine calls, in this order:
 1. `run_profiling(slc, app_prev)` observes the slice the engine has just
    replayed, adding no access, at a cost of at most `profiling_budget(cfg,
    app_prev)`: app_prev is the last interval's app time (0 in interval 0).
-2. `detected_pages()` gives the pages the system now takes as hot.
+2. `detected_pages()` gives its hot pages, by `metrics.detect_hot_pages`.
 3. `plan()` gives the interval's moves, each naming the region it moves.
    The engine executes them with `migrator_mode`, unless the config names
    a mode.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .memmodel import BASE_PAGE_BYTES, UNMAPPED, CapacityError, MemoryState, scan_samples
@@ -76,6 +77,13 @@ def group_first_touch(group_pages: int):
 
 def replay_plain(space: MemoryState, slc: TraceSlice) -> None:
     space.replay(slc)
+
+
+def scored_regions(space: MemoryState, spans: Iterable[tuple[int, int, float]]) -> list[Region]:
+    """The planner's regions for (start, end, score) spans: one per mapped
+    tier run of each span, its `hi` and `whi` the span's score."""
+    return [Region(start, ln, tier, hi=score, whi=score)
+            for lo, hi, score in spans for start, ln, tier in space.tier_runs(lo, hi)]
 
 
 class System:
@@ -142,7 +150,8 @@ class MtmSystem(System):
         prof.end_interval()
 
     def detected_pages(self) -> set[int]:
-        return detect_hot_pages(self.profiler.regions, self.detect_threshold)
+        return detect_hot_pages(((r.start_page, r.end_page, r.whi or 0.0)
+                                 for r in self.profiler.regions), self.detect_threshold)
 
     def plan(self) -> list[Move]:
         return plan_interval(self.profiler.regions, self.space, self.policy)
@@ -200,7 +209,8 @@ class AutonumaSystem(System):
             self.counts[p] = fresh.get(p, 0)
 
     def detected_pages(self) -> set[int]:
-        return {p for p, c in self.counts.items() if c >= self.detect_threshold}
+        return detect_hot_pages(((p, p + 1, c) for p, c in self.counts.items()),
+                                self.detect_threshold)
 
     def plan(self) -> list[Move]:
         """Promote hot pages one level toward the fastest tier; the coldest
@@ -292,20 +302,16 @@ class ThermostatSystem(System):
         space.ledger.profiling += spent
 
     def detected_pages(self) -> set[int]:
-        hot: set[int] = set()
-        for w, c in self.hotness.items():
-            if c >= self.detect_threshold:
-                hot.update(range(w, min(w + self.region_pages, self.space.num_pages)))
-        return hot
+        size, n = self.region_pages, self.space.num_pages
+        return detect_hot_pages(((w, min(w + size, n), c) for w, c in self.hotness.items()),
+                                self.detect_threshold)
 
     def plan(self) -> list[Move]:
-        """Thermostat is profiling-only: migration reuses the shared planner."""
-        regions: list[Region] = []
-        for start, ln, tier in self.space.tier_runs(window=self.region_pages):
-            w = start - start % self.region_pages
-            score = float(self.hotness.get(w, 0))
-            regions.append(Region(start, ln, tier, hi=score, whi=score))
-        return plan_interval(regions, self.space, self.policy)
+        """Profiling-only: the shared planner plans every window, an unprofiled one at 0."""
+        size = self.region_pages
+        spans = ((w, w + size, float(self.hotness.get(w, 0)))
+                 for w in range(0, self.space.num_pages, size))
+        return plan_interval(scored_regions(self.space, spans), self.space, self.policy)
 
 
 @dataclass
@@ -330,7 +336,7 @@ class DamonSystem(System):
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int, detect_threshold: float):
         super().__init__(space, cfg, policy, seed, detect_threshold)
-        self.regions: list[_DamonRegion] = []
+        self.regions: list[_DamonRegion] = []  # in page order and disjoint
 
     def _init_regions(self) -> None:
         # one region per contiguous mapped run in the footprint
@@ -361,7 +367,7 @@ class DamonSystem(System):
     def _merge(self) -> None:
         threshold = DAMON_MERGE_FRACTION * self.cfg.num_scans
         out: list[_DamonRegion] = []
-        for reg in sorted(self.regions, key=lambda r: r.start):
+        for reg in self.regions:
             if out and out[-1].end == reg.start and \
                     abs(out[-1].result - reg.result) < threshold:
                 prev = out[-1]
@@ -389,20 +395,14 @@ class DamonSystem(System):
             self.splits += 1
         self.regions = out
 
+    def _spans(self) -> list[tuple[int, int, float]]:
+        return [(reg.start, reg.end, reg.result) for reg in self.regions]
+
     def detected_pages(self) -> set[int]:
-        hot: set[int] = set()
-        for reg in self.regions:
-            if reg.result >= self.detect_threshold:
-                hot.update(range(reg.start, reg.end))
-        return hot
+        return detect_hot_pages(self._spans(), self.detect_threshold)
 
     def plan(self) -> list[Move]:
-        regions: list[Region] = []
-        for reg in self.regions:
-            regions.extend(Region(start, ln, tier, hi=reg.result,
-                                  whi=reg.result)
-                           for start, ln, tier in self.space.tier_runs(reg.start, reg.end))
-        return plan_interval(regions, self.space, self.policy)
+        return plan_interval(scored_regions(self.space, self._spans()), self.space, self.policy)
 
 
 # every system a config can name, by name (RunConfig.system takes

@@ -325,8 +325,10 @@ class MemoryState:
         the footprint is refused.  A mapped page means the node id was past
         the rows: that error is raised again, with nothing allocated.
         Otherwise the allocator maps the page, or the page is refused when
-        there is none, and the access is counted.  Traces hold no page below
-        0.  Writes are modelled only by `migrator.project_write_times`."""
+        there is none, and the access is counted.  It requires `0 <= vpage`,
+        which `AccessTrace` enforces where outside input enters: a negative
+        page would index `page_tier` from its end, onto another page's tier.
+        Writes are modelled only by `migrator.project_write_times`."""
         try:
             self._counts[node][self.page_tier[vpage]] += 1
         except IndexError:
@@ -377,6 +379,6 @@ def scan_samples(space: MemoryState, slc: TraceSlice, pages: list[int], num_scan
     armed, scan = set(pages), space.scan_pte
     counts = [0] * len(pages)
     for sub in slc.subwindows(num_scans):
-        touched = armed.intersection(sub.pages().tolist()) if armed else armed
+        touched = armed.intersection(sub.pages()) if armed else armed
         counts = [n + scan(page, touched, cost) for n, page in zip(counts, pages)]
     return counts

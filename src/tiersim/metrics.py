@@ -1,10 +1,8 @@
 """Profiling-quality and cost metrics against the oracle and ledgers."""
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
-
-from .profiler import Region
 
 
 @dataclass
@@ -20,13 +18,13 @@ class IntervalMetrics:
     splits: int = 0
 
 
-def detect_hot_pages(regions: list[Region], threshold: float) -> set[int]:
-    """All pages of regions whose smoothed hotness (0.0 before the first
-    observation) reaches the threshold."""
+def detect_hot_pages(spans: Iterable[tuple[int, int, float]], threshold: float) -> set[int]:
+    """Every page of the (start, end, score) spans whose score reaches the
+    threshold: how every system's scores become the pages it takes as hot."""
     hot: set[int] = set()
-    for r in regions:
-        if (r.whi if r.whi is not None else 0.0) >= threshold:
-            hot.update(range(r.start_page, r.end_page))
+    for start, end, score in spans:
+        if score >= threshold:
+            hot.update(range(start, end))
     return hot
 
 

@@ -77,7 +77,8 @@ def project_write_times(space: MemoryState, slc, start_time: float,
     made, which the clock (`MemoryState.app_cost`) never reads.  A one-node
     trace's events repeat its node and read no node column.  The result is
     ascending in time and holds only writes before `until` (pass the end of
-    the plan's last copy window: no later write can land in any window)."""
+    the plan's last copy window: no later write can land in any window).
+    Like `apply_access`, it requires every page `>= 0` (`AccessTrace`)."""
     page_tier, t, cost = space.page_tier, start_time, space.topology.cost_rows
     times, pages = [], []
     try:

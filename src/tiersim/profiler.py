@@ -300,7 +300,8 @@ def rebalance_to_budget(regions: list[Region], num_ps: int,
 
 def _pebs_sampled_pages(space: MemoryState, slc: TraceSlice) -> list[int]:
     """Counter-sampled pages: every pebs_sample_period-th access that lands in
-    the slowest tier during the head PEBS_WINDOW_FRACTION of the slice."""
+    the slowest tier during the head PEBS_WINDOW_FRACTION of the slice.
+    Like `apply_access`, it requires every page `>= 0` (`AccessTrace`)."""
     period = space.cost_model.pebs_sample_period
     topology, page_tier = space.topology, space.page_tier
     slowest = topology.index[topology.slowest_tier]

@@ -43,7 +43,10 @@ class AccessTrace:
 
     The generators build every column in its type, never as a full-length
     list.  Columns of other types (tests pass lists) are converted here, and
-    the page conversion rejects a page outside 0..2**32 - 1."""
+    the page conversion rejects a page outside 0..2**32 - 1.  This is where
+    outside input enters, and the one place a negative page is refused:
+    replay, write projection and counter sampling index `page_tier` by page
+    and require `0 <= page` without testing it."""
 
     def __init__(self, vpages: array | list[int], writes: bytearray | list[bool],
                  nodes: array | list[int] | int, accesses_per_interval: int,

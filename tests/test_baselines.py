@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from tiersim.baselines import (THERMOSTAT_COST_MULTIPLIER, AutonumaSystem, MtmNoPebsSystem,
-                               ThermostatSystem)
+from tiersim import baselines, engine
+from tiersim.baselines import (THERMOSTAT_COST_MULTIPLIER, AutonumaSystem, DamonSystem,
+                               MtmNoPebsSystem, MtmSystem, ThermostatSystem)
+from tiersim.config import build_run_config, parse_config_text
 from tiersim.memmodel import BASE_PAGE_BYTES, CostModel, MemoryState, build_topology
 from tiersim.policy import PolicyConfig
 from tiersim.profiler import ProfilerConfig, Region, profiling_budget
 from tiersim.workload import AccessTrace
 
+from golden_cases import CONFIGS
 from placement import tier_of
 
 
@@ -118,3 +121,98 @@ def test_thermostat_budget_runs_out_mid_walk_like_the_reference(seed):
     # each walk stops partway: the windows either interval profiled fall
     # short of the 15 with a mapped page
     assert 0 < twins[0][4][0] <= twins[0][4][1] < 15
+
+
+def reference_detected(system) -> set[int]:
+    """Each system's own detection loop, as written before every system
+    passed its scored spans to `metrics.detect_hot_pages`."""
+    threshold, hot = system.detect_threshold, set()
+    if isinstance(system, MtmSystem):
+        for r in system.profiler.regions:
+            if (r.whi if r.whi is not None else 0.0) >= threshold:
+                hot.update(range(r.start_page, r.end_page))
+    elif isinstance(system, AutonumaSystem):
+        hot = {p for p, c in system.counts.items() if c >= threshold}
+    elif isinstance(system, ThermostatSystem):
+        for w, c in system.hotness.items():
+            if c >= threshold:
+                hot.update(range(w, min(w + system.region_pages, system.space.num_pages)))
+    else:
+        for reg in system.regions:
+            if reg.result >= threshold:
+                hot.update(range(reg.start, reg.end))
+    return hot
+
+
+def reference_plan_regions(system) -> list[Region]:
+    """The regions Thermostat and DAMON each built for the planner, as
+    written before both passed their scored spans to `scored_regions`."""
+    space, regions = system.space, []
+    if isinstance(system, ThermostatSystem):
+        for start, ln, tier in space.tier_runs(window=system.region_pages):
+            score = float(system.hotness.get(start - start % system.region_pages, 0))
+            regions.append(Region(start, ln, tier, hi=score, whi=score))
+    else:
+        for reg in system.regions:
+            regions.extend(Region(start, ln, tier, hi=reg.result, whi=reg.result)
+                           for start, ln, tier in space.tier_runs(reg.start, reg.end))
+    return regions
+
+
+# the mid golden's GUPS touches pages 0..16382, so its footprint cuts the
+# last 512-page window short by one page; an init pass touches all 16 384
+# pages, and a 16 300-page GUPS cuts the last window by 84
+@pytest.mark.parametrize("extra, footprint", [
+    ("", 16383), ("workload.init_pass = true\n", 16384),
+    ("workload.footprint_pages = 16300\n", 16300)], ids=["mid", "init-pass", "16300"])
+@pytest.mark.parametrize("threshold", [2.0, 0.0])
+def test_detection_and_planner_regions_match_each_systems_own_loop(
+        monkeypatch, extra, footprint, threshold):
+    """On the `mid` golden config and two footprints beside it, at its
+    threshold and at 0: after every interval, each system's hot pages and
+    the regions Thermostat and DAMON plan over are what each system's own
+    loop gave.  At threshold 0 every score qualifies, so a window
+    Thermostat never profiled must still stay out, and a last window the
+    footprint cuts short must stop at the last page."""
+    text = (CONFIGS / "mid.cfg").read_text() + extra + f"detect_threshold = {threshold}\n"
+    tree = parse_config_text(text)
+    trace, oracle = engine.build_trace(build_run_config(tree))
+    assert trace.footprint() == footprint
+    current, seen = [], {}
+
+    def checked(detect):
+        def detected_pages(self):
+            current[:] = [self]
+            hot = detect(self)
+            assert hot == reference_detected(self)
+            assert all(0 <= p < footprint for p in hot)
+            seen.setdefault(self.name, []).append(
+                (len(hot), set(getattr(self, "hotness", ()))))
+            return hot
+        return detected_pages
+
+    def planned(regions, space, policy):
+        system = current[0]
+        if isinstance(system, MtmSystem):
+            assert regions is system.profiler.regions
+        else:
+            assert regions == reference_plan_regions(system)
+        return plan_interval(regions, space, policy)
+
+    for cls in (MtmSystem, AutonumaSystem, ThermostatSystem, DamonSystem):
+        monkeypatch.setattr(cls, "detected_pages", checked(cls.detected_pages))
+    plan_interval = baselines.plan_interval
+    monkeypatch.setattr(baselines, "plan_interval", planned)
+    for name in ("mtm", "autonuma", "thermostat", "damon"):
+        cfg = build_run_config(tree, overrides={"system": name})
+        engine.run_simulation(cfg, trace=trace, oracle=oracle)
+        # AutoNUMA's plan reads its detection a second time
+        assert len(seen[name]) == cfg.intervals * (2 if name == "autonuma" else 1)
+    # the cases the references tell apart happen: Thermostat detects some
+    # pages, some interval leaves a window unprofiled, and the last window
+    # (cut short on two footprints of the three) is profiled at least once
+    windows = range(0, footprint, 512)
+    profiled = [w for _, w in seen["thermostat"]]
+    assert any(n for n, _ in seen["thermostat"])
+    assert any(len(w) < len(windows) for w in profiled)
+    assert any(windows[-1] in w for w in profiled)

@@ -25,6 +25,8 @@ after every interval:
   (more regions than the budget) or samples all of its pages (fewer pages);
 - the MTM regions are sorted by start and disjoint, and each region's pages
   are all on its tier;
+- the DAMON regions are sorted by start, disjoint, non-empty and inside the
+  footprint, so its merge needs no sort;
 - every scan by MTM or DAMON observes whether its own sub-window touched the
   page: scan k of a page reads 1 iff the interval's sub-window k holds it,
   so a DAMON pick's hits are the sub-windows that hold it; and right after
@@ -163,6 +165,14 @@ def check_partition(profiler) -> None:
         end = r.end_page
 
 
+def check_damon_regions(system) -> None:
+    end = 0
+    for reg in system.regions:
+        assert reg.start >= end and reg.length > 0, reg  # sorted, disjoint, non-empty
+        end = reg.end
+    assert end <= system.space.num_pages
+
+
 def subwindow_hits(slc, num_scans: int) -> Counter:
     """Page -> the number of the slice's sub-windows whose `pages()` hold it."""
     hits = Counter()
@@ -280,6 +290,8 @@ def run_checked(cfg, trace) -> list[tuple]:
         if isinstance(system, baselines.MtmSystem):
             check_samples(system.profiler)
             check_partition(system.profiler)
+        if isinstance(system, baselines.DamonSystem):
+            check_damon_regions(system)
         system.detected_pages()
         moves = system.plan()
         check_plan_fits(moves, space.free)

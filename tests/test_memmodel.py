@@ -228,6 +228,10 @@ class TestAccessAndScan:
 
     @pytest.mark.parametrize("vpage", [-1, 16])
     def test_page_outside_the_footprint_is_refused(self, vpage):
+        """Page -1 is refused only because nothing is mapped: `page_tier[-1]`
+        reads UNMAPPED and reaches the footprint check.  On a mapped state it
+        would count on page 15's tier; `apply_access` requires `0 <= vpage`,
+        which `AccessTrace` enforces."""
         st = small_state(num_pages=16)
         st.allocator = group_first_touch(8)
         with pytest.raises(UnmappedPageError, match=f"page {vpage} "):

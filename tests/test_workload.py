@@ -150,6 +150,8 @@ class TestOracle:
             AccessTrace([0, -1], [False] * 2, [0] * 2, accesses_per_interval=2)
         with pytest.raises(WorkloadError):
             AccessTrace(array("q", [0, -1]), [False] * 2, [0] * 2, accesses_per_interval=2)
+        with pytest.raises(WorkloadError, match="negative"):
+            AccessTrace(array("i", [0, -1]), [False] * 2, [0] * 2, accesses_per_interval=2)
 
     def test_page_beyond_four_bytes_rejected(self):
         with pytest.raises(WorkloadError, match="0..4294967295"):

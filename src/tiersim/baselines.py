@@ -8,7 +8,8 @@ engine calls, in this order:
 1. `run_profiling(slc, app_prev)` observes the slice the engine has just
    replayed, adding no access, at a cost of at most `profiling_budget(cfg,
    app_prev)`: app_prev is the last interval's app time (0 in interval 0).
-2. `detected_pages()` gives its hot pages, by `metrics.detect_hot_pages`.
+2. `detected_pages()` gives its hot pages as a page mask, `num_pages`
+   bytes of 0/1 that `metrics.detect_hot_pages` builds from its scores.
 3. `plan()` gives the interval's moves, each naming the region it moves.
    The engine executes them with `migrator_mode`, unless the config names
    a mode.
@@ -116,8 +117,8 @@ class FirstTouchSystem(System):
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         """Nothing to observe: first-touch never profiles."""
 
-    def detected_pages(self) -> set[int]:
-        return set()
+    def detected_pages(self) -> bytearray:
+        return bytearray(self.space.num_pages)  # nothing scored, nothing hot
 
     def plan(self) -> list[Move]:
         return []
@@ -149,9 +150,10 @@ class MtmSystem(System):
                 update_ema(r, r.hi, self.policy.alpha)
         prof.end_interval()
 
-    def detected_pages(self) -> set[int]:
+    def detected_pages(self) -> bytearray:
         return detect_hot_pages(((r.start_page, r.end_page, r.whi or 0.0)
-                                 for r in self.profiler.regions), self.detect_threshold)
+                                 for r in self.profiler.regions),
+                                self.detect_threshold, self.space.num_pages)
 
     def plan(self) -> list[Move]:
         return plan_interval(self.profiler.regions, self.space, self.policy)
@@ -170,7 +172,8 @@ class MtmNoPebsSystem(MtmSystem):
 
 class AutonumaSystem(System):
     """Tiered-AutoNUMA style: one random window per interval, fault counting,
-    one-level-per-interval migration along the canonical hierarchy."""
+    one-level-per-interval migration along the canonical hierarchy.  `plan`
+    reads the mask `detected_pages` kept this interval."""
 
     name = "autonuma"
 
@@ -178,6 +181,7 @@ class AutonumaSystem(System):
                  policy: PolicyConfig, seed: int, detect_threshold: float):
         super().__init__(space, cfg, policy, seed, detect_threshold)
         self.counts: dict[int, int] = {}  # retained per-page fault counts
+        self.hot = bytearray(space.num_pages)  # the last detection's page mask
 
     def _window_pages(self, budget: float) -> int:
         footprint = self.space.num_pages
@@ -208,9 +212,10 @@ class AutonumaSystem(System):
         for p in range(w0, w1):
             self.counts[p] = fresh.get(p, 0)
 
-    def detected_pages(self) -> set[int]:
-        return detect_hot_pages(((p, p + 1, c) for p, c in self.counts.items()),
-                                self.detect_threshold)
+    def detected_pages(self) -> bytearray:
+        self.hot = detect_hot_pages(((p, p + 1, c) for p, c in self.counts.items()),
+                                    self.detect_threshold, self.space.num_pages)
+        return self.hot
 
     def plan(self) -> list[Move]:
         """Promote hot pages one level toward the fastest tier; the coldest
@@ -221,10 +226,10 @@ class AutonumaSystem(System):
         budget = self.policy.promotion_budget(topo)
         page = BASE_PAGE_BYTES
         moves: list[Move] = []
-        hot = sorted(self.detected_pages())
-        hot_set = set(hot)
+        hot = self.hot
         victims: dict[str, list[int]] = {}  # per tier, built when first needed
-        for p in hot:
+        p = -1
+        while (p := hot.find(1, p + 1)) != -1:  # the hot pages, in page order
             if budget < page:
                 break
             rank = space.page_tier[p]  # the tier index is its canonical rank
@@ -236,7 +241,7 @@ class AutonumaSystem(System):
                 if free[tier] < page:
                     continue
                 if dst not in victims:
-                    victims[dst] = self._coldest_first(rank - 1, hot_set)
+                    victims[dst] = self._coldest_first(rank - 1, hot)
                 if not victims[dst]:
                     continue
                 v = victims[dst].pop(0)
@@ -249,11 +254,11 @@ class AutonumaSystem(System):
             budget -= page
         return moves
 
-    def _coldest_first(self, tier: int, hot: set[int]) -> list[int]:
-        """The pages of tier index `tier` outside `hot`, by (retained count,
-        page).  Counts are never negative, so the uncounted pages lead in
-        page order."""
-        pages = [p for p, t in enumerate(self.space.page_tier) if t == tier and p not in hot]
+    def _coldest_first(self, tier: int, hot: bytearray) -> list[int]:
+        """The pages of tier index `tier` outside the page mask `hot`, by
+        (retained count, page).  Counts are never negative, so the uncounted
+        pages lead in page order."""
+        pages = [p for p, t in enumerate(self.space.page_tier) if t == tier and not hot[p]]
         counted = {p: c for p, c in self.counts.items() if c}
         return ([p for p in pages if p not in counted]
                 + sorted((p for p in pages if p in counted), key=lambda p: (counted[p], p)))
@@ -301,10 +306,10 @@ class ThermostatSystem(System):
             self.hotness[w] = min(count, self.cfg.num_scans)
         space.ledger.profiling += spent
 
-    def detected_pages(self) -> set[int]:
+    def detected_pages(self) -> bytearray:
         size, n = self.region_pages, self.space.num_pages
         return detect_hot_pages(((w, min(w + size, n), c) for w, c in self.hotness.items()),
-                                self.detect_threshold)
+                                self.detect_threshold, n)
 
     def plan(self) -> list[Move]:
         """Profiling-only: the shared planner plans every window, an unprofiled one at 0."""
@@ -398,8 +403,8 @@ class DamonSystem(System):
     def _spans(self) -> list[tuple[int, int, float]]:
         return [(reg.start, reg.end, reg.result) for reg in self.regions]
 
-    def detected_pages(self) -> set[int]:
-        return detect_hot_pages(self._spans(), self.detect_threshold)
+    def detected_pages(self) -> bytearray:
+        return detect_hot_pages(self._spans(), self.detect_threshold, self.space.num_pages)
 
     def plan(self) -> list[Move]:
         return plan_interval(scored_regions(self.space, self._spans()), self.space, self.policy)

@@ -1,8 +1,9 @@
 """Profiling-quality and cost metrics against the oracle and ledgers."""
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 @dataclass
@@ -18,22 +19,31 @@ class IntervalMetrics:
     splits: int = 0
 
 
-def detect_hot_pages(spans: Iterable[tuple[int, int, float]], threshold: float) -> set[int]:
-    """Every page of the (start, end, score) spans whose score reaches the
-    threshold: how every system's scores become the pages it takes as hot."""
-    hot: set[int] = set()
+def detect_hot_pages(spans: Iterable[tuple[int, int, float]], threshold: float,
+                     num_pages: int) -> bytearray:
+    """How every system's scores become the pages it takes as hot: a mask of
+    `num_pages` bytes, 1 on every page of the (start, end, score) spans
+    whose score reaches the threshold.  Spans lie inside [0, num_pages)."""
+    mask = bytearray(num_pages)
     for start, end, score in spans:
         if score >= threshold:
-            hot.update(range(start, end))
-    return hot
+            mask[start:end] = b"\x01" * (end - start)
+    return mask
 
 
-def recall_precision(detected: set[int], hot: Collection[int]) -> tuple[float, float]:
-    """Recall and precision of `detected` against `hot`, the oracle's
-    distinct hot pages in any collection (the engine passes its array)."""
-    correct = len(detected.intersection(hot)) if detected else 0
+def recall_precision(mask: bytearray, hot: Sequence[int]) -> tuple[float, float]:
+    """Recall and precision of a page mask against `hot`, the oracle's
+    distinct hot pages, each a page of the mask (the engine passes its
+    array).  The mask's 1s at those pages are gathered in one C call."""
+    detected = mask.count(1)
+    if not detected or not hot:
+        correct = 0
+    elif len(hot) == 1:  # itemgetter of one page returns the byte, not a tuple
+        correct = mask[hot[0]]
+    else:
+        correct = bytes(itemgetter(*hot)(mask)).count(1)
     recall = correct / len(hot) if hot else 1.0
-    precision = correct / len(detected) if detected else 1.0
+    precision = correct / detected if detected else 1.0
     return recall, precision
 
 

@@ -37,8 +37,8 @@ class AccessTrace:
       column on each read, and replay and write projection read none.  A
       trace built from a column keeps it, and its `node` is None.
 
-    `footprint` is the trace's largest page plus one.  A generator that
-    touches every page of its range states it; otherwise `footprint()`
+    `footprint` is the trace's largest page plus one.  Every generator
+    states it; a trace built without it, by an outside caller or a test,
     finds it by one `max()` over the page column on its first call.
 
     The generators build every column in its type, never as a full-length
@@ -210,20 +210,23 @@ def _append_gups_draws(rng: random.Random, vpages: list[int], hot: list[int],
             append(cold[r])
 
 
-def _draw_gups_pages(rng: random.Random, vpages: array, hot: list[int],
+def _draw_gups_pages(rng: random.Random, vpages: array, tops: array, hot: list[int],
                      cold: list[int], hot_access_fraction: float, count: int) -> None:
     """Append `count` GUPS accesses to the page column, `GUPS_DRAW_CHUNK` at a
     time: `_append_gups_draws` fills a list, which `fromlist` moves into the
     column.  Appending each draw to the array was slower than to a list, and
-    a bounded chunk keeps a full-length list from ever existing."""
+    a bounded chunk keeps a full-length list from ever existing.  Each
+    chunk's largest page goes to `tops`: `max()` over the list costs half of
+    one over the column."""
     for done in range(0, count, GUPS_DRAW_CHUNK):
         chunk: list[int] = []
         _append_gups_draws(rng, chunk, hot, cold, hot_access_fraction,
                            min(GUPS_DRAW_CHUNK, count - done))
+        tops.append(max(chunk))
         vpages.fromlist(chunk)
 
 
-def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
+def _emit_gups_block(rng: random.Random, vpages, writes, nodes, tops: array,
                      footprint_pages: int, hotset_fraction: float,
                      hot_access_fraction: float, accesses: int,
                      node_ids: list[int], init_pass: bool) -> None:
@@ -232,7 +235,9 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
     hot page, else a uniform cold page.  With `init_pass` the block first
     touches every page once, in order.  Accesses take `node_ids` round-robin
     into the node column; with one node, `nodes` is None and nothing is
-    appended.
+    appended.  Its largest pages go to the array `tops`, from which the
+    caller boxes the footprint once the block's page pools are freed: a pool
+    int kept alive pins a 1 MiB pymalloc arena.
 
     The uniform page is `Random.choice`'s rejection sampling, inlined in
     `_append_gups_draws` to save two Python calls per access: with `n` pages
@@ -258,12 +263,13 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes,
         nodes += _round_robin(node_ids, len(vpages), touched)
     if init_pass:
         vpages.extend(range(footprint_pages))
+        tops.append(footprint_pages - 1)
     # The pools stay lists: a draw from a list reuses the pool's int, where
     # indexing an array would box a new one for every draw.
     lo = rng.randrange(footprint_pages - hot_count + 1)
     hot = list(range(lo, lo + hot_count))
     cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
-    _draw_gups_pages(rng, vpages, hot, cold, hot_access_fraction, accesses)
+    _draw_gups_pages(rng, vpages, tops, hot, cold, hot_access_fraction, accesses)
     writes += bytearray(b"\x01") * touched  # GUPS performs updates
 
 
@@ -273,17 +279,16 @@ def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: 
              init_pass: bool = False) -> tuple[AccessTrace, HotOracle]:
     """GUPS-style workload: a seeded hotset receives hot_access_fraction of
     all accesses, the rest spread uniformly over the cold pages.  With
-    `init_pass` every page is touched, so the trace states its footprint."""
+    `init_pass` every page is touched first, in order."""
     rng = random.Random(seed)
     node_ids = list(nodes) or [0]
     # one node is kept as an int, with no column
     node_col = array("H") if len(node_ids) > 1 else None
-    vpages, writes = array("I"), bytearray()
-    _emit_gups_block(rng, vpages, writes, node_col, footprint_pages, hotset_fraction,
-                     hot_access_fraction, accesses, node_ids, init_pass)
+    vpages, writes, tops = array("I"), bytearray(), array("I")
+    _emit_gups_block(rng, vpages, writes, node_col, tops, footprint_pages,
+                     hotset_fraction, hot_access_fraction, accesses, node_ids, init_pass)
     trace = AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
-                        accesses_per_interval,
-                        footprint=footprint_pages if init_pass else None)
+                        accesses_per_interval, footprint=max(tops) + 1)
     return trace, HotOracle.from_trace(trace)
 
 
@@ -304,14 +309,14 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
     node_ids = list(nodes) or [0]
     # one node is kept as an int, with no column
     node_col = array("H") if len(node_ids) > 1 else None
-    vpages, writes = array("I"), bytearray()
+    vpages, writes, tops = array("I"), bytearray(), array("I")
     for i, ph in enumerate(phases):
         rng = random.Random(seed * 1000003 + i)
-        _emit_gups_block(rng, vpages, writes, node_col, ph.footprint_pages,
+        _emit_gups_block(rng, vpages, writes, node_col, tops, ph.footprint_pages,
                          ph.hotset_fraction, ph.hot_access_fraction, ph.accesses,
                          node_ids, ph.init_pass)
     trace = AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
-                        accesses_per_interval)
+                        accesses_per_interval, footprint=max(tops) + 1)
     return trace, HotOracle.from_trace(trace)
 
 

@@ -29,12 +29,33 @@ def test_autonuma_victims_are_coldest_first():
     system = AutonumaSystem(space, ProfilerConfig(), PolicyConfig(), 1, 2.0)
     system.counts = {p: rng.choice([0, 0, 1, 2, 5]) for p in rng.sample(range(400), 150)}
     hot = set(rng.sample(range(400), 40))
+    mask = bytearray(400)
+    for p in hot:
+        mask[p] = 1
     for tier in ("a", "b"):
         expected = sorted((p for p in range(400)
                            if tier_of(space, p) == tier and p not in hot),
                           key=lambda p: (system.counts.get(p, 0), p))
         assert expected
-        assert system._coldest_first(topo.index[tier], hot) == expected
+        assert system._coldest_first(topo.index[tier], mask) == expected
+
+
+def test_autonuma_plan_walks_the_mask_its_detection_kept():
+    """`plan` takes the hot pages of this interval's mask in page order: it
+    skips one already on the fastest tier, promotes into free room, then
+    swaps with the coldest non-hot resident until none is left."""
+    topo = build_topology({"tiers": [
+        {"id": "a", "capacity_bytes": 3 * BASE_PAGE_BYTES},
+        {"id": "b", "capacity_bytes": 32 * BASE_PAGE_BYTES}]})
+    space = MemoryState(topo, CostModel(), 16)
+    space.map_pages(range(2), "a")
+    space.map_pages(range(2, 16), "b")
+    policy = PolicyConfig(n_bytes=8 * BASE_PAGE_BYTES)  # room for every hot page
+    system = AutonumaSystem(space, ProfilerConfig(), policy, 1, 2.0)
+    system.counts = {0: 1, 1: 2, 3: 2, 4: 2, 5: 3, 9: 2, 10: 1}
+    assert [p for p, b in enumerate(system.detected_pages()) if b] == [1, 3, 4, 5, 9]
+    assert [(m.region.start_page, m.src, m.dst, m.reason) for m in system.plan()] == [
+        (3, "b", "a", "promote"), (0, "a", "b", "demote"), (4, "b", "a", "promote")]
 
 
 def test_mtm_folds_only_the_regions_it_scanned():
@@ -169,11 +190,12 @@ def reference_plan_regions(system) -> list[Region]:
 def test_detection_and_planner_regions_match_each_systems_own_loop(
         monkeypatch, extra, footprint, threshold):
     """On the `mid` golden config and two footprints beside it, at its
-    threshold and at 0: after every interval, each system's hot pages and
-    the regions Thermostat and DAMON plan over are what each system's own
-    loop gave.  At threshold 0 every score qualifies, so a window
-    Thermostat never profiled must still stay out, and a last window the
-    footprint cuts short must stop at the last page."""
+    threshold and at 0: after every interval, each system's page mask is
+    one 0/1 byte per footprint page, and its hot pages and the regions
+    Thermostat and DAMON plan over are what each system's own loop gave.
+    Each system detects once an interval.  At threshold 0 every score
+    qualifies, so a window Thermostat never profiled must still stay out,
+    and a last window the footprint cuts short must stop at the last page."""
     text = (CONFIGS / "mid.cfg").read_text() + extra + f"detect_threshold = {threshold}\n"
     tree = parse_config_text(text)
     trace, oracle = engine.build_trace(build_run_config(tree))
@@ -183,12 +205,12 @@ def test_detection_and_planner_regions_match_each_systems_own_loop(
     def checked(detect):
         def detected_pages(self):
             current[:] = [self]
-            hot = detect(self)
-            assert hot == reference_detected(self)
-            assert all(0 <= p < footprint for p in hot)
+            mask = detect(self)
+            assert len(mask) == footprint and mask.count(0) + mask.count(1) == footprint
+            assert {p for p, b in enumerate(mask) if b} == reference_detected(self)
             seen.setdefault(self.name, []).append(
-                (len(hot), set(getattr(self, "hotness", ()))))
-            return hot
+                (mask.count(1), set(getattr(self, "hotness", ()))))
+            return mask
         return detected_pages
 
     def planned(regions, space, policy):
@@ -206,8 +228,8 @@ def test_detection_and_planner_regions_match_each_systems_own_loop(
     for name in ("mtm", "autonuma", "thermostat", "damon"):
         cfg = build_run_config(tree, overrides={"system": name})
         engine.run_simulation(cfg, trace=trace, oracle=oracle)
-        # AutoNUMA's plan reads its detection a second time
-        assert len(seen[name]) == cfg.intervals * (2 if name == "autonuma" else 1)
+        # one detection an interval: AutoNUMA's plan reads the mask it kept
+        assert len(seen[name]) == cfg.intervals
     # the cases the references tell apart happen: Thermostat detects some
     # pages, some interval leaves a window unprofiled, and the last window
     # (cut short on two footprints of the three) is profiled at least once

@@ -33,7 +33,10 @@ after every interval:
   `profile_interval`, every scheduled MTM sample's count is the number of
   the interval's sub-windows whose `pages()` hold it;
 - the clock and the tiers' access counts equal what `reference_replay`, a
-  counter keyed by node and tier name, gives for every access so far.
+  counter keyed by node and tier name, gives for every access so far;
+- the system's detected page mask is one 0/1 byte per footprint page, and
+  `metrics.recall_precision` scores it against the oracle as the reference
+  set formula, `set_recall_precision`, scores its pages.
 
 The loop's per-interval costs and tier counts must equal the engine's rows,
 so it cannot drift from the loop it stands in for.  On the engine's result:
@@ -51,7 +54,7 @@ from math import fsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiersim import baselines, engine, migrator
+from tiersim import baselines, engine, metrics, migrator
 from tiersim.baselines import BASELINE_KINDS
 from tiersim.config import build_run_config, parse_config_text
 from tiersim.memmodel import BASE_PAGE_BYTES, MemoryState, build_topology
@@ -252,6 +255,22 @@ def reference_replay(space: MemoryState, slc,
     return fsum(cost[node][tier] * n for (node, tier), n in counts.items()), tier_counts
 
 
+def set_recall_precision(detected: set[int], hot) -> tuple[float, float]:
+    """Recall and precision of a set of detected pages against the oracle's
+    hot pages: the reference `metrics.recall_precision` must match."""
+    correct = len(detected.intersection(hot)) if detected else 0
+    recall = correct / len(hot) if hot else 1.0
+    precision = correct / len(detected) if detected else 1.0
+    return recall, precision
+
+
+def check_detection(mask: bytearray, num_pages: int, hot) -> None:
+    assert isinstance(mask, bytearray) and len(mask) == num_pages
+    assert mask.count(0) + mask.count(1) == num_pages
+    detected = {p for p, b in enumerate(mask) if b}
+    assert metrics.recall_precision(mask, hot) == set_recall_precision(detected, hot)
+
+
 def check_budget(rows, overhead_constraint: float) -> None:
     assert rows[0].profiling_cost == 0
     for prev, row in zip(rows, rows[1:]):
@@ -259,7 +278,7 @@ def check_budget(rows, overhead_constraint: float) -> None:
             row.interval
 
 
-def run_checked(cfg, trace) -> list[tuple]:
+def run_checked(cfg, trace, oracle) -> list[tuple]:
     """engine.run_simulation's interval loop with the invariants checked
     after every interval; returns each interval's costs and tier counts."""
     topology = build_topology(cfg.topology)
@@ -292,7 +311,7 @@ def run_checked(cfg, trace) -> list[tuple]:
             check_partition(system.profiler)
         if isinstance(system, baselines.DamonSystem):
             check_damon_regions(system)
-        system.detected_pages()
+        check_detection(system.detected_pages(), space.num_pages, oracle.hot_sets[i])
         moves = system.plan()
         check_plan_fits(moves, space.free)
         check_directions(system, moves)
@@ -318,7 +337,7 @@ def test_every_system_keeps_the_ledgers(text):
     trace, oracle = engine.build_trace(build_run_config(tree))
     for name in BASELINE_KINDS:
         cfg = build_run_config(tree, overrides={"system": name})
-        rows = run_checked(cfg, trace)
+        rows = run_checked(cfg, trace, oracle)
         result = engine.run_simulation(cfg, trace=trace, oracle=oracle)
         assert rows == [(r.app_cost, r.profiling_cost, r.migration_exposed_cost,
                          r.tier_access_counts) for r in result.rows]

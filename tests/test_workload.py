@@ -15,6 +15,8 @@ from tiersim.workload import (
     gen_seq_microbench,
 )
 
+from test_invariants import set_recall_precision
+
 
 def brute_force_hot(trace, interval):
     lo, hi = trace.interval_bounds(interval)
@@ -86,14 +88,16 @@ class TestGups:
     def test_chunked_draw_matches_random_choice(self):
         """A draw over several chunks, the last one partial, puts the pages
         `Random.choice` picks into the column and leaves the generator where
-        `Random.choice` leaves it."""
+        `Random.choice` leaves it.  Each chunk's largest page is noted."""
         count = 2 * GUPS_DRAW_CHUNK + 1234
         hot, cold = list(range(100, 163)), list(range(5000, 6025))
         got, ref = random.Random(23), random.Random(23)
-        pages = array("I")
-        _draw_gups_pages(got, pages, hot, cold, 0.7, count)
+        pages, tops = array("I"), array("I")
+        _draw_gups_pages(got, pages, tops, hot, cold, 0.7, count)
         assert list(pages) == choice_reference(ref, hot, cold, 0.7, count)
         assert got.random() == ref.random()
+        assert list(tops) == [max(pages[k:k + GUPS_DRAW_CHUNK])
+                              for k in range(0, count, GUPS_DRAW_CHUNK)]
 
     def test_round_robin_node_assignment(self):
         trace, _ = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)
@@ -160,14 +164,22 @@ class TestOracle:
         assert top.footprint() == PAGE_LIMIT
 
     def test_scoring_the_array_matches_the_set(self):
+        """A page mask scored against the oracle's array gives what the set
+        formula gives for the mask's pages, also against one hot page and
+        against none."""
         _, oracle = gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
                              accesses_per_interval=500)
         for hot in oracle.hot_sets:
-            for detected in (set(), set(hot), set(range(0, 256, 3)), {999}):
-                assert (recall_precision(detected, hot)
-                        == recall_precision(detected, set(hot)))
+            cold = next(p for p in range(256) if p not in set(hot))
+            for detected in (set(), set(hot), set(range(0, 256, 3)), {cold}, {hot[0]}):
+                mask = bytearray(256)
+                for p in detected:
+                    mask[p] = 1
+                for wanted in (hot, hot[:1], hot[:0]):
+                    assert (recall_precision(mask, wanted)
+                            == set_recall_precision(detected, wanted))
             # nothing detected: no page is correct, and precision is vacuous
-            assert hot and recall_precision(set(), hot) == (0.0, 1.0)
+            assert hot and recall_precision(bytearray(256), hot) == (0.0, 1.0)
 
     def test_empty_interval_empty_set(self):
         trace = AccessTrace([], [], [], accesses_per_interval=4)
@@ -301,6 +313,14 @@ def phase_change_grid():
                            seed=9, nodes=[1, 0, 2], accesses_per_interval=100)
 
 
+def gups_edge_grid():
+    """A GUPS trace whose largest page is first drawn in the second half of
+    its second draw chunk, and one that never draws its range's top page."""
+    yield gen_gups(100_000, 0.01, 0.5, 2 * GUPS_DRAW_CHUNK + 500, [0], seed=5,
+                   accesses_per_interval=4096)
+    yield gen_gups(300, 0.2, 0.7, 60, [0, 1], seed=1, accesses_per_interval=16)
+
+
 def microbench_grid():
     for kind, passes, api in itertools.product(
             ("read_only", "half_read", "write_only"), (1, 3), (None, 4)):
@@ -323,12 +343,14 @@ def test_generated_traces_are_pinned(grid, digest):
 
 
 @pytest.mark.parametrize("grid, stated, one_node", [
-    (gups_grid, 18, 12), (phase_change_grid, 0, 0), (microbench_grid, 12, 12),
-], ids=["gups-contiguous", "phase_change", "microbench"])
+    (gups_grid, 36, 12), (gups_edge_grid, 2, 1), (phase_change_grid, 2, 0),
+    (microbench_grid, 12, 12),
+], ids=["gups-contiguous", "gups-edges", "phase_change", "microbench"])
 def test_generated_traces_state_their_footprint_and_one_node(grid, stated, one_node):
-    """A stated footprint is the largest page plus one, and a trace keeps
-    one node exactly when its generator made every access from one node:
-    the grids give several nodes only to generators that use them all."""
+    """Every generator states its footprint, the largest page plus one, and
+    a trace keeps one node exactly when its generator made every access
+    from one node: the grids give several nodes only to generators that use
+    them all."""
     stated_seen = one_node_seen = 0
     for trace, _ in grid():
         if trace._footprint is not None:
@@ -342,6 +364,14 @@ def test_generated_traces_state_their_footprint_and_one_node(grid, stated, one_n
         else:
             assert len(nodes) > 1
     assert (stated_seen, one_node_seen) == (stated, one_node)
+
+
+def test_gups_footprint_is_the_largest_page_drawn():
+    """The stated footprint follows the largest page into a later draw
+    chunk, and stays below a range whose top page is never drawn."""
+    late, short = (trace for trace, _ in gups_edge_grid())
+    assert max(late.vpages[:GUPS_DRAW_CHUNK * 3 // 2]) + 1 < late.footprint()
+    assert short.footprint() < 300
 
 
 def test_a_one_node_trace_reads_back_its_column():

@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .memmodel import BASE_PAGE_BYTES, UNMAPPED, CapacityError, MemoryState, scan_samples
 from .metrics import detect_hot_pages
@@ -42,21 +41,12 @@ THERMOSTAT_COST_MULTIPLIER = 2.5
 DAMON_MERGE_FRACTION = 0.10
 
 
-def first_touch_alloc(space: MemoryState, vpage: int, node: int) -> str:
-    """Place an untouched page in the first tier with room along the toucher
-    node's view, fastest first.  Never migrates."""
-    for tier_id in space.topology.views[node]:
-        if space.free[tier_id] >= BASE_PAGE_BYTES:
-            space.map_page(vpage, tier_id)
-            return tier_id
-    raise CapacityError("all tiers full")
-
-
 def group_first_touch(group_pages: int):
     """First-touch at allocation-extent granularity: touching any page maps
     the unmapped pages of its aligned group into the first tier, in the
-    toucher's view, that can hold them all, as base pages.
-    Falls back to page-by-page placement when no tier can."""
+    toucher's view, that can hold them all, as base pages.  When none can,
+    each tier along the view takes as many as it has room for: where mapping
+    them one page at a time into the first tier with room puts them."""
 
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
         g0 = (vpage // group_pages) * group_pages
@@ -66,12 +56,17 @@ def group_first_touch(group_pages: int):
         if page_tier.count(UNMAPPED, g0, g1) < len(pages):
             pages = [p for p in pages if page_tier[p] == UNMAPPED]
         need = len(pages) * BASE_PAGE_BYTES
-        for tier_id in space.topology.views[node]:
+        view = space.topology.views[node]
+        for tier_id in view:
             if space.free[tier_id] >= need:
                 space.map_pages(pages, tier_id)
                 return
-        for p in pages:  # spill across tiers at the capacity boundary
-            first_touch_alloc(space, p, node)
+        for tier_id in view:  # spill across tiers at the capacity boundary
+            take = min(len(pages), space.free[tier_id] // BASE_PAGE_BYTES)
+            space.map_pages(pages[:take], tier_id)
+            pages = pages[take:]
+        if pages:
+            raise CapacityError("all tiers full")
 
     return alloc
 
@@ -134,7 +129,7 @@ class MtmSystem(System):
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int, detect_threshold: float):
         super().__init__(space, cfg, policy, seed, detect_threshold)
-        self.profiler = Profiler(cfg, space, seed, self.pebs_assist)
+        self.profiler = Profiler(cfg, space, self.rng, self.pebs_assist)
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
         prof = self.profiler
@@ -294,10 +289,10 @@ class ThermostatSystem(System):
                   if (pages := space.mapped_pages(w, w + self.region_pages))]
         ahead = random.Random()
         ahead.setstate(self.rng.getstate())
-        wanted = {pages[ahead.randrange(len(pages))] for _, pages in mapped}
+        wanted = {ahead.choice(pages) for _, pages in mapped}
         counts = Counter(filter(wanted.__contains__, slc.pages()))
         for w, pages in mapped:
-            sample = pages[self.rng.randrange(len(pages))]
+            sample = self.rng.choice(pages)
             count = counts.get(sample, 0)
             cost = count * fault_cost
             if spent + cost > budget:
@@ -319,95 +314,79 @@ class ThermostatSystem(System):
         return plan_interval(scored_regions(self.space, spans), self.space, self.policy)
 
 
-@dataclass
-class _DamonRegion:
-    start: int
-    length: int
-    result: float = 0.0
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-
 class DamonSystem(System):
     """Region monitor: one random sample per region, as many as the budget
     buys at the plain scan cost; merge near-equal neighbours, split every
     region randomly when the count falls below half the maximum.  A pick's
-    hits are `scan_samples`' count: it sees only this interval."""
+    hits are `scan_samples`' count: it sees only this interval.  Its regions
+    are its scored spans, (start, end, result) in page order and disjoint,
+    which detection and the planner read as they are."""
 
     name = "damon"
 
     def __init__(self, space: MemoryState, cfg: ProfilerConfig,
                  policy: PolicyConfig, seed: int, detect_threshold: float):
         super().__init__(space, cfg, policy, seed, detect_threshold)
-        self.regions: list[_DamonRegion] = []  # in page order and disjoint
+        self.regions: list[tuple[int, int, float]] = []
 
     def _init_regions(self) -> None:
         # one region per contiguous mapped run in the footprint
+        regions = self.regions
         for start, ln, _ in self.space.tier_runs():
-            if self.regions and self.regions[-1].end == start:
-                self.regions[-1].length += ln
+            if regions and regions[-1][1] == start:
+                regions[-1] = (regions[-1][0], start + ln, 0.0)
             else:
-                self.regions.append(_DamonRegion(start, ln))
+                regions.append((start, start + ln, 0.0))
 
     def run_profiling(self, slc: TraceSlice, app_prev: float) -> None:
-        space, cfg = self.space, self.cfg
-        if not self.regions:
+        space, cfg, regions = self.space, self.cfg, self.regions
+        if not regions:
             self._init_regions()
             return
         max_samples = affordable_samples(profiling_budget(cfg, app_prev),
                                          space.cost_model.scan_cost, cfg.num_scans)
-        picks: list[tuple[_DamonRegion, int]] = []
-        for reg in self.regions[:max_samples]:
-            pages = space.mapped_pages(reg.start, reg.end)
+        picks: list[tuple[int, int]] = []  # (index in regions, sampled page)
+        for i, (start, end, _) in enumerate(regions[:max_samples]):
+            pages = space.mapped_pages(start, end)
             if pages:
-                picks.append((reg, pages[self.rng.randrange(len(pages))]))
+                picks.append((i, self.rng.choice(pages)))
         hits = scan_samples(space, slc, [p for _, p in picks], cfg.num_scans)
-        for (reg, _), count in zip(picks, hits):
-            reg.result = float(count)
+        for (i, _), count in zip(picks, hits):
+            start, end, _ = regions[i]
+            regions[i] = (start, end, float(count))
         self._merge()
         self._split(max(2, max_samples))
 
     def _merge(self) -> None:
         threshold = DAMON_MERGE_FRACTION * self.cfg.num_scans
-        out: list[_DamonRegion] = []
-        for reg in self.regions:
-            if out and out[-1].end == reg.start and \
-                    abs(out[-1].result - reg.result) < threshold:
-                prev = out[-1]
-                merged = _DamonRegion(
-                    prev.start, prev.length + reg.length,
-                    (prev.result * prev.length + reg.result * reg.length)
-                    / (prev.length + reg.length))
-                out[-1] = merged
+        out: list[tuple[int, int, float]] = []
+        for start, end, result in self.regions:
+            if out and out[-1][1] == start and abs(out[-1][2] - result) < threshold:
+                s0, e0, r0 = out[-1]
+                out[-1] = (s0, end, (r0 * (e0 - s0) + result * (end - start)) / (end - s0))
                 self.merges += 1
             else:
-                out.append(reg)
+                out.append((start, end, result))
         self.regions = out
 
     def _split(self, max_regions: int) -> None:
         if len(self.regions) >= max_regions / 2:
             return
-        out: list[_DamonRegion] = []
-        for reg in self.regions:
-            if reg.length < 2:
-                out.append(reg)
+        out: list[tuple[int, int, float]] = []
+        for start, end, result in self.regions:
+            if end - start < 2:
+                out.append((start, end, result))
                 continue
-            cut = reg.start + self.rng.randrange(1, reg.length)
-            out.append(_DamonRegion(reg.start, cut - reg.start, reg.result))
-            out.append(_DamonRegion(cut, reg.end - cut, reg.result))
+            cut = start + self.rng.randrange(1, end - start)
+            out += [(start, cut, result), (cut, end, result)]
             self.splits += 1
         self.regions = out
 
-    def _spans(self) -> list[tuple[int, int, float]]:
-        return [(reg.start, reg.end, reg.result) for reg in self.regions]
-
     def detected_pages(self) -> bytearray:
-        return detect_hot_pages(self._spans(), self.detect_threshold, self.space.num_pages)
+        return detect_hot_pages(self.regions, self.detect_threshold, self.space.num_pages)
 
     def plan(self) -> list[Move]:
-        return plan_interval(scored_regions(self.space, self._spans()), self.space, self.policy)
+        return plan_interval(scored_regions(self.space, self.regions), self.space, self.policy)
 
 
 # every system a config can name, by name (RunConfig.system takes
@@ -416,11 +395,3 @@ SYSTEMS = {cls.name: cls for cls in (MtmSystem, MtmNoPebsSystem, FirstTouchSyste
                                      AutonumaSystem, ThermostatSystem, DamonSystem)}
 BASELINE_KINDS = tuple(SYSTEMS)
 
-
-def make_system(name: str, space: MemoryState, cfg: ProfilerConfig,
-                policy: PolicyConfig, seed: int, detect_threshold: float) -> System:
-    """The system `name`; every system reports the pages whose hotness
-    reaches detect_threshold as hot."""
-    if name not in SYSTEMS:
-        raise ValueError(f"unknown system {name!r}")
-    return SYSTEMS[name](space, cfg, policy, seed, detect_threshold)

@@ -75,10 +75,9 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
         group = cfg.profiler.default_region_pages
     space = MemoryState(topology, cfg.cost, trace.footprint(),
                         allocator=baselines.group_first_touch(group))
-    system = baselines.make_system(
-        cfg.system, space, cfg.profiler, cfg.policy,
-        _derive_seed(cfg.seed, f"system:{cfg.system}"),
-        detect_threshold=cfg.detect_threshold)
+    system = baselines.SYSTEMS[cfg.system](
+        space, cfg.profiler, cfg.policy, _derive_seed(cfg.seed, f"system:{cfg.system}"),
+        cfg.detect_threshold)
     mode = cfg.migrator_mode or system.migrator_mode
     result = RunResult(system=cfg.system, tier_ids=list(topology.tier_ids))
     intervals = min(cfg.intervals, trace.num_intervals)

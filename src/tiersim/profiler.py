@@ -133,57 +133,48 @@ def _interleave(a: list, b: list) -> list:
     return out
 
 
-def _weighted(a: Region, b: Region, attr: str) -> float:
-    va = getattr(a, attr)
-    vb = getattr(b, attr)
-    if attr == "whi":
-        va = a.hi if va is None else va
-        vb = b.hi if vb is None else vb
-    return (va * a.len_pages + vb * b.len_pages) / (a.len_pages + b.len_pages)
+def _merged(a: Region, b: Region) -> Region:
+    """a and b, contiguous on one tier, as one region.  It keeps half their
+    samples (at least one), taken alternately from each side, and sums their
+    origin counts.  hi, hi_prev and whi are weighted by size, a whi not yet
+    observed weighing in as its hi.  Every count of both is kept, uncut, so
+    the merged region can hold more counts than samples, and split_pass
+    then reads the spread of counts whose samples were dropped.  That is a
+    known defect of stale counts, kept here: mending it changes which
+    regions split, and so the outputs."""
+    la, lb = a.len_pages, b.len_pages
+
+    def weigh(x: float, y: float) -> float:
+        return (x * la + y * lb) / (la + lb)
+
+    origin = dict(a.origin_counts)
+    for node, n in b.origin_counts.items():
+        origin[node] = origin.get(node, 0) + n
+    return Region(a.start_page, la + lb, a.tier,
+                  samples=_interleave(a.samples, b.samples)[:max(1, (a.quota + b.quota) // 2)],
+                  sample_counts=_interleave(a.sample_counts, b.sample_counts),
+                  hi=weigh(a.hi, b.hi), hi_prev=weigh(a.hi_prev, b.hi_prev),
+                  whi=weigh(a.hi if a.whi is None else a.whi,
+                            b.hi if b.whi is None else b.whi),
+                  origin_counts=origin)
 
 
 def merge_pass(regions: list[Region], tau1: float) -> list[Region]:
     """Merge contiguous same-tier neighbours whose hotness differs by less
-    than tau1.  A merged region keeps half the pair's samples (at least one),
-    taken alternately from each side.  Sweeps until stable (merging shifts
-    the weighted hotness, so new pairs can qualify), which makes an
-    immediate second pass a no-op."""
+    than tau1 (`_merged`).  Sweeps until stable (merging shifts the weighted
+    hotness, so new pairs can qualify), which makes an immediate second pass
+    a no-op."""
     while True:
-        regions, changed = _merge_sweep(regions, tau1)
-        if not changed:
-            return regions
-
-
-def _merge_sweep(regions: list[Region], tau1: float) -> tuple[list[Region], bool]:
-    changed = False
-    out: list[Region] = []
-    for reg in regions:
-        if out:
-            prev = out[-1]
-            if (prev.tier == reg.tier and prev.end_page == reg.start_page
-                    and abs(prev.hi - reg.hi) < tau1):
-                merged_quota = max(1, (prev.quota + reg.quota) // 2)
-                samples = _interleave(prev.samples, reg.samples)
-                counts = _interleave(prev.sample_counts, reg.sample_counts)
-                origin = dict(prev.origin_counts)
-                for n, c in reg.origin_counts.items():
-                    origin[n] = origin.get(n, 0) + c
-                merged = Region(
-                    start_page=prev.start_page,
-                    len_pages=prev.len_pages + reg.len_pages,
-                    tier=prev.tier,
-                    samples=samples[:merged_quota],
-                    sample_counts=counts,
-                    hi=_weighted(prev, reg, "hi"),
-                    hi_prev=_weighted(prev, reg, "hi_prev"),
-                    whi=_weighted(prev, reg, "whi"),
-                    origin_counts=origin,
-                )
-                out[-1] = merged
-                changed = True
-                continue
-        out.append(reg)
-    return out, changed
+        out: list[Region] = []
+        for reg in regions:
+            if (out and out[-1].tier == reg.tier and out[-1].end_page == reg.start_page
+                    and abs(out[-1].hi - reg.hi) < tau1):
+                out[-1] = _merged(out[-1], reg)
+            else:
+                out.append(reg)
+        if len(out) == len(regions):
+            return out
+        regions = out
 
 
 def _resize_samples(reg: Region, quota: int, rng: random.Random) -> None:
@@ -223,25 +214,16 @@ def split_pass(regions: list[Region], tau2: float,
             out.append(reg)
             continue
         mid = reg.start_page + reg.len_pages // 2
-        q_left = reg.quota // 2
-        q_right = reg.quota - q_left
-        pairs = list(zip(reg.samples, reg.sample_counts))
-        left_pairs = [(s, c) for s, c in pairs if s < mid]
-        right_pairs = [(s, c) for s, c in pairs if s >= mid]
-        halves = []
-        for (s0, ln, q, prs) in (
-                (reg.start_page, mid - reg.start_page, q_left, left_pairs),
-                (mid, reg.end_page - mid, q_right, right_pairs)):
-            half = Region(
-                start_page=s0, len_pages=ln, tier=reg.tier,
-                samples=[s for s, _ in prs],
-                sample_counts=[c for _, c in prs],
-                hi=reg.hi, hi_prev=reg.hi_prev, whi=reg.whi,
-                origin_counts=dict(reg.origin_counts),
-            )
-            _resize_samples(half, q, rng)
-            halves.append(half)
-        out.extend(halves)
+        pairs = list(zip(reg.samples, counts))
+        for lo, hi, quota in ((reg.start_page, mid, reg.quota // 2),
+                              (mid, reg.end_page, reg.quota - reg.quota // 2)):
+            kept = [(s, c) for s, c in pairs if lo <= s < hi]
+            half = Region(lo, hi - lo, reg.tier,
+                          samples=[s for s, _ in kept], sample_counts=[c for _, c in kept],
+                          hi=reg.hi, hi_prev=reg.hi_prev, whi=reg.whi,
+                          origin_counts=dict(reg.origin_counts))
+            _resize_samples(half, quota, rng)
+            out.append(half)
         splits += 1
     return out, splits
 
@@ -322,12 +304,12 @@ class Profiler:
     disjoint, and each region's pages on its tier.  Every method keeps it so
     and relies on it, so `owner_of` finds a page's region by one bisect."""
 
-    def __init__(self, cfg: ProfilerConfig, space: MemoryState, seed: int,
+    def __init__(self, cfg: ProfilerConfig, space: MemoryState, rng: random.Random,
                  pebs_assist: bool = True):
         self.cfg = cfg
         self.space = space
         self.pebs_assist = pebs_assist  # counter nominations drive the slowest tier
-        self.rng = random.Random(seed)
+        self.rng = rng
         self.num_ps = 0  # samples per scan round; set from measured app time
         self.regions: list[Region] = []
         self.active_ids: set[int] = set()
@@ -357,7 +339,6 @@ class Profiler:
                 _resize_samples(reg, reg.quota + 1, self.rng)
                 surplus -= 1
             i += 1
-        self.active_ids = {r.id for r in regions}
         self.initialized = True
 
     def _pebs_regions(self, pages: list[int]) -> list[Region]:

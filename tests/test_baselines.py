@@ -1,12 +1,17 @@
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiersim import baselines, engine
-from tiersim.baselines import (THERMOSTAT_COST_MULTIPLIER, AutonumaSystem, DamonSystem,
-                               MtmNoPebsSystem, MtmSystem, ThermostatSystem)
+from tiersim.baselines import (DAMON_MERGE_FRACTION, THERMOSTAT_COST_MULTIPLIER,
+                               AutonumaSystem, DamonSystem, MtmNoPebsSystem, MtmSystem,
+                               ThermostatSystem)
 from tiersim.config import build_run_config, parse_config_text
-from tiersim.memmodel import BASE_PAGE_BYTES, CostModel, MemoryState, build_topology
+from tiersim.memmodel import (BASE_PAGE_BYTES, UNMAPPED, CapacityError, CostModel,
+                              MemoryState, build_topology)
 from tiersim.policy import PolicyConfig
 from tiersim.profiler import ProfilerConfig, Region, profiling_budget
 from tiersim.workload import AccessTrace
@@ -159,9 +164,9 @@ def reference_detected(system) -> set[int]:
             if c >= threshold:
                 hot.update(range(w, min(w + system.region_pages, system.space.num_pages)))
     else:
-        for reg in system.regions:
-            if reg.result >= threshold:
-                hot.update(range(reg.start, reg.end))
+        for start, end, result in system.regions:
+            if result >= threshold:
+                hot.update(range(start, end))
     return hot
 
 
@@ -174,9 +179,9 @@ def reference_plan_regions(system) -> list[Region]:
             score = float(system.hotness.get(start - start % system.region_pages, 0))
             regions.append(Region(start, ln, tier, hi=score, whi=score))
     else:
-        for reg in system.regions:
-            regions.extend(Region(start, ln, tier, hi=reg.result, whi=reg.result)
-                           for start, ln, tier in space.tier_runs(reg.start, reg.end))
+        for lo, hi, result in system.regions:
+            regions.extend(Region(start, ln, tier, hi=result, whi=result)
+                           for start, ln, tier in space.tier_runs(lo, hi))
     return regions
 
 
@@ -238,3 +243,151 @@ def test_detection_and_planner_regions_match_each_systems_own_loop(
     assert any(n for n, _ in seen["thermostat"])
     assert any(len(w) < len(windows) for w in profiled)
     assert any(windows[-1] in w for w in profiled)
+
+
+@dataclass
+class RefDamonRegion:
+    """A DAMON region as it was kept before its regions were its spans."""
+    start: int
+    length: int
+    result: float = 0.0
+
+    @property
+    def end(self) -> int:
+        return self.start + self.length
+
+
+def ref_damon_merge(system, regions):
+    threshold = DAMON_MERGE_FRACTION * system.cfg.num_scans
+    out = []
+    for reg in regions:
+        if out and out[-1].end == reg.start and \
+                abs(out[-1].result - reg.result) < threshold:
+            prev = out[-1]
+            merged = RefDamonRegion(
+                prev.start, prev.length + reg.length,
+                (prev.result * prev.length + reg.result * reg.length)
+                / (prev.length + reg.length))
+            out[-1] = merged
+            system.merges += 1
+        else:
+            out.append(reg)
+    return out
+
+
+def ref_damon_split(system, regions, max_regions):
+    if len(regions) >= max_regions / 2:
+        return regions
+    out = []
+    for reg in regions:
+        if reg.length < 2:
+            out.append(reg)
+            continue
+        cut = reg.start + system.rng.randrange(1, reg.length)
+        out.append(RefDamonRegion(reg.start, cut - reg.start, reg.result))
+        out.append(RefDamonRegion(cut, reg.end - cut, reg.result))
+        system.splits += 1
+    return out
+
+
+@st.composite
+def damon_spans(draw):
+    """Disjoint spans in page order, mostly contiguous, with results that
+    are counts or the size-weighted means merges leave."""
+    spans, start = [], draw(st.integers(0, 20))
+    for _ in range(draw(st.integers(0, 12))):
+        start += draw(st.sampled_from([0, 0, 0, 3]))
+        length = draw(st.integers(1, 9))
+        result = draw(st.integers(0, 3).map(float) | st.floats(0, 3))
+        spans.append((start, start + length, result))
+        start += length
+    return spans
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(damon_spans(), st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_damon_merge_and_split_match_the_region_object_loops(spans, max_regions, seed):
+    """DAMON's merge and split over (start, end, result) spans give the
+    regions, float for float, the counters and the random stream that the
+    loops over region objects gave."""
+    space = MemoryState(build_topology({"tiers": [
+        {"id": "a", "capacity_bytes": BASE_PAGE_BYTES},
+        {"id": "b", "capacity_bytes": BASE_PAGE_BYTES}]}), CostModel(), 1)
+    system, ref = (DamonSystem(space, ProfilerConfig(), PolicyConfig(), seed, 2.0)
+                   for _ in "ab")
+    system.regions = list(spans)
+    ref_regions = [RefDamonRegion(s, e - s, r) for s, e, r in spans]
+    system._merge()
+    ref_regions = ref_damon_merge(ref, ref_regions)
+    assert system.regions == [(r.start, r.end, r.result) for r in ref_regions]
+    system._split(max_regions)
+    ref_regions = ref_damon_split(ref, ref_regions, max_regions)
+    assert system.regions == [(r.start, r.end, r.result) for r in ref_regions]
+    assert (system.merges, system.splits) == (ref.merges, ref.splits)
+    assert system.rng.getstate() == ref.rng.getstate()
+
+
+def page_by_page_first_touch(group_pages):
+    """Reference for `group_first_touch`: a whole group into the first tier
+    that holds it, else each unmapped page into the first tier with room."""
+
+    def alloc(space, vpage, node):
+        g0 = (vpage // group_pages) * group_pages
+        pages = [p for p in range(g0, min(g0 + group_pages, space.num_pages))
+                 if space.page_tier[p] == UNMAPPED]
+        view = space.topology.views[node]
+        for tier_id in view:
+            if space.free[tier_id] >= len(pages) * BASE_PAGE_BYTES:
+                space.map_pages(pages, tier_id)
+                return
+        for p in pages:
+            for tier_id in view:
+                if space.free[tier_id] >= BASE_PAGE_BYTES:
+                    space.map_page(p, tier_id)
+                    break
+            else:
+                raise CapacityError("all tiers full")
+
+    return alloc
+
+
+def test_first_touch_spills_tier_by_tier_like_page_by_page():
+    """Random topologies of two or three tiers and two nodes with different
+    views, touched at random from partly mapped groups: each touch leaves
+    the placement, the free space and any `CapacityError` that mapping page
+    by page leaves."""
+    rng = random.Random(11)
+    spills = refusals = 0
+    for _ in range(300):
+        tiers = [{"id": f"t{i}", "capacity_bytes": rng.randrange(1, 24) * BASE_PAGE_BYTES}
+                 for i in range(rng.choice([2, 3]))]
+        ids = [t["id"] for t in tiers]
+        topo = build_topology({"tiers": tiers, "nodes": [0, 1],
+                               "views": {0: ids, 1: rng.sample(ids, len(ids))}})
+        num_pages, group = rng.randrange(1, 60), rng.choice([1, 4, 8, 16])
+        states = [MemoryState(topo, CostModel(), num_pages) for _ in "ab"]
+        for p in rng.sample(range(num_pages), rng.randrange(num_pages // 2 + 1)):
+            tier_id = rng.choice(ids)
+            if states[0].free[tier_id] >= BASE_PAGE_BYTES:
+                for space in states:
+                    space.map_page(p, tier_id)
+        for _ in range(rng.randrange(1, 8)):
+            vpage, node = rng.randrange(num_pages), rng.choice([0, 1])
+            if states[0].page_tier[vpage] != UNMAPPED:
+                continue
+            g0 = vpage - vpage % group
+            need = states[0].page_tier.count(UNMAPPED, g0, g0 + group) * BASE_PAGE_BYTES
+            spills += all(free < need for free in states[0].free.values())
+            outcomes = []
+            for alloc, space in zip((baselines.group_first_touch(group),
+                                     page_by_page_first_touch(group)), states):
+                try:
+                    alloc(space, vpage, node)
+                    outcomes.append(None)
+                except CapacityError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert states[0].page_tier == states[1].page_tier
+            assert states[0].free == states[1].free
+            refusals += outcomes[0] is not None
+    assert spills > refusals > 0  # some spills fit, some run out of room

@@ -170,9 +170,9 @@ def check_partition(profiler) -> None:
 
 def check_damon_regions(system) -> None:
     end = 0
-    for reg in system.regions:
-        assert reg.start >= end and reg.length > 0, reg  # sorted, disjoint, non-empty
-        end = reg.end
+    for start, stop, _ in system.regions:
+        assert start >= end and stop > start, (start, stop)  # sorted, disjoint, non-empty
+        end = stop
     assert end <= system.space.num_pages
 
 
@@ -285,8 +285,8 @@ def run_checked(cfg, trace, oracle) -> list[tuple]:
     group = cfg.alloc_group_pages or cfg.profiler.default_region_pages
     space = MemoryState(topology, cfg.cost, trace.footprint(),
                         allocator=baselines.group_first_touch(group))
-    system = baselines.make_system(
-        cfg.system, space, cfg.profiler, cfg.policy,
+    system = baselines.SYSTEMS[cfg.system](
+        space, cfg.profiler, cfg.policy,
         engine._derive_seed(cfg.seed, f"system:{cfg.system}"), cfg.detect_threshold)
     mode = cfg.migrator_mode or system.migrator_mode
     scans = watch_scans(system)

@@ -1,3 +1,4 @@
+import copy
 import logging
 import random
 from fractions import Fraction
@@ -171,6 +172,165 @@ class TestSplitPass:
         assert [r.whi for r in out] == [1.7, 1.7]
 
 
+def ref_weighted(a, b, attr):
+    va = getattr(a, attr)
+    vb = getattr(b, attr)
+    if attr == "whi":
+        va = a.hi if va is None else va
+        vb = b.hi if vb is None else vb
+    return (va * a.len_pages + vb * b.len_pages) / (a.len_pages + b.len_pages)
+
+
+def ref_merge_sweep(regions, tau1):
+    changed = False
+    out = []
+    for reg in regions:
+        if out:
+            prev = out[-1]
+            if (prev.tier == reg.tier and prev.end_page == reg.start_page
+                    and abs(prev.hi - reg.hi) < tau1):
+                merged_quota = max(1, (prev.quota + reg.quota) // 2)
+                samples = profiler._interleave(prev.samples, reg.samples)
+                counts = profiler._interleave(prev.sample_counts, reg.sample_counts)
+                origin = dict(prev.origin_counts)
+                for n, c in reg.origin_counts.items():
+                    origin[n] = origin.get(n, 0) + c
+                merged = Region(
+                    start_page=prev.start_page,
+                    len_pages=prev.len_pages + reg.len_pages,
+                    tier=prev.tier,
+                    samples=samples[:merged_quota],
+                    sample_counts=counts,
+                    hi=ref_weighted(prev, reg, "hi"),
+                    hi_prev=ref_weighted(prev, reg, "hi_prev"),
+                    whi=ref_weighted(prev, reg, "whi"),
+                    origin_counts=origin,
+                )
+                out[-1] = merged
+                changed = True
+                continue
+        out.append(reg)
+    return out, changed
+
+
+def ref_merge_pass(regions, tau1):
+    """Reference for `merge_pass`: the sweep helper and the attribute-named
+    weighting it was written with before `_merged`."""
+    while True:
+        regions, changed = ref_merge_sweep(regions, tau1)
+        if not changed:
+            return regions
+
+
+def ref_split_pass(regions, tau2, rng):
+    """Reference for `split_pass`: its two halves built from copied lists."""
+    out = []
+    splits = 0
+    for reg in regions:
+        counts = reg.sample_counts
+        if reg.quota < 2 or not counts or max(counts) - min(counts) <= tau2:
+            out.append(reg)
+            continue
+        mid = reg.start_page + reg.len_pages // 2
+        q_left = reg.quota // 2
+        q_right = reg.quota - q_left
+        pairs = list(zip(reg.samples, reg.sample_counts))
+        left_pairs = [(s, c) for s, c in pairs if s < mid]
+        right_pairs = [(s, c) for s, c in pairs if s >= mid]
+        halves = []
+        for (s0, ln, q, prs) in (
+                (reg.start_page, mid - reg.start_page, q_left, left_pairs),
+                (mid, reg.end_page - mid, q_right, right_pairs)):
+            half = Region(
+                start_page=s0, len_pages=ln, tier=reg.tier,
+                samples=[s for s, _ in prs],
+                sample_counts=[c for _, c in prs],
+                hi=reg.hi, hi_prev=reg.hi_prev, whi=reg.whi,
+                origin_counts=dict(reg.origin_counts),
+            )
+            _resize_samples(half, q, rng)
+            halves.append(half)
+        out.extend(halves)
+        splits += 1
+    return out, splits
+
+
+def region_fields(regions):
+    """Every field of every region, origin counts in their key order."""
+    return [(r.start_page, r.len_pages, r.tier, r.samples, r.sample_counts,
+             r.hi, r.hi_prev, r.whi, list(r.origin_counts.items())) for r in regions]
+
+
+# hotness on a 0.3 grid, so neighbours often sit within tau1 of each other
+# and a merge often brings a neighbour it first missed within reach
+HOTNESS = st.integers(0, 10).map(lambda k: k * 0.3)
+
+
+@st.composite
+def region_runs(draw):
+    """Regions in page order, mostly contiguous on one tier, each with
+    distinct in-region samples, counts that may outnumber them, a whi that
+    may be unobserved, and origin counts."""
+    regions, start = [], draw(st.integers(0, 50))
+    for _ in range(draw(st.integers(1, 9))):
+        start += draw(st.sampled_from([0, 0, 0, 0, 2]))
+        length = draw(st.integers(1, 12))
+        samples = draw(st.lists(st.integers(start, start + length - 1),
+                                unique=True, max_size=min(length, 5)))
+        regions.append(Region(
+            start, length, draw(st.sampled_from(["fast"] * 5 + ["slow"])),
+            samples=samples,
+            sample_counts=draw(st.lists(st.integers(0, 3), max_size=len(samples) + 4)),
+            hi=draw(HOTNESS), hi_prev=draw(HOTNESS),
+            whi=draw(st.none() | HOTNESS),
+            origin_counts=draw(st.dictionaries(st.integers(0, 3), st.integers(1, 5),
+                                               max_size=3))))
+        start += length
+    return regions
+
+
+class TestRestructureMatchesTheParentLoops:
+    """`merge_pass` and `split_pass` against the loops they replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(region_runs(), st.sampled_from([0.5, 1.0, 1.5]))
+    def test_merge_pass(self, regions, tau1):
+        ref = copy.deepcopy(regions)
+        assert region_fields(merge_pass(regions, tau1)) == \
+            region_fields(ref_merge_pass(ref, tau1))
+
+    def test_a_merge_can_bring_a_missed_neighbour_within_reach(self):
+        """The middle pair merges to hotness 0.7, which the first region,
+        1.5 from the middle one, then merges with: two sweeps."""
+        regs = [region(0, 1, hi=0.0), region(1, 1, hi=1.5), region(2, 8, hi=0.6)]
+        assert len(ref_merge_sweep(regs, 1.0)[0]) == 2
+        out = merge_pass(regs, 1.0)
+        assert region_fields(out) == region_fields(ref_merge_pass(regs, 1.0))
+        assert [(r.start_page, r.len_pages) for r in out] == [(0, 10)]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(region_runs(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
+    def test_split_pass(self, regions, tau2, seed):
+        ref = copy.deepcopy(regions)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        out, splits = split_pass(regions, tau2, rng)
+        ref_out, ref_splits = ref_split_pass(ref, tau2, ref_rng)
+        assert (region_fields(out), splits) == (region_fields(ref_out), ref_splits)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(region_runs(), st.integers(0, 2**32 - 1))
+    def test_merge_then_split(self, regions, seed):
+        """As `end_interval` runs them: merged regions keep every count,
+        so the split reads counts that outnumber the samples."""
+        ref = copy.deepcopy(regions)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        out, splits = split_pass(merge_pass(regions, 1.0), 1.0, rng)
+        ref_out, ref_splits = ref_split_pass(ref_merge_pass(ref, 1.0), 1.0, ref_rng)
+        assert (region_fields(out), splits) == (region_fields(ref_out), ref_splits)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 class TestRedistribute:
     def _five(self):
         regs = []
@@ -303,7 +463,7 @@ class TestProfileInterval:
                         default_region_pages=16)
         defaults.update(cfg_kw)
         cfg = ProfilerConfig(**defaults)
-        prof = Profiler(cfg, space, seed=9, pebs_assist=False)
+        prof = Profiler(cfg, space, random.Random(9), pebs_assist=False)
         # the app time whose 5% buys budget_pages samples of 3 scans each
         self.app_time = budget_pages * 3.0 / 0.05
         prof.set_budget(self.app_time)
@@ -392,7 +552,7 @@ class TestInitRegions:
             space.map_page(p, "fast")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
-        prof = Profiler(cfg, space, seed=1)
+        prof = Profiler(cfg, space, random.Random(1))
         prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=3000)
         fast = [r for r in prof.regions if r.tier == "fast"]
         assert [(r.start_page, r.len_pages) for r in fast] == \
@@ -406,7 +566,7 @@ class TestInitRegions:
             space.map_page(p, "fast")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
-        prof = Profiler(cfg, space, seed=1)
+        prof = Profiler(cfg, space, random.Random(1))
         prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=6000)
         assert prof.num_ps == 100
         assert [sorted(r.samples) for r in prof.regions] == \
@@ -420,7 +580,7 @@ class TestInitRegions:
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
-        prof = Profiler(cfg, space, seed=1)
+        prof = Profiler(cfg, space, random.Random(1))
         # trace touches only fast pages: the counters see nothing in `slow`
         prof.init_regions(trace_of(list(range(32)) * 4).interval_slice(0),
                           app_time=6000)
@@ -435,7 +595,7 @@ class TestInitRegions:
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
-        prof = Profiler(cfg, space, seed=1)
+        prof = Profiler(cfg, space, random.Random(1))
         # every 3rd slow access is sampled: page 20 is the 3rd
         slc = trace_of([18, 19, 20, 18, 19, 18]).interval_slice(0)
         prof.init_regions(slc, app_time=6000)
@@ -454,7 +614,7 @@ class TestAdoptNewPages:
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
-        prof = Profiler(cfg, space, seed=1, pebs_assist=pebs_assist)
+        prof = Profiler(cfg, space, random.Random(1), pebs_assist=pebs_assist)
         prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=600)
         for p in range(32, 64):
             space.map_page(p, "fast")
@@ -549,7 +709,7 @@ class TestPebsAssist:
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=32)
-        prof = Profiler(cfg, space, seed=1)
+        prof = Profiler(cfg, space, random.Random(1))
         prof.init_regions(trace_of([33, 34, 33, 34] * 2).interval_slice(0),
                           app_time=6000)
         prof.initialized = True
@@ -582,7 +742,7 @@ class TestPebsAssist:
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
-        prof = Profiler(cfg, space, seed=1)
+        prof = Profiler(cfg, space, random.Random(1))
         prof.init_regions(trace_of(list(range(64))).interval_slice(0), app_time=120)
         assert len(prof.regions) == 4 > prof.num_ps == 2
         prof.select_active(trace_of([70]).interval_slice(0))
@@ -600,7 +760,7 @@ class TestPebsAssist:
             space.map_page(p, "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=32)
-        prof = Profiler(cfg, space, seed=1)
+        prof = Profiler(cfg, space, random.Random(1))
         prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=6000)
         assert [r.start_page for r in prof.regions] == [0]
         prof.regions.append(region(40, 8, tier="slow"))

@@ -12,6 +12,7 @@ It lays the copy windows itself and projects the writes they may meet.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -23,12 +24,15 @@ from .workload import TraceSlice
 
 class ProjectedWrites:
     """Writes as two columns, ascending in time: write k lands on page
-    pages[k] at times[k].  Floats and ints are not tracked by the garbage
-    collector, so a long projection costs no collections."""
+    pages[k] at times[k].  `pages` is an array('I'), like the trace's page
+    column, four bytes a write where a list held a pointer and a boxed int;
+    `times` stays a list of floats, which `bisect` and the window scans
+    read.  Floats are not tracked by the garbage collector, so a long
+    projection costs no collections."""
 
     __slots__ = ("times", "pages")
 
-    def __init__(self, times: list[float], pages: list[int]):
+    def __init__(self, times: list[float], pages: array):
         self.times = times
         self.pages = pages
 
@@ -80,7 +84,7 @@ def project_write_times(space: MemoryState, slc, start_time: float,
     the plan's last copy window: no later write can land in any window).
     Like `apply_access`, it requires every page `>= 0` (`AccessTrace`)."""
     page_tier, t, cost = space.page_tier, start_time, space.topology.cost_rows
-    times, pages = [], []
+    times, pages = [], array("I")
     try:
         for vpage, is_write, node in slc.events():
             t += cost[node][page_tier[vpage]]

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -12,7 +11,7 @@ from zlib import crc32
 HOT_THRESHOLD_ACCESSES = 2  # a page is hot in an interval iff accessed >= 2 times
 NODE_ID_LIMIT = 1 << 16  # node ids are 0..65535, what the array('H') column holds
 PAGE_LIMIT = 1 << 32  # pages are 0..2**32 - 1, what the array('I') column holds
-GUPS_DRAW_CHUNK = 16384  # GUPS draws gathered in a list before they join the column
+GUPS_DRAW_CHUNK = 2048  # GUPS draws gathered in a list before they join the column
 
 
 class WorkloadError(Exception):
@@ -25,7 +24,7 @@ class AccessTrace:
 
     - `vpages` is an array('I') of pages, four bytes per access, where a
       list would hold an 8-byte pointer per access plus a boxed int per
-      distinct page.  Replay and `Counter` box each page as they read it:
+      distinct page.  Replay and the oracle box each page as they read it:
       a bare loop over an array slice costs up to about 10 ns an access
       more than over a list slice, small beside replay's 0.12-0.21 us an
       access (first-touch on gups-mid.cfg, one node, best of 5 replays in
@@ -129,10 +128,6 @@ class TraceSlice:
         """(vpage, is_write, node) for every access in the window, in order."""
         return zip(self.pages(), self.trace.writes[self.lo:self.hi], self.nodes())
 
-    def page_counts(self) -> Counter:
-        """Accesses per page in the window, keyed in first-access order."""
-        return Counter(self.pages())
-
     def subwindows(self, count: int) -> list["TraceSlice"]:
         """Split into `count` near-equal consecutive sub-windows."""
         n = len(self)
@@ -154,8 +149,14 @@ class HotOracle:
     """Per-interval ground-truth hot sets (pages accessed >= 2 times).
 
     `hot_sets[i]` is an array('I') of interval i's hot pages, each once, in
-    first-access order: 4 bytes a page, where a set of 8 192 pages takes
-    about 64 bytes a page.  The engine scores against the array itself.
+    the order they reach `HOT_THRESHOLD_ACCESSES` accesses: 4 bytes a page,
+    where a set of 8 192 pages takes about 64 bytes a page.  The engine
+    scores against the array itself, and every reader takes it as a set.
+
+    Each interval is counted in its own footprint-sized bytearray, one byte
+    a page, each count stopping at the threshold so that it fits: no page
+    stays boxed as a dict key, where a `Counter` of a 65 536-access GUPS
+    interval held about 3 MiB.
 
     Equal intervals share one array: `from_trace` keys each interval's page
     column by its crc32, and an interval whose column equals, access for
@@ -178,9 +179,29 @@ class HotOracle:
             if j < i and trace.interval_slice(j).pages() == slc.pages():
                 hot_sets.append(hot_sets[j])
             else:
-                hot_sets.append(array("I", [p for p, c in slc.page_counts().items()
-                                            if c >= HOT_THRESHOLD_ACCESSES]))
+                hot_sets.append(_hot_pages(slc.pages(), trace.footprint()))
         return cls(hot_sets)
+
+
+def _hot_pages(pages: array, footprint: int) -> array:
+    """The pages of `pages` accessed at least `HOT_THRESHOLD_ACCESSES`
+    times, each once, in the order they reach it."""
+    hot = array("I")
+    append, threshold = hot.append, HOT_THRESHOLD_ACCESSES
+    below = threshold - 1
+    counts = bytearray(footprint)
+    # An access below the threshold's last step takes one test, any other
+    # two: of three orders tried, the fastest on GUPS intervals and the only
+    # one no slower than `Counter` on seq-rw-big.cfg's half-read intervals,
+    # where each page comes twice.
+    for p in pages:
+        c = counts[p]
+        if c < below:
+            counts[p] = c + 1
+        elif c == below:
+            counts[p] = threshold
+            append(p)
+    return hot
 
 
 def _round_robin(node_ids: list[int], start: int, count: int) -> array:
@@ -190,37 +211,40 @@ def _round_robin(node_ids: list[int], start: int, count: int) -> array:
     return (turn * (count // len(turn) + 1))[:count]
 
 
-def _append_gups_draws(rng: random.Random, vpages: list[int], hot: list[int],
-                       cold: list[int], hot_access_fraction: float, count: int) -> None:
-    """Append `count` GUPS accesses over `hot` and `cold` to `vpages`, drawn
-    as `_emit_gups_block` describes."""
+def _append_gups_draws(rng: random.Random, vpages: list[int], lo: int, n_hot: int,
+                       n_cold: int, hot_access_fraction: float, count: int) -> None:
+    """Append `count` GUPS accesses to `vpages`, drawn as `_emit_gups_block`
+    describes: the hot pages are lo..lo+n_hot-1, the cold pages the
+    `n_cold` others, below and above them."""
     uniform, getrandbits, append = rng.random, rng.getrandbits, vpages.append
-    n_hot, n_cold = len(hot), len(cold)
     k_hot, k_cold = n_hot.bit_length(), n_cold.bit_length()
     for _ in range(count):
         if uniform() < hot_access_fraction:
             r = getrandbits(k_hot)
             while r >= n_hot:
                 r = getrandbits(k_hot)
-            append(hot[r])
+            append(lo + r)
         else:
             r = getrandbits(k_cold)
             while r >= n_cold:
                 r = getrandbits(k_cold)
-            append(cold[r])
+            append(r if r < lo else r + n_hot)
 
 
-def _draw_gups_pages(rng: random.Random, vpages: array, tops: array, hot: list[int],
-                     cold: list[int], hot_access_fraction: float, count: int) -> None:
+def _draw_gups_pages(rng: random.Random, vpages: array, tops: array, lo: int,
+                     n_hot: int, n_cold: int, hot_access_fraction: float,
+                     count: int) -> None:
     """Append `count` GUPS accesses to the page column, `GUPS_DRAW_CHUNK` at a
     time: `_append_gups_draws` fills a list, which `fromlist` moves into the
     column.  Appending each draw to the array was slower than to a list, and
-    a bounded chunk keeps a full-length list from ever existing.  Each
-    chunk's largest page goes to `tops`: `max()` over the list costs half of
-    one over the column."""
+    a bounded chunk keeps a full-length list from ever existing.  Each draw
+    in the list is an int of its own, about 40 bytes with its pointer, so
+    the chunk is short: 2 048 draws hold 80 KiB and draw as fast as longer
+    chunks.  Each chunk's largest page goes to `tops`: `max()` over the list
+    costs half of one over the column."""
     for done in range(0, count, GUPS_DRAW_CHUNK):
         chunk: list[int] = []
-        _append_gups_draws(rng, chunk, hot, cold, hot_access_fraction,
+        _append_gups_draws(rng, chunk, lo, n_hot, n_cold, hot_access_fraction,
                            min(GUPS_DRAW_CHUNK, count - done))
         tops.append(max(chunk))
         vpages.fromlist(chunk)
@@ -236,16 +260,18 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes, tops: array,
     touches every page once, in order.  Accesses take `node_ids` round-robin
     into the node column; with one node, `nodes` is None and nothing is
     appended.  Its largest pages go to the array `tops`, from which the
-    caller boxes the footprint once the block's page pools are freed: a pool
-    int kept alive pins a 1 MiB pymalloc arena.
+    caller takes the footprint.
 
     The uniform page is `Random.choice`'s rejection sampling, inlined in
     `_append_gups_draws` to save two Python calls per access: with `n` pages
     and `k = n.bit_length()`, draw `r = getrandbits(k)` and redraw while
-    `r >= n`.  This consumes the Mersenne Twister word for word as
-    `choice(hot)` / `choice(cold)` does on CPython >= 3.10, so traces are
-    unchanged.  `tests/test_workload.py`'s pinned trace digests and its
-    differential tests against `Random.choice` guard this."""
+    `r >= n`.  The page is computed from `r`, never read from a list of the
+    pool's pages, which would hold a boxed int a page: it is the `r`-th hot
+    page or the `r`-th cold page, in ascending order.  This consumes the
+    Mersenne Twister word for word as `choice(hot)` / `choice(cold)` over
+    those lists does on CPython >= 3.10, so traces are unchanged.
+    `tests/test_workload.py`'s pinned trace digests and its differential
+    tests against `Random.choice` guard this."""
     if footprint_pages < 2:
         raise WorkloadError("a GUPS footprint needs a hot and a cold page")
     if footprint_pages > PAGE_LIMIT:
@@ -264,12 +290,9 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes, tops: array,
     if init_pass:
         vpages.extend(range(footprint_pages))
         tops.append(footprint_pages - 1)
-    # The pools stay lists: a draw from a list reuses the pool's int, where
-    # indexing an array would box a new one for every draw.
     lo = rng.randrange(footprint_pages - hot_count + 1)
-    hot = list(range(lo, lo + hot_count))
-    cold = list(range(lo)) + list(range(lo + hot_count, footprint_pages))
-    _draw_gups_pages(rng, vpages, tops, hot, cold, hot_access_fraction, accesses)
+    _draw_gups_pages(rng, vpages, tops, lo, hot_count, footprint_pages - hot_count,
+                     hot_access_fraction, accesses)
     writes += bytearray(b"\x01") * touched  # GUPS performs updates
 
 

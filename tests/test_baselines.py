@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -92,7 +93,7 @@ def thermostat_reference(system: ThermostatSystem, slc, app_prev: float) -> None
     of the interval and drew each sample as the walk reached its window.
     The slice is replayed already, as the engine does before profiling."""
     space = system.space
-    replay_counts = slc.page_counts()
+    replay_counts = Counter(slc.pages())
     budget = profiling_budget(system.cfg, app_prev)
     fault_cost = THERMOSTAT_COST_MULTIPLIER * space.cost_model.scan_cost
     spent = 0.0

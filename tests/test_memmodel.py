@@ -610,9 +610,3 @@ class TestReplay:
             runs.append((states, projected))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) >= 2 and all(times for times, _ in runs[0][1])
-
-
-def test_page_counts_keyed_in_first_access_order():
-    trace = AccessTrace([9, 5, 3, 5, 7, 3, 5, 2], [False] * 8, [0] * 8, 8)
-    counts = TraceSlice(trace, 1, 7).page_counts()
-    assert list(counts.items()) == [(5, 3), (3, 2), (7, 1)]

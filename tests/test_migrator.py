@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -242,20 +243,20 @@ class TestProjectWriteTimes:
         trace = gen_seq_microbench("half_read", 2, passes=1)
         writes = project_write_times(space, trace.interval_slice(0), 100.0)
         # events R0 W0 R1 W1 at cost 1 each: writes at t=102 and t=104
-        assert (writes.times, writes.pages) == ([102.0, 104.0], [0, 1])
+        assert (writes.times, writes.pages) == ([102.0, 104.0], array("I", [0, 1]))
 
     def test_bound_excludes_writes_at_or_after_it(self):
         space = make_space(num_pages=4)
         slc = gen_seq_microbench("half_read", 2, passes=1).interval_slice(0)
         writes = project_write_times(space, slc, 100.0, 104.0)
-        assert (writes.times, writes.pages) == ([102.0], [0])
+        assert (writes.times, writes.pages) == ([102.0], array("I", [0]))
         assert len(project_write_times(space, slc, 100.0, 102.0)) == 0
 
     def test_unmapped_pages_cost_one_and_a_page_past_the_footprint_is_refused(self):
         space = make_space(num_pages=4, map_to=None)
         space.map_page(1, "c")  # rank cost 3.0
         writes = project_write_times(space, slice_of((0, True), (1, True), (3, True)), 10.0)
-        assert (writes.times, writes.pages) == ([11.0, 14.0, 15.0], [0, 1, 3])
+        assert (writes.times, writes.pages) == ([11.0, 14.0, 15.0], array("I", [0, 1, 3]))
         with pytest.raises(UnmappedPageError, match="page 4 is outside the 4-page footprint"):
             project_write_times(space, slice_of((3, False), (4, True)), 0.0)
 
@@ -265,7 +266,7 @@ class TestProjectWriteTimes:
         writes = project_write_times(space, slc, 0.0)
         assert len(writes) == len(writes.times) == len(writes.pages) == 16
         assert writes.times == [float(t) for t in range(1, 17)]
-        assert writes.pages == list(range(8)) * 2
+        assert writes.pages == array("I", range(8)) * 2
 
 
 def linear_reference(cm, region, dst, mode, writes, start_time):

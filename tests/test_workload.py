@@ -9,6 +9,7 @@ import pytest
 
 from tiersim import workload
 from tiersim.metrics import recall_precision
+from tiersim.migrator import project_write_times
 from tiersim.workload import (
     GUPS_DRAW_CHUNK, PAGE_LIMIT, AccessTrace, GupsPhase, HotOracle, WorkloadError,
     _append_gups_draws, _draw_gups_pages, gen_gups, gen_phase_change,
@@ -16,12 +17,13 @@ from tiersim.workload import (
 )
 
 from test_invariants import set_recall_precision
+from test_migrator import make_space
 
 
-def brute_force_hot(trace, interval):
+def brute_force_hot(trace, interval, threshold=2):
     lo, hi = trace.interval_bounds(interval)
     counts = Counter(trace.vpages[lo:hi])
-    return {p for p, c in counts.items() if c >= 2}
+    return {p for p, c in counts.items() if c >= threshold}
 
 
 # `choice` draws `n.bit_length()` bits, so 1 and powers of two reject half
@@ -29,10 +31,20 @@ def brute_force_hot(trace, interval):
 DRAW_LENGTHS = (1, 2, 3, 4, 63, 64, 65, 1024, 1025)
 
 
-def choice_reference(rng, hot, cold, hot_access_fraction, count):
-    """The GUPS draw as first written, with `Random.choice`."""
+def choice_reference(rng, lo, n_hot, n_cold, hot_access_fraction, count):
+    """The GUPS draw as first written, with `Random.choice` over lists of the
+    hot pages lo..lo+n_hot-1 and of the cold pages below and above them."""
+    hot = list(range(lo, lo + n_hot))
+    cold = list(range(lo)) + list(range(lo + n_hot, n_hot + n_cold))
     return [rng.choice(hot) if rng.random() < hot_access_fraction else rng.choice(cold)
             for _ in range(count)]
+
+
+def hot_starts(n_cold):
+    """Where a hot set may start among `n_cold` cold pages: at page 0, so
+    that no cold page lies below it, in the middle, and at the top, so that
+    none lies above it."""
+    return sorted({0, n_cold // 2, n_cold})
 
 
 class TestGups:
@@ -76,28 +88,31 @@ class TestGups:
     @pytest.mark.parametrize("n_hot", DRAW_LENGTHS)
     def test_draw_matches_random_choice(self, n_hot):
         """The inlined draw picks the pages `Random.choice` picks and leaves
-        the generator where `Random.choice` leaves it."""
+        the generator where `Random.choice` leaves it, wherever the hot set
+        starts."""
         for n_cold in DRAW_LENGTHS:
-            hot, cold = list(range(n_hot)), list(range(5000, 5000 + n_cold))
-            got, ref = random.Random(17), random.Random(17)
-            pages = []
-            _append_gups_draws(got, pages, hot, cold, 0.5, 600)
-            assert pages == choice_reference(ref, hot, cold, 0.5, 600), n_cold
-            assert got.random() == ref.random(), n_cold
+            for lo in hot_starts(n_cold):
+                got, ref = random.Random(17), random.Random(17)
+                pages = []
+                _append_gups_draws(got, pages, lo, n_hot, n_cold, 0.5, 600)
+                assert pages == choice_reference(ref, lo, n_hot, n_cold, 0.5, 600), \
+                    (n_cold, lo)
+                assert got.getstate() == ref.getstate(), (n_cold, lo)
 
     def test_chunked_draw_matches_random_choice(self):
         """A draw over several chunks, the last one partial, puts the pages
         `Random.choice` picks into the column and leaves the generator where
-        `Random.choice` leaves it.  Each chunk's largest page is noted."""
+        `Random.choice` leaves it, wherever the hot set starts.  Each chunk's
+        largest page is noted."""
         count = 2 * GUPS_DRAW_CHUNK + 1234
-        hot, cold = list(range(100, 163)), list(range(5000, 6025))
-        got, ref = random.Random(23), random.Random(23)
-        pages, tops = array("I"), array("I")
-        _draw_gups_pages(got, pages, tops, hot, cold, 0.7, count)
-        assert list(pages) == choice_reference(ref, hot, cold, 0.7, count)
-        assert got.random() == ref.random()
-        assert list(tops) == [max(pages[k:k + GUPS_DRAW_CHUNK])
-                              for k in range(0, count, GUPS_DRAW_CHUNK)]
+        for lo in hot_starts(1025):
+            got, ref = random.Random(23), random.Random(23)
+            pages, tops = array("I"), array("I")
+            _draw_gups_pages(got, pages, tops, lo, 63, 1025, 0.7, count)
+            assert list(pages) == choice_reference(ref, lo, 63, 1025, 0.7, count), lo
+            assert got.getstate() == ref.getstate(), lo
+            assert list(tops) == [max(pages[k:k + GUPS_DRAW_CHUNK])
+                                  for k in range(0, count, GUPS_DRAW_CHUNK)], lo
 
     def test_round_robin_node_assignment(self):
         trace, _ = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)
@@ -127,6 +142,18 @@ class TestOracle:
             for i in range(trace.num_intervals):
                 assert set(oracle.hot_sets[i]) == brute_force_hot(trace, i)
 
+    @pytest.mark.parametrize("threshold", [1, 3])
+    def test_oracle_follows_the_threshold(self, monkeypatch, threshold):
+        """Each page's count stops at the threshold, whatever it is: a page
+        is hot once it reaches it, and only then."""
+        monkeypatch.setattr(workload, "HOT_THRESHOLD_ACCESSES", threshold)
+        for trace in oracle_cases():
+            oracle = HotOracle.from_trace(trace)
+            for i in range(trace.num_intervals):
+                hot = oracle.hot_sets[i]
+                assert len(set(hot)) == len(hot)
+                assert set(hot) == brute_force_hot(trace, i, threshold)
+
     def test_a_key_collision_counts_the_interval(self, monkeypatch):
         """With every page column keyed alike, each interval is compared to
         the first one, and any that differs is counted."""
@@ -135,7 +162,8 @@ class TestOracle:
 
     def test_equal_intervals_share_one_array(self):
         """`half_read_big`'s period is 4 intervals, so its 32 intervals hold
-        4 distinct columns, and each keeps its first-access order."""
+        4 distinct columns.  A page is hot at its second access, right after
+        its first, so each array is in first-access order."""
         trace, oracle = half_read_big()
         assert len(oracle.hot_sets) == 32
         assert len({id(hot) for hot in oracle.hot_sets}) == 4
@@ -253,15 +281,22 @@ def gups_big():
     return gen_gups(65536, 0.2, 0.8, 524288, [0], seed=1, accesses_per_interval=65536)
 
 
-def held_per_access(build) -> float:
-    """Bytes `build()` leaves allocated per access of the trace it makes."""
+def traced_bytes(build):
+    """What `build()` returns, with the bytes it leaves allocated and the
+    most it had allocated at once while it ran."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trace, oracle = build()
-        held = tracemalloc.get_traced_memory()[0] - before
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+def held_per_access(build) -> float:
+    """Bytes `build()` leaves allocated per access of the trace it makes."""
+    (trace, _), held, _ = traced_bytes(build)
     return held / len(trace)
 
 
@@ -272,6 +307,28 @@ def test_trace_and_oracle_hold_at_most_ten_bytes_an_access(build):
     hot page.  A list page column alone would add an 8-byte pointer."""
     held = held_per_access(build)
     assert held <= 10, held
+
+
+def test_gups_build_peaks_at_most_eight_bytes_an_access():
+    """Building `gups-big.cfg`'s trace and oracle never has more than 8
+    bytes allocated an access: the columns, one draw chunk and one
+    interval's counts, with no page pool and no `Counter` of boxed pages."""
+    (trace, _), _, peak = traced_bytes(gups_big)
+    assert peak / len(trace) <= 8, peak / len(trace)
+
+
+def test_write_projection_holds_at_most_forty_bytes_a_write():
+    """A projection keeps a float and a pointer to it a write, plus four
+    bytes of page.  Its pages are 256 and up: smaller ints are cached by
+    CPython, and boxing them allocates nothing that could be seen."""
+    writes = 4096
+    trace = AccessTrace(array("I", range(256, 256 + writes)), bytearray(b"\x01") * writes,
+                        0, accesses_per_interval=writes)
+    space = make_space(num_pages=256 + writes, caps=(256 + writes, 1))
+    projected, held, _ = traced_bytes(
+        lambda: project_write_times(space, trace.interval_slice(0), 0.0))
+    assert len(projected) == writes
+    assert held / writes <= 40, held / writes
 
 
 def test_half_read_trace_and_oracle_hold_at_most_six_bytes_an_access():

@@ -19,27 +19,29 @@ def _derive_seed(master: int, label: str) -> int:
 
 
 def build_trace(cfg: RunConfig) -> tuple[AccessTrace, HotOracle]:
-    """The workload's trace and oracle.  The generators check the workload's
-    ranges, so a value they reject is a ConfigError."""
+    """The workload's trace, from the generator its kind names, and the
+    trace's hot-page oracle: the one place either is built.  The generators
+    check the workload's ranges, so a value they reject is a ConfigError."""
     w = cfg.workload
     seed = _derive_seed(cfg.seed, "trace")
     nodes = cfg.topology["nodes"]
     try:
         if w.kind == "gups":
-            return workload.gen_gups(
+            trace = workload.gen_gups(
                 w.footprint_pages, w.hotset_fraction, w.hot_access_fraction,
                 w.accesses, nodes, seed,
                 accesses_per_interval=w.accesses_per_interval, init_pass=w.init_pass)
-        if w.kind == "phase_change":
+        elif w.kind == "phase_change":
             phases = [GupsPhase(w.footprint_pages, w.hotset_fraction,
                                 w.hot_access_fraction, w.accesses,
                                 init_pass=(w.init_pass and i == 0))
                       for i in range(w.phases)]
-            return workload.gen_phase_change(
+            trace = workload.gen_phase_change(
                 phases, seed, nodes, accesses_per_interval=w.accesses_per_interval)
-        trace = workload.gen_seq_microbench(w.bench, w.array_pages, w.passes,
-                                            node=w.node,
-                                            accesses_per_interval=w.accesses_per_interval)
+        else:
+            trace = workload.gen_seq_microbench(
+                w.bench, w.array_pages, w.passes, node=w.node,
+                accesses_per_interval=w.accesses_per_interval)
     except WorkloadError as exc:
         raise ConfigError(str(exc), "workload") from None
     return trace, HotOracle.from_trace(trace)
@@ -73,7 +75,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
     group = cfg.alloc_group_pages
     if group is None:
         group = cfg.profiler.default_region_pages
-    space = MemoryState(topology, cfg.cost, trace.footprint(),
+    space = MemoryState(topology, cfg.cost, trace.footprint,
                         allocator=baselines.group_first_touch(group))
     system = baselines.SYSTEMS[cfg.system](
         space, cfg.profiler, cfg.policy, _derive_seed(cfg.seed, f"system:{cfg.system}"),

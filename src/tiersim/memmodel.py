@@ -188,10 +188,10 @@ class MemoryState:
     The access counts are the only record of app work: `_counts[node][tier
     index]`, rows by node id laid out like `topology.cost_rows`, None for an
     id that is no accessor node.  An access adds one to its count and no
-    cost.  `clock`, the application time that places migration copy windows
-    and bounds the profiling budget, is `app_cost()`: the `math.fsum` of
-    count x cost, worked out when read, so it is correctly rounded whatever
-    the order or number of accesses and whatever the interpreter.
+    cost.  App time, which places migration copy windows and bounds the
+    profiling budget, has one name, `app_cost()`: the `math.fsum` of count
+    x cost, worked out when read, so it is correctly rounded whatever the
+    order or number of accesses and whatever the interpreter.
 
     It keeps no per-page access record: a scan reads the trace (`scan_pte`).
     `mapped_pages`, `map_pages`, `move_pages` and `tier_runs` search, count
@@ -210,10 +210,6 @@ class MemoryState:
                         for t in (*range(len(topology.tiers)), UNMAPPED)}
         self.ledger = CostLedger()
         self.allocator = allocator  # callable(state, vpage, node) -> None
-
-    @property
-    def clock(self) -> float:
-        return self.app_cost()
 
     def access_counts(self) -> list[list[int] | None]:
         """A copy of the access counts, to pass to `app_cost` later."""
@@ -271,9 +267,6 @@ class MemoryState:
         else:
             for p in pages:
                 page_tier[p] = tier
-
-    def map_page(self, vpage: int, tier_id: str) -> None:
-        self.map_pages((vpage,), tier_id)
 
     def move_pages(self, pages: range, dst: str) -> None:
         """Remap a contiguous run (a range of step 1) to dst, updating `free`.

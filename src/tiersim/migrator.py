@@ -150,17 +150,19 @@ def execute_plan(space: MemoryState, moves: list[Move], mode: str = "sync",
     """Run the moves in order (demotions come first by construction) and
     report each.
 
-    The copy windows are laid back to back from `space.clock` (see
-    `copy_windows`): each move's window starts where the previous one ended,
-    whether or not it fell back early.  Outside mode `sync`, the writes of
-    `next_slice` (the interval that runs while the copies do; None after the
-    last) are projected up to the last window's end.  A failing move aborts
-    the rest with PlanExecutionError.
+    The copy windows are laid back to back from the app time so far,
+    `space.app_cost()`, read once (see `copy_windows`): each move's window
+    starts where the previous one ended, whether or not it fell back early.
+    Outside mode `sync`, the writes of `next_slice` (the interval that runs
+    while the copies do; None after the last) are projected from that time
+    up to the last window's end.  A failing move aborts the rest with
+    PlanExecutionError.
     """
-    starts = copy_windows(moves, space.cost_model, space.clock)
+    now = space.app_cost()
+    starts = copy_windows(moves, space.cost_model, now)
     writes = None
     if mode != "sync" and next_slice is not None:
-        writes = project_write_times(space, next_slice, space.clock, starts[-1])
+        writes = project_write_times(space, next_slice, now, starts[-1])
     reports = []
     for mv, t in zip(moves, starts):
         try:

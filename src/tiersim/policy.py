@@ -64,16 +64,16 @@ def resolve_destination(region: Region, views: dict[int, list[str]]) -> list[str
 
 def plan_demotions(tier: str, need_bytes: int, coldest: list[Region],
                    views: dict[int, list[str]], free: dict[str, int],
-                   planned: set[int], colder_than: float | None = None,
+                   planned: set[int], colder_than: float,
                    stack: tuple[str, ...] = ()) -> list[Move]:
     """Free need_bytes in `tier` by demoting its coldest regions one level
     down their dominant view, cascading when the next tier is also full.
     `coldest` lists the candidate regions coldest first; regions in
-    `planned` are already moving.  With colder_than set, only regions
-    strictly below that hotness are eligible (room-making never evicts
-    something hotter than the arrival).  `stack` holds the tiers the
-    callers are freeing: nothing cascades into them, since views may
-    disagree on which of two tiers is lower.
+    `planned` are already moving.  Only regions strictly below the hotness
+    `colder_than` are eligible (room-making never evicts something hotter
+    than the arrival; `math.inf` admits every region).  `stack` holds the
+    tiers the callers are freeing: nothing cascades into them, since views
+    may disagree on which of two tiers is lower.
 
     Works in place: on success the returned moves are already applied to
     `free` and `planned`; on CapacityError both are as they were."""
@@ -88,7 +88,7 @@ def plan_demotions(tier: str, need_bytes: int, coldest: list[Region],
             break
         if region.id in planned or region.tier != tier:
             continue
-        if colder_than is not None and (region.whi or 0.0) >= colder_than:
+        if (region.whi or 0.0) >= colder_than:
             continue
         order = resolve_destination(region, views)
         for lower in order[order.index(tier) + 1:]:

@@ -1,4 +1,4 @@
-"""Synthetic access traces with ground-truth per-interval hot-page oracles."""
+"""Synthetic access traces, and the per-interval hot-page oracle of a trace."""
 from __future__ import annotations
 
 import random
@@ -36,9 +36,12 @@ class AccessTrace:
       column on each read, and replay and write projection read none.  A
       trace built from a column keeps it, and its `node` is None.
 
-    `footprint` is the trace's largest page plus one.  Every generator
-    states it; a trace built without it, by an outside caller or a test,
-    finds it by one `max()` over the page column on its first call.
+    `footprint` is the number of pages the trace spans, kept as given.
+    Whoever builds the trace states it, and it must exceed every page: the
+    generators know their largest page without a scan, where a `max()`
+    over gups-big.cfg's 524 288 pages takes about 15 ms (CPython 3.11).
+    The trace does not check it; the oracle and replay refuse a page at or
+    past it.
 
     The generators build every column in its type, never as a full-length
     list.  Columns of other types (tests pass lists) are converted here, and
@@ -49,7 +52,7 @@ class AccessTrace:
 
     def __init__(self, vpages: array | list[int], writes: bytearray | list[bool],
                  nodes: array | list[int] | int, accesses_per_interval: int,
-                 footprint: int | None = None):
+                 footprint: int):
         if isinstance(nodes, int):  # a column of one access, repeated when read
             self.node, self._nodes = nodes, array("H", [nodes])
         else:
@@ -69,7 +72,7 @@ class AccessTrace:
         self.vpages = vpages
         self.writes = writes if isinstance(writes, bytearray) else bytearray(writes)
         self.accesses_per_interval = accesses_per_interval
-        self._footprint = footprint
+        self.footprint = footprint
 
     @property
     def nodes(self) -> array:
@@ -77,6 +80,7 @@ class AccessTrace:
         return self._nodes if self.node is None else self._nodes * len(self.vpages)
 
     def __len__(self) -> int:
+        """The access count; the benchmark's repetition reports it as `events`."""
         return len(self.vpages)
 
     @property
@@ -94,13 +98,6 @@ class AccessTrace:
     def interval_slice(self, index: int) -> "TraceSlice":
         lo, hi = self.interval_bounds(index)
         return TraceSlice(self, lo, hi)
-
-    def footprint(self) -> int:
-        """Pages [0, max page] the trace spans: as stated, or computed on the
-        first call."""
-        if self._footprint is None:
-            self._footprint = max(self.vpages) + 1 if self.vpages else 0
-        return self._footprint
 
 
 class TraceSlice:
@@ -179,13 +176,14 @@ class HotOracle:
             if j < i and trace.interval_slice(j).pages() == slc.pages():
                 hot_sets.append(hot_sets[j])
             else:
-                hot_sets.append(_hot_pages(slc.pages(), trace.footprint()))
+                hot_sets.append(_hot_pages(slc.pages(), trace.footprint))
         return cls(hot_sets)
 
 
 def _hot_pages(pages: array, footprint: int) -> array:
     """The pages of `pages` accessed at least `HOT_THRESHOLD_ACCESSES`
-    times, each once, in the order they reach it."""
+    times, each once, in the order they reach it.  A page at or past
+    `footprint` is a WorkloadError: the count array ends there."""
     hot = array("I")
     append, threshold = hot.append, HOT_THRESHOLD_ACCESSES
     below = threshold - 1
@@ -193,14 +191,18 @@ def _hot_pages(pages: array, footprint: int) -> array:
     # An access below the threshold's last step takes one test, any other
     # two: of three orders tried, the fastest on GUPS intervals and the only
     # one no slower than `Counter` on seq-rw-big.cfg's half-read intervals,
-    # where each page comes twice.
-    for p in pages:
-        c = counts[p]
-        if c < below:
-            counts[p] = c + 1
-        elif c == below:
-            counts[p] = threshold
-            append(p)
+    # where each page comes twice.  The try is entered once, not per access.
+    try:
+        for p in pages:
+            c = counts[p]
+            if c < below:
+                counts[p] = c + 1
+            elif c == below:
+                counts[p] = threshold
+                append(p)
+    except IndexError:
+        raise WorkloadError(f"page {p} is at or past the trace's stated "
+                            f"footprint of {footprint} pages") from None
     return hot
 
 
@@ -250,17 +252,25 @@ def _draw_gups_pages(rng: random.Random, vpages: array, tops: array, lo: int,
         vpages.fromlist(chunk)
 
 
-def _emit_gups_block(rng: random.Random, vpages, writes, nodes, tops: array,
-                     footprint_pages: int, hotset_fraction: float,
-                     hot_access_fraction: float, accesses: int,
-                     node_ids: list[int], init_pass: bool) -> None:
-    """Append one GUPS block.  The block draws one contiguous hot set, then
-    each access draws `random()` and, below hot_access_fraction, a uniform
-    hot page, else a uniform cold page.  With `init_pass` the block first
-    touches every page once, in order.  Accesses take `node_ids` round-robin
-    into the node column; with one node, `nodes` is None and nothing is
-    appended.  Its largest pages go to the array `tops`, from which the
-    caller takes the footprint.
+@dataclass
+class GupsPhase:
+    footprint_pages: int
+    hotset_fraction: float
+    hot_access_fraction: float
+    accesses: int
+    init_pass: bool = False
+
+
+def _emit_gups_block(rng: random.Random, phase: GupsPhase, vpages: array,
+                     writes: bytearray, nodes: array | None, node_ids: list[int],
+                     tops: array) -> None:
+    """Append the GUPS block `phase` describes, drawn from `rng`.  The block
+    draws one contiguous hot set, then each access draws `random()` and,
+    below hot_access_fraction, a uniform hot page, else a uniform cold page.
+    With `init_pass` the block first touches every page once, in order.
+    Accesses take `node_ids` round-robin into the node column; with one
+    node, `nodes` is None and nothing is appended.  Its largest pages go to
+    the array `tops`, from which the caller takes the footprint.
 
     The uniform page is `Random.choice`'s rejection sampling, inlined in
     `_append_gups_draws` to save two Python calls per access: with `n` pages
@@ -272,75 +282,64 @@ def _emit_gups_block(rng: random.Random, vpages, writes, nodes, tops: array,
     those lists does on CPython >= 3.10, so traces are unchanged.
     `tests/test_workload.py`'s pinned trace digests and its differential
     tests against `Random.choice` guard this."""
+    footprint_pages, accesses = phase.footprint_pages, phase.accesses
     if footprint_pages < 2:
         raise WorkloadError("a GUPS footprint needs a hot and a cold page")
     if footprint_pages > PAGE_LIMIT:
         raise WorkloadError(f"footprint_pages must be <= {PAGE_LIMIT}, "
                             f"the pages a trace can hold")
-    if not 0 < hotset_fraction < 1:
+    if not 0 < phase.hotset_fraction < 1:
         raise WorkloadError("hotset_fraction must be in (0, 1)")
-    if not 0 < hot_access_fraction <= 1:
+    if not 0 < phase.hot_access_fraction <= 1:
         raise WorkloadError("hot_access_fraction must be in (0, 1]")
     if accesses <= 0:
         raise WorkloadError("accesses must be positive")
-    hot_count = min(footprint_pages - 1, max(1, round(footprint_pages * hotset_fraction)))
-    touched = accesses + (footprint_pages if init_pass else 0)
+    hot_count = min(footprint_pages - 1,
+                    max(1, round(footprint_pages * phase.hotset_fraction)))
+    touched = accesses + (footprint_pages if phase.init_pass else 0)
     if nodes is not None:
         nodes += _round_robin(node_ids, len(vpages), touched)
-    if init_pass:
+    if phase.init_pass:
         vpages.extend(range(footprint_pages))
         tops.append(footprint_pages - 1)
     lo = rng.randrange(footprint_pages - hot_count + 1)
     _draw_gups_pages(rng, vpages, tops, lo, hot_count, footprint_pages - hot_count,
-                     hot_access_fraction, accesses)
+                     phase.hot_access_fraction, accesses)
     writes += bytearray(b"\x01") * touched  # GUPS performs updates
+
+
+def _gups_trace(blocks: Iterable[tuple[random.Random, GupsPhase]], nodes: list[int],
+                accesses_per_interval: int) -> AccessTrace:
+    """The trace of the GUPS blocks, in order, each drawn from its own
+    generator; its footprint is the largest page drawn plus one."""
+    node_ids = list(nodes) or [0]
+    # one node is kept as an int, with no column
+    node_col = array("H") if len(node_ids) > 1 else None
+    vpages, writes, tops = array("I"), bytearray(), array("I")
+    for rng, phase in blocks:
+        _emit_gups_block(rng, phase, vpages, writes, node_col, node_ids, tops)
+    return AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
+                       accesses_per_interval, footprint=max(tops) + 1)
 
 
 def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: float,
              accesses: int, nodes: list[int], seed: int,
-             accesses_per_interval: int = 1024,
-             init_pass: bool = False) -> tuple[AccessTrace, HotOracle]:
+             accesses_per_interval: int = 1024, init_pass: bool = False) -> AccessTrace:
     """GUPS-style workload: a seeded hotset receives hot_access_fraction of
     all accesses, the rest spread uniformly over the cold pages.  With
     `init_pass` every page is touched first, in order."""
-    rng = random.Random(seed)
-    node_ids = list(nodes) or [0]
-    # one node is kept as an int, with no column
-    node_col = array("H") if len(node_ids) > 1 else None
-    vpages, writes, tops = array("I"), bytearray(), array("I")
-    _emit_gups_block(rng, vpages, writes, node_col, tops, footprint_pages,
-                     hotset_fraction, hot_access_fraction, accesses, node_ids, init_pass)
-    trace = AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
-                        accesses_per_interval, footprint=max(tops) + 1)
-    return trace, HotOracle.from_trace(trace)
-
-
-@dataclass
-class GupsPhase:
-    footprint_pages: int
-    hotset_fraction: float
-    hot_access_fraction: float
-    accesses: int
-    init_pass: bool = False
+    phase = GupsPhase(footprint_pages, hotset_fraction, hot_access_fraction, accesses,
+                      init_pass)
+    return _gups_trace([(random.Random(seed), phase)], nodes, accesses_per_interval)
 
 
 def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
-                     accesses_per_interval: int = 1024) -> tuple[AccessTrace, HotOracle]:
+                     accesses_per_interval: int = 1024) -> AccessTrace:
     """Concatenated GUPS blocks; each phase draws a fresh hotset."""
     if len(phases) < 2:
         raise WorkloadError("need at least 2 phases")
-    node_ids = list(nodes) or [0]
-    # one node is kept as an int, with no column
-    node_col = array("H") if len(node_ids) > 1 else None
-    vpages, writes, tops = array("I"), bytearray(), array("I")
-    for i, ph in enumerate(phases):
-        rng = random.Random(seed * 1000003 + i)
-        _emit_gups_block(rng, vpages, writes, node_col, tops, ph.footprint_pages,
-                         ph.hotset_fraction, ph.hot_access_fraction, ph.accesses,
-                         node_ids, ph.init_pass)
-    trace = AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
-                        accesses_per_interval, footprint=max(tops) + 1)
-    return trace, HotOracle.from_trace(trace)
+    return _gups_trace(((random.Random(seed * 1000003 + i), ph)
+                        for i, ph in enumerate(phases)), nodes, accesses_per_interval)
 
 
 def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,

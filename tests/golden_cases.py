@@ -1,6 +1,7 @@
 """The golden cases: each committed config `tiersim compare` or `tiersim
-sweep` runs for `test_golden.py`, and the CLI arguments it runs with.
-`tests/table.py` and `tests/reach.py` read them too, so this module imports
+sweep` runs for `test_golden.py`, the CLI arguments it runs with, and
+`files_under`, which reads a run's outputs back.  `tests/table.py`,
+`tests/reach.py` and `tests/pins.py` read them too, so this module imports
 nothing beyond the standard library."""
 from __future__ import annotations
 
@@ -32,6 +33,12 @@ CASES = {
     "sweep-N-damon": ("small.cfg", "system = damon\n",
                       ["sweep", "--param", "N", "--values", "4096,65536,1048576"]),
 }
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    """Every file under `root` by its relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def argv_for(case: str, work: Path, out: Path) -> list[str]:

@@ -31,7 +31,7 @@ def test_autonuma_victims_are_coldest_first():
     space = MemoryState(topo, CostModel(), 400)
     for p in range(400):
         if rng.random() < 0.9:
-            space.map_page(p, rng.choice(["a", "b"]))
+            space.map_pages((p,), rng.choice(["a", "b"]))
     system = AutonumaSystem(space, ProfilerConfig(), PolicyConfig(), 1, 2.0)
     system.counts = {p: rng.choice([0, 0, 1, 2, 5]) for p in rng.sample(range(400), 150)}
     hot = set(rng.sample(range(400), 40))
@@ -81,7 +81,8 @@ def test_mtm_folds_only_the_regions_it_scanned():
     prof.regions, prof.initialized = [scanned, clamped], True
     # the app time whose overhead share buys 1.5 samples of num_scans scans
     app_prev = 1.5 * cfg.num_scans * space.cost_model.scan_cost / cfg.overhead_constraint
-    system.run_profiling(AccessTrace([5] * 6, [False] * 6, 0, 6).interval_slice(0), app_prev)
+    trace = AccessTrace([5] * 6, [False] * 6, 0, 6, footprint=32)
+    system.run_profiling(trace.interval_slice(0), app_prev)
     assert prof.num_ps == 1
     assert [(r.start_page, r.hi, r.whi) for r in prof.regions] == [(0, 0.0, 0.0),
                                                                   (16, 3.0, 1.0)]
@@ -117,7 +118,7 @@ def thermostat_reference(system: ThermostatSystem, slc, app_prev: float) -> None
 def test_thermostat_budget_runs_out_mid_walk_like_the_reference(seed):
     """Sixteen 8-page windows, mapped with holes and one left empty, and a
     budget that stops each interval's walk partway: after two intervals the
-    hotness, the charge, the clock and the random stream are the
+    hotness, the charge, the app time and the random stream are the
     reference's.  Drawing the samples ahead on the stream itself, and not
     on a copy, leaves the stream and the picks elsewhere."""
     rng = random.Random(seed)
@@ -128,13 +129,13 @@ def test_thermostat_budget_runs_out_mid_walk_like_the_reference(seed):
               for p in range(128)]
     mapped = [p for p, tier in enumerate(layout) if tier]
     trace = AccessTrace([rng.choice(mapped[:20]) if rng.random() < 0.5 else rng.choice(mapped)
-                         for _ in range(1200)], [False] * 1200, 0, 600)
+                         for _ in range(1200)], [False] * 1200, 0, 600, footprint=128)
     cfg = ProfilerConfig(default_region_pages=8)
     twins = []
     for run in (thermostat_reference, ThermostatSystem.run_profiling):
         space = MemoryState(topo, CostModel(), 128)
         for p in mapped:
-            space.map_page(p, layout[p])
+            space.map_pages((p,), layout[p])
         system = ThermostatSystem(space, cfg, PolicyConfig(), seed, 2.0)
         walked = []
         for i in range(2):
@@ -143,7 +144,7 @@ def test_thermostat_budget_runs_out_mid_walk_like_the_reference(seed):
             run(system, slc, 2000.0)
             walked.append(len(system.hotness))
         twins.append((system.hotness, space.ledger.profiling, system.rng.getstate(),
-                      space.clock, walked))
+                      space.app_cost(), walked))
     assert twins[0] == twins[1]
     # each walk stops partway: the windows either interval profiled fall
     # short of the 15 with a mapped page
@@ -205,7 +206,7 @@ def test_detection_and_planner_regions_match_each_systems_own_loop(
     text = (CONFIGS / "mid.cfg").read_text() + extra + f"detect_threshold = {threshold}\n"
     tree = parse_config_text(text)
     trace, oracle = engine.build_trace(build_run_config(tree))
-    assert trace.footprint() == footprint
+    assert trace.footprint == footprint
     current, seen = [], {}
 
     def checked(detect):
@@ -344,7 +345,7 @@ def page_by_page_first_touch(group_pages):
         for p in pages:
             for tier_id in view:
                 if space.free[tier_id] >= BASE_PAGE_BYTES:
-                    space.map_page(p, tier_id)
+                    space.map_pages((p,), tier_id)
                     break
             else:
                 raise CapacityError("all tiers full")
@@ -371,7 +372,7 @@ def test_first_touch_spills_tier_by_tier_like_page_by_page():
             tier_id = rng.choice(ids)
             if states[0].free[tier_id] >= BASE_PAGE_BYTES:
                 for space in states:
-                    space.map_page(p, tier_id)
+                    space.map_pages((p,), tier_id)
         for _ in range(rng.randrange(1, 8)):
             vpage, node = rng.randrange(num_pages), rng.choice([0, 1])
             if states[0].page_tier[vpage] != UNMAPPED:

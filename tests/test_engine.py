@@ -16,7 +16,7 @@ from tiersim.baselines import BASELINE_KINDS
 from tiersim.config import build_run_config, parse_config_text
 from tiersim.workload import AccessTrace, HotOracle
 
-from test_golden import files_under
+from golden_cases import files_under
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
 SMALL = GOLDEN / "small.cfg"
@@ -143,7 +143,7 @@ def test_list_columns_run_like_the_generated_trace(runs_of):
     give every system the rows of the generator's compact trace."""
     trace, by_system = runs_of(CONFIGS["mid"])
     plain = AccessTrace(list(trace.vpages), [bool(w) for w in trace.writes],
-                        list(trace.nodes), trace.accesses_per_interval)
+                        list(trace.nodes), trace.accesses_per_interval, trace.footprint)
     oracle = HotOracle.from_trace(plain)
     for name, (cfg, result) in by_system.items():
         assert engine.run_simulation(cfg, trace=plain, oracle=oracle) == result, name

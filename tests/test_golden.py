@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_cases import ALL_SYSTEMS, CASES, CONFIGS, EXPECTED, argv_for
+from golden_cases import ALL_SYSTEMS, CASES, CONFIGS, EXPECTED, argv_for, files_under
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,11 +27,6 @@ def produce(case: str, work: Path, out: Path) -> None:
     from tiersim.cli import main
     work.mkdir(parents=True, exist_ok=True)
     assert main(argv_for(case, work, out)) == 0
-
-
-def files_under(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(autouse=True)
@@ -104,7 +99,7 @@ def test_sync_outputs_ignore_the_write_column(tmp_path):
         outputs = []
         for label, writes in columns.items():
             variant = AccessTrace(trace.vpages, writes, trace.nodes,
-                                  trace.accesses_per_interval)
+                                  trace.accesses_per_interval, trace.footprint)
             out = tmp_path / cfg.system / label
             write_run_outputs(run_simulation(cfg, trace=variant, oracle=oracle), out)
             outputs.append(files_under(out))

@@ -32,7 +32,7 @@ after every interval:
   so a DAMON pick's hits are the sub-windows that hold it; and right after
   `profile_interval`, every scheduled MTM sample's count is the number of
   the interval's sub-windows whose `pages()` hold it;
-- the clock and the tiers' access counts equal what `reference_replay`, a
+- the app time and the tiers' access counts equal what `reference_replay`, a
   counter keyed by node and tier name, gives for every access so far;
 - the system's detected page mask is one 0/1 byte per footprint page, and
   `metrics.recall_precision` scores it against the oracle as the reference
@@ -283,7 +283,7 @@ def run_checked(cfg, trace, oracle) -> list[tuple]:
     after every interval; returns each interval's costs and tier counts."""
     topology = build_topology(cfg.topology)
     group = cfg.alloc_group_pages or cfg.profiler.default_region_pages
-    space = MemoryState(topology, cfg.cost, trace.footprint(),
+    space = MemoryState(topology, cfg.cost, trace.footprint,
                         allocator=baselines.group_first_touch(group))
     system = baselines.SYSTEMS[cfg.system](
         space, cfg.profiler, cfg.policy,
@@ -320,7 +320,7 @@ def run_checked(cfg, trace, oracle) -> list[tuple]:
                           if i + 1 < trace.num_intervals else None)
             migrator.execute_plan(space, moves, mode, next_slice)
         check_ledger(space)
-        assert space.clock == ref_app
+        assert space.app_cost() == ref_app
         assert space.tier_access_counts == ref_tier_counts
         counts = {t: space.tier_access_counts[t] - acc0[t] for t in topology.tier_ids}
         assert sum(counts.values()) == len(slc)

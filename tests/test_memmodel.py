@@ -124,7 +124,7 @@ class TestBuildTopology:
 class TestAccessAndScan:
     def test_read_charges_view_cost_and_counts_its_tier(self):
         st = small_state()
-        st.map_page(3, "t1")
+        st.map_pages((3,), "t1")
         since = st.access_counts()
         st.apply_access(3, node=0)
         assert st.app_cost(since) == 1.0
@@ -135,29 +135,29 @@ class TestAccessAndScan:
         taken access by access reads 18.000000000000004 and
         40.599999999999994."""
         st = small_state()
-        st.map_page(0, "t2")
+        st.map_pages((0,), "t2")
         for _ in range(10):
             st.apply_access(0, node=0)
-        assert st.clock == 18.0
+        assert st.app_cost() == 18.0
         st = small_state()
         for page, tier in enumerate(("t1", "t2", "t3")):
-            st.map_page(page, tier)
+            st.map_pages((page,), tier)
         for _ in range(7):
             for page in range(3):
                 st.apply_access(page, node=0)
-        assert st.clock == 40.6
+        assert st.app_cost() == 40.6
         assert st.tier_access_counts == {"t1": 7, "t2": 7, "t3": 7, "t4": 0}
 
     def test_app_cost_since_counts_only_later_accesses(self):
         st = small_state(nodes=(0, 2))
-        st.map_page(0, "t2")
+        st.map_pages((0,), "t2")
         for _ in range(10):
             st.apply_access(0, node=0)
         since = st.access_counts()
         for _ in range(10):
             st.apply_access(0, node=2)
         assert st.app_cost(since) == 18.0
-        assert st.clock == 36.0
+        assert st.app_cost() == 36.0
         assert st.tier_access_counts == {"t1": 0, "t2": 20, "t3": 0, "t4": 0}
 
     def test_replay_ignores_the_write_flag(self):
@@ -165,22 +165,21 @@ class TestAccessAndScan:
         leaves the same placement, ledger and tier counts:
         writes reach only the migrator's projection."""
         rng = random.Random(7)
-        trace, _ = gen_gups(96, 0.2, 0.8, 3000, [0, 1], seed=5,
-                            accesses_per_interval=1000)
+        trace = gen_gups(96, 0.2, 0.8, 3000, [0, 1], seed=5, accesses_per_interval=1000)
         writes = bytearray(rng.getrandbits(1) for _ in range(len(trace)))
         flipped = bytearray(1 - w for w in writes)
         twins = []
         for column in (writes, flipped):
-            st = small_state(num_pages=trace.footprint(), tier_pages=(16, 24, 32, 64),
+            st = small_state(num_pages=trace.footprint, tier_pages=(16, 24, 32, 64),
                              nodes=(0, 1))
             st.allocator = group_first_touch(8)
-            st.replay(TraceSlice(AccessTrace(trace.vpages, column, trace.nodes, 1000),
-                                 0, len(trace)))
+            st.replay(TraceSlice(AccessTrace(trace.vpages, column, trace.nodes, 1000,
+                                             trace.footprint), 0, len(trace)))
             twins.append(st)
         given, other = twins
         assert given.page_tier == other.page_tier
         assert given.ledger == other.ledger
-        assert given.clock == other.clock
+        assert given.app_cost() == other.app_cost()
         assert given.tier_access_counts == other.tier_access_counts
         assert sum(given.tier_access_counts.values()) == len(trace)
 
@@ -194,7 +193,7 @@ class TestAccessAndScan:
         }
         topo = build_topology(spec)
         st = MemoryState(topo, CostModel(), 8)
-        st.map_page(0, "t1")
+        st.map_pages((0,), "t1")
         charged = []
         for node in (0, 1):
             since = st.access_counts()
@@ -206,14 +205,14 @@ class TestAccessAndScan:
         """A scan reads whether its sub-window touched the page, whatever
         earlier sub-windows did."""
         st = small_state()
-        st.map_page(5, "t1")
+        st.map_pages((5,), "t1")
         st.apply_access(5, 0)
         assert st.scan_pte(5, {5}) == 1
         assert st.scan_pte(5, set()) == 0  # no access in between
 
     def test_scan_accrues_profiling_cost(self):
         st = small_state()
-        st.map_page(5, "t1")
+        st.map_pages((5,), "t1")
         st.scan_pte(5, set())
         assert st.ledger.profiling == st.cost_model.scan_cost
         st.scan_pte(5, {5}, cost=4.0)
@@ -237,7 +236,7 @@ class TestAccessAndScan:
         with pytest.raises(UnmappedPageError, match=f"page {vpage} "):
             st.apply_access(vpage, 0)
         assert tier_names(st) == [None] * 16
-        assert st.clock == 0.0
+        assert st.app_cost() == 0.0
         assert sum(st.tier_access_counts.values()) == 0
 
 
@@ -263,7 +262,7 @@ class TestMissPath:
         st = small_state(num_pages=16)
         calls = []
         st.allocator = spy_allocator(calls)
-        st.map_page(3, "t2")
+        st.map_pages((3,), "t2")
         with pytest.raises(IndexError):
             st.apply_access(3, node)
         assert calls == []
@@ -292,7 +291,7 @@ class TestMissPath:
         assert calls == [(5, 0)]
         assert tier_names(st) == ["t1"] * 8 + [None] * 8
         assert st.tier_access_counts == {"t1": 1, "t2": 0, "t3": 0, "t4": 0}
-        assert st.clock == 1.0
+        assert st.app_cost() == 1.0
         st.apply_access(6, 0)  # a hit in the mapped group
         assert calls == [(5, 0)]
         assert st.tier_access_counts == {"t1": 2, "t2": 0, "t3": 0, "t4": 0}
@@ -311,7 +310,7 @@ class TestMapping:
 
     def test_map_pages_refuses_a_mapped_page(self):
         st = small_state()
-        st.map_page(5, "t2")
+        st.map_pages((5,), "t2")
         with pytest.raises(TiersimError, match="page 5 already mapped"):
             st.map_pages([4, 5, 6], "t1")
         assert st.mapped_pages(0, 64) == [5]
@@ -333,7 +332,7 @@ class TestMapping:
     def test_group_first_touch_maps_a_partly_mapped_group_page_by_page(self):
         st = small_state(num_pages=16)
         st.allocator = group_first_touch(8)
-        st.map_page(3, "t2")
+        st.map_pages((3,), "t2")
         st.apply_access(5, 0)  # maps 0-7 but 3, then 8-15 whole
         st.apply_access(12, 0)
         assert tier_names(st) == ["t1"] * 3 + ["t2"] + ["t1"] * 12
@@ -360,13 +359,13 @@ class TestFreeBytes:
     def test_after_placing_ten_pages(self):
         st = small_state()
         for p in range(10):
-            st.map_page(p, "t1")
+            st.map_pages((p,), "t1")
         assert st.free["t1"] == 6 * BASE_PAGE_BYTES
 
     def test_migrating_region_out_frees_its_bytes(self):
         st = small_state()
         for p in range(8):
-            st.map_page(p, "t1")
+            st.map_pages((p,), "t1")
         before = st.free["t1"]
         st.move_pages(range(0, 8), "t3")
         assert st.free["t1"] == before + 8 * BASE_PAGE_BYTES
@@ -379,9 +378,9 @@ class TestFreeBytes:
         first = MemoryState(topo, CostModel(), 4)
         second = MemoryState(topo, CostModel(), 4)
         for p in range(4):
-            first.map_page(p, "a")
+            first.map_pages((p,), "a")
         assert first.free["a"] == 0
-        second.map_page(0, "a")
+        second.map_pages((0,), "a")
         assert second.free["a"] == 3 * BASE_PAGE_BYTES
 
     def test_tier_spec_is_frozen(self):
@@ -395,7 +394,7 @@ class TestInvariants:
         rng = random.Random(7)
         st = small_state(num_pages=48, tier_pages=(48, 48, 48, 48))
         for p in range(48):
-            st.map_page(p, "t1")
+            st.map_pages((p,), "t1")
         total_before = sum(placed_bytes(st).values())
         for _ in range(200):
             a = rng.randrange(0, 44)
@@ -414,7 +413,7 @@ class TestInvariants:
     def test_every_mapped_page_has_exactly_one_tier(self):
         st = small_state()
         for p in range(12):
-            st.map_page(p, "t2")
+            st.map_pages((p,), "t2")
         tiers = tier_names(st, 0, 12)
         assert all(t == "t2" for t in tiers)
 
@@ -423,7 +422,7 @@ class TestInvariants:
         observe no more than the accesses made."""
         rng = random.Random(3)
         st = small_state()
-        st.map_page(0, "t1")
+        st.map_pages((0,), "t1")
         accesses = 0
         ones = 0
         window = []
@@ -488,7 +487,7 @@ class TestMovePages:
     def test_a_run_past_the_footprint_is_refused_unchanged(self):
         st = small_state(num_pages=8)
         for p in range(8):
-            st.map_page(p, "t1")
+            st.map_pages((p,), "t1")
         with pytest.raises(UnmappedPageError, match="page 8 unmapped"):
             st.move_pages(range(4, 10), "t2")
         assert tier_names(st) == ["t1"] * 8 and len(st.page_tier) == 8
@@ -558,9 +557,8 @@ class TestTierRuns:
 
 class TestReplay:
     def test_matches_per_access_loop(self):
-        trace, _ = gen_gups(96, 0.2, 0.8, 3000, [0, 1], seed=5,
-                            accesses_per_interval=1000)
-        twins = [small_state(num_pages=trace.footprint(), tier_pages=(16, 24, 32, 64),
+        trace = gen_gups(96, 0.2, 0.8, 3000, [0, 1], seed=5, accesses_per_interval=1000)
+        twins = [small_state(num_pages=trace.footprint, tier_pages=(16, 24, 32, 64),
                              nodes=(0, 1)) for _ in range(2)]
         for st in twins:
             st.allocator = group_first_touch(8)
@@ -571,14 +569,14 @@ class TestReplay:
             for vpage, _, node in slc.events():
                 loop.apply_access(vpage, node)
             assert bulk.ledger == loop.ledger
-            assert bulk.clock == loop.clock
+            assert bulk.app_cost() == loop.app_cost()
             assert bulk.tier_access_counts == loop.tier_access_counts
             assert bulk.page_tier == loop.page_tier
             assert placed_bytes(bulk) == placed_bytes(loop)
         assert sum(bulk.tier_access_counts.values()) == len(trace)
 
     @pytest.mark.parametrize("make", [
-        lambda: gen_gups(96, 0.2, 0.8, 3000, [1], seed=5, accesses_per_interval=1000)[0],
+        lambda: gen_gups(96, 0.2, 0.8, 3000, [1], seed=5, accesses_per_interval=1000),
         lambda: gen_seq_microbench("half_read", 96, 3, node=1, accesses_per_interval=100),
     ], ids=["gups", "half_read"])
     def test_one_node_trace_replays_and_projects_like_its_column(self, make):
@@ -588,7 +586,7 @@ class TestReplay:
         the tiers, so charging any other node would change every cost."""
         given = make()
         rebuilt = AccessTrace(given.vpages, given.writes, given.nodes,
-                              given.accesses_per_interval)
+                              given.accesses_per_interval, given.footprint)
         assert (given.node, rebuilt.node) == (1, None)
         spec = {"tiers": [{"id": f"t{i + 1}", "capacity_bytes": p * BASE_PAGE_BYTES,
                            "access_cost": c}
@@ -598,14 +596,15 @@ class TestReplay:
                 "views": {1: ["t4", "t3", "t2", "t1"]}}
         runs = []
         for trace in (given, rebuilt):
-            st = MemoryState(build_topology(spec), CostModel(), trace.footprint(),
+            st = MemoryState(build_topology(spec), CostModel(), trace.footprint,
                              allocator=group_first_touch(8))
             states, projected = [], []
             for i in range(trace.num_intervals):
                 st.replay(trace.interval_slice(i))
-                states.append((bytes(st.page_tier), st.tier_access_counts, st.clock))
+                states.append((bytes(st.page_tier), st.tier_access_counts, st.app_cost()))
                 if i + 1 < trace.num_intervals:
-                    writes = project_write_times(st, trace.interval_slice(i + 1), st.clock)
+                    writes = project_write_times(st, trace.interval_slice(i + 1),
+                                                 st.app_cost())
                     projected.append((writes.times, writes.pages))
             runs.append((states, projected))
         assert runs[0] == runs[1]

@@ -31,7 +31,7 @@ def make_space(num_pages=2048, caps=(4096, 4096, 4096), map_to="a"):
     space = MemoryState(topo, CostModel(), num_pages)
     if map_to:
         for p in range(num_pages):
-            space.map_page(p, map_to)
+            space.map_pages((p,), map_to)
     return space
 
 
@@ -49,8 +49,10 @@ NO_WRITES = cols()
 
 def slice_of(*events):
     """One interval of (page, is_write) accesses from node 0."""
-    return AccessTrace([p for p, _ in events], [w for _, w in events],
-                       [0] * len(events), max(1, len(events))).interval_slice(0)
+    pages = [p for p, _ in events]
+    return AccessTrace(pages, [w for _, w in events], [0] * len(events),
+                       max(1, len(events)), footprint=max(pages, default=-1) + 1
+                       ).interval_slice(0)
 
 
 class TestSync:
@@ -179,9 +181,9 @@ class TestExecutePlan:
     def test_demote_then_promote_keeps_free_nonnegative(self):
         space = make_space(num_pages=16, caps=(8, 16, 32), map_to=None)
         for p in range(8):
-            space.map_page(p, "a")       # tier a completely full
+            space.map_pages((p,), "a")       # tier a completely full
         for p in range(8, 16):
-            space.map_page(p, "b")
+            space.map_pages((p,), "b")
         low, high = reg(0, 8, "a"), reg(8, 8, "b")
         moves = [Move(low, "a", "b", "demote"), Move(high, "b", "a", "promote")]
         before = sum(placed_bytes(space).values())
@@ -254,7 +256,7 @@ class TestProjectWriteTimes:
 
     def test_unmapped_pages_cost_one_and_a_page_past_the_footprint_is_refused(self):
         space = make_space(num_pages=4, map_to=None)
-        space.map_page(1, "c")  # rank cost 3.0
+        space.map_pages((1,), "c")  # rank cost 3.0
         writes = project_write_times(space, slice_of((0, True), (1, True), (3, True)), 10.0)
         assert (writes.times, writes.pages) == ([11.0, 14.0, 15.0], array("I", [0, 1, 3]))
         with pytest.raises(UnmappedPageError, match="page 4 is outside the 4-page footprint"):
@@ -343,15 +345,16 @@ class TestBisectedWindows:
             n = 64
             vpages = [rng.randrange(n) for _ in range(2000)]
             writes = [rng.random() < 0.3 for _ in vpages]
-            slc = AccessTrace(vpages, writes, [0] * len(vpages), 2000).interval_slice(0)
+            slc = AccessTrace(vpages, writes, [0] * len(vpages), 2000,
+                              footprint=n).interval_slice(0)
             mode = ("sync", "async", "adaptive")[case % 3]
             start_time = float(rng.randrange(0, 100))
             runs = []
             for bounded in (True, False):
                 space = make_space(num_pages=n, caps=(128, 128, 128))
-                for _ in range(int(start_time)):  # the clock the windows start from
+                for _ in range(int(start_time)):  # the app time the windows start from
                     space.apply_access(0, 0)  # page 0 is on "a", at cost 1.0
-                assert space.clock == start_time
+                assert space.app_cost() == start_time
                 local = random.Random(case)
                 moves, start = [], 0
                 while start < n:
@@ -362,10 +365,10 @@ class TestBisectedWindows:
                 if bounded:
                     reports = execute_plan(space, moves, mode, slc)
                 else:
-                    starts = copy_windows(moves, space.cost_model, space.clock)
+                    starts = copy_windows(moves, space.cost_model, space.app_cost())
                     until = starts[-1]
-                    full = project_write_times(space, slc, space.clock)
-                    projected = project_write_times(space, slc, space.clock, until)
+                    full = project_write_times(space, slc, space.app_cost())
+                    projected = project_write_times(space, slc, space.app_cost(), until)
                     k = len(projected)
                     assert projected.times == full.times[:k]
                     assert projected.pages == full.pages[:k]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -179,7 +180,7 @@ class TestPlanDemotions:
         regs = [region(0, 8, "t1", 3.0), region(8, 8, "t1", 0.2)]
         occupy(space, regs)
         moves = plan_demotions("t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
-                               space.topology.views, dict(space.free), set())
+                               space.topology.views, dict(space.free), set(), math.inf)
         assert [(m.region_id, m.src, m.dst) for m in moves] == \
             [(8, "t1", "t2")]
 
@@ -190,7 +191,7 @@ class TestPlanDemotions:
         occupy(space, regs)
         planned_free, planned = dict(space.free), set()
         plan = plan_demotions("t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
-                              space.topology.views, planned_free, planned)
+                              space.topology.views, planned_free, planned, math.inf)
         moves = [(m.region_id, m.src, m.dst) for m in plan]
         assert moves == [(8, "t2", "t3"), (0, "t1", "t2")]
         # space accounting: replay the plan against the ledgers
@@ -206,7 +207,7 @@ class TestPlanDemotions:
     def test_zero_need_empty(self):
         space = space_pages((16, 16, 16, 16))
         assert plan_demotions("t1", 0, [], space.topology.views,
-                              dict(space.free), set()) == []
+                              dict(space.free), set(), math.inf) == []
 
     def test_memory_exhausted(self):
         space = space_pages((8, 8, 8, 8))
@@ -216,7 +217,7 @@ class TestPlanDemotions:
         free, planned = dict(space.free), {99}
         with pytest.raises(CapacityError):
             plan_demotions("t1", 8 * BASE_PAGE_BYTES, coldest_first(regs),
-                           space.topology.views, free, planned)
+                           space.topology.views, free, planned, math.inf)
         assert free == space.free
         assert planned == {99}
 
@@ -231,7 +232,7 @@ class TestPlanDemotions:
         free, planned = dict(space.free), set()
         with pytest.raises(CapacityError, match="could free only 32768 of 65536"):
             plan_demotions("t1", 16 * BASE_PAGE_BYTES, coldest_first(regs),
-                           space.topology.views, free, planned)
+                           space.topology.views, free, planned, math.inf)
         assert free == space.free
         assert planned == set()
 

@@ -50,7 +50,8 @@ def region(start, length, tier="fast", quota=1, hi=0.0, hi_prev=0.0, whi=None,
 def trace_of(pages, writes=None, node=0, api=None):
     writes = writes or [False] * len(pages)
     return AccessTrace(list(pages), list(writes), [node] * len(pages),
-                       accesses_per_interval=api or max(1, len(pages)))
+                       accesses_per_interval=api or max(1, len(pages)),
+                       footprint=max(pages, default=-1) + 1)
 
 
 class TestComputeBudget:
@@ -458,7 +459,7 @@ def interval_trace(page_hits: dict[int, list[int]], num_scans=3, filler_page=0):
 class TestProfileInterval:
     def make_profiler(self, space, num_pages_mapped, budget_pages=32, **cfg_kw):
         for p in range(num_pages_mapped):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         defaults = dict(overhead_constraint=0.05, num_scans=3,
                         default_region_pages=16)
         defaults.update(cfg_kw)
@@ -549,7 +550,7 @@ class TestInitRegions:
     def test_fast_tier_every_window_one_sample(self):
         space = two_tier_space(num_pages=64)
         for p in range(64):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
         prof = Profiler(cfg, space, random.Random(1))
@@ -563,7 +564,7 @@ class TestInitRegions:
     def test_budget_beyond_every_page_samples_each_page_once(self):
         space = two_tier_space(num_pages=64)
         for p in range(64):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
         prof = Profiler(cfg, space, random.Random(1))
@@ -575,9 +576,9 @@ class TestInitRegions:
     def test_slowest_without_counter_samples_has_no_regions(self):
         space = two_tier_space(num_pages=64)
         for p in range(32):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         for p in range(32, 64):
-            space.map_page(p, "slow")
+            space.map_pages((p,), "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
         prof = Profiler(cfg, space, random.Random(1))
@@ -590,9 +591,9 @@ class TestInitRegions:
         monkeypatch.setattr(profiler, "PEBS_WINDOW_FRACTION", 1.0)
         space = two_tier_space(num_pages=64, period=3)
         for p in range(16):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         for p in range(16, 64):
-            space.map_page(p, "slow")
+            space.map_pages((p,), "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
         prof = Profiler(cfg, space, random.Random(1))
@@ -609,17 +610,17 @@ class TestAdoptNewPages:
     def test_mapped_pages_lie_in_one_region(self, pebs_assist):
         space = two_tier_space(num_pages=96)
         for p in range(16):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         for p in range(16, 32):
-            space.map_page(p, "slow")
+            space.map_pages((p,), "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
         prof = Profiler(cfg, space, random.Random(1), pebs_assist=pebs_assist)
         prof.init_regions(trace_of([0, 1]).interval_slice(0), app_time=600)
         for p in range(32, 64):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         for p in range(64, 96):
-            space.map_page(p, "slow")
+            space.map_pages((p,), "slow")
         prof.adopt_new_pages()
         owners = [sum(r.start_page <= p < r.end_page for r in prof.regions)
                   for p in range(96)]
@@ -704,9 +705,9 @@ class TestPebsAssist:
     def setup_profiler(self, period=2):
         space = two_tier_space(num_pages=96, period=period)
         for p in range(32):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         for p in range(32, 96):
-            space.map_page(p, "slow")
+            space.map_pages((p,), "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=32)
         prof = Profiler(cfg, space, random.Random(1))
@@ -737,9 +738,9 @@ class TestPebsAssist:
         beyond default_region_pages, however long its slowest-tier run."""
         space = two_tier_space(num_pages=128, period=1)
         for p in range(64):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         for p in range(64, 128):
-            space.map_page(p, "slow")
+            space.map_pages((p,), "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=16)
         prof = Profiler(cfg, space, random.Random(1))
@@ -755,9 +756,9 @@ class TestPebsAssist:
         no region covers, so the regions stay disjoint."""
         space = two_tier_space(num_pages=96, period=1)
         for p in range(32):
-            space.map_page(p, "fast")
+            space.map_pages((p,), "fast")
         for p in range(32, 96):
-            space.map_page(p, "slow")
+            space.map_pages((p,), "slow")
         cfg = ProfilerConfig(overhead_constraint=0.05, num_scans=3,
                              default_region_pages=32)
         prof = Profiler(cfg, space, random.Random(1))
@@ -799,7 +800,7 @@ def test_pebs_sampled_pages_match_per_access_reference(fraction, monkeypatch):
         for period in range(1, len(slc) + 2):
             space = two_tier_space(num_pages=64, period=period)
             for p in range(64):
-                space.map_page(p, "slow" if p // 8 % 2 else "fast")
+                space.map_pages((p,), "slow" if p // 8 % 2 else "fast")
             got = _pebs_sampled_pages(space, slc)
             assert got == reference_pebs(space, slc, fraction), period
             assert period > 1 or fraction == 0 or got

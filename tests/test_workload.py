@@ -49,8 +49,8 @@ def hot_starts(n_cold):
 
 class TestGups:
     def test_hotset_size_and_share(self):
-        trace, _ = gen_gups(1024, 0.2, 0.8, 200_000, [0], seed=11,
-                            accesses_per_interval=2048)
+        trace = gen_gups(1024, 0.2, 0.8, 200_000, [0], seed=11,
+                         accesses_per_interval=2048)
         counts = Counter(trace.vpages)
         # the ~205 hottest pages should absorb ~80% of the traffic
         hottest = [p for p, _ in counts.most_common(205)]
@@ -58,16 +58,16 @@ class TestGups:
         assert abs(share - 0.8) < 0.02
 
     def test_single_hot_page_with_full_fraction(self):
-        trace, oracle = gen_gups(2, 0.4, 1.0, 500, [0], seed=5,
-                                 accesses_per_interval=100)
+        trace = gen_gups(2, 0.4, 1.0, 500, [0], seed=5, accesses_per_interval=100)
+        oracle = HotOracle.from_trace(trace)
         target = trace.vpages[0]
         assert all(p == target for p in trace.vpages)
         for i in range(trace.num_intervals):
             assert set(oracle.hot_sets[i]) == {target}
 
     def test_fixed_seed_reproduces_trace(self):
-        a, _ = gen_gups(512, 0.2, 0.8, 5000, [0, 1], seed=42)
-        b, _ = gen_gups(512, 0.2, 0.8, 5000, [0, 1], seed=42)
+        a = gen_gups(512, 0.2, 0.8, 5000, [0, 1], seed=42)
+        b = gen_gups(512, 0.2, 0.8, 5000, [0, 1], seed=42)
         assert a.vpages == b.vpages
         assert a.writes == b.writes
         assert a.nodes == b.nodes
@@ -115,11 +115,11 @@ class TestGups:
                                   for k in range(0, count, GUPS_DRAW_CHUNK)], lo
 
     def test_round_robin_node_assignment(self):
-        trace, _ = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)
+        trace = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)
         assert list(trace.nodes[:4]) == [0, 1, 0, 1]
 
     def test_init_pass_touches_every_page_once_first(self):
-        trace, _ = gen_gups(32, 0.25, 0.8, 100, [0], seed=3, init_pass=True)
+        trace = gen_gups(32, 0.25, 0.8, 100, [0], seed=3, init_pass=True)
         assert list(trace.vpages[:32]) == list(range(32))
         assert len(trace) == 132
 
@@ -128,7 +128,7 @@ def oracle_cases():
     """A GUPS trace, then microbench traces of every kind whose interval
     divides the period (4), does not (5), is longer than it (30) or is the
     whole trace (None): periods of 12 and 24 accesses, over 5 passes."""
-    yield gen_gups(256, 0.2, 0.8, 8000, [0], seed=13, accesses_per_interval=500)[0]
+    yield gen_gups(256, 0.2, 0.8, 8000, [0], seed=13, accesses_per_interval=500)
     for kind, api in itertools.product(("read_only", "half_read", "write_only"),
                                        (4, 5, 30, None)):
         yield gen_seq_microbench(kind, 12, 5, accesses_per_interval=api)
@@ -173,30 +173,48 @@ class TestOracle:
             assert list(hot) == list(dict.fromkeys(trace.vpages[lo:hi]))
 
     def test_single_access_page_excluded(self):
-        trace = AccessTrace([1, 2, 2], [False] * 3, [0] * 3, accesses_per_interval=3)
+        trace = AccessTrace([1, 2, 2], [False] * 3, [0] * 3, accesses_per_interval=3,
+                            footprint=3)
         oracle = HotOracle.from_trace(trace)
         assert set(oracle.hot_sets[0]) == {2}
 
     def test_negative_page_rejected(self):
         with pytest.raises(WorkloadError):
-            AccessTrace([0, -1], [False] * 2, [0] * 2, accesses_per_interval=2)
+            AccessTrace([0, -1], [False] * 2, [0] * 2, accesses_per_interval=2,
+                        footprint=1)
         with pytest.raises(WorkloadError):
-            AccessTrace(array("q", [0, -1]), [False] * 2, [0] * 2, accesses_per_interval=2)
+            AccessTrace(array("q", [0, -1]), [False] * 2, [0] * 2, accesses_per_interval=2,
+                        footprint=1)
         with pytest.raises(WorkloadError, match="negative"):
-            AccessTrace(array("i", [0, -1]), [False] * 2, [0] * 2, accesses_per_interval=2)
+            AccessTrace(array("i", [0, -1]), [False] * 2, [0] * 2, accesses_per_interval=2,
+                        footprint=1)
 
     def test_page_beyond_four_bytes_rejected(self):
         with pytest.raises(WorkloadError, match="0..4294967295"):
-            AccessTrace([0, PAGE_LIMIT], [False] * 2, [0] * 2, accesses_per_interval=2)
-        top = AccessTrace([PAGE_LIMIT - 1], [False], [0], accesses_per_interval=1)
-        assert top.footprint() == PAGE_LIMIT
+            AccessTrace([0, PAGE_LIMIT], [False] * 2, [0] * 2, accesses_per_interval=2,
+                        footprint=PAGE_LIMIT + 1)
+        top = AccessTrace([PAGE_LIMIT - 1], [False], [0], accesses_per_interval=1,
+                          footprint=PAGE_LIMIT)
+        assert top.footprint == PAGE_LIMIT
+        assert list(top.vpages) == [PAGE_LIMIT - 1]
+
+    def test_page_past_the_stated_footprint_rejected(self):
+        """The oracle counts pages below the footprint the trace states, and
+        names a page at or past it rather than failing on its index."""
+        trace = AccessTrace([0, 5, 1], [False] * 3, [0] * 3, accesses_per_interval=3,
+                            footprint=2)
+        with pytest.raises(WorkloadError, match="page 5 .* 2 pages"):
+            HotOracle.from_trace(trace)
+        at_edge = AccessTrace([1, 2], [False] * 2, 0, accesses_per_interval=2, footprint=2)
+        with pytest.raises(WorkloadError, match="page 2 .* 2 pages"):
+            HotOracle.from_trace(at_edge)
 
     def test_scoring_the_array_matches_the_set(self):
         """A page mask scored against the oracle's array gives what the set
         formula gives for the mask's pages, also against one hot page and
         against none."""
-        _, oracle = gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
-                             accesses_per_interval=500)
+        oracle = HotOracle.from_trace(gen_gups(256, 0.2, 0.8, 8000, [0], seed=13,
+                                               accesses_per_interval=500))
         for hot in oracle.hot_sets:
             cold = next(p for p in range(256) if p not in set(hot))
             for detected in (set(), set(hot), set(range(0, 256, 3)), {cold}, {hot[0]}):
@@ -210,7 +228,7 @@ class TestOracle:
             assert hot and recall_precision(bytearray(256), hot) == (0.0, 1.0)
 
     def test_empty_interval_empty_set(self):
-        trace = AccessTrace([], [], [], accesses_per_interval=4)
+        trace = AccessTrace([], [], [], accesses_per_interval=4, footprint=0)
         oracle = HotOracle.from_trace(trace)
         assert oracle.hot_sets == []
 
@@ -218,8 +236,8 @@ class TestOracle:
 class TestPhaseChange:
     def test_disjoint_hotsets_change_at_boundaries(self):
         phases = [GupsPhase(1024, 0.1, 1.0, 4096) for _ in range(4)]
-        trace, oracle = gen_phase_change(phases, seed=1, nodes=[0],
-                                         accesses_per_interval=1024)
+        oracle = HotOracle.from_trace(gen_phase_change(phases, seed=1, nodes=[0],
+                                                       accesses_per_interval=1024))
         # hot sets inside one phase are stable; across phases they differ
         first = set(oracle.hot_sets[0])
         fifth = set(oracle.hot_sets[4])
@@ -227,8 +245,8 @@ class TestPhaseChange:
 
     def test_mid_interval_boundary_oracle_from_actual_counts(self):
         phases = [GupsPhase(64, 0.2, 1.0, 300), GupsPhase(64, 0.2, 1.0, 300)]
-        trace, oracle = gen_phase_change(phases, seed=1, nodes=[0],
-                                         accesses_per_interval=200)
+        trace = gen_phase_change(phases, seed=1, nodes=[0], accesses_per_interval=200)
+        oracle = HotOracle.from_trace(trace)
         # interval 1 spans the boundary at access 300
         assert set(oracle.hot_sets[1]) == brute_force_hot(trace, 1)
 
@@ -278,7 +296,8 @@ def half_read_big():
 
 
 def gups_big():
-    return gen_gups(65536, 0.2, 0.8, 524288, [0], seed=1, accesses_per_interval=65536)
+    trace = gen_gups(65536, 0.2, 0.8, 524288, [0], seed=1, accesses_per_interval=65536)
+    return trace, HotOracle.from_trace(trace)
 
 
 def traced_bytes(build):
@@ -323,7 +342,7 @@ def test_write_projection_holds_at_most_forty_bytes_a_write():
     CPython, and boxing them allocates nothing that could be seen."""
     writes = 4096
     trace = AccessTrace(array("I", range(256, 256 + writes)), bytearray(b"\x01") * writes,
-                        0, accesses_per_interval=writes)
+                        0, accesses_per_interval=writes, footprint=256 + writes)
     space = make_space(num_pages=256 + writes, caps=(256 + writes, 1))
     projected, held, _ = traced_bytes(
         lambda: project_write_times(space, trace.interval_slice(0), 0.0))
@@ -338,17 +357,18 @@ def test_half_read_trace_and_oracle_hold_at_most_six_bytes_an_access():
     assert held_per_access(half_read_big) <= 6
 
 
-def trace_digest(cases) -> str:
-    """sha256 over each (trace, oracle) case: the trace's columns as lists
-    (writes as bools) and interval length, then the oracle's hot sets when
-    there is an oracle.  These reprs are the ones of the list columns the
-    generators first built, so the recorded digests still hold."""
+def trace_digest(traces, with_oracle: bool) -> str:
+    """sha256 over each trace: its columns as lists (writes as bools) and
+    interval length, then, `with_oracle`, its oracle's hot sets.  These
+    reprs are the ones of the list columns the generators first built, so
+    the recorded digests still hold."""
     h = hashlib.sha256()
-    for trace, oracle in cases:
+    for trace in traces:
         h.update(repr((list(trace.vpages), [bool(w) for w in trace.writes],
                        list(trace.nodes), trace.accesses_per_interval)).encode())
-        if oracle is not None:
-            h.update(repr([sorted(s) for s in oracle.hot_sets]).encode())
+        if with_oracle:
+            hot_sets = HotOracle.from_trace(trace).hot_sets
+            h.update(repr([sorted(s) for s in hot_sets]).encode())
     return h.hexdigest()
 
 
@@ -381,22 +401,21 @@ def gups_edge_grid():
 def microbench_grid():
     for kind, passes, api in itertools.product(
             ("read_only", "half_read", "write_only"), (1, 3), (None, 4)):
-        yield gen_seq_microbench(kind, 5, passes, node=1,
-                                 accesses_per_interval=api), None
+        yield gen_seq_microbench(kind, 5, passes, node=1, accesses_per_interval=api)
 
 
 # Recorded from the generators as first written: any change to a generated
 # trace or oracle, however small, changes a digest.
-@pytest.mark.parametrize("grid, digest", [
-    (gups_grid,
+@pytest.mark.parametrize("grid, with_oracle, digest", [
+    (gups_grid, True,
      "1e64d262691dc351b2e04bf7bcc5cbda7422cb8e2889d301d3396b5df9f60b08"),
-    (phase_change_grid,
+    (phase_change_grid, True,
      "4db31f3c5307de13e677ff1d93a618af8d4c908e065775d29ffbd9d5392a3a3e"),
-    (microbench_grid,
+    (microbench_grid, False,
      "82e3d54aa4dca7025e34f371930fe1d9a811f556a5bec7191fef04af5a3e19ed"),
 ], ids=["gups-contiguous", "phase_change", "microbench"])
-def test_generated_traces_are_pinned(grid, digest):
-    assert trace_digest(grid()) == digest
+def test_generated_traces_are_pinned(grid, with_oracle, digest):
+    assert trace_digest(grid(), with_oracle) == digest
 
 
 @pytest.mark.parametrize("grid, stated, one_node", [
@@ -409,10 +428,9 @@ def test_generated_traces_state_their_footprint_and_one_node(grid, stated, one_n
     from one node: the grids give several nodes only to generators that use
     them all."""
     stated_seen = one_node_seen = 0
-    for trace, _ in grid():
-        if trace._footprint is not None:
-            stated_seen += 1
-            assert trace.footprint() == max(trace.vpages) + 1
+    for trace in grid():
+        stated_seen += 1
+        assert trace.footprint == max(trace.vpages) + 1
         nodes = set(trace.nodes)
         assert len(trace.nodes) == len(trace)
         if trace.node is not None:
@@ -426,17 +444,17 @@ def test_generated_traces_state_their_footprint_and_one_node(grid, stated, one_n
 def test_gups_footprint_is_the_largest_page_drawn():
     """The stated footprint follows the largest page into a later draw
     chunk, and stays below a range whose top page is never drawn."""
-    late, short = (trace for trace, _ in gups_edge_grid())
-    assert max(late.vpages[:GUPS_DRAW_CHUNK * 3 // 2]) + 1 < late.footprint()
-    assert short.footprint() < 300
+    late, short = gups_edge_grid()
+    assert max(late.vpages[:GUPS_DRAW_CHUNK * 3 // 2]) + 1 < late.footprint
+    assert short.footprint < 300
 
 
 def test_a_one_node_trace_reads_back_its_column():
-    trace, _ = gen_gups(64, 0.25, 0.8, 100, [3], seed=9, init_pass=True)
-    assert (trace.node, trace.footprint()) == (3, 64)
+    trace = gen_gups(64, 0.25, 0.8, 100, [3], seed=9, init_pass=True)
+    assert (trace.node, trace.footprint) == (3, 64)
     assert trace.nodes == array("H", [3] * 164)
     slc = trace.interval_slice(0)
     assert list(slc.nodes()) == [3] * 164
     assert [n for _, _, n in slc.head_fraction(0.5).events()] == [3] * 82
     with pytest.raises(OverflowError):  # as a column holding the node would
-        AccessTrace([0], [False], 65536, accesses_per_interval=1)
+        AccessTrace([0], [False], 65536, accesses_per_interval=1, footprint=1)

@@ -20,8 +20,10 @@ def _derive_seed(master: int, label: str) -> int:
 
 def build_trace(cfg: RunConfig) -> tuple[AccessTrace, HotOracle]:
     """The workload's trace, from the generator its kind names, and the
-    trace's hot-page oracle: the one place either is built.  The generators
-    check the workload's ranges, so a value they reject is a ConfigError."""
+    trace's hot-page oracle.  Every trace is built here, and every oracle
+    here or in `run_simulation`, for a trace given without one.  The
+    generators check the workload's ranges, so a value they reject is a
+    ConfigError."""
     w = cfg.workload
     seed = _derive_seed(cfg.seed, "trace")
     nodes = cfg.topology["nodes"]
@@ -68,10 +70,15 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
     """Execute the interval loop: replay (the run's only replay), profile,
     restructure regions, EMA, plan, migrate, measure.  Profiling in interval i may
     cost overhead_constraint x interval i-1's app cost (none in interval 0).
-    Deterministic in (config, seed)."""
+    Without a trace the run builds the config's trace and oracle; given a
+    trace but no oracle, it builds the trace's oracle, so that every
+    interval is scored against its hot pages.  Deterministic in (config,
+    seed)."""
     topology = build_topology(cfg.topology)
     if trace is None:
         trace, oracle = build_trace(cfg)
+    elif oracle is None:
+        oracle = HotOracle.from_trace(trace)
     group = cfg.alloc_group_pages
     if group is None:
         group = cfg.profiler.default_region_pages
@@ -104,8 +111,7 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
             result.migration_rows.extend(migrator.report_rows(i, reports))
             result.plan_rows.extend(policy.plan_rows(i, moves))
 
-        hot = oracle.hot_sets[i] if oracle is not None else ()
-        rec, prec = metrics.recall_precision(detected, hot)
+        rec, prec = metrics.recall_precision(detected, oracle.hot_sets[i])
         merges, splits = system.struct_counts()
         acc = space.tier_access_counts
         row = IntervalMetrics(

@@ -29,12 +29,15 @@ class AccessTrace:
       more than over a list slice, small beside replay's 0.12-0.21 us an
       access (first-touch on gups-mid.cfg, one node, best of 5 replays in
       each of 6 processes, CPython 3.11, a 2-CPU VM whose speed drifts).
-    - `writes` is a bytearray of 0/1, one byte per access.
-    - `nodes` is the array('H') of accessor node ids, two bytes per
-      access.  Pass an int instead when one node makes every access: the
-      trace keeps it as `node` and stores no column, `nodes` builds the
-      column on each read, and replay and write projection read none.  A
-      trace built from a column keeps it, and its `node` is None.
+    - Two columns may be scalars.  `writes` is a bytearray of 0/1, one byte
+      an access, and `nodes` the array('H') of accessor node ids, two bytes
+      an access.  Pass a bool for `writes` when every access writes or every
+      one reads, and an int for `nodes` when one node makes every access:
+      the trace keeps the constant as `write` or `node`, stores no column
+      (`writes` or `nodes` is None), and its slices repeat the constant.  A
+      trace built from a column keeps it, and its `write` or `node` is None.
+      Nothing expands a constant into a column: replay and write projection
+      read none, and gups-big.cfg's all-write trace saves a byte an access.
 
     `footprint` is the number of pages the trace spans, kept as given.
     Whoever builds the trace states it, and it must exceed every page: the
@@ -50,16 +53,22 @@ class AccessTrace:
     replay, write projection and counter sampling index `page_tier` by page
     and require `0 <= page` without testing it."""
 
-    def __init__(self, vpages: array | list[int], writes: bytearray | list[bool],
+    def __init__(self, vpages: array | list[int], writes: bytearray | list[bool] | bool,
                  nodes: array | list[int] | int, accesses_per_interval: int,
                  footprint: int):
-        if isinstance(nodes, int):  # a column of one access, repeated when read
-            self.node, self._nodes = nodes, array("H", [nodes])
+        if isinstance(writes, bool):  # a constant, repeated when read
+            self.write, self.writes = writes, None
+        else:
+            self.write = None
+            self.writes = writes if isinstance(writes, bytearray) else bytearray(writes)
+        if isinstance(nodes, int):  # a constant, repeated when read
+            array("H", [nodes])  # refuses a node id that a column could not hold
+            self.node, self.nodes = nodes, None
         else:
             self.node = None
-            self._nodes = nodes if isinstance(nodes, array) else array("H", nodes)
-        if len(writes) != len(vpages) or (self.node is None
-                                          and len(self._nodes) != len(vpages)):
+            self.nodes = nodes if isinstance(nodes, array) else array("H", nodes)
+        if any(col is not None and len(col) != len(vpages)
+               for col in (self.writes, self.nodes)):
             raise WorkloadError("trace columns must have equal length")
         if accesses_per_interval < 1:
             raise WorkloadError("accesses_per_interval must be >= 1")
@@ -70,14 +79,8 @@ class AccessTrace:
                 raise WorkloadError(f"trace pages must be in 0..{PAGE_LIMIT - 1}: "
                                     f"{exc}") from None
         self.vpages = vpages
-        self.writes = writes if isinstance(writes, bytearray) else bytearray(writes)
         self.accesses_per_interval = accesses_per_interval
         self.footprint = footprint
-
-    @property
-    def nodes(self) -> array:
-        """The accessor-node column, in access order."""
-        return self._nodes if self.node is None else self._nodes * len(self.vpages)
 
     def __len__(self) -> int:
         """The access count; the benchmark's repetition reports it as `events`."""
@@ -112,7 +115,12 @@ class TraceSlice:
         return self.hi - self.lo
 
     def pages(self) -> array:
-        """The window's page column, in access order."""
+        """The window's page column, in access order: an array slice, a copy
+        each call.  A memoryview would copy nothing, but a loop reads it
+        about 7% slower an access, and replay over views cost `seq-rw-mtm`
+        1.7% of its `sim_kacc_per_s` and `gups-mtm` 0.8% (6 alternating
+        `bench/run.py` pairs, CPython 3.11, 2-CPU VM); only the oracle,
+        which runs once, reads the column through a view."""
         return self.trace.vpages[self.lo:self.hi]
 
     def nodes(self) -> Iterable[int]:
@@ -122,8 +130,12 @@ class TraceSlice:
         return self.trace.nodes[self.lo:self.hi] if node is None else repeat(node, len(self))
 
     def events(self):
-        """(vpage, is_write, node) for every access in the window, in order."""
-        return zip(self.pages(), self.trace.writes[self.lo:self.hi], self.nodes())
+        """(vpage, is_write, node) for every access in the window, in order;
+        a trace whose accesses all write or all read repeats its `write`."""
+        write = self.trace.write
+        writes = (self.trace.writes[self.lo:self.hi] if write is None
+                  else repeat(write, len(self)))
+        return zip(self.pages(), writes, self.nodes())
 
     def subwindows(self, count: int) -> list["TraceSlice"]:
         """Split into `count` near-equal consecutive sub-windows."""
@@ -160,7 +172,11 @@ class HotOracle:
     access, that of the first interval with its key reuses that interval's
     array, so a periodic trace counts each distinct interval once.  Any
     other interval, a collision included, is counted.  No array is ever
-    written, so a shared one reads the same to every interval."""
+    written, so a shared one reads the same to every interval.
+
+    The key and the count read a memoryview of the column, which copies
+    nothing; the equality test compares two array slices, which took 10 us
+    per 16 384 pages where `memoryview ==` took 42 us (CPython 3.11)."""
 
     hot_sets: list[array] = field(default_factory=list)
 
@@ -168,19 +184,19 @@ class HotOracle:
     def from_trace(cls, trace: AccessTrace) -> "HotOracle":
         hot_sets: list[array] = []
         first: dict[int, int] = {}  # crc32 of a page column -> first interval with it
-        # Each use slices the column anew, so no copy is held while counting:
-        # one held copy added its 256 KiB to gups-big.cfg's peak RSS.
-        for i in range(trace.num_intervals):
-            slc = trace.interval_slice(i)
-            j = first.setdefault(crc32(slc.pages()), i)
-            if j < i and trace.interval_slice(j).pages() == slc.pages():
-                hot_sets.append(hot_sets[j])
-            else:
-                hot_sets.append(_hot_pages(slc.pages(), trace.footprint))
+        vpages = trace.vpages
+        with memoryview(vpages) as view:
+            for i in range(trace.num_intervals):
+                lo, hi = trace.interval_bounds(i)
+                j = first.setdefault(crc32(view[lo:hi]), i)
+                if j < i and vpages[slice(*trace.interval_bounds(j))] == vpages[lo:hi]:
+                    hot_sets.append(hot_sets[j])
+                else:
+                    hot_sets.append(_hot_pages(view[lo:hi], trace.footprint))
         return cls(hot_sets)
 
 
-def _hot_pages(pages: array, footprint: int) -> array:
+def _hot_pages(pages: memoryview, footprint: int) -> array:
     """The pages of `pages` accessed at least `HOT_THRESHOLD_ACCESSES`
     times, each once, in the order they reach it.  A page at or past
     `footprint` is a WorkloadError: the count array ends there."""
@@ -262,8 +278,7 @@ class GupsPhase:
 
 
 def _emit_gups_block(rng: random.Random, phase: GupsPhase, vpages: array,
-                     writes: bytearray, nodes: array | None, node_ids: list[int],
-                     tops: array) -> None:
+                     nodes: array | None, node_ids: list[int], tops: array) -> None:
     """Append the GUPS block `phase` describes, drawn from `rng`.  The block
     draws one contiguous hot set, then each access draws `random()` and,
     below hot_access_fraction, a uniform hot page, else a uniform cold page.
@@ -305,20 +320,20 @@ def _emit_gups_block(rng: random.Random, phase: GupsPhase, vpages: array,
     lo = rng.randrange(footprint_pages - hot_count + 1)
     _draw_gups_pages(rng, vpages, tops, lo, hot_count, footprint_pages - hot_count,
                      phase.hot_access_fraction, accesses)
-    writes += bytearray(b"\x01") * touched  # GUPS performs updates
 
 
 def _gups_trace(blocks: Iterable[tuple[random.Random, GupsPhase]], nodes: list[int],
                 accesses_per_interval: int) -> AccessTrace:
     """The trace of the GUPS blocks, in order, each drawn from its own
-    generator; its footprint is the largest page drawn plus one."""
+    generator; its footprint is the largest page drawn plus one.  GUPS
+    performs updates, so every access writes."""
     node_ids = list(nodes) or [0]
     # one node is kept as an int, with no column
     node_col = array("H") if len(node_ids) > 1 else None
-    vpages, writes, tops = array("I"), bytearray(), array("I")
+    vpages, tops = array("I"), array("I")
     for rng, phase in blocks:
-        _emit_gups_block(rng, phase, vpages, writes, node_col, node_ids, tops)
-    return AccessTrace(vpages, writes, node_ids[0] if node_col is None else node_col,
+        _emit_gups_block(rng, phase, vpages, node_col, node_ids, tops)
+    return AccessTrace(vpages, True, node_ids[0] if node_col is None else node_col,
                        accesses_per_interval, footprint=max(tops) + 1)
 
 
@@ -356,14 +371,14 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
                             f"the pages a trace can hold")
     pages = range(array_pages)
     if kind == "read_only":
-        vpages, writes = array("I", pages), bytearray(array_pages)
+        vpages, writes = array("I", pages), False
     elif kind == "half_read":
         vpages = array("I", chain.from_iterable(zip(pages, pages)))
-        writes = bytearray(b"\x00\x01") * array_pages
+        writes = bytearray(b"\x00\x01") * array_pages * passes
     elif kind == "write_only":
-        vpages, writes = array("I", pages), bytearray(b"\x01") * array_pages
+        vpages, writes = array("I", pages), True
     else:
         raise WorkloadError(f"unknown microbench kind {kind!r}")
-    vpages, writes = vpages * passes, writes * passes
+    vpages = vpages * passes  # `*=` would resize in place, with 6% to spare
     api = max(1, len(vpages)) if accesses_per_interval is None else accesses_per_interval
     return AccessTrace(vpages, writes, node, api, footprint=array_pages)

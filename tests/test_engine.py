@@ -13,12 +13,15 @@ import pytest
 
 from tiersim import engine
 from tiersim.baselines import BASELINE_KINDS
-from tiersim.config import build_run_config, parse_config_text
+from tiersim.config import build_run_config, load_config_file, parse_config_text
 from tiersim.workload import AccessTrace, HotOracle
 
+from columns import node_column, write_column
 from golden_cases import files_under
+from test_workload import traced_bytes
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 SMALL = GOLDEN / "small.cfg"
 # small with a 2 MiB tier between dram and pmem, and a second node whose view
 # ranks that tier first
@@ -138,12 +141,38 @@ def test_compare_twice_in_one_process_writes_the_same_bytes(tmp_path):
     assert files_under(second) == written
 
 
+@pytest.mark.parametrize("system", BASELINE_KINDS)
+def test_a_trace_given_without_its_oracle_is_scored_against_it(runs_of, system):
+    """A run given a trace alone builds the trace's oracle: it reports the
+    rows of a run given the oracle too, and mid's hot pages keep MTM's
+    recall below 1 in some interval."""
+    trace, by_system = runs_of(CONFIGS["mid"])
+    cfg, result = by_system[system]
+    assert engine.run_simulation(cfg, trace=trace) == result
+    if system == "mtm":
+        assert any(row.recall < 1.0 for row in result.rows)
+
+
+def test_simulating_gups_big_allocates_at_most_one_and_three_quarter_bytes_an_access():
+    """Above `gups-big.cfg`'s trace and oracle, MTM's run never has more
+    than 1.75 bytes allocated an access at once: the write projection packs
+    its times and pages, recall gathers the mask a bounded chunk at a time,
+    and no interval's page column is copied."""
+    cfg = build_run_config(load_config_file(str(BENCH_CONFIGS / "gups-big.cfg")),
+                           overrides={"system": "mtm"})
+    trace, oracle = engine.build_trace(cfg)
+    _, _, peak = traced_bytes(lambda: engine.run_simulation(cfg, trace=trace,
+                                                            oracle=oracle))
+    assert peak / len(trace.vpages) <= 1.75, peak / len(trace.vpages)
+
+
 def test_list_columns_run_like_the_generated_trace(runs_of):
     """A trace built from plain lists, as tests build them, and its oracle
     give every system the rows of the generator's compact trace."""
     trace, by_system = runs_of(CONFIGS["mid"])
-    plain = AccessTrace(list(trace.vpages), [bool(w) for w in trace.writes],
-                        list(trace.nodes), trace.accesses_per_interval, trace.footprint)
+    plain = AccessTrace(list(trace.vpages), [bool(w) for w in write_column(trace)],
+                        list(node_column(trace)), trace.accesses_per_interval,
+                        trace.footprint)
     oracle = HotOracle.from_trace(plain)
     for name, (cfg, result) in by_system.items():
         assert engine.run_simulation(cfg, trace=plain, oracle=oracle) == result, name

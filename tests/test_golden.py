@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from columns import node_column, write_column
 from golden_cases import ALL_SYSTEMS, CASES, CONFIGS, EXPECTED, argv_for, files_under
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,12 +94,12 @@ def test_sync_outputs_ignore_the_write_column(tmp_path):
     cfgs = [build_run_config(tree, "mid.cfg", {"system": name})
             for name in ALL_SYSTEMS.split(",")]
     trace, oracle = build_trace(cfgs[0])
-    columns = {"given": trace.writes, "reads": bytearray(len(trace)),
+    columns = {"given": write_column(trace), "reads": bytearray(len(trace)),
                "writes": bytearray(b"\x01") * len(trace)}
     for cfg in cfgs:
         outputs = []
         for label, writes in columns.items():
-            variant = AccessTrace(trace.vpages, writes, trace.nodes,
+            variant = AccessTrace(trace.vpages, writes, node_column(trace),
                                   trace.accesses_per_interval, trace.footprint)
             out = tmp_path / cfg.system / label
             write_run_outputs(run_simulation(cfg, trace=variant, oracle=oracle), out)

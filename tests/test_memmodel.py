@@ -12,6 +12,7 @@ from tiersim.memmodel import (
 from tiersim.migrator import project_write_times
 from tiersim.workload import AccessTrace, TraceSlice, gen_gups, gen_seq_microbench
 
+from columns import node_column, write_column
 from placement import tier_of
 
 MB = 1024 * 1024
@@ -585,7 +586,7 @@ class TestReplay:
         leave equal states and project equal writes.  Node 1's view reverses
         the tiers, so charging any other node would change every cost."""
         given = make()
-        rebuilt = AccessTrace(given.vpages, given.writes, given.nodes,
+        rebuilt = AccessTrace(given.vpages, write_column(given), node_column(given),
                               given.accesses_per_interval, given.footprint)
         assert (given.node, rebuilt.node) == (1, None)
         spec = {"tiers": [{"id": f"t{i + 1}", "capacity_bytes": p * BASE_PAGE_BYTES,

@@ -41,7 +41,8 @@ def reg(start, length, tier="a"):
 
 def cols(*writes):
     """ProjectedWrites from (time, page) pairs given in ascending time."""
-    return ProjectedWrites([t for t, _ in writes], [p for _, p in writes])
+    return ProjectedWrites(array("d", [t for t, _ in writes]),
+                           array("I", [p for _, p in writes]))
 
 
 NO_WRITES = cols()
@@ -245,20 +246,22 @@ class TestProjectWriteTimes:
         trace = gen_seq_microbench("half_read", 2, passes=1)
         writes = project_write_times(space, trace.interval_slice(0), 100.0)
         # events R0 W0 R1 W1 at cost 1 each: writes at t=102 and t=104
-        assert (writes.times, writes.pages) == ([102.0, 104.0], array("I", [0, 1]))
+        assert (writes.times, writes.pages) == (array("d", [102.0, 104.0]),
+                                                 array("I", [0, 1]))
 
     def test_bound_excludes_writes_at_or_after_it(self):
         space = make_space(num_pages=4)
         slc = gen_seq_microbench("half_read", 2, passes=1).interval_slice(0)
         writes = project_write_times(space, slc, 100.0, 104.0)
-        assert (writes.times, writes.pages) == ([102.0], array("I", [0]))
+        assert (writes.times, writes.pages) == (array("d", [102.0]), array("I", [0]))
         assert len(project_write_times(space, slc, 100.0, 102.0)) == 0
 
     def test_unmapped_pages_cost_one_and_a_page_past_the_footprint_is_refused(self):
         space = make_space(num_pages=4, map_to=None)
         space.map_pages((1,), "c")  # rank cost 3.0
         writes = project_write_times(space, slice_of((0, True), (1, True), (3, True)), 10.0)
-        assert (writes.times, writes.pages) == ([11.0, 14.0, 15.0], array("I", [0, 1, 3]))
+        assert (writes.times, writes.pages) == (array("d", [11.0, 14.0, 15.0]),
+                                                 array("I", [0, 1, 3]))
         with pytest.raises(UnmappedPageError, match="page 4 is outside the 4-page footprint"):
             project_write_times(space, slice_of((3, False), (4, True)), 0.0)
 
@@ -267,7 +270,7 @@ class TestProjectWriteTimes:
         slc = gen_seq_microbench("write_only", 8, passes=2).interval_slice(0)
         writes = project_write_times(space, slc, 0.0)
         assert len(writes) == len(writes.times) == len(writes.pages) == 16
-        assert writes.times == [float(t) for t in range(1, 17)]
+        assert writes.times == array("d", range(1, 17))
         assert writes.pages == array("I", range(8)) * 2
 
 

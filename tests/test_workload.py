@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from tiersim import workload
+from tiersim import metrics, workload
 from tiersim.metrics import recall_precision
 from tiersim.migrator import project_write_times
 from tiersim.workload import (
@@ -16,6 +16,7 @@ from tiersim.workload import (
     gen_seq_microbench,
 )
 
+from columns import node_column, write_column
 from test_invariants import set_recall_precision
 from test_migrator import make_space
 
@@ -69,7 +70,7 @@ class TestGups:
         a = gen_gups(512, 0.2, 0.8, 5000, [0, 1], seed=42)
         b = gen_gups(512, 0.2, 0.8, 5000, [0, 1], seed=42)
         assert a.vpages == b.vpages
-        assert a.writes == b.writes
+        assert write_column(a) == write_column(b)
         assert a.nodes == b.nodes
 
     def test_rejects_bad_params(self):
@@ -227,6 +228,22 @@ class TestOracle:
             # nothing detected: no page is correct, and precision is vacuous
             assert hot and recall_precision(bytearray(256), hot) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, metrics.RECALL_CHUNK])
+    def test_scoring_in_chunks_matches_the_set(self, monkeypatch, chunk):
+        """Recall gathers the mask `RECALL_CHUNK` hot pages at a time.  Hot
+        sets of none to two chunks and a page leave a last chunk of one page,
+        of a full chunk and of lengths between, and score as the set formula
+        does."""
+        monkeypatch.setattr(metrics, "RECALL_CHUNK", chunk)
+        rng = random.Random(chunk)
+        pages = 2 * chunk + 300
+        mask = bytearray(rng.getrandbits(1) for _ in range(pages))
+        detected = {p for p in range(pages) if mask[p]}
+        for n in {0, 1, 2, 3, chunk - 1, chunk, chunk + 1, chunk + 2, 2 * chunk - 1,
+                  2 * chunk, 2 * chunk + 1}:
+            hot = array("I", rng.sample(range(pages), n))
+            assert recall_precision(mask, hot) == set_recall_precision(detected, hot), n
+
     def test_empty_interval_empty_set(self):
         trace = AccessTrace([], [], [], accesses_per_interval=4, footprint=0)
         oracle = HotOracle.from_trace(trace)
@@ -259,16 +276,18 @@ class TestMicrobench:
     def test_read_only_order(self):
         t = gen_seq_microbench("read_only", 3, passes=1)
         assert list(t.vpages) == [0, 1, 2]
-        assert list(t.writes) == [False, False, False]
+        assert (t.write, t.writes) == (False, None)  # a constant, no column
 
     def test_half_read_pairs(self):
         t = gen_seq_microbench("half_read", 2, passes=1)
         assert list(t.vpages) == [0, 0, 1, 1]
+        assert t.write is None
         assert list(t.writes) == [False, True, False, True]
 
     def test_write_only_sets_all_writes(self):
         t = gen_seq_microbench("write_only", 4, passes=2)
-        assert all(t.writes)
+        assert (t.write, t.writes) == (True, None)  # a constant, no column
+        assert [w for _, w, _ in t.interval_slice(0).events()] == [True] * 8
         assert len(t) == 8
 
     def test_unknown_kind(self):
@@ -322,24 +341,35 @@ def held_per_access(build) -> float:
 @pytest.mark.parametrize("build", [half_read_big, gups_big], ids=["half_read", "gups"])
 def test_trace_and_oracle_hold_at_most_ten_bytes_an_access(build):
     """The traces of `seq-rw-big.cfg` and `gups-big.cfg` with their oracles
-    keep at most 10 bytes allocated an access: 7 bytes of columns plus 4 a
-    hot page.  A list page column alone would add an 8-byte pointer."""
+    keep at most 10 bytes allocated an access: at most 7 bytes of columns
+    plus 4 a hot page.  A list page column alone would add an 8-byte
+    pointer."""
     held = held_per_access(build)
     assert held <= 10, held
 
 
-def test_gups_build_peaks_at_most_eight_bytes_an_access():
-    """Building `gups-big.cfg`'s trace and oracle never has more than 8
-    bytes allocated an access: the columns, one draw chunk and one
-    interval's counts, with no page pool and no `Counter` of boxed pages."""
+def test_gups_trace_and_oracle_hold_at_most_five_and_a_half_bytes_an_access():
+    """`gups-big.cfg`'s trace keeps its 4-byte page column and no write or
+    node column, since every access writes and comes from one node; its
+    oracle's hot pages add about 0.84 bytes an access."""
+    held = held_per_access(gups_big)
+    assert held <= 5.5, held
+
+
+def test_gups_build_peaks_at_most_six_bytes_an_access():
+    """Building `gups-big.cfg`'s trace and oracle never has more than 6
+    bytes allocated an access: the page column, one draw chunk and one
+    interval's counts, with no page pool, no `Counter` of boxed pages, no
+    write column and no copy of an interval's pages."""
     (trace, _), _, peak = traced_bytes(gups_big)
-    assert peak / len(trace) <= 8, peak / len(trace)
+    assert peak / len(trace) <= 6, peak / len(trace)
 
 
-def test_write_projection_holds_at_most_forty_bytes_a_write():
-    """A projection keeps a float and a pointer to it a write, plus four
-    bytes of page.  Its pages are 256 and up: smaller ints are cached by
-    CPython, and boxing them allocates nothing that could be seen."""
+def test_write_projection_holds_at_most_sixteen_bytes_a_write():
+    """A projection keeps eight bytes of time and four of page a write, in
+    two arrays, and no boxed float.  Its pages are 256 and up: smaller ints
+    are cached by CPython, and boxing them allocates nothing that could be
+    seen."""
     writes = 4096
     trace = AccessTrace(array("I", range(256, 256 + writes)), bytearray(b"\x01") * writes,
                         0, accesses_per_interval=writes, footprint=256 + writes)
@@ -347,7 +377,7 @@ def test_write_projection_holds_at_most_forty_bytes_a_write():
     projected, held, _ = traced_bytes(
         lambda: project_write_times(space, trace.interval_slice(0), 0.0))
     assert len(projected) == writes
-    assert held / writes <= 40, held / writes
+    assert held / writes <= 16, held / writes
 
 
 def test_half_read_trace_and_oracle_hold_at_most_six_bytes_an_access():
@@ -358,14 +388,14 @@ def test_half_read_trace_and_oracle_hold_at_most_six_bytes_an_access():
 
 
 def trace_digest(traces, with_oracle: bool) -> str:
-    """sha256 over each trace: its columns as lists (writes as bools) and
-    interval length, then, `with_oracle`, its oracle's hot sets.  These
-    reprs are the ones of the list columns the generators first built, so
-    the recorded digests still hold."""
+    """sha256 over each trace: its columns as lists (writes as bools, each
+    constant expanded) and interval length, then, `with_oracle`, its
+    oracle's hot sets.  These reprs are the ones of the list columns the
+    generators first built, so the recorded digests still hold."""
     h = hashlib.sha256()
     for trace in traces:
-        h.update(repr((list(trace.vpages), [bool(w) for w in trace.writes],
-                       list(trace.nodes), trace.accesses_per_interval)).encode())
+        h.update(repr((list(trace.vpages), [bool(w) for w in write_column(trace)],
+                       list(node_column(trace)), trace.accesses_per_interval)).encode())
         if with_oracle:
             hot_sets = HotOracle.from_trace(trace).hot_sets
             h.update(repr([sorted(s) for s in hot_sets]).encode())
@@ -431,14 +461,32 @@ def test_generated_traces_state_their_footprint_and_one_node(grid, stated, one_n
     for trace in grid():
         stated_seen += 1
         assert trace.footprint == max(trace.vpages) + 1
-        nodes = set(trace.nodes)
-        assert len(trace.nodes) == len(trace)
         if trace.node is not None:
             one_node_seen += 1
-            assert nodes == {trace.node}
+            assert trace.nodes is None
         else:
-            assert len(nodes) > 1
+            assert len(trace.nodes) == len(trace)
+            assert len(set(trace.nodes)) > 1
     assert (stated_seen, one_node_seen) == (stated, one_node)
+
+
+@pytest.mark.parametrize("grid, constant", [
+    (gups_grid, 36), (gups_edge_grid, 2), (phase_change_grid, 2), (microbench_grid, 8),
+], ids=["gups-contiguous", "gups-edges", "phase_change", "microbench"])
+def test_generated_traces_keep_a_write_column_only_when_it_mixes(grid, constant):
+    """GUPS and phase-change accesses all write, and `read_only` and
+    `write_only` ones all read or all write: those traces keep the flag as
+    `write` with no column.  Only `half_read`, whose accesses alternate,
+    keeps its column."""
+    constant_seen = 0
+    for trace in grid():
+        if trace.write is None:
+            assert len(trace.writes) == len(trace)
+            assert set(trace.writes) == {0, 1}
+        else:
+            constant_seen += 1
+            assert trace.writes is None
+    assert constant_seen == constant
 
 
 def test_gups_footprint_is_the_largest_page_drawn():
@@ -450,11 +498,14 @@ def test_gups_footprint_is_the_largest_page_drawn():
 
 
 def test_a_one_node_trace_reads_back_its_column():
+    """A one-node, all-write trace stores neither column, and its slices
+    read both back, as `node_column` and `write_column` expand them."""
     trace = gen_gups(64, 0.25, 0.8, 100, [3], seed=9, init_pass=True)
-    assert (trace.node, trace.footprint) == (3, 64)
-    assert trace.nodes == array("H", [3] * 164)
+    assert (trace.node, trace.write, trace.footprint) == (3, True, 64)
+    assert (trace.nodes, trace.writes) == (None, None)
     slc = trace.interval_slice(0)
-    assert list(slc.nodes()) == [3] * 164
-    assert [n for _, _, n in slc.head_fraction(0.5).events()] == [3] * 82
+    assert list(slc.nodes()) == [3] * 164 == list(node_column(trace))
+    assert [(n, w) for _, w, n in slc.head_fraction(0.5).events()] == [(3, True)] * 82
+    assert list(write_column(trace)) == [1] * 164
     with pytest.raises(OverflowError):  # as a column holding the node would
         AccessTrace([0], [False], 65536, accesses_per_interval=1, footprint=1)

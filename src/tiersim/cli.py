@@ -9,7 +9,8 @@ import argparse
 import sys
 
 from .config import ConfigError, build_run_config, load_config_file
-from .engine import SWEEP_PARAMS, compare_systems, run_to_dir, sweep_parameter
+from .engine import (SWEEP_PARAMS, compare_systems, run_configs, sweep_parameter,
+                     write_run_outputs)
 from .memmodel import BudgetError, CapacityError
 from .migrator import PlanExecutionError
 
@@ -55,7 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             cfg = build_run_config(tree, args.config,
                                    {"system": args.system} if args.system else None)
-            result = run_to_dir(cfg, args.out)
+            [result] = run_configs([cfg])
+            write_run_outputs(result, args.out)
             app, prof, mig = result.totals()
             print(f"{cfg.system}: {len(result.rows)} intervals, "
                   f"app={app:.1f} prof={prof:.1f} mig={mig:.1f} -> {args.out}")

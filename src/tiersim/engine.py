@@ -1,9 +1,10 @@
-"""Experiment orchestration: the interval loop, A/B compare, parameter sweep."""
+"""Experiment orchestration: `run_configs`, every command's one path from its
+configs to their runs over shared traces; the interval loop; compare; sweep."""
 from __future__ import annotations
 
 import csv
 import random
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
@@ -20,8 +21,8 @@ def _derive_seed(master: int, label: str) -> int:
 
 def build_trace(cfg: RunConfig) -> tuple[AccessTrace, HotOracle]:
     """The workload's trace, from the generator its kind names, and the
-    trace's hot-page oracle.  Every trace is built here, and every oracle
-    here or in `run_simulation`, for a trace given without one.  The
+    trace's hot-page oracle.  Every trace and every oracle is built here,
+    for `run_configs`, and from the fields `trace_key` names alone.  The
     generators check the workload's ranges, so a value they reject is a
     ConfigError."""
     w = cfg.workload
@@ -49,6 +50,11 @@ def build_trace(cfg: RunConfig) -> tuple[AccessTrace, HotOracle]:
     return trace, HotOracle.from_trace(trace)
 
 
+def trace_key(cfg: RunConfig) -> tuple:
+    """The fields `build_trace` reads: configs with equal keys share a trace."""
+    return cfg.seed, astuple(cfg.workload), tuple(cfg.topology["nodes"])
+
+
 @dataclass
 class RunResult:
     system: str
@@ -65,20 +71,13 @@ class RunResult:
         return sum(self.totals())
 
 
-def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
-                   oracle: HotOracle | None = None) -> RunResult:
-    """Execute the interval loop: replay (the run's only replay), profile,
-    restructure regions, EMA, plan, migrate, measure.  Profiling in interval i may
-    cost overhead_constraint x interval i-1's app cost (none in interval 0).
-    Without a trace the run builds the config's trace and oracle; given a
-    trace but no oracle, it builds the trace's oracle, so that every
-    interval is scored against its hot pages.  Deterministic in (config,
-    seed)."""
+def run_simulation(cfg: RunConfig, trace: AccessTrace, oracle: HotOracle) -> RunResult:
+    """Execute the interval loop over `trace`: replay (the run's only
+    replay), profile, restructure regions, EMA, plan, migrate, measure, and
+    score each interval's detection against `oracle`, the trace's hot pages.
+    Profiling in interval i may cost overhead_constraint x interval i-1's
+    app cost (none in interval 0).  Deterministic in (config, seed, trace)."""
     topology = build_topology(cfg.topology)
-    if trace is None:
-        trace, oracle = build_trace(cfg)
-    elif oracle is None:
-        oracle = HotOracle.from_trace(trace)
     group = cfg.alloc_group_pages
     if group is None:
         group = cfg.profiler.default_region_pages
@@ -129,6 +128,22 @@ def run_simulation(cfg: RunConfig, trace: AccessTrace | None = None,
     return result
 
 
+def run_configs(cfgs: list[RunConfig]) -> Iterator[RunResult]:
+    """Run the configs in order, yielding each one's result.  Each distinct
+    trace, by `trace_key`, is built when its first config runs and dropped
+    after its last."""
+    keys = [trace_key(cfg) for cfg in cfgs]
+    last = {key: i for i, key in enumerate(keys)}
+    traces: dict[tuple, tuple[AccessTrace, HotOracle]] = {}
+    for i, (cfg, key) in enumerate(zip(cfgs, keys)):
+        if key not in traces:
+            traces[key] = build_trace(cfg)
+        result = run_simulation(cfg, *traces[key])
+        if last[key] == i:
+            del traces[key]
+        yield result
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -164,17 +179,12 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> None:
         fh.write(metrics.summary_text(result.system, result.rows, result.tier_ids))
 
 
-def run_to_dir(cfg: RunConfig, out_dir: str | Path) -> RunResult:
-    result = run_simulation(cfg)
-    write_run_outputs(result, out_dir)
-    return result
-
-
 def compare_systems(tree: dict, origin: str, systems: list[str],
                     out_dir: str | Path | None = None) -> list[dict]:
     """Run several systems, each the config `tree` with `system` overridden,
-    over one shared trace instance and emit app-cost figures normalized to
-    the first-touch member.  Every member's config is built before any runs."""
+    and emit app-cost figures normalized to the first-touch member.  Every
+    member's config is built before any runs; the members differ only in
+    their system, so `run_configs` runs them all over one trace."""
     if not systems:
         raise ConfigError("compare needs at least one system")
     if len(set(systems)) != len(systems):
@@ -183,8 +193,7 @@ def compare_systems(tree: dict, origin: str, systems: list[str],
         raise ConfigError("compare needs the first-touch member for normalization")
     cfgs = [build_run_config(tree, f"{origin} (system {name})", {"system": name})
             for name in systems]
-    trace, oracle = build_trace(cfgs[0])
-    results = [run_simulation(cfg, trace=trace, oracle=oracle) for cfg in cfgs]
+    results = list(run_configs(cfgs))
     by_name = {r.system: r for r in results}
     base = by_name.get("first-touch", results[0])
     base_app, _, _ = base.totals()
@@ -223,26 +232,15 @@ def sweep_parameter(tree: dict, origin: str, param: str, values: list[str],
                     out_dir: str | Path | None = None) -> list[dict]:
     """Run the config `tree` once per value of `param` (a SWEEP_PARAMS short
     name or a dotted key).  Every value's config is built before any runs.
-    The values run in order, and each distinct trace is built once, when
-    its first value runs, and dropped after its last: `build_trace` reads
-    only the seed, the workload section and the topology's nodes."""
+    The values run in order through `run_configs`, so values that leave
+    the trace's fields alone share one trace."""
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     key = SWEEP_PARAMS.get(param, param)
     cfgs = [build_run_config(tree, f"{origin} (sweep {param}={value})", {key: value})
             for value in values]
-    trace_keys = [(cfg.seed, astuple(cfg.workload), tuple(cfg.topology["nodes"]))
-                  for cfg in cfgs]
-    uses = Counter(trace_keys)
-    traces: dict[tuple, tuple[AccessTrace, HotOracle]] = {}
     rows = []
-    for value, cfg, trace_key in zip(values, cfgs, trace_keys):
-        if trace_key not in traces:
-            traces[trace_key] = build_trace(cfg)
-        result = run_simulation(cfg, *traces[trace_key])
-        uses[trace_key] -= 1
-        if not uses[trace_key]:
-            del traces[trace_key]
+    for value, result in zip(values, run_configs(cfgs)):
         app, prof, mig = result.totals()
         n = len(result.rows)
         rows.append({

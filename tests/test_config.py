@@ -25,8 +25,6 @@ from tiersim.profiler import ProfilerConfig
 CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 SMALL = (CONFIGS / "small.cfg").read_text()
 RUN = ["run"]
-# compare builds the trace before any run, so workload errors show there
-TRACE = ["compare", "--systems", "first-touch"]
 
 
 @pytest.fixture(autouse=True)
@@ -55,9 +53,9 @@ REJECTED = {
     "negative-n-bytes": (SMALL + "policy.n_bytes = -1\n", RUN, {}, "policy.n_bytes"),
     "negative-hint-cost": (SMALL + "cost.hint_fault_multiplier = -12\n", RUN, {},
                            "cost.hint_fault_multiplier"),
-    "hotset-fraction": (SMALL + "workload.hotset_fraction = 1.5\n", TRACE, {},
+    "hotset-fraction": (SMALL + "workload.hotset_fraction = 1.5\n", RUN, {},
                         "workload: hotset_fraction"),
-    "interval-length-zero": (SMALL + "workload.accesses_per_interval = 0\n", TRACE, {},
+    "interval-length-zero": (SMALL + "workload.accesses_per_interval = 0\n", RUN, {},
                              "workload: accesses_per_interval"),
     "microbench-foreign-node": (SMALL + "workload.kind = microbench\nworkload.node = 5\n",
                                 RUN, {}, "workload.node"),
@@ -65,30 +63,30 @@ REJECTED = {
     # right after the footprint, so without the page check this row fails at
     # once instead of building a 2**32-page pool
     "footprint-too-large": (SMALL + "workload.footprint_pages = 4294967297\n"
-                            "workload.hotset_fraction = 1.5\n", TRACE, {},
+                            "workload.hotset_fraction = 1.5\n", RUN, {},
                             "workload: footprint_pages"),
     # every GUPS block of a phase_change trace takes the GUPS range checks
     "phase-change-hotset-fraction": (
         SMALL + "workload.kind = phase_change\nworkload.hotset_fraction = 1.5\n",
-        TRACE, {}, "workload: hotset_fraction"),
+        RUN, {}, "workload: hotset_fraction"),
     "phase-change-hot-access-above-one": (
         SMALL + "workload.kind = phase_change\nworkload.hot_access_fraction = 2\n",
-        TRACE, {}, "workload: hot_access_fraction"),
+        RUN, {}, "workload: hot_access_fraction"),
     "phase-change-hot-access-zero": (
         SMALL + "workload.kind = phase_change\nworkload.hot_access_fraction = 0\n",
-        TRACE, {}, "workload: hot_access_fraction"),
+        RUN, {}, "workload: hot_access_fraction"),
     "phase-change-no-accesses": (
         SMALL + "workload.kind = phase_change\nworkload.accesses = 0\n",
-        TRACE, {}, "workload: accesses"),
+        RUN, {}, "workload: accesses"),
     "microbench-interval-length-zero": (
         SMALL + "workload.kind = microbench\nworkload.accesses_per_interval = 0\n",
-        TRACE, {}, "workload: accesses_per_interval"),
+        RUN, {}, "workload: accesses_per_interval"),
     "microbench-no-passes": (
         SMALL + "workload.kind = microbench\nworkload.passes = 0\n",
-        TRACE, {}, "workload: passes must be >= 1"),
+        RUN, {}, "workload: passes must be >= 1"),
     "microbench-negative-passes": (
         SMALL + "workload.kind = microbench\nworkload.passes = -2\n",
-        TRACE, {}, "workload: passes must be >= 1"),
+        RUN, {}, "workload: passes must be >= 1"),
     "compare-no-system": (SMALL, ["compare", "--systems", ","], {},
                           "at least one system"),
     "compare-bogus-member": (SMALL, ["compare", "--systems", "first-touch,bogus"], {},

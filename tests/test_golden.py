@@ -45,6 +45,18 @@ def test_outputs_match_golden(case, tmp_path):
         assert got[name] == want[name], f"{case}/{name} differs from its golden"
 
 
+@pytest.mark.parametrize("system", ALL_SYSTEMS.split(","))
+def test_run_writes_the_files_compare_writes_for_its_system(system, tmp_path):
+    """`tiersim run --system S` on `small.cfg` writes, byte for byte, the
+    files the small case's compare writes under S/: the two commands run a
+    config along one path."""
+    from tiersim.cli import main
+    out = tmp_path / system
+    assert main(["run", "-c", str(CONFIGS / "small.cfg"), "--system", system,
+                 "--out", str(out)]) == 0
+    assert files_under(out) == files_under(EXPECTED / "small" / system)
+
+
 def test_outputs_independent_of_hash_seed(tmp_path):
     """Each PYTHONHASHSEED gets a fresh interpreter; all write the same bytes."""
     env = {k: v for k, v in os.environ.items() if k != "TIERSIM_SEED"}

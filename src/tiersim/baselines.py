@@ -139,10 +139,8 @@ class MtmSystem(System):
         prof.set_budget(app_prev)
         prof.adopt_new_pages()
         prof.select_active(slc)
-        prof.profile_interval(slc)
-        for r in prof.regions:
-            if r.id in prof.scanned_ids:
-                update_ema(r, r.hi, self.policy.alpha)
+        for r in prof.profile_interval(slc):
+            update_ema(r, r.hi, self.policy.alpha)
         prof.end_interval()
 
     def detected_pages(self) -> bytearray:

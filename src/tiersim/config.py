@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 import os
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -86,7 +87,7 @@ class WorkloadConfig:
     accesses_per_interval: int = 1024
     init_pass: bool = False
     phases: int = 4
-    bench: Literal["read_only", "half_read", "write_only"] = "read_only"
+    bench: Literal["read_only", "half_read"] = "read_only"
     array_pages: int = 2048
     passes: int = 4
     node: int = 0
@@ -169,7 +170,7 @@ def _join(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a number",
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
              str: "a string", list: "a list", dict: "a section"}
 # the JSON value types each scalar annotation takes, matched exactly: a JSON
 # boolean is no number, and a JSON 2.5 no integer
@@ -195,17 +196,16 @@ def _value(value, tp, where: str):
                 for k, v in value.items()} if args else value
     if kind is Literal and value in args:
         return value
-    if type(value) in _JSON_SCALARS.get(kind, ()):
-        return kind(value)
-    if kind in (bool, int, float, str) and isinstance(value, str):
-        text = value.strip()
-        if kind is bool and text.lower() in ("true", "false"):
-            return text.lower() == "true"
-        if kind is not bool:
-            try:
-                return kind(text)
-            except ValueError:
-                pass
+    if kind is bool and isinstance(value, str) and value.strip().lower() in ("true", "false"):
+        return value.strip().lower() == "true"
+    if type(value) in _JSON_SCALARS.get(kind, ()) or (
+            kind in (int, float, str) and isinstance(value, str)):
+        try:
+            coerced = kind(value.strip() if isinstance(value, str) else value)
+            if kind is not float or math.isfinite(coerced):
+                return coerced
+        except (ValueError, OverflowError):  # OverflowError: a JSON integer past any float
+            pass
     expected = "one of " + ", ".join(args) if kind is Literal else _EXPECTED[kind]
     raise ConfigError(f"expected {expected}, got {value!r}", where)
 

@@ -313,7 +313,6 @@ class Profiler:
         self.num_ps = 0  # samples per scan round; set from measured app time
         self.regions: list[Region] = []
         self.active_ids: set[int] = set()
-        self.scanned_ids: set[int] = set()  # active regions the last interval scanned
         self.merges = 0  # running totals, never reset
         self.splits = 0
         self.initialized = False
@@ -436,11 +435,12 @@ class Profiler:
 
     # -- per-interval profiling ----------------------------------------------
 
-    def profile_interval(self, slc: TraceSlice) -> int:
+    def profile_interval(self, slc: TraceSlice) -> list[Region]:
         """Scan the scheduled samples of active regions (`scan_samples`) over
         the replayed slice: a count and `hi` hold this interval's accesses
-        only.  An active region the scan-budget clamp leaves no sample keeps
-        its old `hi` and is left out of `scanned_ids`.  Returns scans."""
+        only.  Returns the regions scanned, in region order; an active
+        region the scan-budget clamp leaves no sample is not among them and
+        keeps its old `hi`."""
         space, cfg = self.space, self.cfg
         eff = effective_scan_cost(cfg, space.cost_model)
         actives = [r for r in self.regions if r.id in self.active_ids]
@@ -463,10 +463,9 @@ class Profiler:
             r.sample_counts = row + [0] * (len(r.samples) - len(row))
             r.hi_prev = r.hi
             r.hi = sum(row) / len(row)
-        self.scanned_ids = {r.id for r, _ in scheduled}
         if cfg.origin_sampling:
             sample_origin(self.regions, self.active_ids, slc, cfg)
-        return len(pages) * cfg.num_scans
+        return [r for r, _ in scheduled]
 
     def end_interval(self) -> None:
         """Merge, split, then rebalance the sample lists to the budget:

@@ -40,11 +40,12 @@ class AccessTrace:
       read none, and gups-big.cfg's all-write trace saves a byte an access.
 
     `footprint` is the number of pages the trace spans, kept as given.
-    Whoever builds the trace states it, and it must exceed every page: the
-    generators know their largest page without a scan, where a `max()`
-    over gups-big.cfg's 524 288 pages takes about 15 ms (CPython 3.11).
-    The trace does not check it; the oracle and replay refuse a page at or
-    past it.
+    Whoever builds the trace states it, and it must exceed every page.  A
+    generator states the footprint its parameters name, whether or not its
+    top page is drawn: a GUPS trace its largest block's `footprint_pages`
+    and a microbench its `array_pages`, so a run simulates the memory its
+    config names.  The trace does not check it; the oracle and replay
+    refuse a page at or past it.
 
     The generators build every column in its type, never as a full-length
     list.  Columns of other types (tests pass lists) are converted here, and
@@ -229,43 +230,35 @@ def _round_robin(node_ids: list[int], start: int, count: int) -> array:
     return (turn * (count // len(turn) + 1))[:count]
 
 
-def _append_gups_draws(rng: random.Random, vpages: list[int], lo: int, n_hot: int,
-                       n_cold: int, hot_access_fraction: float, count: int) -> None:
-    """Append `count` GUPS accesses to `vpages`, drawn as `_emit_gups_block`
-    describes: the hot pages are lo..lo+n_hot-1, the cold pages the
-    `n_cold` others, below and above them."""
-    uniform, getrandbits, append = rng.random, rng.getrandbits, vpages.append
-    k_hot, k_cold = n_hot.bit_length(), n_cold.bit_length()
-    for _ in range(count):
-        if uniform() < hot_access_fraction:
-            r = getrandbits(k_hot)
-            while r >= n_hot:
-                r = getrandbits(k_hot)
-            append(lo + r)
-        else:
-            r = getrandbits(k_cold)
-            while r >= n_cold:
-                r = getrandbits(k_cold)
-            append(r if r < lo else r + n_hot)
-
-
-def _draw_gups_pages(rng: random.Random, vpages: array, tops: array, lo: int,
-                     n_hot: int, n_cold: int, hot_access_fraction: float,
-                     count: int) -> None:
-    """Append `count` GUPS accesses to the page column, `GUPS_DRAW_CHUNK` at a
-    time: `_append_gups_draws` fills a list, which `fromlist` moves into the
-    column.  Appending each draw to the array was slower than to a list, and
+def _draw_gups_pages(rng: random.Random, vpages: array, lo: int, n_hot: int,
+                     n_cold: int, hot_access_fraction: float, count: int) -> None:
+    """Append `count` GUPS accesses to the page column, drawn as
+    `_emit_gups_block` describes: the hot pages are lo..lo+n_hot-1, the cold
+    pages the `n_cold` others, below and above them.  The draws gather in a
+    list of at most `GUPS_DRAW_CHUNK`, which `fromlist` moves into the
+    column: appending each draw to the array was slower than to a list, and
     a bounded chunk keeps a full-length list from ever existing.  Each draw
     in the list is an int of its own, about 40 bytes with its pointer, so
     the chunk is short: 2 048 draws hold 80 KiB and draw as fast as longer
-    chunks.  Each chunk's largest page goes to `tops`: `max()` over the list
-    costs half of one over the column."""
+    chunks."""
+    uniform, getrandbits = rng.random, rng.getrandbits
+    k_hot, k_cold = n_hot.bit_length(), n_cold.bit_length()
+    chunk: list[int] = []
+    append = chunk.append
     for done in range(0, count, GUPS_DRAW_CHUNK):
-        chunk: list[int] = []
-        _append_gups_draws(rng, chunk, lo, n_hot, n_cold, hot_access_fraction,
-                           min(GUPS_DRAW_CHUNK, count - done))
-        tops.append(max(chunk))
+        for _ in range(min(GUPS_DRAW_CHUNK, count - done)):
+            if uniform() < hot_access_fraction:
+                r = getrandbits(k_hot)
+                while r >= n_hot:
+                    r = getrandbits(k_hot)
+                append(lo + r)
+            else:
+                r = getrandbits(k_cold)
+                while r >= n_cold:
+                    r = getrandbits(k_cold)
+                append(r if r < lo else r + n_hot)
         vpages.fromlist(chunk)
+        chunk.clear()
 
 
 @dataclass
@@ -278,17 +271,16 @@ class GupsPhase:
 
 
 def _emit_gups_block(rng: random.Random, phase: GupsPhase, vpages: array,
-                     nodes: array | None, node_ids: list[int], tops: array) -> None:
+                     nodes: array | None, node_ids: list[int]) -> None:
     """Append the GUPS block `phase` describes, drawn from `rng`.  The block
     draws one contiguous hot set, then each access draws `random()` and,
     below hot_access_fraction, a uniform hot page, else a uniform cold page.
     With `init_pass` the block first touches every page once, in order.
     Accesses take `node_ids` round-robin into the node column; with one
-    node, `nodes` is None and nothing is appended.  Its largest pages go to
-    the array `tops`, from which the caller takes the footprint.
+    node, `nodes` is None and nothing is appended.
 
     The uniform page is `Random.choice`'s rejection sampling, inlined in
-    `_append_gups_draws` to save two Python calls per access: with `n` pages
+    `_draw_gups_pages` to save two Python calls per access: with `n` pages
     and `k = n.bit_length()`, draw `r = getrandbits(k)` and redraw while
     `r >= n`.  The page is computed from `r`, never read from a list of the
     pool's pages, which would hold a boxed int a page: it is the `r`-th hot
@@ -316,25 +308,25 @@ def _emit_gups_block(rng: random.Random, phase: GupsPhase, vpages: array,
         nodes += _round_robin(node_ids, len(vpages), touched)
     if phase.init_pass:
         vpages.extend(range(footprint_pages))
-        tops.append(footprint_pages - 1)
     lo = rng.randrange(footprint_pages - hot_count + 1)
-    _draw_gups_pages(rng, vpages, tops, lo, hot_count, footprint_pages - hot_count,
+    _draw_gups_pages(rng, vpages, lo, hot_count, footprint_pages - hot_count,
                      phase.hot_access_fraction, accesses)
 
 
 def _gups_trace(blocks: Iterable[tuple[random.Random, GupsPhase]], nodes: list[int],
                 accesses_per_interval: int) -> AccessTrace:
     """The trace of the GUPS blocks, in order, each drawn from its own
-    generator; its footprint is the largest page drawn plus one.  GUPS
-    performs updates, so every access writes."""
+    generator; its footprint is the largest block's `footprint_pages`,
+    drawn or not.  GUPS performs updates, so every access writes."""
     node_ids = list(nodes) or [0]
     # one node is kept as an int, with no column
     node_col = array("H") if len(node_ids) > 1 else None
-    vpages, tops = array("I"), array("I")
+    vpages, footprint = array("I"), 0
     for rng, phase in blocks:
-        _emit_gups_block(rng, phase, vpages, node_col, node_ids, tops)
+        _emit_gups_block(rng, phase, vpages, node_col, node_ids)
+        footprint = max(footprint, phase.footprint_pages)
     return AccessTrace(vpages, True, node_ids[0] if node_col is None else node_col,
-                       accesses_per_interval, footprint=max(tops) + 1)
+                       accesses_per_interval, footprint)
 
 
 def gen_gups(footprint_pages: int, hotset_fraction: float, hot_access_fraction: float,
@@ -357,8 +349,8 @@ def gen_phase_change(phases: list[GupsPhase], seed: int, nodes: list[int],
                         for i, ph in enumerate(phases)), nodes, accesses_per_interval)
 
 
-def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
-                       accesses_per_interval: int | None = None) -> AccessTrace:
+def gen_seq_microbench(kind: str, array_pages: int, passes: int,
+                       accesses_per_interval: int, node: int = 0) -> AccessTrace:
     """Sequential microbenchmarks used to exercise migration mechanisms.
     Every access is from `node`, and every pass touches every page, so the
     trace states both."""
@@ -375,10 +367,7 @@ def gen_seq_microbench(kind: str, array_pages: int, passes: int, node: int = 0,
     elif kind == "half_read":
         vpages = array("I", chain.from_iterable(zip(pages, pages)))
         writes = bytearray(b"\x00\x01") * array_pages * passes
-    elif kind == "write_only":
-        vpages, writes = array("I", pages), True
     else:
         raise WorkloadError(f"unknown microbench kind {kind!r}")
     vpages = vpages * passes  # `*=` would resize in place, with 6% to spare
-    api = max(1, len(vpages)) if accesses_per_interval is None else accesses_per_interval
-    return AccessTrace(vpages, writes, node, api, footprint=array_pages)
+    return AccessTrace(vpages, writes, node, accesses_per_interval, footprint=array_pages)

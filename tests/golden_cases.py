@@ -41,9 +41,9 @@ def files_under(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def argv_for(case: str, work: Path, out: Path) -> list[str]:
-    """CLI arguments for a case, its config written under `work`."""
-    config, extra, args = CASES[case]
+def argv_for(case: str, work: Path, out: Path, cases: dict = CASES) -> list[str]:
+    """CLI arguments for a case of `cases`, its config written under `work`."""
+    config, extra, args = cases[case]
     cfg = work / f"{case}.cfg"
     cfg.write_text((CONFIGS / config).read_text() + extra)
     return [args[0], "-c", str(cfg), *args[1:], "--out", str(out)]

@@ -5,9 +5,12 @@ config runs.
 
 Runs the CLI under the stdlib line tracer (`trace.Trace(count=1)`) on every
 committed config: each golden case of `golden_cases.CASES`, sweeps included,
-with the arguments `golden_cases.argv_for` gives it; then `tiersim compare`
-with the four baselines on `gups-mid.cfg`, and with first-touch and mtm on
-`gups-big.cfg` and `seq-rw-big.cfg`.  It then prints one line per run of
+with the arguments `golden_cases.argv_for` gives it, and the cases of
+`REACH_CASES`, the same way: `tiersim compare` with all six systems on
+`two-socket.cfg` with `workload.init_pass = true`, and CI's `tiersim run
+--system damon` on `small.cfg`; then `tiersim compare` with the four
+baselines on `gups-mid.cfg`, and with first-touch and mtm on `gups-big.cfg`
+and `seq-rw-big.cfg`.  It then prints one line per run of
 unexecuted statements: the module, the first and last statement line, the
 enclosing function and the first statement's source, so that lists from
 two versions can be diffed by everything after the line numbers.  A
@@ -18,7 +21,7 @@ it exits 1 when a line it prints is not in the list, or a listed line is
 not printed (it is reached now, or gone), comparing lines on everything
 after the line numbers, and names each such line on stderr.  The list
 stays exact, so a line that becomes reached or is deleted leaves it.
-pytest does not collect this file; the audit takes about 70 s.
+pytest does not collect this file; the audit takes about 45 s.
 """
 from __future__ import annotations
 
@@ -39,6 +42,15 @@ from tiersim import cli  # noqa: E402
 
 PACKAGE = ROOT / "src" / "tiersim"
 BENCH = ROOT / "bench" / "configs"
+# more cases in `golden_cases.CASES`' form: (config file, lines appended to
+# it, CLI arguments after -c)
+REACH_CASES = {
+    # the one config with more than two tiers; the init pass touches every page
+    "two-socket-init-pass": ("two-socket.cfg", "workload.init_pass = true\n",
+                             ["compare", "--systems", golden_cases.ALL_SYSTEMS]),
+    # CI's smoke run of the installed script
+    "small-run-damon": ("small.cfg", "", ["run", "--system", "damon"]),
+}
 BENCH_RUNS = [
     (BENCH / "gups-mid.cfg", ("first-touch", "autonuma", "thermostat", "damon")),
     (BENCH / "gups-big.cfg", ("first-touch", "mtm")),
@@ -77,6 +89,8 @@ def run_all() -> dict[tuple[str, int], int]:
         work = Path(tmp)
         runs = [(case, golden_cases.argv_for(case, work, work / case))
                 for case in sorted(golden_cases.CASES)]
+        runs += [(case, golden_cases.argv_for(case, work, work / case, REACH_CASES))
+                 for case in REACH_CASES]
         runs += [(path.name, ["compare", "-c", str(path), "--systems", ",".join(systems),
                               "--out", str(work / path.stem)])
                  for path, systems in BENCH_RUNS]

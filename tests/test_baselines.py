@@ -82,11 +82,18 @@ def test_mtm_folds_only_the_regions_it_scanned():
     # the app time whose overhead share buys 1.5 samples of num_scans scans
     app_prev = 1.5 * cfg.num_scans * space.cost_model.scan_cost / cfg.overhead_constraint
     trace = AccessTrace([5] * 6, [False] * 6, 0, 6, footprint=32)
+    returned = []
+
+    def profile_interval(slc, profile=prof.profile_interval):
+        returned.append(profile(slc))
+        return returned[-1]
+
+    prof.profile_interval = profile_interval
     system.run_profiling(trace.interval_slice(0), app_prev)
     assert prof.num_ps == 1
     assert [(r.start_page, r.hi, r.whi) for r in prof.regions] == [(0, 0.0, 0.0),
                                                                   (16, 3.0, 1.0)]
-    assert prof.scanned_ids == {scanned.id}
+    assert returned == [[scanned]]
 
 
 def thermostat_reference(system: ThermostatSystem, slc, app_prev: float) -> None:
@@ -187,16 +194,19 @@ def reference_plan_regions(system) -> list[Region]:
     return regions
 
 
-# the mid golden's GUPS touches pages 0..16382, so its footprint cuts the
-# last 512-page window short by one page; an init pass touches all 16 384
-# pages, and a 16 300-page GUPS cuts the last window by 84
+# the mid golden's GUPS spans its configured 16 384 pages, 32 whole 512-page
+# windows, though page 16 383 is never drawn; an init pass touches every
+# page first; a 16 383-page GUPS cuts the last window short by one page,
+# and a 16 300-page one by 84
 @pytest.mark.parametrize("extra, footprint", [
-    ("", 16383), ("workload.init_pass = true\n", 16384),
-    ("workload.footprint_pages = 16300\n", 16300)], ids=["mid", "init-pass", "16300"])
+    ("", 16384), ("workload.init_pass = true\n", 16384),
+    ("workload.footprint_pages = 16383\n", 16383),
+    ("workload.footprint_pages = 16300\n", 16300)],
+    ids=["mid", "init-pass", "16383", "16300"])
 @pytest.mark.parametrize("threshold", [2.0, 0.0])
 def test_detection_and_planner_regions_match_each_systems_own_loop(
         monkeypatch, extra, footprint, threshold):
-    """On the `mid` golden config and two footprints beside it, at its
+    """On the `mid` golden config and three footprints beside it, at its
     threshold and at 0: after every interval, each system's page mask is
     one 0/1 byte per footprint page, and its hot pages and the regions
     Thermostat and DAMON plan over are what each system's own loop gave.
@@ -239,7 +249,7 @@ def test_detection_and_planner_regions_match_each_systems_own_loop(
         assert len(seen[name]) == cfg.intervals
     # the cases the references tell apart happen: Thermostat detects some
     # pages, some interval leaves a window unprofiled, and the last window
-    # (cut short on two footprints of the three) is profiled at least once
+    # (cut short on two footprints of the four) is profiled at least once
     windows = range(0, footprint, 512)
     profiled = [w for _, w in seen["thermostat"]]
     assert any(n for n, _ in seen["thermostat"])

@@ -63,9 +63,9 @@ def test_traced_compare_sees_the_write_projection():
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         engine.compare_systems(tree, str(MID), ["first-touch", "mtm", "mtm-no-pebs"])
-    # the mid golden's figures: 7 plans, each projected but the last interval's
-    assert tracer.calls["migrator.project_write_times"] == 6
-    assert tracer.counts["migrator.project_write_times"] == 28_029
+    # the mid golden's figures: 6 plans, each projected but the last interval's
+    assert tracer.calls["migrator.project_write_times"] == 5
+    assert tracer.counts["migrator.project_write_times"] == 24_775
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

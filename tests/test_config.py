@@ -151,6 +151,29 @@ REJECTED = {
         {"id": "a", "capacity_bytes": 1048576, "access_cost": 6},
         {"id": "b", "capacity_bytes": 8388608}]}}), RUN, {},
         "topology.tiers.1.access_cost"),
+    # every float field is finite: these ran, or ended in a traceback
+    "inf-access-cost": (SMALL + "topology.tier1.access_cost = inf\n", RUN, {},
+                        "topology.tier1.access_cost"),
+    "nan-threshold": (SMALL + "detect_threshold = nan\n", RUN, {}, "detect_threshold"),
+    "inf-threshold": (SMALL + "detect_threshold = inf\n", RUN, {}, "detect_threshold"),
+    "minus-inf-threshold": (SMALL + "detect_threshold = -inf\n", RUN, {},
+                            "detect_threshold"),
+    "overflowing-threshold": (SMALL + "detect_threshold = 1e400\n", RUN, {},
+                              "detect_threshold"),
+    "inf-scan-cost": (SMALL + "cost.scan_cost = inf\n", ["run", "--system", "damon"], {},
+                      "cost.scan_cost"),
+    # json.loads takes NaN and Infinity
+    "json-nan-threshold": (json.dumps({"seed": 1, "detect_threshold": float("nan"),
+                                       "topology": {"tier0": {"capacity_bytes": 1048576},
+                                                    "tier1": {"capacity_bytes": 8388608}}}),
+                           RUN, {}, "detect_threshold"),
+    "json-inf-access-cost": (json.dumps({"seed": 1, "topology": {"tiers": [
+        {"id": "a", "capacity_bytes": 1048576},
+        {"id": "b", "capacity_bytes": 8388608, "access_cost": float("inf")}]}}), RUN, {},
+        "topology.tiers.1.access_cost"),
+    # no config gives an all-write sequential stream; tests build one
+    "retired-write-only": (SMALL + "workload.kind = microbench\n"
+                           "workload.bench = write_only\n", RUN, {}, "workload.bench"),
 }
 
 

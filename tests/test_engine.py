@@ -43,6 +43,7 @@ def _no_seed_override(monkeypatch):
 
 CONFIGS = {"three-tiers": SMALL.read_text() + THREE_TIERS_TWO_NODES,
            **{p.stem: p.read_text() for p in sorted(GOLDEN.glob("*.cfg"))}}
+COMMITTED_CONFIGS = sorted([*GOLDEN.glob("*.cfg"), *BENCH_CONFIGS.glob("*.cfg")])
 
 
 def run_every_system(text: str):
@@ -153,6 +154,20 @@ def test_simulating_gups_big_allocates_at_most_one_and_three_quarter_bytes_an_ac
     _, _, peak = traced_bytes(lambda: engine.run_simulation(cfg, trace=trace,
                                                             oracle=oracle))
     assert peak / len(trace.vpages) <= 1.75, peak / len(trace.vpages)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("path", COMMITTED_CONFIGS, ids=lambda path: path.stem)
+def test_each_committed_config_states_the_footprint_it_names(path, seed):
+    """Every committed config's trace states the footprint the config names,
+    `workload.array_pages` for a microbench and `workload.footprint_pages`
+    otherwise, at every seed: the `mid` golden's GUPS never draws page
+    16 383 at seed 1, and its run still simulates all 16 384 pages."""
+    cfg = build_run_config(load_config_file(str(path)), overrides={"seed": seed})
+    w = cfg.workload
+    trace, _ = engine.build_trace(cfg)
+    assert trace.footprint == (w.array_pages if w.kind == "microbench"
+                               else w.footprint_pages)
 
 
 def test_list_columns_run_like_the_generated_trace(runs_of):

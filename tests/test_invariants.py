@@ -60,16 +60,20 @@ from tiersim.config import build_run_config, parse_config_text
 from tiersim.memmodel import BASE_PAGE_BYTES, MemoryState, build_topology
 from tiersim.policy import resolve_destination
 from tiersim.profiler import total_quota
+from tiersim.workload import AccessTrace
 
 from placement import tier_of
 
 INTERVALS = 6
 ACCESSES_PER_INTERVAL = 384
+# "write_only" is the all-write stream no config gives: its config reads
+# the pages in order, and the test makes every access a write
 MICROBENCHES = ["read_only", "half_read", "write_only"]
 
 
 @st.composite
-def configs(draw) -> str:
+def configs(draw) -> tuple[str, bool]:
+    """A config's text, and whether every access of its trace writes."""
     footprint = draw(st.integers(64, 512))
     ids = [f"t{i}" for i in range(draw(st.integers(2, 4)))]
     big = draw(st.integers(0, len(ids) - 1))
@@ -88,10 +92,11 @@ def configs(draw) -> str:
     group = draw(st.sampled_from([None, 1, 8, 16]))
     if group is not None:  # groups below the profiler window split its runs
         lines.append(f"alloc_group_pages = {group}")
+    bench = None
     if kind == "microbench":  # enough passes to fill every interval
         bench = draw(st.sampled_from(MICROBENCHES))
         per_pass = footprint * (2 if bench == "half_read" else 1)
-        lines += [f"workload.bench = {bench}",
+        lines += [f"workload.bench = {'half_read' if bench == 'half_read' else 'read_only'}",
                   f"workload.array_pages = {footprint}",
                   f"workload.passes = {-(-INTERVALS * ACCESSES_PER_INTERVAL // per_pass)}",
                   f"workload.node = {draw(st.sampled_from(nodes))}"]
@@ -107,7 +112,7 @@ def configs(draw) -> str:
     for n in nodes:
         view = [*draw(st.permutations(ids[:-1])), ids[-1]]
         lines.append(f"topology.views.{n} = {', '.join(view)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", bench == "write_only"
 
 
 def check_ledger(space: MemoryState) -> None:
@@ -196,18 +201,23 @@ def check_scans(scans: list[tuple[int, int]], slc, num_scans: int) -> None:
             assert seen == (page in touched), (k, page, seen)
 
 
-def check_sample_counts(profiler, slc, scans: int) -> None:
-    """After profile_interval performed `scans` scans: the scheduled samples
-    are the first scans / num_scans samples of the active regions in order,
-    and each one's count is the number of sub-windows that hold it."""
+def check_sample_counts(profiler, slc, scans: int, scanned) -> None:
+    """After profile_interval performed `scans` scans and returned `scanned`:
+    the scheduled samples are the first scans / num_scans samples of the
+    active regions in order, each one's count is the number of sub-windows
+    that hold it, and `scanned` lists the regions that had one, in order."""
     hits = subwindow_hits(slc, profiler.cfg.num_scans)
     left = scans // profiler.cfg.num_scans
+    took = []
     for r in profiler.regions:
         if r.id in profiler.active_ids:
             take = min(r.quota, left)
             left -= take
             assert r.sample_counts[:take] == [hits[p] for p in r.samples[:take]], r
+            if take:
+                took.append(r)
     assert left == 0
+    assert list(map(id, scanned)) == list(map(id, took))
 
 
 def watch_scans(system) -> list[tuple[int, int]]:
@@ -228,9 +238,10 @@ def watch_scans(system) -> list[tuple[int, int]]:
         profile = prof.profile_interval
 
         def checked(slc):
-            done = profile(slc)
-            check_sample_counts(prof, slc, done)
-            return done
+            before = len(scans)
+            scanned = profile(slc)
+            check_sample_counts(prof, slc, len(scans) - before, scanned)
+            return scanned
 
         prof.profile_interval = checked
     return scans
@@ -332,9 +343,13 @@ def run_checked(cfg, trace, oracle) -> list[tuple]:
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(configs())
-def test_every_system_keeps_the_ledgers(text):
+def test_every_system_keeps_the_ledgers(case):
+    text, all_write = case
     tree = parse_config_text(text)
     trace, oracle = engine.build_trace(build_run_config(tree))
+    if all_write:  # the same pages, each access a write: the oracle holds
+        trace = AccessTrace(trace.vpages, True, trace.node, trace.accesses_per_interval,
+                            trace.footprint)
     for name in BASELINE_KINDS:
         cfg = build_run_config(tree, overrides={"system": name})
         rows = run_checked(cfg, trace, oracle)

@@ -150,7 +150,7 @@ class TestAdaptive:
 
     def test_write_only_stream_lands_near_sync(self):
         space = make_space(num_pages=64)
-        trace = gen_seq_microbench("write_only", 64, passes=4)
+        trace = AccessTrace(array("I", range(64)) * 4, True, 0, 256, footprint=64)
         writes = project_write_times(space, trace.interval_slice(0), 0.0)
         entry = migrate_region(space, reg(0, 64), "b", "adaptive", writes, 0.0)
         sync_cost = 64 * 5.0
@@ -243,7 +243,7 @@ class TestExecutePlan:
 class TestProjectWriteTimes:
     def test_timestamps_accumulate_access_costs(self):
         space = make_space(num_pages=4)
-        trace = gen_seq_microbench("half_read", 2, passes=1)
+        trace = gen_seq_microbench("half_read", 2, 1, 4)
         writes = project_write_times(space, trace.interval_slice(0), 100.0)
         # events R0 W0 R1 W1 at cost 1 each: writes at t=102 and t=104
         assert (writes.times, writes.pages) == (array("d", [102.0, 104.0]),
@@ -251,7 +251,7 @@ class TestProjectWriteTimes:
 
     def test_bound_excludes_writes_at_or_after_it(self):
         space = make_space(num_pages=4)
-        slc = gen_seq_microbench("half_read", 2, passes=1).interval_slice(0)
+        slc = gen_seq_microbench("half_read", 2, 1, 4).interval_slice(0)
         writes = project_write_times(space, slc, 100.0, 104.0)
         assert (writes.times, writes.pages) == (array("d", [102.0]), array("I", [0]))
         assert len(project_write_times(space, slc, 100.0, 102.0)) == 0
@@ -267,7 +267,8 @@ class TestProjectWriteTimes:
 
     def test_projection_is_two_columns_with_a_length(self):
         space = make_space(num_pages=8)
-        slc = gen_seq_microbench("write_only", 8, passes=2).interval_slice(0)
+        trace = AccessTrace(array("I", range(8)) * 2, True, 0, 16, footprint=8)
+        slc = trace.interval_slice(0)
         writes = project_write_times(space, slc, 0.0)
         assert len(writes) == len(writes.times) == len(writes.pages) == 16
         assert writes.times == array("d", range(1, 17))

@@ -500,8 +500,10 @@ class TestProfileInterval:
         prof.initialized = True
         trace = trace_of(list(range(60)))
         before = space.ledger.profiling
-        scans = prof.profile_interval(trace.interval_slice(0))
+        scanned = prof.profile_interval(trace.interval_slice(0))
         spent = space.ledger.profiling - before
+        assert scanned == prof.regions  # both, in region order
+        scans = sum(len(r.sample_counts) for r in scanned) * prof.cfg.num_scans
         assert scans == 8 * 3
         assert spent == pytest.approx(scans * space.cost_model.scan_cost)
         assert spent <= self.app_time * prof.cfg.overhead_constraint

@@ -12,8 +12,7 @@ from tiersim.metrics import recall_precision
 from tiersim.migrator import project_write_times
 from tiersim.workload import (
     GUPS_DRAW_CHUNK, PAGE_LIMIT, AccessTrace, GupsPhase, HotOracle, WorkloadError,
-    _append_gups_draws, _draw_gups_pages, gen_gups, gen_phase_change,
-    gen_seq_microbench,
+    _draw_gups_pages, gen_gups, gen_phase_change, gen_seq_microbench,
 )
 
 from columns import node_column, write_column
@@ -94,26 +93,23 @@ class TestGups:
         for n_cold in DRAW_LENGTHS:
             for lo in hot_starts(n_cold):
                 got, ref = random.Random(17), random.Random(17)
-                pages = []
-                _append_gups_draws(got, pages, lo, n_hot, n_cold, 0.5, 600)
-                assert pages == choice_reference(ref, lo, n_hot, n_cold, 0.5, 600), \
+                pages = array("I")
+                _draw_gups_pages(got, pages, lo, n_hot, n_cold, 0.5, 600)
+                assert list(pages) == choice_reference(ref, lo, n_hot, n_cold, 0.5, 600), \
                     (n_cold, lo)
                 assert got.getstate() == ref.getstate(), (n_cold, lo)
 
     def test_chunked_draw_matches_random_choice(self):
         """A draw over several chunks, the last one partial, puts the pages
         `Random.choice` picks into the column and leaves the generator where
-        `Random.choice` leaves it, wherever the hot set starts.  Each chunk's
-        largest page is noted."""
+        `Random.choice` leaves it, wherever the hot set starts."""
         count = 2 * GUPS_DRAW_CHUNK + 1234
         for lo in hot_starts(1025):
             got, ref = random.Random(23), random.Random(23)
-            pages, tops = array("I"), array("I")
-            _draw_gups_pages(got, pages, tops, lo, 63, 1025, 0.7, count)
+            pages = array("I")
+            _draw_gups_pages(got, pages, lo, 63, 1025, 0.7, count)
             assert list(pages) == choice_reference(ref, lo, 63, 1025, 0.7, count), lo
             assert got.getstate() == ref.getstate(), lo
-            assert list(tops) == [max(pages[k:k + GUPS_DRAW_CHUNK])
-                                  for k in range(0, count, GUPS_DRAW_CHUNK)], lo
 
     def test_round_robin_node_assignment(self):
         trace = gen_gups(64, 0.25, 0.8, 100, [0, 1], seed=9)
@@ -126,13 +122,15 @@ class TestGups:
 
 
 def oracle_cases():
-    """A GUPS trace, then microbench traces of every kind whose interval
-    divides the period (4), does not (5), is longer than it (30) or is the
-    whole trace (None): periods of 12 and 24 accesses, over 5 passes."""
+    """A GUPS trace, then sequential traces over 12 pages in 5 passes, read
+    only, half read or all written, whose interval divides the period (4),
+    does not (5), is longer than it (30) or is the whole trace (None):
+    periods of 12 and 24 accesses."""
     yield gen_gups(256, 0.2, 0.8, 8000, [0], seed=13, accesses_per_interval=500)
-    for kind, api in itertools.product(("read_only", "half_read", "write_only"),
-                                       (4, 5, 30, None)):
-        yield gen_seq_microbench(kind, 12, 5, accesses_per_interval=api)
+    for api in (4, 5, 30, None):
+        yield gen_seq_microbench("read_only", 12, 5, api or 60)
+        yield gen_seq_microbench("half_read", 12, 5, api or 120)
+        yield AccessTrace(array("I", range(12)) * 5, True, 0, api or 60, footprint=12)
 
 
 class TestOracle:
@@ -274,35 +272,29 @@ class TestPhaseChange:
 
 class TestMicrobench:
     def test_read_only_order(self):
-        t = gen_seq_microbench("read_only", 3, passes=1)
+        t = gen_seq_microbench("read_only", 3, 1, 3)
         assert list(t.vpages) == [0, 1, 2]
         assert (t.write, t.writes) == (False, None)  # a constant, no column
 
     def test_half_read_pairs(self):
-        t = gen_seq_microbench("half_read", 2, passes=1)
+        t = gen_seq_microbench("half_read", 2, 1, 4)
         assert list(t.vpages) == [0, 0, 1, 1]
         assert t.write is None
         assert list(t.writes) == [False, True, False, True]
 
-    def test_write_only_sets_all_writes(self):
-        t = gen_seq_microbench("write_only", 4, passes=2)
-        assert (t.write, t.writes) == (True, None)  # a constant, no column
-        assert [w for _, w, _ in t.interval_slice(0).events()] == [True] * 8
-        assert len(t) == 8
-
     def test_unknown_kind(self):
         with pytest.raises(WorkloadError):
-            gen_seq_microbench("mixed", 4, passes=1)
+            gen_seq_microbench("mixed", 4, 1, 4)
 
     def test_rejects_more_pages_than_the_column_holds(self):
         # the kind is checked after the pages: fails fast if they are not
         with pytest.raises(WorkloadError, match="array_pages"):
-            gen_seq_microbench("mixed", PAGE_LIMIT + 1, passes=1)
+            gen_seq_microbench("mixed", PAGE_LIMIT + 1, 1, 4)
 
 
 class TestSlice:
     def test_head_fraction_stays_inside_the_slice(self):
-        t = gen_seq_microbench("read_only", 12, passes=1, accesses_per_interval=4)
+        t = gen_seq_microbench("read_only", 12, 1, 4)
         second = t.interval_slice(1)
         assert [v for v, _, _ in second.head_fraction(0.5).events()] == [4, 5]
         assert [v for v, _, _ in second.head_fraction(3.0).events()] == [4, 5, 6, 7]
@@ -430,63 +422,68 @@ def phase_change_grid():
 
 
 def gups_edge_grid():
-    """A GUPS trace whose largest page is first drawn in the second half of
-    its second draw chunk, and one that never draws its range's top page."""
+    """A GUPS trace over three draw chunks, the last one partial, and one
+    that never draws its range's top page."""
     yield gen_gups(100_000, 0.01, 0.5, 2 * GUPS_DRAW_CHUNK + 500, [0], seed=5,
                    accesses_per_interval=4096)
     yield gen_gups(300, 0.2, 0.7, 60, [0, 1], seed=1, accesses_per_interval=16)
 
 
 def microbench_grid():
-    for kind, passes, api in itertools.product(
-            ("read_only", "half_read", "write_only"), (1, 3), (None, 4)):
-        yield gen_seq_microbench(kind, 5, passes, node=1, accesses_per_interval=api)
+    """Each kind over 1 and 3 passes, in one interval (None) or intervals of
+    4 accesses."""
+    for kind, passes, api in itertools.product(("read_only", "half_read"), (1, 3),
+                                               (None, 4)):
+        accesses = 5 * passes * (2 if kind == "half_read" else 1)
+        yield gen_seq_microbench(kind, 5, passes, api or accesses, node=1)
 
 
-# Recorded from the generators as first written: any change to a generated
-# trace or oracle, however small, changes a digest.
+# Recorded from the generators as first written (the microbench grid's by
+# the generator that still had a `write_only` kind, on the grid without it):
+# any change to a generated trace or oracle, however small, changes a digest.
 @pytest.mark.parametrize("grid, with_oracle, digest", [
     (gups_grid, True,
      "1e64d262691dc351b2e04bf7bcc5cbda7422cb8e2889d301d3396b5df9f60b08"),
     (phase_change_grid, True,
      "4db31f3c5307de13e677ff1d93a618af8d4c908e065775d29ffbd9d5392a3a3e"),
     (microbench_grid, False,
-     "82e3d54aa4dca7025e34f371930fe1d9a811f556a5bec7191fef04af5a3e19ed"),
+     "771d48fa2de95c6d2667a6316e97e239da7e98b87d17806d6054f76151bf9e2f"),
 ], ids=["gups-contiguous", "phase_change", "microbench"])
 def test_generated_traces_are_pinned(grid, with_oracle, digest):
     assert trace_digest(grid(), with_oracle) == digest
 
 
-@pytest.mark.parametrize("grid, stated, one_node", [
-    (gups_grid, 36, 12), (gups_edge_grid, 2, 1), (phase_change_grid, 2, 0),
-    (microbench_grid, 12, 12),
+@pytest.mark.parametrize("grid, footprints, one_node", [
+    (gups_grid, (2,) * 12 + (97,) * 12 + (300,) * 12, 12),
+    (gups_edge_grid, (100_000, 300), 1), (phase_change_grid, (200, 50), 0),
+    (microbench_grid, (5,) * 8, 8),
 ], ids=["gups-contiguous", "gups-edges", "phase_change", "microbench"])
-def test_generated_traces_state_their_footprint_and_one_node(grid, stated, one_node):
-    """Every generator states its footprint, the largest page plus one, and
-    a trace keeps one node exactly when its generator made every access
-    from one node: the grids give several nodes only to generators that use
-    them all."""
-    stated_seen = one_node_seen = 0
+def test_generated_traces_state_their_footprint_and_one_node(grid, footprints, one_node):
+    """Every generator states the footprint it was given, above every page
+    it drew: a GUPS trace its `footprint_pages`, a phase-change trace its
+    largest phase's, a microbench its `array_pages`.  A trace keeps one node
+    exactly when its generator made every access from one node: the grids
+    give several nodes only to generators that use them all."""
+    stated, one_node_seen = [], 0
     for trace in grid():
-        stated_seen += 1
-        assert trace.footprint == max(trace.vpages) + 1
+        stated.append(trace.footprint)
+        assert max(trace.vpages) < trace.footprint
         if trace.node is not None:
             one_node_seen += 1
             assert trace.nodes is None
         else:
             assert len(trace.nodes) == len(trace)
             assert len(set(trace.nodes)) > 1
-    assert (stated_seen, one_node_seen) == (stated, one_node)
+    assert (tuple(stated), one_node_seen) == (footprints, one_node)
 
 
 @pytest.mark.parametrize("grid, constant", [
-    (gups_grid, 36), (gups_edge_grid, 2), (phase_change_grid, 2), (microbench_grid, 8),
+    (gups_grid, 36), (gups_edge_grid, 2), (phase_change_grid, 2), (microbench_grid, 4),
 ], ids=["gups-contiguous", "gups-edges", "phase_change", "microbench"])
 def test_generated_traces_keep_a_write_column_only_when_it_mixes(grid, constant):
-    """GUPS and phase-change accesses all write, and `read_only` and
-    `write_only` ones all read or all write: those traces keep the flag as
-    `write` with no column.  Only `half_read`, whose accesses alternate,
-    keeps its column."""
+    """GUPS and phase-change accesses all write, and `read_only` ones all
+    read: those traces keep the flag as `write` with no column.  Only
+    `half_read`, whose accesses alternate, keeps its column."""
     constant_seen = 0
     for trace in grid():
         if trace.write is None:
@@ -498,12 +495,11 @@ def test_generated_traces_keep_a_write_column_only_when_it_mixes(grid, constant)
     assert constant_seen == constant
 
 
-def test_gups_footprint_is_the_largest_page_drawn():
-    """The stated footprint follows the largest page into a later draw
-    chunk, and stays below a range whose top page is never drawn."""
-    late, short = gups_edge_grid()
-    assert max(late.vpages[:GUPS_DRAW_CHUNK * 3 // 2]) + 1 < late.footprint
-    assert short.footprint < 300
+def test_gups_footprint_is_the_configured_one():
+    """A GUPS trace that never draws its range's top page still states the
+    whole range, so a run simulates the memory its config names."""
+    _, short = gups_edge_grid()
+    assert max(short.vpages) + 1 < short.footprint == 300
 
 
 def test_a_one_node_trace_reads_back_its_column():

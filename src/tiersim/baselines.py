@@ -43,26 +43,19 @@ DAMON_MERGE_FRACTION = 0.10
 
 def group_first_touch(group_pages: int):
     """First-touch at allocation-extent granularity: touching any page maps
-    the unmapped pages of its aligned group into the first tier, in the
-    toucher's view, that can hold them all, as base pages.  When none can,
-    each tier along the view takes as many as it has room for: where mapping
-    them one page at a time into the first tier with room puts them."""
+    its whole aligned group, as base pages, spilling along the toucher's
+    view.  Each tier in view order takes the group's next pages, as many as
+    it has room for, which is where mapping them one page at a time into the
+    first tier with room puts them.  The group must be wholly unmapped, as
+    it is in every engine run: only this maps pages, a whole group at a
+    time.  A mapped page in it raises `TiersimError`, and running out of
+    room in every tier `CapacityError`."""
 
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
         g0 = (vpage // group_pages) * group_pages
-        g1 = min(g0 + group_pages, space.num_pages)
-        page_tier = space.page_tier
-        pages = range(g0, g1)  # an untouched group, mapped as one slice
-        if page_tier.count(UNMAPPED, g0, g1) < len(pages):
-            pages = [p for p in pages if page_tier[p] == UNMAPPED]
-        need = len(pages) * BASE_PAGE_BYTES
-        view = space.topology.views[node]
-        for tier_id in view:
-            if space.free[tier_id] >= need:
-                space.map_pages(pages, tier_id)
-                return
-        for tier_id in view:  # spill across tiers at the capacity boundary
-            take = min(len(pages), space.free[tier_id] // BASE_PAGE_BYTES)
+        pages = range(g0, min(g0 + group_pages, space.num_pages))
+        for tier_id in space.topology.views[node]:
+            take = space.free[tier_id] // BASE_PAGE_BYTES
             space.map_pages(pages[:take], tier_id)
             pages = pages[take:]
         if pages:

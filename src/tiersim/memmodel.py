@@ -166,11 +166,11 @@ def build_topology(spec: dict) -> TierTopology:
 
 @dataclass
 class CostLedger:
-    """The profiling and migration costs charged so far.  App time is not
-    a ledger entry: MemoryState derives it from its access counts."""
+    """The profiling and exposed migration costs charged so far.  App time
+    is not a ledger entry: MemoryState derives it from its access counts.
+    A move's background copy cost is in its `migrator.MoveReport` only."""
     profiling: float = 0.0
     migration_exposed: float = 0.0
-    migration_background: float = 0.0
 
 
 class MemoryState:

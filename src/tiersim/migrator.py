@@ -154,7 +154,6 @@ def migrate_region(space: MemoryState, region: Region, dst: str, mode: str,
     src = region.tier
     space.move_pages(range(s0, s1), dst)
     space.ledger.migration_exposed += exposed
-    space.ledger.migration_background += background
     region.tier = dst
     return MoveReport(region.id, src, dst, mechanism, exposed, background, recopied)
 

@@ -340,20 +340,13 @@ def test_damon_merge_and_split_match_the_region_object_loops(spans, max_regions,
 
 
 def page_by_page_first_touch(group_pages):
-    """Reference for `group_first_touch`: a whole group into the first tier
-    that holds it, else each unmapped page into the first tier with room."""
+    """Reference for `group_first_touch`: each page of the touched group, in
+    page order, into the first tier in the toucher's view with room."""
 
     def alloc(space, vpage, node):
         g0 = (vpage // group_pages) * group_pages
-        pages = [p for p in range(g0, min(g0 + group_pages, space.num_pages))
-                 if space.page_tier[p] == UNMAPPED]
-        view = space.topology.views[node]
-        for tier_id in view:
-            if space.free[tier_id] >= len(pages) * BASE_PAGE_BYTES:
-                space.map_pages(pages, tier_id)
-                return
-        for p in pages:
-            for tier_id in view:
+        for p in range(g0, min(g0 + group_pages, space.num_pages)):
+            for tier_id in space.topology.views[node]:
                 if space.free[tier_id] >= BASE_PAGE_BYTES:
                     space.map_pages((p,), tier_id)
                     break
@@ -365,9 +358,9 @@ def page_by_page_first_touch(group_pages):
 
 def test_first_touch_spills_tier_by_tier_like_page_by_page():
     """Random topologies of two or three tiers and two nodes with different
-    views, touched at random from partly mapped groups: each touch leaves
-    the placement, the free space and any `CapacityError` that mapping page
-    by page leaves."""
+    views, some groups mapped whole beforehand, touched at random in the
+    unmapped groups: each touch leaves the placement, the free space and any
+    `CapacityError` that mapping page by page leaves."""
     rng = random.Random(11)
     spills = refusals = 0
     for _ in range(300):
@@ -378,18 +371,16 @@ def test_first_touch_spills_tier_by_tier_like_page_by_page():
                                "views": {0: ids, 1: rng.sample(ids, len(ids))}})
         num_pages, group = rng.randrange(1, 60), rng.choice([1, 4, 8, 16])
         states = [MemoryState(topo, CostModel(), num_pages) for _ in "ab"]
-        for p in rng.sample(range(num_pages), rng.randrange(num_pages // 2 + 1)):
-            tier_id = rng.choice(ids)
-            if states[0].free[tier_id] >= BASE_PAGE_BYTES:
+        groups = range(0, num_pages, group)
+        for g0 in rng.sample(groups, rng.randrange(len(groups) // 2 + 1)):
+            pages, tier_id = range(g0, min(g0 + group, num_pages)), rng.choice(ids)
+            if states[0].free[tier_id] >= len(pages) * BASE_PAGE_BYTES:
                 for space in states:
-                    space.map_pages((p,), tier_id)
+                    space.map_pages(pages, tier_id)
         for _ in range(rng.randrange(1, 8)):
             vpage, node = rng.randrange(num_pages), rng.choice([0, 1])
             if states[0].page_tier[vpage] != UNMAPPED:
                 continue
-            g0 = vpage - vpage % group
-            need = states[0].page_tier.count(UNMAPPED, g0, g0 + group) * BASE_PAGE_BYTES
-            spills += all(free < need for free in states[0].free.values())
             outcomes = []
             for alloc, space in zip((baselines.group_first_touch(group),
                                      page_by_page_first_touch(group)), states):
@@ -401,5 +392,18 @@ def test_first_touch_spills_tier_by_tier_like_page_by_page():
             assert outcomes[0] == outcomes[1]
             assert states[0].page_tier == states[1].page_tier
             assert states[0].free == states[1].free
+            g0 = vpage - vpage % group
+            spills += len(set(states[0].page_tier[g0:g0 + group])) > 1
             refusals += outcomes[0] is not None
-    assert spills > refusals > 0  # some spills fit, some run out of room
+    assert spills > refusals > 0  # some groups spill, some run out of room
+
+
+def test_first_touch_fills_the_fast_tier_before_spilling():
+    """A 4-page fast tier and an 8-page group: the fast tier takes the
+    group's first 4 pages and the next tier the other 4."""
+    topo = build_topology({"tiers": [{"id": "fast", "capacity_bytes": 4 * BASE_PAGE_BYTES},
+                                     {"id": "slow", "capacity_bytes": 64 * BASE_PAGE_BYTES}]})
+    space = MemoryState(topo, CostModel(), 16)
+    baselines.group_first_touch(8)(space, 13, 0)
+    assert [tier_of(space, p) for p in range(16)] == [None] * 8 + ["fast"] * 4 + ["slow"] * 4
+    assert space.free == {"fast": 0, "slow": 60 * BASE_PAGE_BYTES}

@@ -32,6 +32,9 @@ after every interval:
   so a DAMON pick's hits are the sub-windows that hold it; and right after
   `profile_interval`, every scheduled MTM sample's count is the number of
   the interval's sub-windows whose `pages()` hold it;
+- every allocation group is wholly mapped or wholly unmapped, and each
+  first touch spills its group along the toucher's view: no page of the
+  group lies beyond a tier of that view that still has a free page;
 - the app time and the tiers' access counts equal what `reference_replay`, a
   counter keyed by node and tier name, gives for every access so far;
 - the system's detected page mask is one 0/1 byte per footprint page, and
@@ -57,7 +60,7 @@ from hypothesis import strategies as st
 from tiersim import baselines, engine, metrics, migrator
 from tiersim.baselines import BASELINE_KINDS
 from tiersim.config import build_run_config, parse_config_text
-from tiersim.memmodel import BASE_PAGE_BYTES, MemoryState, build_topology
+from tiersim.memmodel import BASE_PAGE_BYTES, UNMAPPED, MemoryState, build_topology
 from tiersim.policy import resolve_destination
 from tiersim.profiler import total_quota
 from tiersim.workload import AccessTrace
@@ -124,6 +127,30 @@ def check_ledger(space: MemoryState) -> None:
     for t in space.topology.tiers:
         assert space.free[t.id] == t.capacity_bytes - BASE_PAGE_BYTES * pages[t.id]
         assert space.free[t.id] >= 0
+
+
+def checked_first_touch(group: int):
+    """`group_first_touch(group)`, checking after each touch that no page of
+    the touched group lies beyond a tier, in the toucher's view, that still
+    has a free page."""
+    alloc = baselines.group_first_touch(group)
+
+    def checked(space: MemoryState, vpage: int, node: int) -> None:
+        alloc(space, vpage, node)
+        view = space.topology.views[node]
+        g0 = vpage - vpage % group
+        tiers = {tier_of(space, p) for p in range(g0, min(g0 + group, space.num_pages))}
+        last = max(map(view.index, tiers))
+        assert all(space.free[t] < BASE_PAGE_BYTES for t in view[:last]), (vpage, node)
+
+    return checked
+
+
+def check_groups(space: MemoryState, group: int) -> None:
+    """Every allocation group is wholly mapped or wholly unmapped."""
+    for g0 in range(0, space.num_pages, group):
+        g1 = min(g0 + group, space.num_pages)
+        assert space.page_tier.count(UNMAPPED, g0, g1) in (0, g1 - g0), g0
 
 
 def check_plan_fits(moves, free: dict[str, int]) -> None:
@@ -295,7 +322,7 @@ def run_checked(cfg, trace, oracle) -> list[tuple]:
     topology = build_topology(cfg.topology)
     group = cfg.alloc_group_pages or cfg.profiler.default_region_pages
     space = MemoryState(topology, cfg.cost, trace.footprint,
-                        allocator=baselines.group_first_touch(group))
+                        allocator=checked_first_touch(group))
     system = baselines.SYSTEMS[cfg.system](
         space, cfg.profiler, cfg.policy,
         engine._derive_seed(cfg.seed, f"system:{cfg.system}"), cfg.detect_threshold)
@@ -331,6 +358,7 @@ def run_checked(cfg, trace, oracle) -> list[tuple]:
                           if i + 1 < trace.num_intervals else None)
             migrator.execute_plan(space, moves, mode, next_slice)
         check_ledger(space)
+        check_groups(space, group)
         assert space.app_cost() == ref_app
         assert space.tier_access_counts == ref_tier_counts
         counts = {t: space.tier_access_counts[t] - acc0[t] for t in topology.tier_ids}

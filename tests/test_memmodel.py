@@ -330,15 +330,17 @@ class TestMapping:
         assert st.free["t1"] == 16 * BASE_PAGE_BYTES
         assert tier_names(st).count("t1") == 0 and len(st.page_tier) == 40
 
-    def test_group_first_touch_maps_a_partly_mapped_group_page_by_page(self):
+    def test_group_first_touch_refuses_a_partly_mapped_group(self):
+        """Only first touch maps pages, a whole group at a time, so no run
+        leaves a group partly mapped: touching one raises, mapping nothing."""
         st = small_state(num_pages=16)
         st.allocator = group_first_touch(8)
         st.map_pages((3,), "t2")
-        st.apply_access(5, 0)  # maps 0-7 but 3, then 8-15 whole
-        st.apply_access(12, 0)
-        assert tier_names(st) == ["t1"] * 3 + ["t2"] + ["t1"] * 12
-        assert st.free["t1"] == 1 * BASE_PAGE_BYTES
-        assert st.free["t2"] == 15 * BASE_PAGE_BYTES
+        with pytest.raises(TiersimError, match="page 3 already mapped"):
+            st.apply_access(5, 0)
+        assert tier_names(st) == [None] * 3 + ["t2"] + [None] * 12
+        assert st.free["t1"] == 16 * BASE_PAGE_BYTES
+        assert sum(st.tier_access_counts.values()) == 0
 
     def test_mapped_pages_lists_a_range_clamped_to_the_footprint(self):
         st = small_state(num_pages=10)

@@ -98,7 +98,6 @@ class TestAsync:
         assert entry.mechanism == "async"
         assert entry.exposed_cost == 8 * 2.0
         assert entry.background_cost == 8 * 3.0
-        assert space.ledger.migration_background == 8 * 3.0
 
     def test_write_mid_window_moves_synchronously(self):
         space = make_space(num_pages=8)
@@ -106,7 +105,6 @@ class TestAsync:
         entry = migrate_region(space, reg(0, 8), "b", "async", cols((10.0, 3)), 0.0)
         assert (entry.mechanism, entry.exposed_cost) == ("sync", 8 * 5.0)
         assert (entry.background_cost, entry.recopied_pages) == (0.0, 0)
-        assert space.ledger.migration_background == 0.0
         assert tier_of(space, 0) == "b"
 
     def test_write_outside_window_or_region_ignored(self):
@@ -215,11 +213,11 @@ class TestExecutePlan:
         assert first.tier == "b" and second.tier == "a"
         assert tier_names(space, 0, 16) == ["b"] * 4 + ["a"] * 12
 
-    def test_sync_mode_background_ledger_stays_zero(self):
+    def test_sync_mode_reports_no_background_cost(self):
         space = make_space(num_pages=16)
-        execute_plan(space, [Move(reg(0, 16), "a", "b", "promote")], mode="sync",
-                     next_slice=slice_of(*[(p, True) for p in range(16)]))
-        assert space.ledger.migration_background == 0.0
+        reports = execute_plan(space, [Move(reg(0, 16), "a", "b", "promote")], mode="sync",
+                               next_slice=slice_of(*[(p, True) for p in range(16)]))
+        assert [r.background_cost for r in reports] == [0.0]
 
     def test_conservation_randomized(self):
         rng = random.Random(8)
@@ -332,7 +330,6 @@ class TestBisectedWindows:
                                        start_time)
                 assert entry == expected
                 assert space.ledger.migration_exposed == expected.exposed_cost
-                assert space.ledger.migration_background == expected.background_cost
                 assert moved.tier == "b"
                 assert tier_names(space, moved.start_page, moved.end_page) == \
                     ["b"] * moved.len_pages
@@ -379,8 +376,7 @@ class TestBisectedWindows:
                     assert full.times[k] >= until > projected.times[-1]
                     reports = [migrate_region(space, m.region, m.dst, mode, full, t)
                                for m, t in zip(moves, starts)]
-                runs.append((reports, space.ledger.migration_exposed,
-                             space.ledger.migration_background))
+                runs.append((reports, space.ledger.migration_exposed))
             assert runs[0] == runs[1]
             mechanisms |= {e.mechanism for e in runs[0][0]}
         assert mechanisms == {"sync", "async", "async_fallback"}

@@ -42,14 +42,13 @@ DAMON_MERGE_FRACTION = 0.10
 
 
 def group_first_touch(group_pages: int):
-    """First-touch at allocation-extent granularity: touching any page maps
-    its whole aligned group, as base pages, spilling along the toucher's
-    view.  Each tier in view order takes the group's next pages, as many as
-    it has room for, which is where mapping them one page at a time into the
-    first tier with room puts them.  The group must be wholly unmapped, as
-    it is in every engine run: only this maps pages, a whole group at a
-    time.  A mapped page in it raises `TiersimError`, and running out of
-    room in every tier `CapacityError`."""
+    """First-touch at allocation-extent granularity: touching a page maps its
+    whole aligned group as base pages, spilling along the toucher's view.
+    Each tier in turn takes as many of the group's next pages as it has room
+    for, which is where mapping them one at a time into the first tier with
+    room puts them.  Only this maps pages, so a group is never partly
+    mapped: a mapped page in it raises `TiersimError`, and no room left in
+    any tier `CapacityError`."""
 
     def alloc(space: MemoryState, vpage: int, node: int) -> None:
         g0 = (vpage // group_pages) * group_pages
